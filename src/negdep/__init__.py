@@ -11,11 +11,9 @@ __version__ = "0.1.0"
 from .exact import (
     CircularInterval,
     Rational,
-    Residue,
     circular_overlap,
     format_rational,
     is_prime,
-    mod_inverse,
     parse_rational,
     torus_dist,
 )

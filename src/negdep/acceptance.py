@@ -10,6 +10,7 @@ tests/test_acceptance.py parametrizes over this registry, and the CLI
 import time
 from fractions import Fraction
 from math import factorial, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,19 +35,9 @@ from .variance import integrand_library, variance_compare
 __all__ = ["CRITERIA", "run_acceptance", "CriterionResult"]
 
 
-class CriterionResult(tuple):
-    __slots__ = ()
-
-    def __new__(cls, passed, detail):
-        return super().__new__(cls, (bool(passed), detail))
-
-    @property
-    def passed(self):
-        return self[0]
-
-    @property
-    def detail(self):
-        return self[1]
+class CriterionResult(NamedTuple):
+    passed: bool
+    detail: str
 
 
 # -- independent oracle for the stratified closed form -----------------------

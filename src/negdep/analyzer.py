@@ -25,7 +25,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import factorial, floor, lcm
+from math import factorial, floor, gcd, lcm
+from typing import NamedTuple
 
 import numpy as np
 
@@ -252,6 +253,62 @@ def _rsj_enumeration_space(spec: SchemeSpec):
     return gens[gi], shifts[si]
 
 
+def _pair_counts(spec: SchemeSpec, budget=None, threads: int = 1):
+    """Exact integer counts of the cell-pair law, as (P, total).
+
+    P[i, j] counts the enumerated configurations that put p1 in cell vector
+    i and p2 in cell vector j, with the n^dim cell vectors numbered
+    lexicographically (coordinate 0 most significant); P / total is the
+    law.  Counts and total are divided by their common gcd.
+    """
+    n, dim = spec.n, spec.dim
+    if n < 2:
+        raise ValueError("a distinct pair needs n >= 2")
+    budget = resolve_budget(budget)
+    cells = n**dim
+
+    if spec.kind == "rsj_lattice":
+        g_rows, s_rows = _rsj_enumeration_space(spec)
+        m_pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        terms = len(g_rows) * len(m_pairs)
+        if terms > budget:
+            raise BudgetExceededError(
+                f"enumeration too large: {terms} terms exceeds budget {budget}"
+            )
+        place = n ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+
+        def count_chunk(pairs):
+            c = np.zeros(cells * cells, dtype=np.int64)
+            for a, b in pairs:
+                z1 = (g_rows * a + s_rows) % n
+                z2 = (g_rows * b + s_rows) % n
+                c += np.bincount((z1 @ place) * cells + z2 @ place, minlength=cells * cells)
+            return c
+
+        if threads > 1:
+            chunks = [m_pairs[i::threads] for i in range(threads)]
+            chunks = [c for c in chunks if c]
+            with ThreadPoolExecutor(max_workers=threads) as ex:
+                parts = list(ex.map(count_chunk, chunks))
+            counts = merge_counts(parts)
+        else:
+            counts = count_chunk(m_pairs)
+        P = counts.reshape(cells, cells)
+    elif spec.kind in ("stratified1d", "lhs", "patterson"):
+        # independent stratum permutations per coordinate: the pair of cells
+        # in each coordinate is an ordered pair of distinct strata
+        terms = (n * (n - 1)) ** dim
+        if terms > budget:
+            raise BudgetExceededError(
+                f"enumeration too large: {terms} terms exceeds budget {budget}"
+            )
+        P = _kron([1 - np.eye(n, dtype=np.int64)] * dim, np.int64)
+    else:
+        raise UnsupportedSchemeError(f"no discrete pair law for kind {spec.kind!r}")
+    g = gcd(int(np.gcd.reduce(P, axis=None)), terms)
+    return P // g, terms // g
+
+
 def discrete_pair_pmf(n: int, dim: int, spec: SchemeSpec = None, budget=None, threads: int = 1) -> PairLaw:
     """Exhaustively enumerate the cell-pair law of two distinct points.
 
@@ -263,68 +320,66 @@ def discrete_pair_pmf(n: int, dim: int, spec: SchemeSpec = None, budget=None, th
     spec = spec if spec is not None else full_rsj(n, dim)
     if (spec.n, spec.dim) != (n, dim):
         raise ValueError("spec size does not match (n, dim)")
-    budget = resolve_budget(budget)
-    n_bins = (n * n) ** dim
-    radix = np.int64(n * n) ** np.arange(dim, dtype=np.int64)
-
-    if spec.kind == "rsj_lattice":
-        g_rows, s_rows = _rsj_enumeration_space(spec)
-        m_pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-        terms = len(g_rows) * len(m_pairs)
-        if terms > budget:
-            raise BudgetExceededError(
-                f"enumeration too large: {terms} terms exceeds budget {budget}"
-            )
-
-        def count_chunk(pairs):
-            c = np.zeros(n_bins, dtype=np.int64)
-            for a, b in pairs:
-                z1 = (g_rows * a + s_rows) % n
-                z2 = (g_rows * b + s_rows) % n
-                idx = ((z1 * n + z2) * radix).sum(axis=1)
-                c += np.bincount(idx, minlength=n_bins)
-            return c
-
-        if threads > 1:
-            chunks = [m_pairs[i::threads] for i in range(threads)]
-            chunks = [c for c in chunks if c]
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                parts = list(ex.map(count_chunk, chunks))
-            counts = merge_counts(parts)
-        else:
-            counts = count_chunk(m_pairs)
-        total = terms
-    elif spec.kind in ("stratified1d", "lhs", "patterson"):
-        # independent stratum permutations per coordinate: the pair of cells
-        # in each coordinate is an ordered pair of distinct strata
-        terms = (n * (n - 1)) ** dim
-        if terms > budget:
-            raise BudgetExceededError(
-                f"enumeration too large: {terms} terms exceeds budget {budget}"
-            )
-        codes = np.array([z1 * n + z2 for z1 in range(n) for z2 in range(n) if z1 != z2],
-                         dtype=np.int64)
-        flat = np.zeros(1, dtype=np.int64)
-        for i in range(dim):
-            flat = (flat[:, None] + codes[None, :] * radix[i]).ravel()
-        counts = np.bincount(flat, minlength=n_bins)
-        total = terms
-    else:
-        raise UnsupportedSchemeError(f"no discrete pair law for kind {spec.kind!r}")
-
-    pmf = {}
-    for flat_idx in np.nonzero(counts)[0]:
-        rem = int(flat_idx)
-        z1, z2 = [], []
-        for _ in range(dim):
-            code = rem % (n * n)
-            rem //= n * n
-            z1.append(code // n)
-            z2.append(code % n)
-        pmf[(tuple(z1), tuple(z2))] = Fraction(int(counts[flat_idx]), total)
+    P, total = _pair_counts(spec, budget, threads)
+    i1, i2 = np.nonzero(P)
+    cellv = np.array(list(product(range(n), repeat=dim)), dtype=np.int64)
+    # a fixed support order (per-coordinate code z1*n + z2, coordinate 0
+    # least significant): coordinate_independence_check reports the first
+    # failing cell pair in this order
+    codes = (cellv[i1] * n + cellv[i2]) @ (np.int64(n * n) ** np.arange(dim, dtype=np.int64))
+    order = np.argsort(codes)
+    cellv = [tuple(z) for z in cellv.tolist()]
+    pmf = {
+        (cellv[a], cellv[b]): Fraction(int(P[a, b]), total)
+        for a, b in zip(i1[order].tolist(), i2[order].tolist())
+    }
     law = PairLaw(spec=spec, n=n, dim=dim, pmf=pmf, position=_position_model(spec))
     law.validate()
     return law
+
+
+# -- the integer kernel ------------------------------------------------------------
+#
+# Every enumerated query is a contraction of the count matrix P (cell vector
+# of p1 x cell vector of p2) with integer cell weights: the joint over box
+# pairs is J = A^T P A and the marginals are P.sum(1) @ A and P.sum(0) @ A,
+# where A[z, Q] = P(point in Q | cell vector z) * den is the Kronecker
+# product of one integer table per coordinate.  All arithmetic is on
+# integers over a known common denominator; int64 where the denominator
+# bounds every entry below _INT64_SAFE_LIMIT, python ints otherwise.
+
+# box pairs per kernel block: bounds a scan's memory, and keeps a block's
+# arrays in cache (2^15 ran the factorized scans fastest among 2^13..2^17)
+_BLOCK = 1 << 15
+
+
+def _int_dtype(bound: int):
+    """int64 for values of magnitude at most bound if that is safe, else python ints."""
+    return np.int64 if bound < _INT64_SAFE_LIMIT else object
+
+
+def _kron(tables, dtype) -> np.ndarray:
+    """Kronecker product of the tables, first table most significant."""
+    out = np.ones((1, 1), dtype=dtype)
+    for t in tables:
+        out = np.kron(out, np.asarray(t, dtype=dtype))
+    return out
+
+
+def _weight_table(anchors, n: int, position: str):
+    """T[c][k] = P(x >= anchors[k] | cell c) * den as integers, and den."""
+    den = lcm(*(a.denominator for a in anchors))
+    return [[int(_cell_weight(c, a, n, position) * den) for a in anchors] for c in range(n)], den
+
+
+def _box_weights(box: AnchoredBox, n: int, position: str):
+    """Column a[z] = P(point in box | cell vector z) * den, and den."""
+    tables, den = [], 1
+    for a in box.anchor:
+        t, d = _weight_table([a], n, position)
+        tables.append(t)
+        den *= d
+    return _kron(tables, object)[:, 0], den
 
 
 # -- joint box probabilities ---------------------------------------------------
@@ -458,26 +513,14 @@ def pair_box_prob(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox,
             result *= _joint_factor(spec, qi, ri)
         return result
 
-    law = discrete_pair_pmf(spec.n, spec.dim, spec, budget=budget, threads=threads)
-    return _law_box_prob(law, Q, R)
-
-
-def _law_box_prob(law: PairLaw, Q: AnchoredBox, R: AnchoredBox) -> Fraction:
-    n, pos = law.n, law.position
-    total = Fraction(0)
-    for (z1, z2), p in law.pmf.items():
-        w = p
-        for c, q in zip(z1, Q.anchor):
-            if w == 0:
-                break
-            w *= _cell_weight(c, q, n, pos)
-        else:
-            for c, r in zip(z2, R.anchor):
-                if w == 0:
-                    break
-                w *= _cell_weight(c, r, n, pos)
-        total += w
-    return total
+    P, total = _pair_counts(spec, budget, threads)
+    pos = _position_model(spec)
+    a, den_q = _box_weights(Q, spec.n, pos)
+    b, den_r = _box_weights(R, spec.n, pos)
+    den = total * den_q * den_r
+    dtype = _int_dtype(den)
+    joint = a.astype(dtype) @ P.astype(dtype) @ b.astype(dtype)
+    return Fraction(int(joint), den)
 
 
 def pair_marginal_prob(spec: SchemeSpec, box: AnchoredBox, side: int = 0,
@@ -497,17 +540,11 @@ def pair_marginal_prob(spec: SchemeSpec, box: AnchoredBox, side: int = 0,
         for a in box.anchor:
             result *= _marginal_factor(spec, a)
         return result
-    law = discrete_pair_pmf(spec.n, spec.dim, spec, budget=budget, threads=threads)
-    marg = law.marginal(side)
-    total = Fraction(0)
-    for cells, p in marg.items():
-        w = p
-        for c, a in zip(cells, box.anchor):
-            if w == 0:
-                break
-            w *= _cell_weight(c, a, law.n, law.position)
-        total += w
-    return total
+    P, total = _pair_counts(spec, budget, threads)
+    a, den = _box_weights(box, spec.n, _position_model(spec))
+    dtype = _int_dtype(total * den)
+    marginal = P.sum(axis=1 if side == 0 else 0).astype(dtype) @ a.astype(dtype)
+    return Fraction(int(marginal), total * den)
 
 
 # -- negative-dependence scan ---------------------------------------------------
@@ -531,6 +568,25 @@ class DependenceReport:
     def ok(self) -> bool:
         return self.worst_violation == 0
 
+    @classmethod
+    def from_witnesses(cls, spec: SchemeSpec, grid_resolution: int, witnesses) -> "DependenceReport":
+        """The report of a k/grid_resolution scan that found these witnesses.
+
+        Witnesses come in any order; the report lists them by decreasing
+        excess, ties broken by decreasing anchors.
+        """
+        witnesses = sorted(witnesses, key=lambda w: (w[2] - w[3], w[0].anchor, w[1].anchor),
+                           reverse=True)
+        worst = witnesses[0][2] - witnesses[0][3] if witnesses else Fraction(0)
+        grid = {
+            "resolution": grid_resolution,
+            "anchors": f"k/{grid_resolution} for 0 <= k < {grid_resolution}",
+            "boxes_per_side": grid_resolution**spec.dim,
+            "pairs": grid_resolution ** (2 * spec.dim),
+            "certifies_all_boxes": _is_factorized(spec) and grid_resolution % spec.n == 0,
+        }
+        return cls(spec=spec, grid=grid, worst_violation=worst, witnesses=tuple(witnesses))
+
 
 def _factor_tables(spec: SchemeSpec, anchors):
     """Integer joint/product tables over a common denominator.
@@ -549,105 +605,82 @@ def _factor_tables(spec: SchemeSpec, anchors):
     return jt, pt, den
 
 
-def _scan_factorized(spec: SchemeSpec, anchors, budget: int):
-    m = len(anchors)
-    dim = spec.dim
+def _grid_anchors(grid_resolution: int) -> list:
+    if grid_resolution < 1:
+        raise ValueError("grid resolution must be positive")
+    return [Fraction(k, grid_resolution) for k in range(grid_resolution)]
+
+
+def _factorized_tables(spec: SchemeSpec, anchors, budget: int):
+    """Closed-form joint and product numerators over all box pairs.
+
+    Returns (den, blocks): blocks yields (first Q index, joint, product)
+    with one row per Q box and one column per R box, boxes numbered
+    lexicographically; joint / den and product / den are the probabilities.
+    """
+    m, dim = len(anchors), spec.dim
     pairs = m ** (2 * dim)
     if pairs > budget:
         raise BudgetExceededError(
             f"grid too large: {pairs} box pairs exceeds budget {budget}"
         )
     jt, pt, den = _factor_tables(spec, anchors)
-    use_int64 = den**dim < _INT64_SAFE_LIMIT
-    dtype = np.int64 if use_int64 else object
-    jflat = np.array(jt, dtype=dtype).ravel()
-    pflat = np.array(pt, dtype=dtype).ravel()
+    dtype = _int_dtype(den**dim)
+    jt, pt = np.array(jt, dtype=dtype), np.array(pt, dtype=dtype)
+    # box index q0 * sub + rest: the first coordinate's factor times the
+    # (dim-1)-fold Kronecker power over the remaining coordinates
+    sub, boxes = m ** (dim - 1), m**dim
+    rest_j, rest_p = _kron([jt] * (dim - 1), dtype), _kron([pt] * (dim - 1), dtype)
 
-    rest_j = np.ones(1, dtype=dtype)
-    rest_p = np.ones(1, dtype=dtype)
-    for _ in range(dim - 1):
-        rest_j = np.multiply.outer(rest_j, jflat).ravel()
-        rest_p = np.multiply.outer(rest_p, pflat).ravel()
+    def blocks():
+        step = max(1, _BLOCK // boxes)
+        for q0 in range(m):
+            for a in range(0, sub, step):
+                b = min(a + step, sub)
+                joint = jt[q0][None, :, None] * rest_j[a:b, None, :]
+                prod = pt[q0][None, :, None] * rest_p[a:b, None, :]
+                yield q0 * sub + a, joint.reshape(b - a, boxes), prod.reshape(b - a, boxes)
 
-    worst = 0
-    witnesses = []
-    denom = Fraction(den) ** dim
-    for head in range(m * m):
-        dj = jflat[head] * rest_j - pflat[head] * rest_p
-        bad = np.nonzero(dj > 0)[0]
-        if len(bad):
-            worst = max(worst, int(dj.max()))
-            for tail in bad:
-                # flat index is (m*m)-ary, most significant digit first;
-                # digit -> (q index, r index) for that coordinate
-                qk, rk = [], []
-                rem = head * (m * m) ** (dim - 1) + int(tail)
-                for level in range(dim):
-                    place = (m * m) ** (dim - 1 - level)
-                    code, rem = divmod(rem, place)
-                    qk.append(code // m)
-                    rk.append(code % m)
-                Q = AnchoredBox(tuple(anchors[k] for k in qk))
-                R = AnchoredBox(tuple(anchors[k] for k in rk))
-                joint = Fraction(int(jflat[head] * rest_j[tail])) / denom
-                prodv = Fraction(int(pflat[head] * rest_p[tail])) / denom
-                witnesses.append((Q, R, joint, prodv))
-    worst_frac = Fraction(worst) / denom if worst > 0 else Fraction(0)
-    return worst_frac, witnesses
+    return den**dim, blocks()
 
 
-def _scan_enumerated(spec: SchemeSpec, anchors, budget: int, threads: int):
-    law = discrete_pair_pmf(spec.n, spec.dim, spec, budget=budget, threads=threads)
-    m = len(anchors)
-    dim = spec.dim
-    pairs = m ** (2 * dim)
-    if pairs * max(1, len(law.pmf)) > budget:
-        raise BudgetExceededError("grid scan exceeds enumeration budget")
-    n, pos = law.n, law.position
-    wtab = [[_cell_weight(c, a, n, pos) for a in anchors] for c in range(n)]
+def _enumerated_tables(spec: SchemeSpec, anchors, budget: int, threads: int):
+    """The integer kernel over all box pairs; same contract as _factorized_tables.
 
-    marg1 = law.marginal(0)
-    marg2 = law.marginal(1)
+    The budget counts the kernel's multiply-adds: n^(2 dim) M^dim for P A
+    and n^dim M^(2 dim) for A^T (P A).
+    """
+    n, dim = spec.n, spec.dim
+    cells, boxes = n**dim, len(anchors) ** dim
+    work = cells * cells * boxes + cells * boxes * boxes
+    if work > budget:
+        raise BudgetExceededError(
+            f"grid scan too large: {work} multiply-adds exceeds budget {budget}"
+        )
+    P, total = _pair_counts(spec, budget, threads)
+    table, den_w = _weight_table(anchors, n, _position_model(spec))
+    # joint = J * total / den, product = p1 p2 / den
+    den = (total * den_w**dim) ** 2
+    dtype = _int_dtype(den)
+    A = _kron([table] * dim, dtype)
+    P = P.astype(dtype)
+    PA = P @ A
+    p1 = P.sum(axis=1) @ A
+    p2 = P.sum(axis=0) @ A
 
-    def box_prob(marg, ks):
-        tot = Fraction(0)
-        for cells, p in marg.items():
-            w = p
-            for c, k in zip(cells, ks):
-                if w == 0:
-                    break
-                w *= wtab[c][k]
-            tot += w
-        return tot
+    def blocks():
+        step = max(1, _BLOCK // boxes)
+        for start in range(0, boxes, step):
+            stop = min(start + step, boxes)
+            yield start, A[:, start:stop].T @ PA * total, np.multiply.outer(p1[start:stop], p2)
 
-    worst = Fraction(0)
-    witnesses = []
-    all_boxes = list(product(range(m), repeat=dim))
-    p1 = {ks: box_prob(marg1, ks) for ks in all_boxes}
-    p2 = {ks: box_prob(marg2, ks) for ks in all_boxes}
-    for qks in all_boxes:
-        for rks in all_boxes:
-            joint = Fraction(0)
-            for (z1, z2), p in law.pmf.items():
-                w = p
-                for c, k in zip(z1, qks):
-                    if w == 0:
-                        break
-                    w *= wtab[c][k]
-                else:
-                    for c, k in zip(z2, rks):
-                        if w == 0:
-                            break
-                        w *= wtab[c][k]
-                joint += w
-            prodv = p1[qks] * p2[rks]
-            if joint > prodv:
-                excess = joint - prodv
-                worst = max(worst, excess)
-                Q = AnchoredBox(tuple(anchors[k] for k in qks))
-                R = AnchoredBox(tuple(anchors[k] for k in rks))
-                witnesses.append((Q, R, joint, prodv))
-    return worst, witnesses
+    return den, blocks()
+
+
+def _pair_tables(spec: SchemeSpec, anchors, budget: int, threads: int):
+    if _is_factorized(spec):
+        return _factorized_tables(spec, anchors, budget)
+    return _enumerated_tables(spec, anchors, budget, threads)
 
 
 def nuod_scan(spec: SchemeSpec, grid_resolution: int, budget=None, threads: int = 1) -> DependenceReport:
@@ -663,44 +696,39 @@ def nuod_scan(spec: SchemeSpec, grid_resolution: int, budget=None, threads: int 
     A continuous-torus-shift spec has no cell law and is not scanned; the
     fixed-distance probe (shift_only_conditional) covers that ablation.
     """
-    if grid_resolution < 1:
-        raise ValueError("grid resolution must be positive")
-    budget = resolve_budget(budget)
-    anchors = [Fraction(k, grid_resolution) for k in range(grid_resolution)]
-    if _is_factorized(spec):
-        worst, witnesses = _scan_factorized(spec, anchors, budget)
-    else:
-        worst, witnesses = _scan_enumerated(spec, anchors, budget, threads)
-    witnesses.sort(key=lambda w: (w[2] - w[3], w[0].anchor, w[1].anchor), reverse=True)
-    grid = {
-        "resolution": grid_resolution,
-        "anchors": f"k/{grid_resolution} for 0 <= k < {grid_resolution}",
-        "boxes_per_side": grid_resolution**spec.dim,
-        "pairs": grid_resolution ** (2 * spec.dim),
-        "certifies_all_boxes": _is_factorized(spec) and grid_resolution % spec.n == 0,
-    }
-    return DependenceReport(spec=spec, grid=grid, worst_violation=worst,
-                            witnesses=tuple(witnesses))
+    anchors = _grid_anchors(grid_resolution)
+    tables = _pair_tables(spec, anchors, resolve_budget(budget), threads)
+    witnesses = _scan_witnesses(spec, anchors, tables)
+    return DependenceReport.from_witnesses(spec, grid_resolution, witnesses)
+
+
+def _scan_witnesses(spec: SchemeSpec, anchors, tables) -> list:
+    """(Q, R, joint, product) for every box pair with joint > product."""
+    den, blocks = tables
+    m, dim = len(anchors), spec.dim
+
+    def box(k):
+        return AnchoredBox(tuple(anchors[k // m ** (dim - 1 - i) % m] for i in range(dim)))
+
+    witnesses = []
+    for start, joint, prod in blocks:
+        bad = joint > prod
+        if not bad.any():
+            continue
+        for q, r in zip(*np.nonzero(bad)):
+            witnesses.append((box(start + int(q)), box(int(r)),
+                              Fraction(int(joint[q, r]), den), Fraction(int(prod[q, r]), den)))
+    return witnesses
 
 
 # -- structural separations -----------------------------------------------------
 
 
-class CopulaCheck(tuple):
-    """(equal, max_discrepancy) with attribute access."""
+class CopulaCheck(NamedTuple):
+    """Whether two cell-pair laws are equal, and their largest pmf difference."""
 
-    __slots__ = ()
-
-    def __new__(cls, equal, max_discrepancy):
-        return super().__new__(cls, (equal, max_discrepancy))
-
-    @property
-    def equal(self):
-        return self[0]
-
-    @property
-    def max_discrepancy(self):
-        return self[1]
+    equal: bool
+    max_discrepancy: Fraction
 
 
 def copula_equality_check(n: int, dim: int, spec: SchemeSpec = None,
@@ -944,41 +972,10 @@ def scan_pairs_rows(spec: SchemeSpec, grid_resolution: int, budget=None,
         raise BudgetExceededError(
             f"pair table too large: {m ** (2 * dim)} rows exceeds budget {budget}"
         )
-    anchors = [Fraction(k, m) for k in range(m)]
-    if _is_factorized(spec):
-        jt = {
-            (q, r): _joint_factor(spec, q, r) for q in anchors for r in anchors
-        }
-        mt = {q: _marginal_factor(spec, q) for q in anchors}
-        for qa in product(anchors, repeat=dim):
-            for ra in product(anchors, repeat=dim):
-                joint = Fraction(1)
-                prodv = Fraction(1)
-                for qi, ri in zip(qa, ra):
-                    joint *= jt[(qi, ri)]
-                    prodv *= mt[qi] * mt[ri]
-                yield AnchoredBox(qa), AnchoredBox(ra), joint, prodv, joint > prodv
-        return
-    law = discrete_pair_pmf(spec.n, spec.dim, spec, budget=budget, threads=threads)
-    marg1, marg2 = law.marginal(0), law.marginal(1)
-    n, pos = law.n, law.position
-
-    def weighted(marg, box):
-        tot = Fraction(0)
-        for cells, p in marg.items():
-            w = p
-            for c, a in zip(cells, box.anchor):
-                if w == 0:
-                    break
-                w *= _cell_weight(c, a, n, pos)
-            tot += w
-        return tot
-
-    for qa in product(anchors, repeat=dim):
-        Q = AnchoredBox(qa)
-        pq = weighted(marg1, Q)
-        for ra in product(anchors, repeat=dim):
-            R = AnchoredBox(ra)
-            joint = _law_box_prob(law, Q, R)
-            prodv = pq * weighted(marg2, R)
-            yield Q, R, joint, prodv, joint > prodv
+    anchors = _grid_anchors(m)
+    den, blocks = _pair_tables(spec, anchors, budget, threads)
+    boxes = [AnchoredBox(a) for a in product(anchors, repeat=dim)]
+    for start, joint, prod in blocks:
+        for Q, jrow, prow in zip(boxes[start:], joint.tolist(), prod.tolist()):
+            for R, j, p in zip(boxes, jrow, prow):
+                yield Q, R, Fraction(j, den), Fraction(p, den), j > p

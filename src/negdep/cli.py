@@ -23,6 +23,7 @@ from . import __version__
 from .analyzer import (
     AnchoredBox,
     BudgetExceededError,
+    DependenceReport,
     HypothesisViolatedError,
     UnsupportedSchemeError,
     copula_equality_check,
@@ -161,11 +162,12 @@ def _cmd_analyze(args, argv, t0) -> int:
 
     if sub == "nuod":
         spec = _spec_from_args(args)
-        report = nuod_scan(spec, args.grid, budget=budget, threads=threads)
         if args.pairs_csv:
+            # one pass: the report's witnesses are the rows flagged as violations
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerow(["Q", "R", "joint", "product", "violation"])
+            witnesses = []
             for Q, R, joint, prodv, bad in scan_pairs_rows(
                 spec, args.grid, budget=budget, threads=threads
             ):
@@ -174,7 +176,12 @@ def _cmd_analyze(args, argv, t0) -> int:
                     ";".join(format_rational(a) for a in R.anchor),
                     format_rational(joint), format_rational(prodv), bad,
                 ])
+                if bad:
+                    witnesses.append((Q, R, joint, prodv))
+            report = DependenceReport.from_witnesses(spec, args.grid, witnesses)
             _write_with_manifest(args.pairs_csv, buf.getvalue(), argv, None, t0)
+        else:
+            report = nuod_scan(spec, args.grid, budget=budget, threads=threads)
         _emit(args, report_to_json_dict(report), argv, None, t0)
         return EXIT_OK if report.ok else EXIT_VIOLATION
 

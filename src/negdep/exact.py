@@ -1,5 +1,5 @@
-"""Exact arithmetic substrate: prime-field residues, rational helpers and
-circle (torus) geometry.
+"""Exact arithmetic substrate: rational helpers, a primality test and circle
+(torus) geometry.
 
 Every probability produced by the analyzer is a ``fractions.Fraction``.
 Floats never enter the exact path; they only appear in sampler exports and
@@ -8,13 +8,10 @@ in the variance lab.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
 
 __all__ = [
     "Rational",
     "is_prime",
-    "Residue",
-    "mod_inverse",
     "parse_rational",
     "format_rational",
     "torus_dist",
@@ -41,57 +38,6 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
-
-
-@dataclass(frozen=True)
-class Residue:
-    """Element of the prime field Z/NZ, stored as the integer in [0, N).
-
-    The field carries the integer ("field-scaled") form; division by N to
-    land on the unit interval happens only when points are materialized.
-    """
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if not is_prime(self.modulus):
-            raise ValueError(f"modulus {self.modulus} is not prime")
-        if not 0 <= self.value < self.modulus:
-            raise ValueError(f"value {self.value} outside [0, {self.modulus})")
-
-    def _check(self, other: "Residue") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError("residues from different fields")
-
-    def __add__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue((self.value + other.value) % self.modulus, self.modulus)
-
-    def __sub__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue((self.value - other.value) % self.modulus, self.modulus)
-
-    def __mul__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue((self.value * other.value) % self.modulus, self.modulus)
-
-    def __neg__(self) -> "Residue":
-        return Residue((-self.value) % self.modulus, self.modulus)
-
-    def inverse(self) -> "Residue":
-        return mod_inverse(self)
-
-    def as_fraction(self) -> Fraction:
-        """The unit-interval form value/N."""
-        return Fraction(self.value, self.modulus)
-
-
-def mod_inverse(a: Residue) -> Residue:
-    """Multiplicative inverse in the prime field; rejects zero."""
-    if a.value == 0:
-        raise ZeroDivisionError(f"no inverse for 0 mod {a.modulus}")
-    return Residue(pow(a.value, -1, a.modulus), a.modulus)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -157,10 +103,3 @@ def circular_overlap(a: CircularInterval, b: CircularInterval) -> Fraction:
                 total += hi - lo
     return total
 
-
-def stratum_index(x, n: int) -> int:
-    """1-based index eta of the stratum [(eta-1)/n, eta/n) containing x."""
-    x = Fraction(x)
-    if not 0 <= x < 1:
-        raise ValueError("x must lie in [0, 1)")
-    return floor(n * x) + 1

@@ -41,6 +41,8 @@ _FRAC_ONE = 1 << FRAC_BITS
 # int64 for n up to this cap; plenty for desk scale.
 MAX_N = 512
 
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
 
 class PointSet:
     """n points in [0,1)^dim with exact coordinates and scheme metadata."""
@@ -79,7 +81,13 @@ class PointSet:
         return [[Rational(int(v), den) for v in row] for row in self.nums]
 
     def floats(self) -> np.ndarray:
-        return self.nums / float(self.n * _FRAC_ONE)
+        """Coordinates as float64 in [0, 1).
+
+        Numerators within a few ulps of n * 2**53 round up to 1.0 in the
+        division; they are clamped to the largest float below 1.
+        """
+        out = self.nums / float(self.n * _FRAC_ONE)
+        return np.minimum(out, _BELOW_ONE, out=out)
 
     def __eq__(self, other):
         return (

@@ -100,17 +100,33 @@ class TestNuodScan:
             list(scan_pairs_rows(full_rsj(7, 3), 14, budget=100))
 
     def test_object_dtype_fallback_matches_int64(self, monkeypatch):
-        # force the python-int route of the factorized scanner and compare
-        # with the int64 route; patterson has nonzero per-pair gaps, so also
-        # cross-check a row sample between routes
+        # force the python-int route of the factorized scanner and of the
+        # enumerated kernel and compare with the int64 route; patterson has
+        # nonzero per-pair gaps, so also cross-check a row sample between
+        # routes; the fixed generator has witnesses on the enumerated route
         import negdep.analyzer as mod
+        from negdep.analyzer import AnchoredBox, pair_box_prob, pair_marginal_prob
 
-        fast_clean = nuod_scan(full_rsj(3, 2), 6)
-        fast_rows = list(scan_pairs_rows(patterson_spec(4, 2), 4))
+        fixed = SchemeSpec("rsj_lattice", 5, 2, generator=(1, 2))
+        Q, R = AnchoredBox((F(1, 3), F(3, 5))), AnchoredBox((F(4, 5), F(1, 10)))
+
+        def results():
+            return (
+                nuod_scan(full_rsj(3, 2), 6),
+                list(scan_pairs_rows(patterson_spec(4, 2), 4)),
+                nuod_scan(fixed, 5),
+                list(scan_pairs_rows(fixed, 5)),
+                pair_box_prob(fixed, Q, R),
+                pair_marginal_prob(fixed, Q, 0),
+                pair_marginal_prob(fixed, R, 1),
+            )
+
+        fast = results()
         monkeypatch.setattr(mod, "_INT64_SAFE_LIMIT", 1)
-        slow_clean = nuod_scan(full_rsj(3, 2), 6)
-        assert slow_clean.ok and slow_clean.worst_violation == fast_clean.worst_violation
-        assert list(scan_pairs_rows(patterson_spec(4, 2), 4)) == fast_rows
+        slow = results()
+        assert slow[0].ok and slow[0].worst_violation == fast[0].worst_violation
+        assert slow[1:] == fast[1:]
+        assert not slow[2].ok and len(slow[2].witnesses) == 12
 
 
 class TestCopulaEquality:

@@ -6,13 +6,10 @@ from hypothesis import strategies as st
 
 from negdep.exact import (
     CircularInterval,
-    Residue,
     circular_overlap,
     format_rational,
     is_prime,
-    mod_inverse,
     parse_rational,
-    stratum_index,
     torus_dist,
 )
 
@@ -22,43 +19,6 @@ def test_is_prime_small():
     composites = [0, 1, 4, 6, 9, 15, 49, 100, 121]
     assert all(is_prime(p) for p in primes)
     assert not any(is_prime(c) for c in composites)
-
-
-def test_residue_rejects_bad_construction():
-    with pytest.raises(ValueError):
-        Residue(1, 6)
-    with pytest.raises(ValueError):
-        Residue(5, 5)
-    with pytest.raises(ValueError):
-        Residue(-1, 5)
-
-
-def test_residue_arithmetic():
-    a, b = Residue(3, 7), Residue(5, 7)
-    assert (a + b).value == 1
-    assert (a - b).value == 5
-    assert (a * b).value == 1
-    assert (-a).value == 4
-    with pytest.raises(ValueError):
-        a + Residue(1, 5)
-
-
-def test_mod_inverse_examples():
-    assert mod_inverse(Residue(3, 5)).value == 2
-    assert mod_inverse(Residue(1, 11)).value == 1
-    assert mod_inverse(Residue(4, 7)).value == 2
-
-
-def test_mod_inverse_zero_rejected():
-    with pytest.raises(ZeroDivisionError):
-        mod_inverse(Residue(0, 7))
-
-
-@pytest.mark.parametrize("n", [2, 3, 5, 7, 11, 13])
-def test_mod_inverse_exhaustive(n):
-    for v in range(1, n):
-        a = Residue(v, n)
-        assert (a * mod_inverse(a)).value == 1
 
 
 def test_parse_rational_exact():
@@ -140,10 +100,3 @@ def test_torus_dist_shift_invariance(x, y):
     shift = F(13, 64)
     assert torus_dist(x, y) == torus_dist((x + shift) % 1, (y + shift) % 1)
 
-
-def test_stratum_index():
-    assert stratum_index(F(0), 4) == 1
-    assert stratum_index(F(3, 10), 4) == 2
-    assert stratum_index(F(3, 4), 4) == 4
-    with pytest.raises(ValueError):
-        stratum_index(F(1), 4)

@@ -4,11 +4,12 @@ from math import sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from negdep.rng import RngStream
 from negdep.samplers import (
+    MAX_N,
     PointSet,
     generate,
     lhs,
@@ -265,3 +266,22 @@ def test_point_set_rejects_out_of_range():
     spec = lhs_spec(2, 1)
     with pytest.raises(ValueError):
         PointSet(np.array([[0], [2 << 53]], dtype=np.int64), spec, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, MAX_N), k=st.integers(1, 64))
+@example(n=5, k=1)
+def test_floats_stay_below_one_near_the_top_numerator(n, k):
+    # numerators within a few ulps of n * 2**53 divide to 1.0 when rounded;
+    # the export clamps those and leaves every other value as divided
+    top = n << 53
+    nums = np.array([[top - j] for j in range(k, k + n)], dtype=np.int64)
+    ps = PointSet(nums, stratified_spec(n), 0)
+    f = ps.floats()
+    assert f.min() >= 0 and f.max() < 1
+    divided = nums / float(top)
+    below = divided < 1
+    assert np.array_equal(f[below], divided[below])
+    assert (f[~below] == np.nextafter(1.0, 0.0)).all()
+    _, pts = point_set_from_csv(point_set_to_csv(ps))
+    assert np.array_equal(pts, f)
