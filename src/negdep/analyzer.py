@@ -6,7 +6,8 @@ pairs of 1/n-grid cells, plus a per-cell position model) and anchored boxes
 [x, 1).  On top of those sit:
 
   * closed-form stratified pair probabilities per coordinate,
-  * exhaustive enumeration of the discrete (jitterless) pair law,
+  * the discrete cell-pair law as exact integer counts, summed over
+    index-pair classes,
   * joint box probabilities for every supported scheme and ablation,
   * a negative-dependence scanner over anchored-box grids,
   * the structural checks that separate the shifted-lattice scheme from
@@ -21,11 +22,10 @@ continuous torus shift is integrated in closed form as circle-arc overlaps.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import factorial, floor, gcd, lcm
+from math import factorial, floor, gcd, lcm, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -45,7 +45,6 @@ __all__ = [
     "patterson_pair_factor",
     "patterson_marginal_factor",
     "discrete_pair_pmf",
-    "merge_counts",
     "pair_box_prob",
     "pair_marginal_prob",
     "nuod_scan",
@@ -225,41 +224,80 @@ def _position_model(spec: SchemeSpec) -> str:
     return "jitter"
 
 
-def merge_counts(parts: list) -> np.ndarray:
-    """Merge partial enumeration counts; addition is order-insensitive."""
-    total = np.zeros_like(parts[0])
-    for p in parts:
-        total = total + p
-    return total
-
-
-def _rsj_enumeration_space(spec: SchemeSpec):
-    n, d = spec.n, spec.dim
+def _generators(spec: SchemeSpec) -> list:
+    """The generator values of each coordinate of a lattice spec."""
+    n = spec.n
     if spec.generator == "random":
-        gens = np.array(list(product(range(1, n), repeat=d)), dtype=np.int64)
-    else:
-        gens = np.array([spec.generator], dtype=np.int64)
-    if spec.shift == "grid":
-        shifts = np.array(list(product(range(n), repeat=d)), dtype=np.int64)
-    elif spec.shift == "none":
-        shifts = np.zeros((1, d), dtype=np.int64)
-    else:
-        raise UnsupportedSchemeError(
-            "the discrete cell law is undefined for a continuous torus shift"
-        )
-    # all (g, s) combinations as rows
-    gi = np.repeat(np.arange(len(gens)), len(shifts))
-    si = np.tile(np.arange(len(shifts)), len(gens))
-    return gens[gi], shifts[si]
+        return [np.arange(1, n, dtype=np.int64)] * spec.dim
+    return [np.array([g], dtype=np.int64) for g in spec.generator]
 
 
-def _pair_counts(spec: SchemeSpec, budget=None, threads: int = 1):
+def _difference_index(n: int, dim: int) -> np.ndarray:
+    """idx[z1, z2]: the lexicographic number of the cell vector (z2 - z1) mod n."""
+    m = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+    idx = np.zeros((1, 1), dtype=np.int64)
+    for _ in range(dim):
+        idx = (idx[:, None, :, None] * n + m[None, :, None, :]).reshape(len(idx) * n, -1)
+    return idx
+
+
+def _difference_counts(spec: SchemeSpec) -> np.ndarray:
+    """F[e]: the count of cell vector pairs (z1, z2) at each difference e = z2 - z1.
+
+    Under a grid shift the shift fixes z1, and z2 - z1 = gamma (b - a), so
+    coordinate i's n x n table of an index pair is circulant, with first
+    row D_i[delta, e] = #{gamma: gamma delta = e (mod n)} for delta = b - a:
+    n - 1 classes of n ordered pairs each.  The sum over classes of their
+    Kronecker products is block circulant, so its first row F determines
+    it.  For lhs/stratified/patterson the cells of a coordinate are an
+    ordered pair of distinct strata: one class, every nonzero difference.
+    """
+    n = spec.n
+    if spec.kind == "rsj_lattice":
+        delta = np.arange(1, n)[:, None]
+        rows = [np.bincount(((delta - 1) * n + g * delta % n).ravel(), minlength=(n - 1) * n)
+                .reshape(n - 1, n) for g in _generators(spec)]
+        weight = n
+    else:
+        rows = [(np.arange(n) != 0).astype(np.int64)[None]] * spec.dim
+        weight = 1
+    F = rows[0]
+    for r in rows[1:]:
+        F = (F[:, :, None] * r[:, None, :]).reshape(len(F), -1)
+    return weight * F.sum(axis=0)
+
+
+def _unshifted_counts(spec: SchemeSpec) -> np.ndarray:
+    """P of the lattice without a shift: a sum over ordered index pairs (a, b).
+
+    Coordinate i's table of a pair counts the generators gamma with cells
+    (gamma a, gamma b); its Kronecker products are summed by enumerating
+    their nonzero entries, all pairs and generators at once.
+    """
+    n, dim = spec.n, spec.dim
+    cells = n**dim
+    a, b = np.nonzero(1 - np.eye(n, dtype=np.int64))
+    codes = np.zeros((len(a), 1), dtype=np.int64)
+    for i, g in enumerate(_generators(spec)):
+        place = n ** (dim - 1 - i)
+        entry = (g * a[:, None] % n) * (place * cells) + (g * b[:, None] % n) * place
+        codes = (codes[:, :, None] + entry[:, None, :]).reshape(len(a), -1)
+    return np.bincount(codes.ravel(), minlength=cells * cells).reshape(cells, cells)
+
+
+def _pair_counts(spec: SchemeSpec, budget=None):
     """Exact integer counts of the cell-pair law, as (P, total).
 
-    P[i, j] counts the enumerated configurations that put p1 in cell vector
-    i and p2 in cell vector j, with the n^dim cell vectors numbered
-    lexicographically (coordinate 0 most significant); P / total is the
-    law.  Counts and total are divided by their common gcd.
+    P[i, j] counts the configurations that put p1 in cell vector i and p2
+    in cell vector j, with the n^dim cell vectors numbered lexicographically
+    (coordinate 0 most significant); P / total is the law.  Given the index
+    pair (a, b) of the two points, the generator and the shift act on each
+    coordinate independently, so P is a sum over classes of index pairs of
+    Kronecker products of per-coordinate n x n tables.  The budget counts
+    the terms of that sum the route evaluates plus the n^(2 dim) entries of
+    P: (n - 1) n^dim under a grid shift (difference classes), n (n - 1)
+    |generators| without one (table nonzeros), n^dim for lhs.  Counts and
+    total are divided by their common gcd.
     """
     n, dim = spec.n, spec.dim
     if n < 2:
@@ -268,59 +306,51 @@ def _pair_counts(spec: SchemeSpec, budget=None, threads: int = 1):
     cells = n**dim
 
     if spec.kind == "rsj_lattice":
-        g_rows, s_rows = _rsj_enumeration_space(spec)
-        m_pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-        terms = len(g_rows) * len(m_pairs)
-        if terms > budget:
-            raise BudgetExceededError(
-                f"enumeration too large: {terms} terms exceeds budget {budget}"
+        if spec.shift == "continuous_torus":
+            raise UnsupportedSchemeError(
+                "the discrete cell law is undefined for a continuous torus shift"
             )
-        place = n ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-
-        def count_chunk(pairs):
-            c = np.zeros(cells * cells, dtype=np.int64)
-            for a, b in pairs:
-                z1 = (g_rows * a + s_rows) % n
-                z2 = (g_rows * b + s_rows) % n
-                c += np.bincount((z1 @ place) * cells + z2 @ place, minlength=cells * cells)
-            return c
-
-        if threads > 1:
-            chunks = [m_pairs[i::threads] for i in range(threads)]
-            chunks = [c for c in chunks if c]
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                parts = list(ex.map(count_chunk, chunks))
-            counts = merge_counts(parts)
+        if spec.shift == "grid":
+            terms = (n - 1) * cells
         else:
-            counts = count_chunk(m_pairs)
-        P = counts.reshape(cells, cells)
+            terms = n * (n - 1) * prod(len(g) for g in _generators(spec))
     elif spec.kind in ("stratified1d", "lhs", "patterson"):
-        # independent stratum permutations per coordinate: the pair of cells
-        # in each coordinate is an ordered pair of distinct strata
-        terms = (n * (n - 1)) ** dim
-        if terms > budget:
-            raise BudgetExceededError(
-                f"enumeration too large: {terms} terms exceeds budget {budget}"
-            )
-        P = _kron([1 - np.eye(n, dtype=np.int64)] * dim, np.int64)
+        terms = cells
     else:
         raise UnsupportedSchemeError(f"no discrete pair law for kind {spec.kind!r}")
-    g = gcd(int(np.gcd.reduce(P, axis=None)), terms)
-    return P // g, terms // g
+    work = terms + cells * cells
+    if work > budget:
+        raise BudgetExceededError(
+            f"enumeration too large: {work} terms exceeds budget {budget}"
+        )
+    if spec.kind == "rsj_lattice" and spec.shift == "none":
+        P = _unshifted_counts(spec)
+    else:
+        P = _difference_counts(spec)[_difference_index(n, dim)]
+    total = int(P.sum())
+    g = gcd(int(np.gcd.reduce(P, axis=None)), total)
+    return P // g, total // g
 
 
-def discrete_pair_pmf(n: int, dim: int, spec: SchemeSpec = None, budget=None, threads: int = 1) -> PairLaw:
-    """Exhaustively enumerate the cell-pair law of two distinct points.
-
-    For the lattice scheme this runs over every (generator, grid shift,
-    ordered index pair); for stratified/lhs/patterson over every ordered
-    pair of stratum assignments per coordinate.  Counts are exact; above
-    the term budget the call refuses rather than sampling.
-    """
+def _law_counts(n: int, dim: int, spec: SchemeSpec, budget):
+    """_pair_counts of spec (default the full lattice), which must have size (n, dim)."""
     spec = spec if spec is not None else full_rsj(n, dim)
     if (spec.n, spec.dim) != (n, dim):
         raise ValueError("spec size does not match (n, dim)")
-    P, total = _pair_counts(spec, budget, threads)
+    return _pair_counts(spec, budget)
+
+
+def discrete_pair_pmf(n: int, dim: int, spec: SchemeSpec = None, budget=None) -> PairLaw:
+    """The exact cell-pair law of two distinct points, as a pmf dict.
+
+    Built from the integer counts of _pair_counts: for the lattice scheme a
+    sum over index-pair classes of per-coordinate (generator, shift) count
+    tables; for stratified/lhs/patterson the Kronecker power of the ordered
+    distinct-strata table.  Above the budget the call refuses rather than
+    sampling.
+    """
+    spec = spec if spec is not None else full_rsj(n, dim)
+    P, total = _law_counts(n, dim, spec, budget)
     i1, i2 = np.nonzero(P)
     cellv = np.array(list(product(range(n), repeat=dim)), dtype=np.int64)
     # a fixed support order (per-coordinate code z1*n + z2, coordinate 0
@@ -442,48 +472,64 @@ def _shifted_pair_overlap(x1: Fraction, x2: Fraction, q: Fraction, r: Fraction) 
 
 
 def _continuous_shift_box_prob(spec: SchemeSpec, anchors1, anchors2, budget) -> Fraction:
-    n = spec.n
-    if spec.kind == "rsj_lattice" and spec.generator == "random":
-        per_gamma = n - 1
-    else:
-        per_gamma = 1
-    terms = spec.dim * per_gamma * n * (n - 1)
-    if terms > resolve_budget(budget):
-        raise BudgetExceededError("enumeration too large for continuous-shift integration")
+    """The jitterless lattice under a uniform torus shift, summed over b - a.
 
-    if spec.kind == "rsj_lattice":
-        gammas = range(1, n) if spec.generator == "random" else None
-        total = Fraction(0)
-        count = 0
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    continue
-                count += 1
-                prod_term = Fraction(1)
-                for i in range(spec.dim):
-                    coord_gammas = gammas if gammas is not None else [spec.generator[i]]
-                    acc = Fraction(0)
-                    for gam in coord_gammas:
-                        x1 = Fraction((gam * a) % n, n)
-                        x2 = Fraction((gam * b) % n, n)
-                        acc += _shifted_pair_overlap(x1, x2, anchors1[i], anchors2[i])
-                    prod_term *= acc / len(coord_gammas)
-                total += prod_term
-        return total / count
-    # midpoint sampling with an added torus shift: coordinates independent
-    configs = _continuous_shift_pair_configs(spec)
-    result = Fraction(1)
-    for i in range(spec.dim):
-        acc = Fraction(0)
-        for x1, x2 in configs[i]:
-            acc += _shifted_pair_overlap(x1, x2, anchors1[i], anchors2[i])
-        result *= acc / len(configs[i])
-    return result
+    The measure of shifts putting x1 in [q, 1) and x2 in [r, 1) does not
+    change when x1 and x2 move together, so an index pair (a, b) enters
+    through delta = b - a (mod n) only, at x1 = 0 and x2 = gamma delta / n;
+    each delta in 1..n-1 stands for n ordered pairs.  The budget counts the
+    summed terms, dim x |generators| x (n - 1).
+    """
+    n, dim = spec.n, spec.dim
+    gammas = [range(1, n) if spec.generator == "random" else (spec.generator[i],)
+              for i in range(dim)]
+    work = sum(len(g) for g in gammas) * (n - 1)
+    budget = resolve_budget(budget)
+    if work > budget:
+        raise BudgetExceededError(
+            f"continuous-shift integration too large: {work} terms exceeds budget {budget}"
+        )
+    per_delta = [Fraction(1)] * (n - 1)
+    for i in range(dim):
+        overlap = [_shifted_pair_overlap(Fraction(0), Fraction(e, n), anchors1[i], anchors2[i])
+                   for e in range(n)]
+        for delta in range(1, n):
+            acc = sum((overlap[gam * delta % n] for gam in gammas[i]), Fraction(0))
+            per_delta[delta - 1] *= acc / len(gammas[i])
+    return sum(per_delta, Fraction(0)) / (n - 1)
+
+
+def _is_torus(spec: SchemeSpec) -> bool:
+    """Whether spec has a continuous torus shift; with jitter too it is unsupported."""
+    if spec.kind == "rsj_lattice" and spec.shift == "continuous_torus":
+        if spec.jitter:
+            raise UnsupportedSchemeError(
+                "continuous torus shift combined with jitter is not analyzed"
+            )
+        return True
+    return False
+
+
+def _law_prob(spec: SchemeSpec, law, Q, R) -> Fraction:
+    """P(p1 in Q, p2 in R) from the counts law = (P, total); a box None is the whole cube."""
+    P, total = law
+    pos = _position_model(spec)
+    (a, den_q), (b, den_r) = (
+        (np.ones(len(P), dtype=object), 1) if box is None else _box_weights(box, spec.n, pos)
+        for box in (Q, R)
+    )
+    den = total * den_q * den_r
+    dtype = _int_dtype(den)
+    return Fraction(int(a.astype(dtype) @ P.astype(dtype) @ b.astype(dtype)), den)
+
+
+def _check_boxes(spec: SchemeSpec, *boxes) -> None:
+    if any(box.dim != spec.dim for box in boxes):
+        raise ValueError("box dimension does not match the scheme")
 
 
 def pair_box_prob(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox,
-                  method: str = "auto", budget=None, threads: int = 1) -> Fraction:
+                  method: str = "auto", budget=None) -> Fraction:
     """Exact P(p1 in Q, p2 in R) for anchored boxes Q, R.
 
     method "auto" picks the closed per-coordinate form when the joint law
@@ -492,15 +538,10 @@ def pair_box_prob(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox,
     a route.  A continuous torus shift (jitterless) is integrated exactly
     via circle-arc overlaps; combined with jitter it is unsupported.
     """
-    if Q.dim != spec.dim or R.dim != spec.dim:
-        raise ValueError("box dimension does not match the scheme")
+    _check_boxes(spec, Q, R)
     if spec.n < 2:
         raise ValueError("a pair probability needs n >= 2")
-    if spec.kind == "rsj_lattice" and spec.shift == "continuous_torus":
-        if spec.jitter:
-            raise UnsupportedSchemeError(
-                "continuous torus shift combined with jitter is not analyzed"
-            )
+    if _is_torus(spec):
         return _continuous_shift_box_prob(spec, Q.anchor, R.anchor, budget)
 
     if method not in ("auto", "closed_form", "enumeration"):
@@ -512,27 +553,14 @@ def pair_box_prob(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox,
         for qi, ri in zip(Q.anchor, R.anchor):
             result *= _joint_factor(spec, qi, ri)
         return result
-
-    P, total = _pair_counts(spec, budget, threads)
-    pos = _position_model(spec)
-    a, den_q = _box_weights(Q, spec.n, pos)
-    b, den_r = _box_weights(R, spec.n, pos)
-    den = total * den_q * den_r
-    dtype = _int_dtype(den)
-    joint = a.astype(dtype) @ P.astype(dtype) @ b.astype(dtype)
-    return Fraction(int(joint), den)
+    return _law_prob(spec, _pair_counts(spec, budget), Q, R)
 
 
 def pair_marginal_prob(spec: SchemeSpec, box: AnchoredBox, side: int = 0,
-                       budget=None, threads: int = 1) -> Fraction:
+                       budget=None) -> Fraction:
     """Exact P(p_side in box) under the pair law of the scheme."""
-    if box.dim != spec.dim:
-        raise ValueError("box dimension does not match the scheme")
-    if spec.kind == "rsj_lattice" and spec.shift == "continuous_torus":
-        if spec.jitter:
-            raise UnsupportedSchemeError(
-                "continuous torus shift combined with jitter is not analyzed"
-            )
+    _check_boxes(spec, box)
+    if _is_torus(spec):
         # a uniform torus shift makes each coordinate uniform
         return box.volume()
     if _is_factorized(spec):
@@ -540,11 +568,22 @@ def pair_marginal_prob(spec: SchemeSpec, box: AnchoredBox, side: int = 0,
         for a in box.anchor:
             result *= _marginal_factor(spec, a)
         return result
-    P, total = _pair_counts(spec, budget, threads)
-    a, den = _box_weights(box, spec.n, _position_model(spec))
-    dtype = _int_dtype(total * den)
-    marginal = P.sum(axis=1 if side == 0 else 0).astype(dtype) @ a.astype(dtype)
-    return Fraction(int(marginal), total * den)
+    Q, R = (box, None) if side == 0 else (None, box)
+    return _law_prob(spec, _pair_counts(spec, budget), Q, R)
+
+
+def _pair_query(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox, budget=None) -> tuple:
+    """(P(p1 in Q, p2 in R), P(p1 in Q), P(p2 in R)) on the default routes.
+
+    An enumerated law is built once and contracted three times.
+    """
+    _check_boxes(spec, Q, R)
+    if _is_torus(spec) or _is_factorized(spec):
+        return (pair_box_prob(spec, Q, R, budget=budget),
+                pair_marginal_prob(spec, Q, 0, budget=budget),
+                pair_marginal_prob(spec, R, 1, budget=budget))
+    law = _pair_counts(spec, budget)
+    return tuple(_law_prob(spec, law, q, r) for q, r in ((Q, R), (Q, None), (None, R)))
 
 
 # -- negative-dependence scan ---------------------------------------------------
@@ -644,7 +683,7 @@ def _factorized_tables(spec: SchemeSpec, anchors, budget: int):
     return den**dim, blocks()
 
 
-def _enumerated_tables(spec: SchemeSpec, anchors, budget: int, threads: int):
+def _enumerated_tables(spec: SchemeSpec, anchors, budget: int):
     """The integer kernel over all box pairs; same contract as _factorized_tables.
 
     The budget counts the kernel's multiply-adds: n^(2 dim) M^dim for P A
@@ -657,7 +696,7 @@ def _enumerated_tables(spec: SchemeSpec, anchors, budget: int, threads: int):
         raise BudgetExceededError(
             f"grid scan too large: {work} multiply-adds exceeds budget {budget}"
         )
-    P, total = _pair_counts(spec, budget, threads)
+    P, total = _pair_counts(spec, budget)
     table, den_w = _weight_table(anchors, n, _position_model(spec))
     # joint = J * total / den, product = p1 p2 / den
     den = (total * den_w**dim) ** 2
@@ -677,13 +716,13 @@ def _enumerated_tables(spec: SchemeSpec, anchors, budget: int, threads: int):
     return den, blocks()
 
 
-def _pair_tables(spec: SchemeSpec, anchors, budget: int, threads: int):
+def _pair_tables(spec: SchemeSpec, anchors, budget: int):
     if _is_factorized(spec):
         return _factorized_tables(spec, anchors, budget)
-    return _enumerated_tables(spec, anchors, budget, threads)
+    return _enumerated_tables(spec, anchors, budget)
 
 
-def nuod_scan(spec: SchemeSpec, grid_resolution: int, budget=None, threads: int = 1) -> DependenceReport:
+def nuod_scan(spec: SchemeSpec, grid_resolution: int, budget=None) -> DependenceReport:
     """Check joint <= product for all anchored-box pairs on the k/M grid.
 
     The product side uses the scheme's exact marginals (equal to box volume
@@ -697,7 +736,7 @@ def nuod_scan(spec: SchemeSpec, grid_resolution: int, budget=None, threads: int 
     fixed-distance probe (shift_only_conditional) covers that ablation.
     """
     anchors = _grid_anchors(grid_resolution)
-    tables = _pair_tables(spec, anchors, resolve_budget(budget), threads)
+    tables = _pair_tables(spec, anchors, resolve_budget(budget))
     witnesses = _scan_witnesses(spec, anchors, tables)
     return DependenceReport.from_witnesses(spec, grid_resolution, witnesses)
 
@@ -732,20 +771,19 @@ class CopulaCheck(NamedTuple):
 
 
 def copula_equality_check(n: int, dim: int, spec: SchemeSpec = None,
-                          budget=None, threads: int = 1) -> CopulaCheck:
+                          budget=None) -> CopulaCheck:
     """Compare the cell-pair pmf of a lattice spec with the lhs pmf.
 
-    Both sides are exhaustive enumerations.  The fully randomized lattice
-    matches lhs exactly (discrepancy 0); a fixed generator does not.
+    Both laws are exact integer counts, compared over a common denominator:
+    the discrepancy is the largest |P_a t_b - P_b t_a| / (t_a t_b).  The
+    fully randomized lattice matches lhs exactly (discrepancy 0); a fixed
+    generator does not.
     """
-    spec = spec if spec is not None else full_rsj(n, dim)
-    law_a = discrete_pair_pmf(n, dim, spec, budget=budget, threads=threads)
-    law_b = discrete_pair_pmf(n, dim, lhs_spec(n, dim), budget=budget, threads=threads)
-    keys = set(law_a.pmf) | set(law_b.pmf)
-    worst = Fraction(0)
-    for k in keys:
-        d = abs(law_a.pmf.get(k, Fraction(0)) - law_b.pmf.get(k, Fraction(0)))
-        worst = max(worst, d)
+    P_a, t_a = _law_counts(n, dim, spec, budget)
+    P_b, t_b = _law_counts(n, dim, lhs_spec(n, dim), budget)
+    dtype = _int_dtype(t_a * t_b)
+    diff = P_a.astype(dtype) * t_b - P_b.astype(dtype) * t_a
+    worst = Fraction(int(np.abs(diff).max()), t_a * t_b)
     return CopulaCheck(worst == 0, worst)
 
 
@@ -759,41 +797,48 @@ class IndependenceReport:
 
 
 def coordinate_independence_check(n: int, dim: int, spec: SchemeSpec = None,
-                                  budget=None, threads: int = 1) -> IndependenceReport:
+                                  budget=None) -> IndependenceReport:
     """Verify that coordinate pair-cells factorize over every index subset.
 
     For each I subset of {0..dim-1} and every assignment of cell pairs on I,
     the joint marginal over I must equal the product of single-coordinate
-    marginals.  Exact; returns the first failing assignment as witness.
+    marginals: on the integer counts, C_I total^(|I|-1) == prod of the c_i.
+    Exact; returns the first failing assignment as witness, with subsets in
+    combinations order and each coordinate's cell pairs in order of first
+    appearance in the support order of discrete_pair_pmf.
     """
-    spec = spec if spec is not None else full_rsj(n, dim)
-    law = discrete_pair_pmf(n, dim, spec, budget=budget, threads=threads)
-
-    def marginalize(idx):
-        out = {}
-        for (z1, z2), p in law.pmf.items():
-            key = tuple((z1[i], z2[i]) for i in idx)
-            out[key] = out.get(key, Fraction(0)) + p
-        return out
-
-    singles = [
-        {key[0]: p for key, p in marginalize((i,)).items()} for i in range(dim)
-    ]
+    P, total = _law_counts(n, dim, spec, budget)
+    nn = n * n
+    # C[c_0, .., c_{dim-1}] counts by per-coordinate cell pair code z1 * n + z2
+    axes = [ax for i in range(dim) for ax in (i, dim + i)]
+    C = P.reshape((n,) * (2 * dim)).transpose(axes).reshape((nn,) * dim)
+    C = C.astype(_int_dtype(total**dim))
+    singles = [C.sum(axis=tuple(j for j in range(dim) if j != i)) for i in range(dim)]
+    # discrete_pair_pmf orders its support by code, coordinate 0 least
+    # significant: Fortran order of C
+    support = np.flatnonzero(C.ravel(order="F"))
+    orders = []
+    for i in range(dim):
+        values, first = np.unique(support // nn**i % nn, return_index=True)
+        orders.append(values[np.argsort(first)])
     for size in range(2, dim + 1):
         for idx in combinations(range(dim), size):
-            joint = marginalize(idx)
-            for assignment in product(*(singles[i].keys() for i in idx)):
-                expected = Fraction(1)
-                for i, cellpair in zip(idx, assignment):
-                    expected *= singles[i][cellpair]
-                got = joint.get(tuple(assignment), Fraction(0))
-                if got != expected:
-                    return IndependenceReport(False, {
-                        "subset": idx,
-                        "cells": assignment,
-                        "joint": got,
-                        "product": expected,
-                    })
+            joint = C.sum(axis=tuple(j for j in range(dim) if j not in idx))
+            expected = singles[idx[0]]
+            for i in idx[1:]:
+                expected = np.multiply.outer(expected, singles[i])
+            cells = np.ix_(*(orders[i] for i in idx))
+            bad = joint[cells] * total ** (size - 1) != expected[cells]
+            if bad.any():
+                at = np.unravel_index(np.argmax(bad), bad.shape)
+                codes = tuple(int(orders[i][k]) for i, k in zip(idx, at))
+                return IndependenceReport(False, {
+                    "subset": idx,
+                    "cells": tuple(divmod(c, n) for c in codes),
+                    "joint": Fraction(int(joint[codes]), total),
+                    "product": prod(Fraction(int(singles[i][c]), total)
+                                    for i, c in zip(idx, codes)),
+                })
     return IndependenceReport(True)
 
 
@@ -958,8 +1003,7 @@ def report_to_json_dict(report: DependenceReport) -> dict:
     }
 
 
-def scan_pairs_rows(spec: SchemeSpec, grid_resolution: int, budget=None,
-                    threads: int = 1):
+def scan_pairs_rows(spec: SchemeSpec, grid_resolution: int, budget=None):
     """One (Q, R, joint, product, violation) row per probed grid pair.
 
     The full per-pair table of a scan, for CSV export; the budget guards
@@ -973,7 +1017,7 @@ def scan_pairs_rows(spec: SchemeSpec, grid_resolution: int, budget=None,
             f"pair table too large: {m ** (2 * dim)} rows exceeds budget {budget}"
         )
     anchors = _grid_anchors(m)
-    den, blocks = _pair_tables(spec, anchors, budget, threads)
+    den, blocks = _pair_tables(spec, anchors, budget)
     boxes = [AnchoredBox(a) for a in product(anchors, repeat=dim)]
     for start, joint, prod in blocks:
         for Q, jrow, prow in zip(boxes[start:], joint.tolist(), prod.tolist()):

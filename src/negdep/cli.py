@@ -26,12 +26,11 @@ from .analyzer import (
     DependenceReport,
     HypothesisViolatedError,
     UnsupportedSchemeError,
+    _pair_query,
     copula_equality_check,
     coordinate_independence_check,
     no_shift_mass,
     nuod_scan,
-    pair_box_prob,
-    pair_marginal_prob,
     report_to_json_dict,
     resolve_budget,
     scan_pairs_rows,
@@ -137,16 +136,14 @@ def _cmd_generate(args, argv, t0) -> int:
 
 def _cmd_analyze(args, argv, t0) -> int:
     budget = resolve_budget(args.budget)
-    threads = args.threads
     sub = args.analysis
 
     if sub == "pairprob":
         spec = _spec_from_args(args)
         Q = _parse_anchor(args.Q, spec.dim)
         R = _parse_anchor(args.R, spec.dim)
-        joint = pair_box_prob(spec, Q, R, budget=budget, threads=threads)
-        prodv = (pair_marginal_prob(spec, Q, 0, budget=budget, threads=threads)
-                 * pair_marginal_prob(spec, R, 1, budget=budget, threads=threads))
+        joint, marg_q, marg_r = _pair_query(spec, Q, R, budget=budget)
+        prodv = marg_q * marg_r
         payload = {
             "scheme": spec_to_dict(spec),
             "Q": [format_rational(a) for a in Q.anchor],
@@ -168,9 +165,7 @@ def _cmd_analyze(args, argv, t0) -> int:
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerow(["Q", "R", "joint", "product", "violation"])
             witnesses = []
-            for Q, R, joint, prodv, bad in scan_pairs_rows(
-                spec, args.grid, budget=budget, threads=threads
-            ):
+            for Q, R, joint, prodv, bad in scan_pairs_rows(spec, args.grid, budget=budget):
                 writer.writerow([
                     ";".join(format_rational(a) for a in Q.anchor),
                     ";".join(format_rational(a) for a in R.anchor),
@@ -181,13 +176,13 @@ def _cmd_analyze(args, argv, t0) -> int:
             report = DependenceReport.from_witnesses(spec, args.grid, witnesses)
             _write_with_manifest(args.pairs_csv, buf.getvalue(), argv, None, t0)
         else:
-            report = nuod_scan(spec, args.grid, budget=budget, threads=threads)
+            report = nuod_scan(spec, args.grid, budget=budget)
         _emit(args, report_to_json_dict(report), argv, None, t0)
         return EXIT_OK if report.ok else EXIT_VIOLATION
 
     if sub == "copula":
         spec = _spec_from_args(args)
-        cc = copula_equality_check(args.n, args.dim, spec=spec, budget=budget, threads=threads)
+        cc = copula_equality_check(args.n, args.dim, spec=spec, budget=budget)
         payload = {
             "scheme": spec_to_dict(spec),
             "equal": cc.equal,
@@ -198,8 +193,7 @@ def _cmd_analyze(args, argv, t0) -> int:
 
     if sub == "independence":
         spec = _spec_from_args(args)
-        rep = coordinate_independence_check(args.n, args.dim, spec=spec,
-                                            budget=budget, threads=threads)
+        rep = coordinate_independence_check(args.n, args.dim, spec=spec, budget=budget)
         payload = {"scheme": spec_to_dict(spec), "independent": rep.ok}
         if rep.witness is not None:
             payload["witness"] = {
@@ -248,9 +242,8 @@ def _cmd_analyze(args, argv, t0) -> int:
         fg_spec = SchemeSpec("rsj_lattice", n, dim, generator=gen)
         Q = AnchoredBox((Fraction(n - 2, n),) * dim)
         R = AnchoredBox((Fraction(n - 1, n),) * dim)
-        joint = pair_box_prob(fg_spec, Q, R, budget=budget, threads=threads)
-        prodv = (pair_marginal_prob(fg_spec, Q, 0, budget=budget, threads=threads)
-                 * pair_marginal_prob(fg_spec, R, 1, budget=budget, threads=threads))
+        joint, marg_q, marg_r = _pair_query(fg_spec, Q, R, budget=budget)
+        prodv = marg_q * marg_r
         payload["fixed_generator"] = {
             "generator": list(gen),
             "Q": [format_rational(a) for a in Q.anchor],
@@ -352,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common_analysis_flags(p):
         p.add_argument("--budget", type=int, default=None,
                        help="enumeration term budget (default ND_BUDGET or 1e8)")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", default=None)
 
     pp = asub.add_parser("pairprob", help="joint anchored-box probability")

@@ -8,7 +8,6 @@ in the variance lab.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
 
 __all__ = [
     "Rational",
@@ -103,11 +102,3 @@ def circular_overlap(a: CircularInterval, b: CircularInterval) -> Fraction:
             if hi > lo:
                 total += hi - lo
     return total
-
-
-def stratum_index(x, n: int) -> int:
-    """1-based index eta of the stratum [(eta-1)/n, eta/n) containing x."""
-    x = Fraction(x)
-    if not 0 <= x < 1:
-        raise ValueError("x must lie in [0, 1)")
-    return floor(n * x) + 1

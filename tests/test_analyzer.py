@@ -9,7 +9,6 @@ from negdep.analyzer import (
     PairLaw,
     UnsupportedSchemeError,
     discrete_pair_pmf,
-    merge_counts,
     pair_box_prob,
     pair_marginal_prob,
     patterson_marginal_factor,
@@ -134,11 +133,6 @@ class TestDiscretePairPmf:
         assert all(p == F(1, 144) for p in law.pmf.values())
         assert len(law.pmf) == 144
 
-    def test_threads_match_serial(self):
-        a = discrete_pair_pmf(5, 2)
-        b = discrete_pair_pmf(5, 2, threads=4)
-        assert a.pmf == b.pmf
-
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError, match="too large"):
             discrete_pair_pmf(7, 3, budget=1000)
@@ -155,16 +149,6 @@ class TestDiscretePairPmf:
                       pmf={((0,), (0,)): F(1)}, position="jitter")
         with pytest.raises(ValueError):
             bad.validate()
-
-
-def test_merge_counts_order_insensitive():
-    import numpy as np
-
-    rng = np.random.default_rng(0)
-    parts = [rng.integers(0, 10, size=20) for _ in range(7)]
-    merged = merge_counts(parts)
-    shuffled = list(reversed(parts))
-    assert np.array_equal(merged, merge_counts(shuffled))
 
 
 class TestPairBoxProb:

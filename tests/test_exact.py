@@ -10,7 +10,6 @@ from negdep.exact import (
     format_rational,
     is_prime,
     parse_rational,
-    stratum_index,
     torus_dist,
 )
 
@@ -100,11 +99,3 @@ def test_circular_overlap_properties(s1, l1, s2, l2):
 def test_torus_dist_shift_invariance(x, y):
     shift = F(13, 64)
     assert torus_dist(x, y) == torus_dist((x + shift) % 1, (y + shift) % 1)
-
-
-def test_stratum_index():
-    assert stratum_index(F(0), 4) == 1
-    assert stratum_index(F(3, 10), 4) == 2
-    assert stratum_index(F(3, 4), 4) == 4
-    with pytest.raises(ValueError):
-        stratum_index(F(1), 4)

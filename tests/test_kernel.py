@@ -1,17 +1,25 @@
-"""The integer kernel against the Fraction loops it replaced, and the
-enumerated route against the closed form.
+"""The exact routes against the direct computations they replaced.
 
-The oracle functions below are the per-term Fraction weighting loops that
-the analyzer used before the kernel: every pmf entry of the cell-pair law is
-weighted by the exact in-cell overlap of each anchored interval, one
-Fraction product at a time.  They stay here as the reference; results must
-match the kernel exactly.
+The oracle functions below are the analyzer's earlier, direct forms:
+
+  * the per-term Fraction weighting loops of the box probabilities and the
+    scan, which weight every pmf entry of the cell-pair law by the exact
+    in-cell overlap of each anchored interval, one Fraction at a time;
+  * the enumerator of the lattice law, one bincount per ordered index pair
+    over every (generator, grid shift) row;
+  * the copula and independence checks on Fraction pmf dicts;
+  * the torus-shift integration over every ordered index pair.
+
+They stay here as the reference; results must match exactly, witness dicts
+included.  The enumerated route is also pinned against the closed form.
 """
 
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
+import numpy as np
 import pytest
 
 import negdep.analyzer as mod
@@ -21,14 +29,19 @@ from negdep.analyzer import (
     _enumerated_tables,
     _factorized_tables,
     _grid_anchors,
+    _pair_counts,
+    _pair_query,
     _scan_witnesses,
+    _shifted_pair_overlap,
+    copula_equality_check,
+    coordinate_independence_check,
     discrete_pair_pmf,
     nuod_scan,
     pair_box_prob,
     pair_marginal_prob,
     scan_pairs_rows,
 )
-from negdep.schemes import SchemeSpec, full_rsj, lhs_spec
+from negdep.schemes import SchemeSpec, full_rsj, lhs_spec, patterson_spec, stratified_spec
 
 RSJ = "rsj_lattice"
 
@@ -201,9 +214,9 @@ def _table(tables):
 def test_enumerated_route_matches_closed_form(spec, m):
     # both routes over every box pair of the grid, joint and product alike
     anchors = _grid_anchors(m)
-    enumerated = _enumerated_tables(spec, anchors, 10**8, 1)
+    enumerated = _enumerated_tables(spec, anchors, 10**8)
     assert _table(enumerated) == _table(_factorized_tables(spec, anchors, 10**8))
-    assert _scan_witnesses(spec, anchors, _enumerated_tables(spec, anchors, 10**8, 1)) == []
+    assert _scan_witnesses(spec, anchors, _enumerated_tables(spec, anchors, 10**8)) == []
 
 
 @pytest.mark.parametrize("spec", [full_rsj(3, 2), lhs_spec(4, 2)])
@@ -234,3 +247,208 @@ def test_block_size_does_not_change_results(monkeypatch):
     monkeypatch.setattr(mod, "_BLOCK", 7)
     assert [(nuod_scan(s, m), list(scan_pairs_rows(s, m))) for s, m in cases] == whole
     assert not whole[0][0].ok
+
+
+# -- the lattice law from index-pair classes ----------------------------------
+
+
+def oracle_pair_counts(spec):
+    """(P, total) by one bincount per ordered index pair over all (g, s) rows.
+
+    For lhs, stratified and patterson: the Kronecker power of the table of
+    ordered pairs of distinct strata.
+    """
+    n, dim = spec.n, spec.dim
+    if spec.kind != RSJ:
+        P = np.ones((1, 1), dtype=np.int64)
+        for _ in range(dim):
+            P = np.kron(P, 1 - np.eye(n, dtype=np.int64))
+        return P, int(P.sum())
+    if spec.generator == "random":
+        gens = np.array(list(product(range(1, n), repeat=dim)), dtype=np.int64)
+    else:
+        gens = np.array([spec.generator], dtype=np.int64)
+    if spec.shift == "grid":
+        shifts = np.array(list(product(range(n), repeat=dim)), dtype=np.int64)
+    else:
+        shifts = np.zeros((1, dim), dtype=np.int64)
+    g_rows = np.repeat(gens, len(shifts), axis=0)
+    s_rows = np.tile(shifts, (len(gens), 1))
+    cells = n**dim
+    place = n ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    counts = np.zeros(cells * cells, dtype=np.int64)
+    for a in range(n):
+        for b in range(n):
+            if a != b:
+                z1 = (g_rows * a + s_rows) % n
+                z2 = (g_rows * b + s_rows) % n
+                counts += np.bincount((z1 @ place) * cells + z2 @ place, minlength=cells * cells)
+    terms = len(g_rows) * n * (n - 1)
+    g = gcd(int(np.gcd.reduce(counts)), terms)
+    return counts.reshape(cells, cells) // g, terms // g
+
+
+def _lattice_specs():
+    specs = []
+    for n in (2, 3, 5, 7):
+        for dim in (1, 2, 3):
+            mixed = tuple(1 + (3 * i + 1) % (n - 1) for i in range(dim))
+            for gen in dict.fromkeys(("random", (1,) * dim, mixed)):
+                for shift in ("grid", "none"):
+                    specs.append(SchemeSpec(RSJ, n, dim, generator=gen, shift=shift))
+    return specs + [lhs_spec(n, dim) for n in (2, 5) for dim in (1, 3)] + [
+        patterson_spec(4, 2), stratified_spec(6)]
+
+
+LATTICE = _lattice_specs()
+
+
+@pytest.mark.parametrize("spec", LATTICE, ids=[_spec_id(s) for s in LATTICE])
+def test_pair_counts_match_index_pair_enumerator(spec):
+    P, total = _pair_counts(spec)
+    P_ref, total_ref = oracle_pair_counts(spec)
+    assert total == total_ref
+    assert P.dtype == P_ref.dtype and np.array_equal(P, P_ref)
+
+
+def test_pair_counts_budget_counts_terms():
+    # the terms of the class sum plus the n^(2 dim) entries of P: (n - 1)
+    # n^dim difference classes under a grid shift, n (n - 1) |generators|
+    # table nonzeros without one, n^dim for lhs
+    for spec, work in ((full_rsj(5, 2), 4 * 5**2 + 5**4),
+                       (SchemeSpec(RSJ, 5, 2, generator=(1, 2), shift="none"), 20 + 5**4),
+                       (SchemeSpec(RSJ, 5, 2, shift="none"), 20 * 4**2 + 5**4),
+                       (lhs_spec(4, 2), 4**2 + 4**4)):
+        with pytest.raises(mod.BudgetExceededError, match=f"{work} terms"):
+            discrete_pair_pmf(spec.n, spec.dim, spec, budget=work - 1)
+        discrete_pair_pmf(spec.n, spec.dim, spec, budget=work)
+
+
+# -- structural checks on the integer counts ----------------------------------
+
+
+def oracle_copula(spec):
+    law_a = law_of(spec)
+    law_b = law_of(lhs_spec(spec.n, spec.dim))
+    worst = F(0)
+    for k in set(law_a.pmf) | set(law_b.pmf):
+        worst = max(worst, abs(law_a.pmf.get(k, F(0)) - law_b.pmf.get(k, F(0))))
+    return worst == 0, worst
+
+
+def oracle_independence(spec):
+    """(ok, witness): the first failing assignment over Fraction marginals."""
+    law = law_of(spec)
+
+    def marginalize(idx):
+        out = {}
+        for (z1, z2), p in law.pmf.items():
+            key = tuple((z1[i], z2[i]) for i in idx)
+            out[key] = out.get(key, F(0)) + p
+        return out
+
+    singles = [{key[0]: p for key, p in marginalize((i,)).items()} for i in range(spec.dim)]
+    for size in range(2, spec.dim + 1):
+        for idx in combinations(range(spec.dim), size):
+            joint = marginalize(idx)
+            for assignment in product(*(singles[i].keys() for i in idx)):
+                expected = F(1)
+                for i, cellpair in zip(idx, assignment):
+                    expected *= singles[i][cellpair]
+                got = joint.get(tuple(assignment), F(0))
+                if got != expected:
+                    return False, {"subset": idx, "cells": assignment,
+                                   "joint": got, "product": expected}
+    return True, None
+
+
+STRUCTURAL = [
+    SchemeSpec(RSJ, 7, 3, generator=(1, 2, 3)),
+    SchemeSpec(RSJ, 5, 3, shift="none"),
+    SchemeSpec(RSJ, 5, 3, generator=(1, 2, 2)),
+    SchemeSpec(RSJ, 5, 2, generator=(1, 1)),
+    SchemeSpec(RSJ, 3, 2, shift="none", jitter=False),
+    SchemeSpec(RSJ, 5, 1, shift="none"),
+    full_rsj(3, 2),
+    full_rsj(5, 3),
+    lhs_spec(4, 3),
+]
+
+
+@pytest.mark.parametrize("spec", STRUCTURAL, ids=[_spec_id(s) for s in STRUCTURAL])
+def test_structural_checks_match_fraction_oracle(spec):
+    cc = copula_equality_check(spec.n, spec.dim, spec)
+    assert tuple(cc) == oracle_copula(spec)
+    rep = coordinate_independence_check(spec.n, spec.dim, spec)
+    ok, witness = oracle_independence(spec)
+    assert (rep.ok, rep.witness) == (ok, witness)
+    assert repr(rep.witness) == repr(witness)  # the same types, not only equal values
+
+
+def test_structural_checks_pass_at_eleven_cubed():
+    # refused before the index-pair classes: 1.46e8 enumerated terms
+    assert copula_equality_check(11, 3) == (True, F(0))
+    assert coordinate_independence_check(11, 3).ok
+
+
+# -- the torus route over delta = b - a ---------------------------------------
+
+
+def oracle_torus_box_prob(spec, Q, R):
+    n = spec.n
+    total = F(0)
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                continue
+            term = F(1)
+            for i in range(spec.dim):
+                gammas = range(1, n) if spec.generator == "random" else [spec.generator[i]]
+                acc = sum((_shifted_pair_overlap(F(g * a % n, n), F(g * b % n, n),
+                                                 Q.anchor[i], R.anchor[i]) for g in gammas), F(0))
+                term *= acc / len(gammas)
+            total += term
+    return total / (n * (n - 1))
+
+
+TORUS = [SchemeSpec(RSJ, n, dim, generator=gen, shift="continuous_torus", jitter=False)
+         for n, dim, gen in ((3, 1, "random"), (5, 2, "random"), (5, 2, (1, 3)),
+                             (7, 3, "random"), (7, 3, (1, 2, 3)), (7, 2, (6, 6)))]
+
+
+@pytest.mark.parametrize("spec", TORUS, ids=[_spec_id(s) for s in TORUS])
+def test_torus_route_matches_index_pair_loop(spec):
+    rnd = random.Random(str(spec))
+    for _ in range(6):
+        Q = AnchoredBox(_anchors(rnd, spec.n, spec.dim))
+        R = AnchoredBox(_anchors(rnd, spec.n, spec.dim))
+        assert pair_box_prob(spec, Q, R) == oracle_torus_box_prob(spec, Q, R)
+
+
+def test_torus_budget_counts_summed_terms():
+    # dim x |generators| x (n - 1)
+    box = AnchoredBox((F(1, 3), F(2, 5)))
+    for gen, work in (("random", 2 * 4 * 4), ((1, 3), 2 * 1 * 4)):
+        spec = SchemeSpec(RSJ, 5, 2, generator=gen, shift="continuous_torus", jitter=False)
+        with pytest.raises(mod.BudgetExceededError, match=f"{work} terms"):
+            pair_box_prob(spec, box, box, budget=work - 1)
+        pair_box_prob(spec, box, box, budget=work)
+
+
+# -- one law per query ------------------------------------------------------
+
+
+QUERY = [(SchemeSpec(RSJ, 5, 2, generator=(1, 1)), 1),
+         (SchemeSpec(RSJ, 5, 2, shift="none", jitter=False), 1),
+         (full_rsj(5, 2), 0), (TORUS[2], 0)]
+
+
+@pytest.mark.parametrize("spec,builds", QUERY, ids=[_spec_id(s) for s, _ in QUERY])
+def test_pair_query_builds_the_law_once(spec, builds, monkeypatch):
+    Q, R = AnchoredBox((F(3, 5), F(1, 3))), AnchoredBox((F(4, 5), F(7, 10)))
+    expected = (pair_box_prob(spec, Q, R), pair_marginal_prob(spec, Q, 0),
+                pair_marginal_prob(spec, R, 1))
+    calls = []
+    monkeypatch.setattr(mod, "_pair_counts", lambda *a: calls.append(a) or _pair_counts(*a))
+    assert _pair_query(spec, Q, R) == expected
+    assert len(calls) == builds
