@@ -225,7 +225,7 @@ def criterion_sampling_scheme_property() -> CriterionResult:
         first_cells = np.empty(reps, dtype=np.int64)
         last_cells = np.empty(reps, dtype=np.int64)
         for rep in range(reps):
-            ps = generate(spec, root.split(rep).seed)
+            ps = generate(spec, root.split(rep))
             pts = ps.floats()
             first[rep] = pts[0]
             cells = ps.cells()

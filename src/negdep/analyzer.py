@@ -164,25 +164,6 @@ def patterson_marginal_factor(q, n: int) -> Fraction:
     return Fraction(_midpoint_count(q, n), n)
 
 
-def _cell_overlap(c: int, q: Fraction, n: int) -> Fraction:
-    """Fraction of cell [c/n, (c+1)/n) covered by [q, 1)."""
-    w = Fraction(c + 1) - n * q
-    if w <= 0:
-        return Fraction(0)
-    return w if w < 1 else Fraction(1)
-
-
-def _cell_weight(c: int, q: Fraction, n: int, position: str) -> Fraction:
-    """P(point >= q | cell c) under the scheme's in-cell position model."""
-    if position == "jitter":
-        return _cell_overlap(c, q, n)
-    if position == "corner":
-        return Fraction(1) if Fraction(c, n) >= q else Fraction(0)
-    if position == "midpoint":
-        return Fraction(1) if Fraction(2 * c + 1, 2 * n) >= q else Fraction(0)
-    raise ValueError(f"unknown position model {position!r}")
-
-
 # -- the discrete pair law ----------------------------------------------------
 
 
@@ -397,9 +378,26 @@ def _kron(tables, dtype) -> np.ndarray:
 
 
 def _weight_table(anchors, n: int, position: str):
-    """T[c][k] = P(x >= anchors[k] | cell c) * den as integers, and den."""
+    """T[c][k] = P(x >= anchors[k] | cell c) * den as integers, and den.
+
+    With q = t / den, nt = n t and cell c = [c/n, (c+1)/n): jitter covers
+    clamp((c+1) den - nt, 0, den) of it, a corner c/n lies in [q, 1) iff
+    c den >= nt, a midpoint (2c+1)/(2n) iff (2c+1) den >= 2 nt.
+    """
     den = lcm(*(a.denominator for a in anchors))
-    return [[int(_cell_weight(c, a, n, position) * den) for a in anchors] for c in range(n)], den
+    nts = [n * a.numerator * (den // a.denominator) for a in anchors]
+    if position == "jitter":
+        def weight(c, nt):
+            return min(max((c + 1) * den - nt, 0), den)
+    elif position == "corner":
+        def weight(c, nt):
+            return den if c * den >= nt else 0
+    elif position == "midpoint":
+        def weight(c, nt):
+            return den if (2 * c + 1) * den >= 2 * nt else 0
+    else:
+        raise ValueError(f"unknown position model {position!r}")
+    return [[weight(c, nt) for nt in nts] for c in range(n)], den
 
 
 def _box_weights(box: AnchoredBox, n: int, position: str):
@@ -431,35 +429,18 @@ def _marginal_factor(spec: SchemeSpec, q) -> Fraction:
     return 1 - Fraction(q)
 
 
-def _continuous_shift_pair_configs(spec: SchemeSpec):
-    """Per-coordinate, equally likely (x1, x2) positions of an ordered pair
-    before the torus shift is applied.
+def _torus_generators(spec: SchemeSpec) -> list:
+    """Per-coordinate generator values of a jitterless lattice under a torus shift.
 
-    For the shift-only lattice these are (gamma a / n, gamma b / n) over
-    generators gamma and ordered index pairs (a, b).  For midpoint lattice
-    sampling they are ordered pairs of distinct midpoints.
+    Midpoint (patterson) sampling counts as the generator-1 lattice: its
+    distinct midpoints differ by every nonzero k/n equally often, and the
+    torus shift sees only the difference of a pair.
     """
-    n = spec.n
-    if spec.kind == "rsj_lattice":
-        gens = range(1, n) if spec.generator == "random" else None
-        configs_per_coord = []
-        for i in range(spec.dim):
-            coord_gens = gens if gens is not None else [spec.generator[i]]
-            configs_per_coord.append(
-                [
-                    (Fraction((gam * a) % n, n), Fraction((gam * b) % n, n))
-                    for gam in coord_gens
-                    for a in range(n)
-                    for b in range(n)
-                    if a != b
-                ]
-            )
-        return configs_per_coord
     if spec.kind == "patterson":
-        mids = [Fraction(2 * c + 1, 2 * n) for c in range(n)]
-        per_coord = [(x1, x2) for x1 in mids for x2 in mids if x1 != x2]
-        return [list(per_coord) for _ in range(spec.dim)]
-    raise UnsupportedSchemeError(f"no continuous-shift law for kind {spec.kind!r}")
+        return [(1,)] * spec.dim
+    if spec.generator == "random":
+        return [range(1, spec.n)] * spec.dim
+    return [(g,) for g in spec.generator]
 
 
 def _shifted_pair_overlap(x1: Fraction, x2: Fraction, q: Fraction, r: Fraction) -> Fraction:
@@ -471,18 +452,16 @@ def _shifted_pair_overlap(x1: Fraction, x2: Fraction, q: Fraction, r: Fraction) 
     return circular_overlap(arc1, arc2)
 
 
-def _continuous_shift_box_prob(spec: SchemeSpec, anchors1, anchors2, budget) -> Fraction:
+def _continuous_shift_box_prob(n: int, gammas, anchors1, anchors2, budget) -> Fraction:
     """The jitterless lattice under a uniform torus shift, summed over b - a.
 
     The measure of shifts putting x1 in [q, 1) and x2 in [r, 1) does not
     change when x1 and x2 move together, so an index pair (a, b) enters
     through delta = b - a (mod n) only, at x1 = 0 and x2 = gamma delta / n;
-    each delta in 1..n-1 stands for n ordered pairs.  The budget counts the
-    summed terms, dim x |generators| x (n - 1).
+    each delta in 1..n-1 stands for n ordered pairs.  gammas[i] holds the
+    generator values of coordinate i (see _torus_generators).  The budget
+    counts the summed terms, sum over coordinates of |gammas[i]| x (n - 1).
     """
-    n, dim = spec.n, spec.dim
-    gammas = [range(1, n) if spec.generator == "random" else (spec.generator[i],)
-              for i in range(dim)]
     work = sum(len(g) for g in gammas) * (n - 1)
     budget = resolve_budget(budget)
     if work > budget:
@@ -490,12 +469,12 @@ def _continuous_shift_box_prob(spec: SchemeSpec, anchors1, anchors2, budget) -> 
             f"continuous-shift integration too large: {work} terms exceeds budget {budget}"
         )
     per_delta = [Fraction(1)] * (n - 1)
-    for i in range(dim):
+    for i, coord_gammas in enumerate(gammas):
         overlap = [_shifted_pair_overlap(Fraction(0), Fraction(e, n), anchors1[i], anchors2[i])
                    for e in range(n)]
         for delta in range(1, n):
-            acc = sum((overlap[gam * delta % n] for gam in gammas[i]), Fraction(0))
-            per_delta[delta - 1] *= acc / len(gammas[i])
+            acc = sum((overlap[gam * delta % n] for gam in coord_gammas), Fraction(0))
+            per_delta[delta - 1] *= acc / len(coord_gammas)
     return sum(per_delta, Fraction(0)) / (n - 1)
 
 
@@ -542,7 +521,8 @@ def pair_box_prob(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox,
     if spec.n < 2:
         raise ValueError("a pair probability needs n >= 2")
     if _is_torus(spec):
-        return _continuous_shift_box_prob(spec, Q.anchor, R.anchor, budget)
+        return _continuous_shift_box_prob(spec.n, _torus_generators(spec), Q.anchor,
+                                          R.anchor, budget)
 
     if method not in ("auto", "closed_form", "enumeration"):
         raise ValueError(f"unknown method {method!r}")
@@ -933,8 +913,10 @@ def shift_only_conditional(spec: SchemeSpec, epsilon, dim_index: int = None,
     torus shift, and midpoint (patterson) sampling with the same continuous
     shift applied (without a shift its conditioning event has probability
     zero because the marginal is discrete).  The premise that all pair
-    distances in the probed coordinate exceed epsilon is verified by
-    enumeration first; a violation raises with the witness configuration.
+    distances in the probed coordinate exceed epsilon is verified over
+    every generator value and index difference b - a (with x1 = 0, since
+    a common shift moves no distance); a violation raises with the witness
+    positions.  The budget counts |generators| x (n - 1) terms.
     Under the premise the conditional is 1, strictly above the box volume
     1 - eps/2, so the scheme cannot be pairwise negatively dependent.
     """
@@ -952,29 +934,24 @@ def shift_only_conditional(spec: SchemeSpec, epsilon, dim_index: int = None,
     if not 0 <= i < spec.dim:
         raise ValueError("dim_index out of range")
 
-    configs = _continuous_shift_pair_configs(spec)
-    coord_configs = configs[i]
-    terms = len(coord_configs)
-    if terms > resolve_budget(budget):
-        raise BudgetExceededError("enumeration exceeds budget")
-
-    for x1, x2 in coord_configs:
-        d = torus_dist(x1, x2)
-        if d <= eps:
-            raise HypothesisViolatedError(
-                f"pair distance {format_rational(d)} <= epsilon "
-                f"{format_rational(eps)} at positions "
-                f"({format_rational(x1)}, {format_rational(x2)})"
-            )
-
+    n = spec.n
+    gammas = _torus_generators(spec)[i]
     q = eps / 2
-    r = 1 - eps / 2
-    joint = Fraction(0)
-    mass_r = Fraction(0)
-    for x1, x2 in coord_configs:
-        joint += _shifted_pair_overlap(x1, x2, q, r)
-        mass_r += 1 - r  # measure of shifts putting x2 in [r, 1)
-    return joint / mass_r
+    # the other coordinates' anchors are 0, a factor 1 each, so the probed
+    # coordinate alone carries P(p1 in Q, p2 in R)
+    joint = _continuous_shift_box_prob(n, [gammas], [q], [1 - q], budget)
+    x1 = Fraction(0)
+    for gam in gammas:
+        for delta in range(1, n):
+            x2 = Fraction(gam * delta % n, n)
+            d = torus_dist(x1, x2)
+            if d <= eps:
+                raise HypothesisViolatedError(
+                    f"pair distance {format_rational(d)} <= epsilon "
+                    f"{format_rational(eps)} at positions "
+                    f"({format_rational(x1)}, {format_rational(x2)})"
+                )
+    return joint / q  # P(p2 in R) = eps / 2 under the uniform torus shift
 
 
 # -- serialization ------------------------------------------------------------------

@@ -283,8 +283,7 @@ def _cmd_variance(args, argv, t0) -> int:
         spec = _spec_from_args(args)
         f = get_integrand(args.integrand, spec.dim)
         reps = args.replications or 1000
-        results = [variance_compare(f, spec, reps, RngStream(args.seed or 0),
-                                    threads=args.threads)]
+        results = [variance_compare(f, spec, reps, RngStream(args.seed or 0))]
 
     payload = {"results": [result_to_json_dict(r) for r in results]}
     if args.out_csv:
@@ -393,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--integrand", default="additive")
     v.add_argument("--replications", type=int, default=None)
     v.add_argument("--seed", type=int, default=None)
-    v.add_argument("--threads", type=int, default=1)
     v.add_argument("--out-csv", default=None)
     v.add_argument("--out-json", default=None)
 

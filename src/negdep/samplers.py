@@ -113,38 +113,37 @@ def _jitter_block(rng: RngStream, n: int, dim: int) -> np.ndarray:
     return rng.bits53_array(n * dim).astype(np.int64).reshape(n, dim)
 
 
+def _latin(spec: SchemeSpec, rng: RngStream) -> PointSet:
+    # stratified1d, lhs and patterson: one stratum permutation per
+    # coordinate, then iid jitter in the cell or the exact cell midpoint
+    n, dim = spec.n, spec.dim
+    _check_n(n)
+    cells = np.empty((n, dim), dtype=np.int64)
+    for i in range(dim):
+        cells[:, i] = rng.permutation(n)
+    if spec.kind == "patterson":
+        offsets = 1 << (FRAC_BITS - 1)  # exact midpoint 1/2
+    else:
+        offsets = _jitter_block(rng, n, dim)
+    return PointSet((cells << FRAC_BITS) + offsets, spec, rng.seed)
+
+
 def stratified_1d(n: int, rng: RngStream) -> PointSet:
     """Simple stratified sample: one uniform point in each stratum
     [(j-1)/n, j/n), delivered in uniformly permuted stratum order."""
-    _check_n(n)
-    spec = SchemeSpec("stratified1d", n, 1)
-    cells = np.array(rng.permutation(n), dtype=np.int64).reshape(n, 1)
-    nums = (cells << FRAC_BITS) + _jitter_block(rng, n, 1)
-    return PointSet(nums, spec, rng.seed)
+    return _latin(SchemeSpec("stratified1d", n, 1), rng)
 
 
 def lhs(n: int, dim: int, rng: RngStream) -> PointSet:
     """Latin hypercube sample: independent stratum permutations per
     coordinate, one uniform offset per point and coordinate."""
-    _check_n(n)
-    spec = SchemeSpec("lhs", n, dim)
-    cells = np.empty((n, dim), dtype=np.int64)
-    for i in range(dim):
-        cells[:, i] = rng.permutation(n)
-    nums = (cells << FRAC_BITS) + _jitter_block(rng, n, dim)
-    return PointSet(nums, spec, rng.seed)
+    return _latin(SchemeSpec("lhs", n, dim), rng)
 
 
 def patterson(n: int, dim: int, rng: RngStream) -> PointSet:
     """Lattice sampling in the Latin style: stratum permutations per
     coordinate with every point pinned to its cell midpoint (k - 1/2)/n."""
-    _check_n(n)
-    spec = SchemeSpec("patterson", n, dim)
-    cells = np.empty((n, dim), dtype=np.int64)
-    for i in range(dim):
-        cells[:, i] = rng.permutation(n)
-    nums = (cells << FRAC_BITS) + (1 << (FRAC_BITS - 1))  # exact midpoint 1/2
-    return PointSet(nums, spec, rng.seed)
+    return _latin(SchemeSpec("patterson", n, dim), rng)
 
 
 def rank1_lattice_points(g, n: int) -> PointSet:
@@ -218,16 +217,16 @@ def rsj_rank1(spec: SchemeSpec, rng: RngStream) -> PointSet:
     return PointSet(nums, spec, rng.seed)
 
 
-def generate(spec: SchemeSpec, seed: int) -> PointSet:
-    """Generate the point set for (spec, seed); bit-identical on replay."""
-    rng = RngStream(seed)
-    if spec.kind == "stratified1d":
-        return stratified_1d(spec.n, rng)
-    if spec.kind == "lhs":
-        return lhs(spec.n, spec.dim, rng)
-    if spec.kind == "patterson":
-        return patterson(spec.n, spec.dim, rng)
-    return rsj_rank1(spec, rng)
+def generate(spec: SchemeSpec, seed: "int | RngStream") -> PointSet:
+    """Generate the point set for (spec, seed); bit-identical on replay.
+
+    seed is an integer or an RngStream, which is drawn from in place;
+    generate(spec, s) equals generate(spec, RngStream(s)).
+    """
+    rng = seed if isinstance(seed, RngStream) else RngStream(seed)
+    if spec.kind == "rsj_lattice":
+        return rsj_rank1(spec, rng)
+    return _latin(spec, rng)
 
 
 # -- export / import --------------------------------------------------------

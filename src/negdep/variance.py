@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .rng import RngStream
-from .samplers import lhs, patterson, rsj_rank1, stratified_1d
+from .samplers import generate
 from .schemes import SchemeSpec, is_marginally_uniform, spec_from_dict, spec_to_dict
 
 __all__ = [
@@ -229,16 +229,6 @@ def mc_estimate(f: Integrand, n: int, rng: RngStream) -> float:
     return float(f(pts).mean())
 
 
-def _generate_stream(spec: SchemeSpec, rng: RngStream):
-    if spec.kind == "stratified1d":
-        return stratified_1d(spec.n, rng)
-    if spec.kind == "lhs":
-        return lhs(spec.n, spec.dim, rng)
-    if spec.kind == "patterson":
-        return patterson(spec.n, spec.dim, rng)
-    return rsj_rank1(spec, rng)
-
-
 def rqmc_estimate(f: Integrand, spec: SchemeSpec, rng: RngStream) -> float:
     """Equal-weight average of f over one randomization of the scheme.
 
@@ -248,7 +238,7 @@ def rqmc_estimate(f: Integrand, spec: SchemeSpec, rng: RngStream) -> float:
     """
     if f.arity != spec.dim:
         raise ValueError("integrand arity does not match scheme dim")
-    ps = _generate_stream(spec, rng)
+    ps = generate(spec, rng)
     return float(f(ps.floats()).mean())
 
 
@@ -273,13 +263,11 @@ class VarianceResult:
 
 
 def variance_compare(f: Integrand, spec: SchemeSpec, replications: int,
-                     rng: RngStream, threads: int = 1) -> VarianceResult:
+                     rng: RngStream) -> VarianceResult:
     """Estimate Var of the scheme quadrature from independent replications.
 
-    Each replication runs on its own substream (split by replication index),
-    so the job set is order-independent and embarrassingly parallel; with
-    threads > 1 the replications are farmed out to a thread pool and results
-    land in their slots, keeping the output identical to the serial run.
+    Replication k draws one point set through `generate` on the substream
+    rng.split(k), so each replication is reproducible on its own.
     The MC baseline is Var(f)/n exactly when the integrand's variance is
     known, otherwise it is estimated from a matching number of MC
     replications on substreams offset by 2**32.  The domination flag allows
@@ -290,18 +278,8 @@ def variance_compare(f: Integrand, spec: SchemeSpec, replications: int,
         raise ValueError("need at least 100 replications")
     n = spec.n
     est = np.empty(replications)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def job(rep):
-            return rep, rqmc_estimate(f, spec, rng.split(rep))
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            for rep, value in ex.map(job, range(replications)):
-                est[rep] = value
-    else:
-        for rep in range(replications):
-            est[rep] = rqmc_estimate(f, spec, rng.split(rep))
+    for rep in range(replications):
+        est[rep] = rqmc_estimate(f, spec, rng.split(rep))
 
     est_mean = float(est.mean())
     centered = est - est.mean()
@@ -398,7 +376,8 @@ def run_variance_batch(config: dict, rng_seed=None) -> list:
     """Run the cross product of schemes x integrands x sizes from a config.
 
     Config keys: "seed", "replications", "sizes" ([[n, dim], ...]),
-    "schemes" (spec dicts; "n"/"dim" filled from sizes when omitted),
+    "schemes" (spec dicts; each is run at every size, which sets its
+    "n"/"dim" and overrides any the dict carries),
     "integrands" (names).  Returns VarianceResult objects in a stable order.
     """
     seed = int(config.get("seed", 0)) if rng_seed is None else int(rng_seed)
@@ -409,11 +388,7 @@ def run_variance_batch(config: dict, rng_seed=None) -> list:
     root = RngStream(seed)
     for stub in config["schemes"]:
         for (n, dim) in sizes:
-            d = dict(stub)
-            d.setdefault("n", n)
-            d.setdefault("dim", dim)
-            d["n"], d["dim"] = n, dim
-            spec = spec_from_dict(d)
+            spec = spec_from_dict({**stub, "n": n, "dim": dim})
             for name in config["integrands"]:
                 f = get_integrand(name, dim)
                 results.append(variance_compare(f, spec, replications, root.split(job)))

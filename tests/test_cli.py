@@ -215,6 +215,12 @@ class TestVariance:
         code, _, err = run(capsys, "variance", "--replications", "100")
         assert code == 2
 
+    def test_threads_flag_is_gone(self, capsys):
+        code, _, err = run(capsys, "variance", "--scheme", "rsj", "--n", "5",
+                           "--dim", "2", "--replications", "200", "--threads", "2")
+        assert code == 2
+        assert "--threads" in err
+
     def test_config_batch_with_csv(self, tmp_path, capsys):
         cfg = {
             "seed": 3,

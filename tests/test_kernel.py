@@ -8,7 +8,9 @@ The oracle functions below are the analyzer's earlier, direct forms:
   * the enumerator of the lattice law, one bincount per ordered index pair
     over every (generator, grid shift) row;
   * the copula and independence checks on Fraction pmf dicts;
-  * the torus-shift integration over every ordered index pair.
+  * the torus-shift integration over every ordered index pair;
+  * the Fraction cell weights behind the integer weight tables;
+  * the fixed-distance probe over every (generator, a, b) configuration.
 
 They stay here as the reference; results must match exactly, witness dicts
 included.  The enumerated route is also pinned against the closed form.
@@ -25,7 +27,7 @@ import pytest
 import negdep.analyzer as mod
 from negdep.analyzer import (
     AnchoredBox,
-    _cell_weight,
+    HypothesisViolatedError,
     _enumerated_tables,
     _factorized_tables,
     _grid_anchors,
@@ -33,6 +35,7 @@ from negdep.analyzer import (
     _pair_query,
     _scan_witnesses,
     _shifted_pair_overlap,
+    _weight_table,
     copula_equality_check,
     coordinate_independence_check,
     discrete_pair_pmf,
@@ -40,10 +43,31 @@ from negdep.analyzer import (
     pair_box_prob,
     pair_marginal_prob,
     scan_pairs_rows,
+    shift_only_conditional,
 )
+from negdep.exact import format_rational, torus_dist
 from negdep.schemes import SchemeSpec, full_rsj, lhs_spec, patterson_spec, stratified_spec
 
 RSJ = "rsj_lattice"
+
+
+def _cell_overlap(c, q, n):
+    """Fraction of cell [c/n, (c+1)/n) covered by [q, 1)."""
+    w = F(c + 1) - n * q
+    if w <= 0:
+        return F(0)
+    return w if w < 1 else F(1)
+
+
+def _cell_weight(c, q, n, position):
+    """P(point >= q | cell c) under the scheme's in-cell position model."""
+    if position == "jitter":
+        return _cell_overlap(c, q, n)
+    if position == "corner":
+        return F(1) if F(c, n) >= q else F(0)
+    if position == "midpoint":
+        return F(1) if F(2 * c + 1, 2 * n) >= q else F(0)
+    raise ValueError(f"unknown position model {position!r}")
 
 
 def law_of(spec):
@@ -188,6 +212,21 @@ def test_huge_denominators_stay_exact():
     R = AnchoredBox((F(3**20, 3**21 + 2), F(2**31 - 1, 2**33 + 3)))
     assert pair_box_prob(spec, Q, R) == oracle_box_prob(law, Q, R)
     assert pair_marginal_prob(spec, R, 1) == oracle_marginal_prob(law, R, 1)
+
+
+@pytest.mark.parametrize("position", ["jitter", "corner", "midpoint"])
+def test_weight_table_matches_fraction_weights(position):
+    rnd = random.Random(position)
+    for _ in range(300):
+        n = rnd.choice([1, 2, 3, 5, 7, 12, 31])
+        dens = [rnd.choice([1, 2, 2 * n, 3 * n, 7, 3**rnd.randrange(31), 2**rnd.randrange(40) + 1])
+                for _ in range(rnd.randrange(1, 6))]
+        # anchors in [0, 1], cell corners and midpoints included
+        anchors = [F(rnd.randrange(d + 1), d) for d in dens] + [F(0), F(1), F(1, 2 * n)]
+        table, den = _weight_table(anchors, n, position)
+        want = [[_cell_weight(c, a, n, position) * den for a in anchors] for c in range(n)]
+        assert table == want
+        assert all(type(v) is int for row in table for v in row)
 
 
 def test_pairs_rows_match_fraction_oracle():
@@ -452,3 +491,78 @@ def test_pair_query_builds_the_law_once(spec, builds, monkeypatch):
     monkeypatch.setattr(mod, "_pair_counts", lambda *a: calls.append(a) or _pair_counts(*a))
     assert _pair_query(spec, Q, R) == expected
     assert len(calls) == builds
+
+
+# -- the fixed-distance probe over (generator, b - a) ---------------------------
+
+
+def oracle_probe_configs(spec, i):
+    """Equally likely (x1, x2) positions of an ordered pair in coordinate i."""
+    n = spec.n
+    if spec.kind == "patterson":
+        mids = [F(2 * c + 1, 2 * n) for c in range(n)]
+        return [(x1, x2) for x1 in mids for x2 in mids if x1 != x2]
+    gens = range(1, n) if spec.generator == "random" else [spec.generator[i]]
+    return [(F(g * a % n, n), F(g * b % n, n))
+            for g in gens for a in range(n) for b in range(n) if a != b]
+
+
+def oracle_probe(spec, eps, i):
+    """shift_only_conditional over every configuration, or its violation message."""
+    configs = oracle_probe_configs(spec, i)
+    for x1, x2 in configs:
+        d = torus_dist(x1, x2)
+        if d <= eps:
+            return (f"pair distance {format_rational(d)} <= epsilon {format_rational(eps)} "
+                    f"at positions ({format_rational(x1)}, {format_rational(x2)})")
+    q, r = eps / 2, 1 - eps / 2
+    joint = sum((_shifted_pair_overlap(x1, x2, q, r) for x1, x2 in configs), F(0))
+    return joint / (len(configs) * (1 - r))
+
+
+def _probe(spec, eps, i):
+    try:
+        return shift_only_conditional(spec, eps, dim_index=i)
+    except HypothesisViolatedError as exc:
+        return str(exc)
+
+
+PROBED = [SchemeSpec(RSJ, n, dim, generator=gen, shift="continuous_torus", jitter=False)
+          for n, dim, gen in ((2, 1, "random"), (3, 2, "random"), (5, 2, "random"),
+                              (5, 2, (1, 2)), (7, 3, "random"), (7, 3, (1, 3, 6)),
+                              (11, 2, (4, 10)))]
+
+
+@pytest.mark.parametrize("spec", PROBED, ids=[_spec_id(s) for s in PROBED])
+def test_probe_matches_configuration_oracle(spec):
+    # every epsilon k/(4n) in (0, 1/2], on and off the lattice distances,
+    # violation messages included
+    n = spec.n
+    for k in range(1, 2 * n + 1):
+        eps = F(k, 4 * n)
+        for i in range(spec.dim):
+            assert _probe(spec, eps, i) == oracle_probe(spec, eps, i), (eps, i)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 9])
+def test_patterson_probe_matches_midpoint_oracle(n):
+    # n need not be prime; a violation now names the difference (0/1, k/n)
+    # rather than two midpoints, so compare values and the violated distance
+    spec = patterson_spec(n, 2)
+    for k in range(1, 2 * n + 1):
+        eps = F(k, 4 * n)
+        want = oracle_probe(spec, eps, 1)
+        got = _probe(spec, eps, 1)
+        if isinstance(want, F):
+            assert got == want
+        else:
+            assert got.split(" at ")[0] == want.split(" at ")[0]
+            assert got.endswith(f"at positions (0/1, {format_rational(F(1, n))})")
+
+
+def test_probe_budget_counts_generator_differences():
+    # |generators of the probed coordinate| x (n - 1) terms
+    for spec, work in ((PROBED[4], 6 * 6), (PROBED[5], 1 * 6), (patterson_spec(6, 2), 1 * 5)):
+        with pytest.raises(mod.BudgetExceededError, match=f"{work} terms"):
+            shift_only_conditional(spec, F(1, 100), budget=work - 1)
+        shift_only_conditional(spec, F(1, 100), budget=work)

@@ -6,8 +6,9 @@ import pytest
 
 from negdep.analyzer import AnchoredBox, pair_box_prob, pair_marginal_prob
 from negdep.rng import RngStream
-from negdep.schemes import SchemeSpec, full_rsj, lhs_spec, stratified_spec
+from negdep.schemes import SchemeSpec, full_rsj, lhs_spec, patterson_spec, stratified_spec
 from negdep.variance import (
+    VarianceResult,
     additive_integrand,
     box_indicator_integrand,
     constant_integrand,
@@ -17,6 +18,7 @@ from negdep.variance import (
     origin_box_integrand,
     product_integrand,
     rqmc_estimate,
+    run_variance_batch,
     smooth_monotone_integrand,
     variance_compare,
     verify_monotone_flags,
@@ -179,11 +181,42 @@ def test_unbiasedness_library_at_10k_replications():
             assert err < 4 * stderr + 1e-12, (spec.kind, f.name, err, stderr)
 
 
-def test_variance_compare_threads_match_serial():
-    f = product_integrand(2)
-    serial = variance_compare(f, full_rsj(5, 2), 300, RngStream(5))
-    threaded = variance_compare(f, full_rsj(5, 2), 300, RngStream(5), threads=4)
-    assert serial == threaded
+# every field of one variance_compare cell per kind, recorded before the lab
+# drew through samplers.generate (floats as float.hex, so the match is exact)
+_PINNED_CELLS = [
+    (full_rsj(5, 2), "0x1.faadf23137de8p-3", "0x1.fed248cdcc569p-10",
+     "0x1.623baf826b46dp-13", "0x1.3e93e93e93e94p-7", "-0x1.548373b208600p-9"),
+    (lhs_spec(5, 2), "0x1.ff9e45e88196dp-3", "0x1.1536f479e6668p-9",
+     "0x1.720983b6c7b7bp-13", "0x1.3e93e93e93e94p-7", "-0x1.86e85df9a4c00p-13"),
+    (patterson_spec(5, 2), "0x1.015a07b352a84p-2", "0x1.94786e68b580fp-10",
+     "0x1.e3d0fe89f354ep-14", "0x1.3e93e93e93e94p-7", "0x1.5a07b352a8400p-10"),
+    (stratified_spec(7), "0x1.ffc2693279c65p-2", "0x1.b4514b471d318p-13",
+     "0x1.6636a4c143b35p-16", "0x1.8618618618618p-7", "-0x1.ecb66c31cd800p-13"),
+]
+
+
+@pytest.mark.parametrize("spec,mean,var,stderr,mc,bias", _PINNED_CELLS,
+                         ids=[spec.kind for spec, *_ in _PINNED_CELLS])
+def test_variance_cell_pinned(spec, mean, var, stderr, mc, bias):
+    res = variance_compare(product_integrand(spec.dim), spec, 200, RngStream(5))
+    assert res == VarianceResult(
+        spec=spec, integrand="product", n=spec.n, replications=200, seed=5,
+        est_mean=float.fromhex(mean), est_variance=float.fromhex(var),
+        variance_stderr=float.fromhex(stderr), mc_variance=float.fromhex(mc),
+        mc_variance_exact=True, dominates=True, trivial=False,
+        biased_capable=spec.kind == "patterson", bias=float.fromhex(bias),
+    )
+
+
+def test_batch_sizes_override_stub_n_and_dim():
+    cfg = {"seed": 4, "replications": 100, "sizes": [[5, 2], [3, 1]],
+           "schemes": [{"kind": "lhs", "n": 7, "dim": 3}], "integrands": ["additive"]}
+    results = run_variance_batch(cfg)
+    assert [(r.spec, r.n) for r in results] == [(lhs_spec(5, 2), 5), (lhs_spec(3, 1), 3)]
+    root = RngStream(4)
+    want = [variance_compare(additive_integrand(2), lhs_spec(5, 2), 100, root.split(0)),
+            variance_compare(additive_integrand(1), lhs_spec(3, 1), 100, root.split(1))]
+    assert results == want
 
 
 def test_reduction_order_insensitive():
