@@ -16,9 +16,9 @@ import numpy as np
 
 from .analyzer import (
     AnchoredBox,
+    _pair_counts,
     copula_equality_check,
     coordinate_independence_check,
-    discrete_pair_pmf,
     no_shift_mass,
     nuod_scan,
     pair_box_prob,
@@ -70,15 +70,20 @@ def stratified_pair_oracle(q, r, n: int) -> Fraction:
 
 
 def criterion_discrete_pair_pmf_uniform() -> CriterionResult:
-    """Exhaustive cell-pair law is the constant 1/(N(N-1))^d; under 60 s."""
+    """Exhaustive cell-pair law is the constant 1/(N(N-1))^d; under 60 s.
+
+    Checked on the integer counts: (N(N-1))^d equal nonzero entries, each
+    the total divided by (N(N-1))^d.
+    """
     t0 = time.perf_counter()
     for n in (3, 5, 7):
         for d in (1, 2, 3):
-            law = discrete_pair_pmf(n, d)
-            expect = Fraction(1, (n * (n - 1)) ** d)
-            if len(law.pmf) != (n * (n - 1)) ** d:
+            P, total = _pair_counts(full_rsj(n, d))
+            support = P[P != 0]
+            size = (n * (n - 1)) ** d
+            if len(support) != size:
                 return CriterionResult(False, f"support size off at N={n}, d={d}")
-            if any(p != expect for p in law.pmf.values()):
+            if (support != support[0]).any() or total != int(support[0]) * size:
                 return CriterionResult(False, f"non-uniform pmf at N={n}, d={d}")
     elapsed = time.perf_counter() - t0
     if elapsed >= 60:

@@ -351,13 +351,14 @@ def discrete_pair_pmf(n: int, dim: int, spec: SchemeSpec = None, budget=None) ->
 
 # -- the integer kernel ------------------------------------------------------------
 #
-# Every enumerated query is a contraction of the count matrix P (cell vector
-# of p1 x cell vector of p2) with integer cell weights: the joint over box
-# pairs is J = A^T P A and the marginals are P.sum(1) @ A and P.sum(0) @ A,
-# where A[z, Q] = P(point in Q | cell vector z) * den is the Kronecker
-# product of one integer table per coordinate.  All arithmetic is on
-# integers over a known common denominator; int64 where the denominator
-# bounds every entry below _INT64_SAFE_LIMIT, python ints otherwise.
+# Every enumerated query and every scan is a contraction of a count matrix
+# P (cell vector of p1 x cell vector of p2) with integer cell weights: the
+# joint over box pairs is J = A^T P A and the marginals are P.sum(1) @ A
+# and P.sum(0) @ A, where A[z, Q] = P(point in Q | cell vector z) * den is
+# the Kronecker product of one integer table per coordinate.  All
+# arithmetic is on integers over a known common denominator; int64 where
+# the denominator bounds every entry below _INT64_SAFE_LIMIT, python ints
+# otherwise.
 
 # box pairs per kernel block: bounds a scan's memory, and keeps a block's
 # arrays in cache (2^15 ran the factorized scans fastest among 2^13..2^17)
@@ -373,7 +374,8 @@ def _kron(tables, dtype) -> np.ndarray:
     """Kronecker product of the tables, first table most significant."""
     out = np.ones((1, 1), dtype=dtype)
     for t in tables:
-        out = np.kron(out, np.asarray(t, dtype=dtype))
+        t = np.asarray(t, dtype=dtype)
+        out = (out[:, None, :, None] * t[None, :, None, :]).reshape(len(out) * len(t), -1)
     return out
 
 
@@ -607,99 +609,81 @@ class DependenceReport:
         return cls(spec=spec, grid=grid, worst_violation=worst, witnesses=tuple(witnesses))
 
 
-def _factor_tables(spec: SchemeSpec, anchors):
-    """Integer joint/product tables over a common denominator.
-
-    Entry [k][l] of the joint table is the per-coordinate pair factor at
-    (anchors[k], anchors[l]); the product table holds the product of the
-    two marginal factors.  Returned as (joint, product, denominator).
-    """
-    joint = [[_joint_factor(spec, q, r) for r in anchors] for q in anchors]
-    marg = [_marginal_factor(spec, q) for q in anchors]
-    dens = [f.denominator for row in joint for f in row]
-    dens += [(a * b).denominator for a in marg for b in marg]
-    den = lcm(*dens)
-    jt = [[int(f * den) for f in row] for row in joint]
-    pt = [[int(a * b * den) for b in marg] for a in marg]
-    return jt, pt, den
-
-
 def _grid_anchors(grid_resolution: int) -> list:
     if grid_resolution < 1:
         raise ValueError("grid resolution must be positive")
     return [Fraction(k, grid_resolution) for k in range(grid_resolution)]
 
 
-def _factorized_tables(spec: SchemeSpec, anchors, budget: int):
-    """Closed-form joint and product numerators over all box pairs.
+def _pair_tables(spec: SchemeSpec, anchors, budget: int, factors=None):
+    """Joint and product numerators over all box pairs, from integer counts.
+
+    The law is a list of count factors (P_f, total_f, k_f) over k_f
+    coordinates each: one ordered-distinct-cells factor per coordinate when
+    the law factorizes (stratified, lhs, patterson, full lattice), else one
+    _pair_counts factor over every coordinate (factors overrides this).
+    With A_f the weights of factor f, its joint table is A_f^T P_f A_f
+    total_f and its product table (P_f.sum(1) A_f) x (P_f.sum(0) A_f), both
+    over (total_f den_w^k_f)^2, all three divided by their common divisor;
+    the tables over all box pairs are the Kronecker products of the
+    factors' tables.  Box index h B_last + t: h numbers the leading
+    factors' boxes, whose joint table is precomputed, and the last factor's
+    rows A[:, t]^T (P A) are contracted per block.
 
     Returns (den, blocks): blocks yields (first Q index, joint, product)
     with one row per Q box and one column per R box, boxes numbered
     lexicographically; joint / den and product / den are the probabilities.
+    The budget counts the contraction's multiply-adds, c_f B_f (c_f + B_f)
+    for a factor with c_f cell vectors and B_f boxes, plus one comparison
+    per box pair.
     """
-    m, dim = len(anchors), spec.dim
-    pairs = m ** (2 * dim)
-    if pairs > budget:
-        raise BudgetExceededError(
-            f"grid too large: {pairs} box pairs exceeds budget {budget}"
-        )
-    jt, pt, den = _factor_tables(spec, anchors)
-    dtype = _int_dtype(den**dim)
-    jt, pt = np.array(jt, dtype=dtype), np.array(pt, dtype=dtype)
-    # box index q0 * sub + rest: the first coordinate's factor times the
-    # (dim-1)-fold Kronecker power over the remaining coordinates
-    sub, boxes = m ** (dim - 1), m**dim
-    rest_j, rest_p = _kron([jt] * (dim - 1), dtype), _kron([pt] * (dim - 1), dtype)
-
-    def blocks():
-        step = max(1, _BLOCK // boxes)
-        for q0 in range(m):
-            for a in range(0, sub, step):
-                b = min(a + step, sub)
-                joint = jt[q0][None, :, None] * rest_j[a:b, None, :]
-                prod = pt[q0][None, :, None] * rest_p[a:b, None, :]
-                yield q0 * sub + a, joint.reshape(b - a, boxes), prod.reshape(b - a, boxes)
-
-    return den**dim, blocks()
-
-
-def _enumerated_tables(spec: SchemeSpec, anchors, budget: int):
-    """The integer kernel over all box pairs; same contract as _factorized_tables.
-
-    The budget counts the kernel's multiply-adds: n^(2 dim) M^dim for P A
-    and n^dim M^(2 dim) for A^T (P A).
-    """
-    n, dim = spec.n, spec.dim
-    cells, boxes = n**dim, len(anchors) ** dim
-    work = cells * cells * boxes + cells * boxes * boxes
+    n, m, dim = spec.n, len(anchors), spec.dim
+    if factors is None:
+        dims = [1] * dim if _is_factorized(spec) else [dim]
+    else:
+        dims = [k for _, _, k in factors]
+    work = sum(n**k * m**k * (n**k + m**k) for k in dims) + m ** (2 * dim)
     if work > budget:
         raise BudgetExceededError(
             f"grid scan too large: {work} multiply-adds exceeds budget {budget}"
         )
-    P, total = _pair_counts(spec, budget)
+    if factors is None:
+        if _is_factorized(spec):
+            factors = [(1 - np.eye(n, dtype=np.int64), n * (n - 1), 1)] * dim
+        else:
+            factors = [(*_pair_counts(spec, budget), dim)]
     table, den_w = _weight_table(anchors, n, _position_model(spec))
-    # joint = J * total / den, product = p1 p2 / den
-    den = (total * den_w**dim) ** 2
+    contracted, den = [], 1
+    for P, total, k in factors:
+        scale = (total * den_w**k) ** 2
+        dtype = _int_dtype(scale)
+        A = _kron([table] * k, dtype)
+        P = P.astype(dtype)
+        PA, p1, p2 = P @ A * total, P.sum(axis=1) @ A, P.sum(axis=0) @ A
+        # cancel the factor's common divisor, split between the marginals
+        g1, g2 = int(np.gcd.reduce(p1)), int(np.gcd.reduce(p2))
+        g = gcd(scale, int(np.gcd.reduce(PA, axis=None)), g1 * g2)
+        g1 = gcd(g, g1)
+        contracted.append((A, PA // g, p1 // g1, p2 // (g // g1)))
+        den *= scale // g
     dtype = _int_dtype(den)
-    A = _kron([table] * dim, dtype)
-    P = P.astype(dtype)
-    PA = P @ A
-    p1 = P.sum(axis=1) @ A
-    p2 = P.sum(axis=0) @ A
+    As, PAs, p1s, p2s = ([t.astype(dtype, copy=False) for t in ts] for ts in zip(*contracted))
+    A, PA = As[-1], PAs[-1]
+    lead = _kron([a.T @ pa for a, pa in zip(As[:-1], PAs[:-1])], dtype)
+    p1 = _kron([v[None] for v in p1s], dtype)[0]
+    p2 = _kron([v[None] for v in p2s], dtype)[0]
+    boxes = m**dim
+    hs, ts = np.divmod(np.arange(boxes), m ** dims[-1])
 
     def blocks():
         step = max(1, _BLOCK // boxes)
         for start in range(0, boxes, step):
             stop = min(start + step, boxes)
-            yield start, A[:, start:stop].T @ PA * total, np.multiply.outer(p1[start:stop], p2)
+            h, t = hs[start:stop], ts[start:stop]
+            joint = lead[h][:, :, None] * (A[:, t].T @ PA)[:, None, :]
+            yield start, joint.reshape(stop - start, boxes), np.multiply.outer(p1[start:stop], p2)
 
     return den, blocks()
-
-
-def _pair_tables(spec: SchemeSpec, anchors, budget: int):
-    if _is_factorized(spec):
-        return _factorized_tables(spec, anchors, budget)
-    return _enumerated_tables(spec, anchors, budget)
 
 
 def nuod_scan(spec: SchemeSpec, grid_resolution: int, budget=None) -> DependenceReport:
@@ -822,6 +806,10 @@ def coordinate_independence_check(n: int, dim: int, spec: SchemeSpec = None,
     return IndependenceReport(True)
 
 
+# cell codes per block of triple_distinguisher's lattices (8 MB of int64)
+_CODE_BLOCK = 1 << 20
+
+
 def triple_distinguisher(n: int, dim: int, a, b, budget=None) -> tuple:
     """Count discrete n-point configurations containing both cell vectors.
 
@@ -846,15 +834,22 @@ def triple_distinguisher(n: int, dim: int, a, b, budget=None) -> tuple:
     lattice_terms = (n - 1) ** dim * n**dim
     if lattice_terms > budget:
         raise BudgetExceededError("lattice enumeration exceeds budget")
-    seen = set()
-    for g in product(range(1, n), repeat=dim):
-        for s in product(range(n), repeat=dim):
-            pts = frozenset(
-                tuple((g[i] * m + s[i]) % n for i in range(dim)) for m in range(n)
-            )
-            if a in pts and b in pts:
-                seen.add(pts)
-    lattice_count = len(seen)
+    # codes[g, s, m]: the lexicographic cell code of point m of the lattice
+    # with generator g and shift s; a lattice is its sorted row of codes.
+    # Generators go in blocks of about _CODE_BLOCK codes, to bound memory.
+    gens = np.array(list(product(range(1, n), repeat=dim)), dtype=np.int64)
+    shifts = np.array(list(product(range(n), repeat=dim)), dtype=np.int64)
+    m = np.arange(n, dtype=np.int64)
+    code_a, code_b = (sum(v * n ** (dim - 1 - i) for i, v in enumerate(c)) for c in (a, b))
+    step = max(1, _CODE_BLOCK // (len(shifts) * n))
+    found = []
+    for g in (gens[lo:lo + step] for lo in range(0, len(gens), step)):
+        codes = np.zeros((len(g), len(shifts), n), dtype=np.int64)
+        for i in range(dim):
+            codes = codes * n + (g[:, i, None, None] * m + shifts[None, :, i, None]) % n
+        hit = (codes == code_a).any(axis=2) & (codes == code_b).any(axis=2)
+        found.append(np.sort(codes[hit], axis=1))
+    lattice_count = len(np.unique(np.concatenate(found), axis=0))
 
     # latin grids keyed by the first coordinate: the grid is determined by
     # one permutation per further coordinate mapping first-cell -> cell
@@ -983,19 +978,13 @@ def report_to_json_dict(report: DependenceReport) -> dict:
 def scan_pairs_rows(spec: SchemeSpec, grid_resolution: int, budget=None):
     """One (Q, R, joint, product, violation) row per probed grid pair.
 
-    The full per-pair table of a scan, for CSV export; the budget guards
-    the M^(2 dim) blowup.  Rows are yielded in lexicographic anchor order.
+    The full per-pair table of a scan, for CSV export; the scan's budget,
+    which counts one comparison per box pair, guards the M^(2 dim) blowup.
+    Rows are yielded in lexicographic anchor order.
     """
-    budget = resolve_budget(budget)
-    m = grid_resolution
-    dim = spec.dim
-    if m ** (2 * dim) > budget:
-        raise BudgetExceededError(
-            f"pair table too large: {m ** (2 * dim)} rows exceeds budget {budget}"
-        )
-    anchors = _grid_anchors(m)
-    den, blocks = _pair_tables(spec, anchors, budget)
-    boxes = [AnchoredBox(a) for a in product(anchors, repeat=dim)]
+    anchors = _grid_anchors(grid_resolution)
+    den, blocks = _pair_tables(spec, anchors, resolve_budget(budget))
+    boxes = [AnchoredBox(a) for a in product(anchors, repeat=spec.dim)]
     for start, joint, prod in blocks:
         for Q, jrow, prow in zip(boxes[start:], joint.tolist(), prod.tolist()):
             for R, j, p in zip(boxes, jrow, prow):

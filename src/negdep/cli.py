@@ -38,7 +38,7 @@ from .analyzer import (
     triple_distinguisher,
 )
 from .exact import format_rational, parse_rational
-from .schemes import SchemeSpec, spec_to_dict
+from .schemes import SchemeSpec, patterson_spec, spec_to_dict
 from .variance import (
     get_integrand,
     load_batch_config,
@@ -231,9 +231,11 @@ def _cmd_analyze(args, argv, t0) -> int:
         so_spec = SchemeSpec("rsj_lattice", n, dim, shift="continuous_torus", jitter=False)
         cond = shift_only_conditional(so_spec, eps_val, budget=budget)
         lam_q = 1 - eps_val / 2
+        pat = shift_only_conditional(patterson_spec(n, dim), eps_val, budget=budget)
         payload["fixed_distance"] = {
             "epsilon": format_rational(eps_val),
             "conditional": format_rational(cond),
+            "patterson_conditional": format_rational(pat),
             "box_volume": format_rational(lam_q),
             "negatively_dependent": cond <= lam_q,
         }

@@ -169,6 +169,7 @@ class TestAnalyze:
         assert payload["no_shift"]["first_cell_mass"] == "1/5"
         assert payload["no_shift"]["sampling_scheme"] is False
         assert payload["fixed_distance"]["conditional"] == "1/1"
+        assert payload["fixed_distance"]["patterson_conditional"] == "1/1"
         assert payload["fixed_distance"]["negatively_dependent"] is False
         assert payload["fixed_generator"]["joint"] == "1/100"
         assert payload["fixed_generator"]["violation"] is True

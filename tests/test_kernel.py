@@ -10,16 +10,19 @@ The oracle functions below are the analyzer's earlier, direct forms:
   * the copula and independence checks on Fraction pmf dicts;
   * the torus-shift integration over every ordered index pair;
   * the Fraction cell weights behind the integer weight tables;
-  * the fixed-distance probe over every (generator, a, b) configuration.
+  * the fixed-distance probe over every (generator, a, b) configuration;
+  * the closed-form per-coordinate scan tables, one Fraction per anchor pair;
+  * the triple-containment lattice count, one frozenset per lattice.
 
 They stay here as the reference; results must match exactly, witness dicts
-included.  The enumerated route is also pinned against the closed form.
+included.  The scan's one-factor route is also pinned against its
+per-coordinate factors.
 """
 
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -28,11 +31,10 @@ import negdep.analyzer as mod
 from negdep.analyzer import (
     AnchoredBox,
     HypothesisViolatedError,
-    _enumerated_tables,
-    _factorized_tables,
     _grid_anchors,
     _pair_counts,
     _pair_query,
+    _pair_tables,
     _scan_witnesses,
     _shifted_pair_overlap,
     _weight_table,
@@ -42,8 +44,12 @@ from negdep.analyzer import (
     nuod_scan,
     pair_box_prob,
     pair_marginal_prob,
+    patterson_marginal_factor,
+    patterson_pair_factor,
     scan_pairs_rows,
     shift_only_conditional,
+    stratified_pair_box_prob,
+    triple_distinguisher,
 )
 from negdep.exact import format_rational, torus_dist
 from negdep.schemes import SchemeSpec, full_rsj, lhs_spec, patterson_spec, stratified_spec
@@ -249,13 +255,65 @@ def _table(tables):
     return out
 
 
-@pytest.mark.parametrize("spec,m", [(full_rsj(3, 2), 6), (lhs_spec(4, 2), 8), (full_rsj(3, 3), 3)])
+def one_factor(spec):
+    """The law as one count factor over every coordinate."""
+    return [(*_pair_counts(spec), spec.dim)]
+
+
+@pytest.mark.parametrize("spec,m", [(full_rsj(3, 2), 6), (lhs_spec(4, 2), 8), (full_rsj(3, 3), 3),
+                                    (patterson_spec(3, 2), 6), (stratified_spec(5), 10)])
 def test_enumerated_route_matches_closed_form(spec, m):
-    # both routes over every box pair of the grid, joint and product alike
+    # one count factor over every coordinate against one per coordinate,
+    # over every box pair of the grid, joint and product alike
     anchors = _grid_anchors(m)
-    enumerated = _enumerated_tables(spec, anchors, 10**8)
-    assert _table(enumerated) == _table(_factorized_tables(spec, anchors, 10**8))
-    assert _scan_witnesses(spec, anchors, _enumerated_tables(spec, anchors, 10**8)) == []
+    enumerated = _pair_tables(spec, anchors, 10**8, factors=one_factor(spec))
+    assert _table(enumerated) == _table(_pair_tables(spec, anchors, 10**8))
+    enumerated = _pair_tables(spec, anchors, 10**8, factors=one_factor(spec))
+    assert _scan_witnesses(spec, anchors, enumerated) == []
+
+
+def oracle_factor_tables(spec, anchors):
+    """The per-coordinate closed forms as (joint, product, den) integer tables.
+
+    Entry [k][l] of the joint table is the pair factor at (anchors[k],
+    anchors[l]); the product table holds the product of the two marginal
+    factors.
+    """
+    if spec.kind == "patterson":
+        def joint_factor(q, r):
+            return patterson_pair_factor(q, r, spec.n)
+
+        def marginal_factor(q):
+            return patterson_marginal_factor(q, spec.n)
+    else:
+        def joint_factor(q, r):
+            return stratified_pair_box_prob(q, r, spec.n)
+
+        def marginal_factor(q):
+            return 1 - F(q)
+    joint = [[joint_factor(q, r) for r in anchors] for q in anchors]
+    marg = [marginal_factor(q) for q in anchors]
+    dens = [f.denominator for row in joint for f in row]
+    dens += [(a * b).denominator for a in marg for b in marg]
+    den = lcm(*dens)
+    jt = [[int(f * den) for f in row] for row in joint]
+    pt = [[int(a * b * den) for b in marg] for a in marg]
+    return jt, pt, den
+
+
+ONE_COORDINATE = [(spec, m) for n in range(2, 10) for m in (n, 2 * n, 3 * n + 1)
+                  for spec in (lhs_spec(n, 1), stratified_spec(n), patterson_spec(n, 1))]
+
+
+@pytest.mark.parametrize("spec,m", ONE_COORDINATE,
+                         ids=[f"{s.kind}({s.n})-M={m}" for s, m in ONE_COORDINATE])
+def test_one_coordinate_tables_match_closed_form(spec, m):
+    # jitter weights (lhs, stratified) and midpoint weights (patterson)
+    # against stratified_pair_box_prob and patterson_pair_factor, every (q, r)
+    anchors = _grid_anchors(m)
+    jt, pt, den = oracle_factor_tables(spec, anchors)
+    want = [(F(j, den), F(p, den)) for jrow, prow in zip(jt, pt) for j, p in zip(jrow, prow)]
+    assert _table(_pair_tables(spec, anchors, 10**8)) == want
 
 
 @pytest.mark.parametrize("spec", [full_rsj(3, 2), lhs_spec(4, 2)])
@@ -269,9 +327,10 @@ def test_enumeration_method_matches_closed_form(spec):
 
 
 def test_budget_counts_kernel_work():
-    # n^(2d) M^d for P A plus n^d M^(2d) for A^T (P A)
+    # per factor c B (c + B) multiply-adds, c cell vectors and B boxes, plus
+    # one comparison per box pair: one factor over both coordinates here
     spec, m = SchemeSpec(RSJ, 5, 2, generator=(1, 2)), 5
-    work = 5**4 * 5**2 + 5**2 * 5**4
+    work = 5**4 * 5**2 + 5**2 * 5**4 + 5**4
     with pytest.raises(mod.BudgetExceededError, match="multiply-adds"):
         nuod_scan(spec, m, budget=work - 1)
     with pytest.raises(mod.BudgetExceededError):
@@ -279,12 +338,27 @@ def test_budget_counts_kernel_work():
     assert nuod_scan(spec, m, budget=work).worst_violation == F(1, 625)
 
 
+def test_budget_counts_factorized_work():
+    # one factor per coordinate: 2 x 3 * 6 * (3 + 6), plus 6^4 box pairs
+    spec, m = lhs_spec(3, 2), 6
+    work = 2 * 3 * 6 * (3 + 6) + 6**4
+    with pytest.raises(mod.BudgetExceededError, match=f"{work} multiply-adds"):
+        nuod_scan(spec, m, budget=work - 1)
+    with pytest.raises(mod.BudgetExceededError, match=f"{work} multiply-adds"):
+        list(scan_pairs_rows(spec, m, budget=work - 1))
+    assert nuod_scan(spec, m, budget=work).ok
+    assert len(list(scan_pairs_rows(spec, m, budget=work))) == 6**4
+
+
 def test_block_size_does_not_change_results(monkeypatch):
-    # many small blocks, split inside a row group: the same reports and rows
-    cases = [(SchemeSpec(RSJ, 5, 2, generator=(1, 1)), 5), (full_rsj(3, 2), 6), (lhs_spec(3, 3), 3)]
+    # many small blocks, split inside a row group, and blocks spanning
+    # several groups of last-factor rows: the same reports and rows
+    cases = [(SchemeSpec(RSJ, 5, 2, generator=(1, 1)), 5), (full_rsj(3, 2), 6), (lhs_spec(3, 3), 3),
+             (lhs_spec(3, 3), 4), (patterson_spec(3, 2), 4)]
     whole = [(nuod_scan(s, m), list(scan_pairs_rows(s, m))) for s, m in cases]
-    monkeypatch.setattr(mod, "_BLOCK", 7)
-    assert [(nuod_scan(s, m), list(scan_pairs_rows(s, m))) for s, m in cases] == whole
+    for block in (7, 5 * 27):
+        monkeypatch.setattr(mod, "_BLOCK", block)
+        assert [(nuod_scan(s, m), list(scan_pairs_rows(s, m))) for s, m in cases] == whole
     assert not whole[0][0].ok
 
 
@@ -566,3 +640,46 @@ def test_probe_budget_counts_generator_differences():
         with pytest.raises(mod.BudgetExceededError, match=f"{work} terms"):
             shift_only_conditional(spec, F(1, 100), budget=work - 1)
         shift_only_conditional(spec, F(1, 100), budget=work)
+
+
+# -- triple containment counts as sorted code rows ----------------------------
+
+
+def oracle_lattice_count(n, dim, a, b):
+    """Distinct shifted lattices containing both a and b, one frozenset each."""
+    seen = set()
+    for g in product(range(1, n), repeat=dim):
+        for s in product(range(n), repeat=dim):
+            pts = frozenset(
+                tuple((g[i] * m + s[i]) % n for i in range(dim)) for m in range(n)
+            )
+            if a in pts and b in pts:
+                seen.add(pts)
+    return len(seen)
+
+
+def _triples():
+    # the criterion-5 cases, then random coordinatewise-distinct pairs
+    cases = [(5, 2, (0, 0), (1, 2)), (5, 3, (0, 0, 0), (1, 2, 3)), (7, 2, (0, 0), (1, 2))]
+    rnd = random.Random(5)
+    for n, dim in ((5, 2), (5, 3), (7, 2)):
+        for _ in range(4):
+            a = tuple(rnd.randrange(n) for _ in range(dim))
+            cases.append((n, dim, a, tuple((v + rnd.randrange(1, n)) % n for v in a)))
+    return cases
+
+
+TRIPLES = _triples()
+
+
+@pytest.mark.parametrize("n,dim,a,b", TRIPLES, ids=[f"{n}-{d}-{a}-{b}" for n, d, a, b in TRIPLES])
+def test_triple_lattice_count_matches_frozenset_oracle(n, dim, a, b):
+    assert triple_distinguisher(n, dim, a, b)[0] == oracle_lattice_count(n, dim, a, b)
+
+
+def test_triple_count_does_not_depend_on_block(monkeypatch):
+    # one generator per block, and a few generators per block
+    whole = [triple_distinguisher(*case) for case in TRIPLES]
+    for block in (1, 3 * 5**3 * 5):
+        monkeypatch.setattr(mod, "_CODE_BLOCK", block)
+        assert [triple_distinguisher(*case) for case in TRIPLES] == whole
