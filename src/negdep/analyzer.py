@@ -615,8 +615,27 @@ def _grid_anchors(grid_resolution: int) -> list:
     return [Fraction(k, grid_resolution) for k in range(grid_resolution)]
 
 
-def _pair_tables(spec: SchemeSpec, anchors, budget: int, factors=None):
-    """Joint and product numerators over all box pairs, from integer counts.
+def _factor_dims(spec: SchemeSpec, factors) -> list:
+    """k_f of each count factor the scan reads the law as (see _contract)."""
+    if factors is not None:
+        return [k for _, _, k in factors]
+    return [1] * spec.dim if _is_factorized(spec) else [spec.dim]
+
+
+def _contraction_work(n: int, m: int, dims) -> int:
+    """_contract's multiply-adds, sum_f c_f B_f (c_f + B_f): c_f = n^k_f, B_f = m^k_f."""
+    return sum(n**k * m**k * (n**k + m**k) for k in dims)
+
+
+def _check_scan_work(work: int, budget: int) -> None:
+    if work > budget:
+        raise BudgetExceededError(
+            f"grid scan too large: {work} multiply-adds exceeds budget {budget}"
+        )
+
+
+def _contract(spec: SchemeSpec, anchors, budget: int, factors=None) -> list:
+    """Each count factor of the law contracted with the cell weights.
 
     The law is a list of count factors (P_f, total_f, k_f) over k_f
     coordinates each: one ordered-distinct-cells factor per coordinate when
@@ -624,36 +643,18 @@ def _pair_tables(spec: SchemeSpec, anchors, budget: int, factors=None):
     _pair_counts factor over every coordinate (factors overrides this).
     With A_f the weights of factor f, its joint table is A_f^T P_f A_f
     total_f and its product table (P_f.sum(1) A_f) x (P_f.sum(0) A_f), both
-    over (total_f den_w^k_f)^2, all three divided by their common divisor;
-    the tables over all box pairs are the Kronecker products of the
-    factors' tables.  Box index h B_last + t: h numbers the leading
-    factors' boxes, whose joint table is precomputed, and the last factor's
-    rows A[:, t]^T (P A) are contracted per block.
-
-    Returns (den, blocks): blocks yields (first Q index, joint, product)
-    with one row per Q box and one column per R box, boxes numbered
-    lexicographically; joint / den and product / den are the probabilities.
-    The budget counts the contraction's multiply-adds, c_f B_f (c_f + B_f)
-    for a factor with c_f cell vectors and B_f boxes, plus one comparison
-    per box pair.
+    over (total_f den_w^k_f)^2, all three divided by their common divisor.
+    Returns one (A_f, P_f A_f total_f, p1_f, p2_f, den_f) per factor, all
+    nonnegative integers, reduced.
     """
-    n, m, dim = spec.n, len(anchors), spec.dim
-    if factors is None:
-        dims = [1] * dim if _is_factorized(spec) else [dim]
-    else:
-        dims = [k for _, _, k in factors]
-    work = sum(n**k * m**k * (n**k + m**k) for k in dims) + m ** (2 * dim)
-    if work > budget:
-        raise BudgetExceededError(
-            f"grid scan too large: {work} multiply-adds exceeds budget {budget}"
-        )
+    n, dim = spec.n, spec.dim
     if factors is None:
         if _is_factorized(spec):
             factors = [(1 - np.eye(n, dtype=np.int64), n * (n - 1), 1)] * dim
         else:
             factors = [(*_pair_counts(spec, budget), dim)]
     table, den_w = _weight_table(anchors, n, _position_model(spec))
-    contracted, den = [], 1
+    contracted = []
     for P, total, k in factors:
         scale = (total * den_w**k) ** 2
         dtype = _int_dtype(scale)
@@ -664,16 +665,41 @@ def _pair_tables(spec: SchemeSpec, anchors, budget: int, factors=None):
         g1, g2 = int(np.gcd.reduce(p1)), int(np.gcd.reduce(p2))
         g = gcd(scale, int(np.gcd.reduce(PA, axis=None)), g1 * g2)
         g1 = gcd(g, g1)
-        contracted.append((A, PA // g, p1 // g1, p2 // (g // g1)))
-        den *= scale // g
+        contracted.append((A, PA // g, p1 // g1, p2 // (g // g1), scale // g))
+    return contracted
+
+
+def _certified(contracted) -> bool:
+    """Whether each factor's joint table is at most its product table, entrywise.
+
+    A box pair's joint and product are the products of one entry of each
+    factor's tables, all nonnegative, so this certifies joint <= product
+    for every box pair with sum_f B_f^2 comparisons.
+    """
+    return all((A.T @ PA <= np.multiply.outer(p1, p2)).all() for A, PA, p1, p2, _ in contracted)
+
+
+def _expand(contracted):
+    """Joint and product numerators over all box pairs, from the contracted factors.
+
+    The tables over all box pairs are the Kronecker products of the
+    factors' tables.  Box index h B_last + t: h numbers the leading
+    factors' boxes, whose joint table is precomputed, and the last factor's
+    rows A[:, t]^T (P A) are contracted per block.
+
+    Returns (den, blocks): blocks yields (first Q index, joint, product)
+    with one row per Q box and one column per R box, boxes numbered
+    lexicographically; joint / den and product / den are the probabilities.
+    """
+    As, PAs, p1s, p2s, dens = zip(*contracted)
+    den = prod(dens)
     dtype = _int_dtype(den)
-    As, PAs, p1s, p2s = ([t.astype(dtype, copy=False) for t in ts] for ts in zip(*contracted))
-    A, PA = As[-1], PAs[-1]
+    A, PA = As[-1].astype(dtype, copy=False), PAs[-1].astype(dtype, copy=False)
     lead = _kron([a.T @ pa for a, pa in zip(As[:-1], PAs[:-1])], dtype)
     p1 = _kron([v[None] for v in p1s], dtype)[0]
     p2 = _kron([v[None] for v in p2s], dtype)[0]
-    boxes = m**dim
-    hs, ts = np.divmod(np.arange(boxes), m ** dims[-1])
+    boxes = len(p1)
+    hs, ts = np.divmod(np.arange(boxes), A.shape[1])
 
     def blocks():
         step = max(1, _BLOCK // boxes)
@@ -686,6 +712,18 @@ def _pair_tables(spec: SchemeSpec, anchors, budget: int, factors=None):
     return den, blocks()
 
 
+def _pair_tables(spec: SchemeSpec, anchors, budget: int, factors=None):
+    """_expand of _contract: the joint and product tables of every box pair.
+
+    The budget counts the contraction's multiply-adds plus one comparison
+    per box pair, sum_f c_f B_f (c_f + B_f) + M^(2 dim).
+    """
+    m = len(anchors)
+    work = _contraction_work(spec.n, m, _factor_dims(spec, factors))
+    _check_scan_work(work + m ** (2 * spec.dim), budget)
+    return _expand(_contract(spec, anchors, budget, factors))
+
+
 def nuod_scan(spec: SchemeSpec, grid_resolution: int, budget=None) -> DependenceReport:
     """Check joint <= product for all anchored-box pairs on the k/M grid.
 
@@ -696,13 +734,36 @@ def nuod_scan(spec: SchemeSpec, grid_resolution: int, budget=None) -> Dependence
     grid certifies the inequality for every anchored box pair (anchors at 1
     make both sides vanish, so the open upper face is trivial).
 
+    When the law has several count factors (stratified, lhs, patterson,
+    full lattice: one per coordinate), joint and product of a box pair are
+    products of nonnegative per-factor entries, so checking each factor's
+    M^k_f x M^k_f tables certifies every box pair, and the report has no
+    witnesses.  Only if some factor fails are all M^(2 dim) box pairs
+    expanded and compared.  The budget counts the contraction and the
+    factor comparisons, sum_f c_f B_f (c_f + B_f) + sum_f B_f^2 (c_f = n^k_f
+    cell vectors, B_f = M^k_f boxes), checked before the contraction, and
+    M^(2 dim) more for an expansion, checked before it runs.  A one-factor
+    law is expanded directly; its B_f^2 is M^(2 dim).
+
     A continuous-torus-shift spec has no cell law and is not scanned; the
     fixed-distance probe (shift_only_conditional) covers that ablation.
     """
     anchors = _grid_anchors(grid_resolution)
-    tables = _pair_tables(spec, anchors, resolve_budget(budget))
-    witnesses = _scan_witnesses(spec, anchors, tables)
+    witnesses = _nuod_witnesses(spec, anchors, resolve_budget(budget))
     return DependenceReport.from_witnesses(spec, grid_resolution, witnesses)
+
+
+def _nuod_witnesses(spec: SchemeSpec, anchors, budget: int, factors=None) -> list:
+    """nuod_scan's witnesses: the per-factor certificate, else the expansion."""
+    m, dims = len(anchors), _factor_dims(spec, factors)
+    work = _contraction_work(spec.n, m, dims) + sum(m ** (2 * k) for k in dims)
+    _check_scan_work(work, budget)
+    contracted = _contract(spec, anchors, budget, factors)
+    if len(contracted) > 1:
+        if _certified(contracted):
+            return []
+        _check_scan_work(work + m ** (2 * spec.dim), budget)
+    return _scan_witnesses(spec, anchors, _expand(contracted))
 
 
 def _scan_witnesses(spec: SchemeSpec, anchors, tables) -> list:
@@ -816,6 +877,8 @@ def triple_distinguisher(n: int, dim: int, a, b, budget=None) -> tuple:
     Returns (lattice_count, lhs_count): the number of distinct shifted
     lattices and of distinct latin grids containing both a and b, by
     exhaustive construction.  Requires a, b to differ in every coordinate.
+    The budget bounds the (n-1)^dim n^dim lattices and the n! (dim-1)
+    permutations of the per-coordinate latin counts, each on its own.
     """
     if n < 5 or not is_prime(n):
         raise ValueError("needs a prime n >= 5")
@@ -852,27 +915,15 @@ def triple_distinguisher(n: int, dim: int, a, b, budget=None) -> tuple:
     lattice_count = len(np.unique(np.concatenate(found), axis=0))
 
     # latin grids keyed by the first coordinate: the grid is determined by
-    # one permutation per further coordinate mapping first-cell -> cell
-    full = factorial(n) ** (dim - 1)
-    if full <= min(budget, 10**6):
-        lhs_count = 0
-        for sigmas in product(permutations(range(n)), repeat=dim - 1):
-            if all(
-                sig[a[0]] == a[i + 1] and sig[b[0]] == b[i + 1]
-                for i, sig in enumerate(sigmas)
-            ):
-                lhs_count += 1
-    else:
-        if factorial(n) * (dim - 1) > budget:
-            raise BudgetExceededError("latin grid enumeration exceeds budget")
-        lhs_count = 1
-        for i in range(1, dim):
-            per = sum(
-                1
-                for sig in permutations(range(n))
-                if sig[a[0]] == a[i] and sig[b[0]] == b[i]
-            )
-            lhs_count *= per
+    # one permutation per further coordinate mapping first-cell -> cell, and
+    # containing a and b constrains each permutation on its own, so the
+    # count is the product of per-coordinate counts
+    if factorial(n) * (dim - 1) > budget:
+        raise BudgetExceededError("latin grid enumeration exceeds budget")
+    lhs_count = 1
+    for i in range(1, dim):
+        lhs_count *= sum(1 for sig in permutations(range(n))
+                         if sig[a[0]] == a[i] and sig[b[0]] == b[i])
     return lattice_count, lhs_count
 
 

@@ -165,12 +165,18 @@ def _cmd_analyze(args, argv, t0) -> int:
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerow(["Q", "R", "joint", "product", "violation"])
             witnesses = []
+            # each box's anchor string, formatted once; the box is kept so
+            # that its id is not reused while the table is alive
+            labels = {}
+
+            def label(box):
+                if id(box) not in labels:
+                    labels[id(box)] = (box, ";".join(format_rational(a) for a in box.anchor))
+                return labels[id(box)][1]
+
             for Q, R, joint, prodv, bad in scan_pairs_rows(spec, args.grid, budget=budget):
-                writer.writerow([
-                    ";".join(format_rational(a) for a in Q.anchor),
-                    ";".join(format_rational(a) for a in R.anchor),
-                    format_rational(joint), format_rational(prodv), bad,
-                ])
+                writer.writerow([label(Q), label(R), format_rational(joint),
+                                 format_rational(prodv), bad])
                 if bad:
                     witnesses.append((Q, R, joint, prodv))
             report = DependenceReport.from_witnesses(spec, args.grid, witnesses)

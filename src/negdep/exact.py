@@ -54,7 +54,8 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 

@@ -17,6 +17,7 @@ from negdep.analyzer import (
     triple_distinguisher,
 )
 from negdep.schemes import SchemeSpec, full_rsj, lhs_spec, patterson_spec, stratified_spec
+from test_kernel import oracle_latin_count
 
 
 class TestNuodScan:
@@ -64,8 +65,11 @@ class TestNuodScan:
         assert a.witnesses == b.witnesses and a.worst_violation == b.worst_violation
 
     def test_grid_budget(self):
-        with pytest.raises(BudgetExceededError):
-            nuod_scan(full_rsj(7, 3), 14, budget=10**4)
+        # the per-coordinate certificate: 3 x (7 * 14 * (7 + 14) + 14^2)
+        work = 3 * (7 * 14 * 21 + 14**2)
+        with pytest.raises(BudgetExceededError, match=f"{work} multiply-adds"):
+            nuod_scan(full_rsj(7, 3), 14, budget=work - 1)
+        assert nuod_scan(full_rsj(7, 3), 14, budget=work).ok
 
     def test_report_json(self):
         spec = SchemeSpec("rsj_lattice", 5, 2, generator=(1, 1))
@@ -176,11 +180,11 @@ class TestTripleDistinguisher:
             triple_distinguisher(9, 2, (0, 0), (1, 1))
 
     def test_factored_counting_path_agrees(self):
-        # force the per-coordinate counting route with a small budget and
-        # compare against the full product enumeration
-        full = triple_distinguisher(5, 3, (0, 0, 0), (1, 2, 3))
-        narrowed = triple_distinguisher(5, 3, (0, 0, 0), (1, 2, 3), budget=130000)
-        assert full == narrowed == (1, 36)
+        # the per-coordinate latin count against the enumeration over every
+        # tuple of permutations
+        for n, d, a, b in ((5, 3, (0, 0, 0), (1, 2, 3)), (5, 3, (2, 4, 1), (0, 0, 3)),
+                           (7, 2, (3, 5), (6, 1))):
+            assert triple_distinguisher(n, d, a, b)[1] == oracle_latin_count(n, d, a, b)
 
 
 class TestNoShiftMass:

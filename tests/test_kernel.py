@@ -12,16 +12,18 @@ The oracle functions below are the analyzer's earlier, direct forms:
   * the Fraction cell weights behind the integer weight tables;
   * the fixed-distance probe over every (generator, a, b) configuration;
   * the closed-form per-coordinate scan tables, one Fraction per anchor pair;
-  * the triple-containment lattice count, one frozenset per lattice.
+  * the triple-containment lattice count, one frozenset per lattice;
+  * the triple-containment latin count, over every tuple of permutations.
 
 They stay here as the reference; results must match exactly, witness dicts
 included.  The scan's one-factor route is also pinned against its
-per-coordinate factors.
+per-coordinate factors, and nuod_scan's per-factor certificate against the
+expansion over every box pair.
 """
 
 import random
 from fractions import Fraction as F
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import gcd, lcm
 
 import numpy as np
@@ -30,8 +32,12 @@ import pytest
 import negdep.analyzer as mod
 from negdep.analyzer import (
     AnchoredBox,
+    DependenceReport,
     HypothesisViolatedError,
+    _certified,
+    _contract,
     _grid_anchors,
+    _nuod_witnesses,
     _pair_counts,
     _pair_query,
     _pair_tables,
@@ -339,15 +345,91 @@ def test_budget_counts_kernel_work():
 
 
 def test_budget_counts_factorized_work():
-    # one factor per coordinate: 2 x 3 * 6 * (3 + 6), plus 6^4 box pairs
+    # one factor per coordinate: nuod_scan contracts and compares each,
+    # 2 x (3 * 6 * (3 + 6) + 6^2); scan_pairs_rows contracts them and
+    # expands all 6^4 box pairs, 2 x 3 * 6 * (3 + 6) + 6^4
     spec, m = lhs_spec(3, 2), 6
-    work = 2 * 3 * 6 * (3 + 6) + 6**4
+    work = 2 * (3 * 6 * 9 + 36)
     with pytest.raises(mod.BudgetExceededError, match=f"{work} multiply-adds"):
         nuod_scan(spec, m, budget=work - 1)
+    assert nuod_scan(spec, m, budget=work).ok
+    work = 2 * 3 * 6 * 9 + 6**4
     with pytest.raises(mod.BudgetExceededError, match=f"{work} multiply-adds"):
         list(scan_pairs_rows(spec, m, budget=work - 1))
-    assert nuod_scan(spec, m, budget=work).ok
     assert len(list(scan_pairs_rows(spec, m, budget=work))) == 6**4
+
+
+def expanded_report(spec, m):
+    """nuod_scan's report from the expansion over every box pair."""
+    anchors = _grid_anchors(m)
+    witnesses = _scan_witnesses(spec, anchors, _pair_tables(spec, anchors, 10**8))
+    return DependenceReport.from_witnesses(spec, m, witnesses)
+
+
+# the criterion-3 scans, then the factorized scans of the exact-scan benchmark
+CERTIFIED = [(spec, 2 * n) for n in (2, 3, 5, 7) for d in (1, 2, 3)
+             for spec in (full_rsj(n, d), lhs_spec(n, d))]
+CERTIFIED += [(lhs_spec(5, 3), 20), (patterson_spec(7, 2), 28), (full_rsj(11, 2), 44),
+              (stratified_spec(13), 52)]
+
+
+@pytest.mark.parametrize("spec,m", CERTIFIED,
+                         ids=[f"{s.kind}({s.n},{s.dim})-M={m}" for s, m in CERTIFIED])
+def test_certificate_matches_expansion(spec, m):
+    # the whole report, grid included
+    assert nuod_scan(spec, m) == expanded_report(spec, m)
+
+
+def test_certificate_reaches_past_the_expansion():
+    # 2.2e14 and 1e12 box pairs, far past any budget for the expansion
+    for spec, m in ((full_rsj(31, 4), 62), (full_rsj(5, 6), 10)):
+        rep = nuod_scan(spec, m)
+        assert rep.ok and rep.witnesses == () and rep.grid["certifies_all_boxes"]
+        assert rep.grid["pairs"] == m ** (2 * spec.dim)
+
+
+def _kron_factors(factors):
+    """The law of count factors as one factor over all their coordinates."""
+    P, total, k = np.ones((1, 1), dtype=np.int64), 1, 0
+    for P_f, total_f, k_f in factors:
+        P, total, k = np.kron(P, P_f), total * total_f, k + k_f
+    return [(P, total, k)]
+
+
+# ordered distinct cells of one coordinate (negatively dependent), and both
+# points in the same cell (positively dependent: fails the certificate)
+DISTINCT = (1 - np.eye(3, dtype=np.int64), 6, 1)
+SAME = (np.eye(3, dtype=np.int64), 3, 1)
+FAILING = [(lhs_spec(3, 2), 6, [DISTINCT, SAME]), (lhs_spec(3, 2), 6, [SAME, DISTINCT]),
+           (lhs_spec(3, 3), 4, [DISTINCT, SAME, DISTINCT]),
+           (patterson_spec(3, 3), 3, [SAME, DISTINCT, DISTINCT])]
+
+
+@pytest.mark.parametrize("spec,m,factors", FAILING, ids=[f"{s.kind}(3,{s.dim})-{i}"
+                                                          for i, (s, _, _) in enumerate(FAILING)])
+def test_failing_certificate_falls_back_to_expansion(spec, m, factors):
+    anchors = _grid_anchors(m)
+    assert not _certified(_contract(spec, anchors, 10**8, factors))
+    fallback = _nuod_witnesses(spec, anchors, 10**8, factors)
+    expanded = _scan_witnesses(spec, anchors, _pair_tables(spec, anchors, 10**8, factors=factors))
+    one = _pair_tables(spec, anchors, 10**8, factors=_kron_factors(factors))
+    assert fallback == expanded == _scan_witnesses(spec, anchors, one)
+    assert fallback
+
+
+def test_budget_counts_failing_certificate_expansion():
+    # the contraction and factor comparisons, 2 x (3 * 6 * (3 + 6) + 6^2),
+    # are checked first; the expansion's 6^4 box pairs on top before it runs
+    spec, m, factors = FAILING[0]
+    anchors = _grid_anchors(m)
+    work = 2 * (3 * 6 * 9 + 36)
+    with pytest.raises(mod.BudgetExceededError, match=f"{work} multiply-adds"):
+        _nuod_witnesses(spec, anchors, work - 1, factors)
+    work += 6**4
+    with pytest.raises(mod.BudgetExceededError, match=f"{work} multiply-adds"):
+        _nuod_witnesses(spec, anchors, work - 1, factors)
+    assert _nuod_witnesses(spec, anchors, work, factors) == _nuod_witnesses(spec, anchors, 10**8,
+                                                                            factors)
 
 
 def test_block_size_does_not_change_results(monkeypatch):
@@ -675,6 +757,27 @@ TRIPLES = _triples()
 @pytest.mark.parametrize("n,dim,a,b", TRIPLES, ids=[f"{n}-{d}-{a}-{b}" for n, d, a, b in TRIPLES])
 def test_triple_lattice_count_matches_frozenset_oracle(n, dim, a, b):
     assert triple_distinguisher(n, dim, a, b)[0] == oracle_lattice_count(n, dim, a, b)
+
+
+def oracle_latin_count(n, dim, a, b):
+    """Latin grids containing both a and b, over every tuple of dim - 1 permutations."""
+    count = 0
+    for sigmas in product(permutations(range(n)), repeat=dim - 1):
+        if all(sig[a[0]] == a[i + 1] and sig[b[0]] == b[i + 1] for i, sig in enumerate(sigmas)):
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("n,dim,a,b", TRIPLES, ids=[f"{n}-{d}-{a}-{b}" for n, d, a, b in TRIPLES])
+def test_triple_latin_count_matches_permutation_oracle(n, dim, a, b):
+    assert triple_distinguisher(n, dim, a, b)[1] == oracle_latin_count(n, dim, a, b)
+
+
+def test_triple_latin_budget_counts_permutations():
+    # n! (dim - 1) permutations, above the (n-1)^dim n^dim = 1764 lattices at (7, 2)
+    with pytest.raises(mod.BudgetExceededError, match="latin"):
+        triple_distinguisher(7, 2, (0, 0), (1, 2), budget=5039)
+    assert triple_distinguisher(7, 2, (0, 0), (1, 2), budget=5040) == (1, 120)
 
 
 def test_triple_count_does_not_depend_on_block(monkeypatch):
