@@ -273,14 +273,17 @@ CRITERIA = [
 
 
 def run_acceptance(ids=None, echo=print) -> bool:
-    """Run the selected criteria (all by default); one line per criterion."""
+    """Run the selected criteria (all by default); one line per criterion,
+    ending with its wall seconds."""
     wanted = set(ids) if ids else None
     all_ok = True
     for cid, name, fn in CRITERIA:
         if wanted is not None and cid not in wanted:
             continue
+        t0 = time.perf_counter()
         result = fn()
+        elapsed = time.perf_counter() - t0
         status = "PASS" if result.passed else "FAIL"
-        echo(f"{status} criterion {cid} ({name}): {result.detail}")
+        echo(f"{status} criterion {cid} ({name}): {result.detail} [{elapsed:.3f} s]")
         all_ok = all_ok and result.passed
     return all_ok

@@ -769,20 +769,25 @@ def _nuod_witnesses(spec: SchemeSpec, anchors, budget: int, factors=None) -> lis
 def _scan_witnesses(spec: SchemeSpec, anchors, tables) -> list:
     """(Q, R, joint, product) for every box pair with joint > product."""
     den, blocks = tables
-    m, dim = len(anchors), spec.dim
+    box = _grid_box(anchors, spec.dim)
+    return [w for start, joint, prod in blocks for w in _block_witnesses(box, den, start, joint, prod)]
+
+
+def _grid_box(anchors, dim: int):
+    """The box of lexicographic index k over the anchors, as a function of k."""
+    m = len(anchors)
 
     def box(k):
         return AnchoredBox(tuple(anchors[k // m ** (dim - 1 - i) % m] for i in range(dim)))
 
-    witnesses = []
-    for start, joint, prod in blocks:
-        bad = joint > prod
-        if not bad.any():
-            continue
-        for q, r in zip(*np.nonzero(bad)):
-            witnesses.append((box(start + int(q)), box(int(r)),
-                              Fraction(int(joint[q, r]), den), Fraction(int(prod[q, r]), den)))
-    return witnesses
+    return box
+
+
+def _block_witnesses(box, den: int, start: int, joint, prod) -> list:
+    """The witnesses of one _expand block (see _scan_witnesses)."""
+    return [(box(start + int(q)), box(int(r)),
+             Fraction(int(joint[q, r]), den), Fraction(int(prod[q, r]), den))
+            for q, r in zip(*np.nonzero(joint > prod))]
 
 
 # -- structural separations -----------------------------------------------------
@@ -1040,3 +1045,26 @@ def scan_pairs_rows(spec: SchemeSpec, grid_resolution: int, budget=None):
         for Q, jrow, prow in zip(boxes[start:], joint.tolist(), prod.tolist()):
             for R, j, p in zip(boxes, jrow, prow):
                 yield Q, R, Fraction(j, den), Fraction(p, den), j > p
+
+
+def _pairs_csv(spec: SchemeSpec, grid_resolution: int, budget=None) -> tuple:
+    """The rows of scan_pairs_rows as CSV text, and the scan's witnesses.
+
+    Columns Q, R, joint, product, violation: anchors as num/den joined by
+    ';', probabilities as reduced num/den.  Each block of the integer tables
+    is reduced against den by one vectorized gcd (python ints included) and
+    written one f-string per row.
+    """
+    anchors = _grid_anchors(grid_resolution)
+    den, blocks = _pair_tables(spec, anchors, resolve_budget(budget))
+    labels = [";".join(q) for q in product([format_rational(a) for a in anchors], repeat=spec.dim)]
+    box = _grid_box(anchors, spec.dim)
+    lines, witnesses = ["Q,R,joint,product,violation\n"], []
+    for start, joint, prod in blocks:
+        witnesses += _block_witnesses(box, den, start, joint, prod)
+        gj, gp = np.gcd(joint, den), np.gcd(prod, den)
+        cols = [c.tolist() for c in (joint // gj, den // gj, prod // gp, den // gp, joint > prod)]
+        for q, *row in zip(labels[start:], *cols):
+            lines += [f"{q},{r},{jn}/{jd},{pn}/{pd},{bad}\n"
+                      for r, jn, jd, pn, pd, bad in zip(labels, *row)]
+    return "".join(lines), witnesses

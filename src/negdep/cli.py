@@ -14,6 +14,7 @@ arguments produce byte-identical data files.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -27,13 +28,13 @@ from .analyzer import (
     HypothesisViolatedError,
     UnsupportedSchemeError,
     _pair_query,
+    _pairs_csv,
     copula_equality_check,
     coordinate_independence_check,
     no_shift_mass,
     nuod_scan,
     report_to_json_dict,
     resolve_budget,
-    scan_pairs_rows,
     shift_only_conditional,
     triple_distinguisher,
 )
@@ -161,26 +162,9 @@ def _cmd_analyze(args, argv, t0) -> int:
         spec = _spec_from_args(args)
         if args.pairs_csv:
             # one pass: the report's witnesses are the rows flagged as violations
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(["Q", "R", "joint", "product", "violation"])
-            witnesses = []
-            # each box's anchor string, formatted once; the box is kept so
-            # that its id is not reused while the table is alive
-            labels = {}
-
-            def label(box):
-                if id(box) not in labels:
-                    labels[id(box)] = (box, ";".join(format_rational(a) for a in box.anchor))
-                return labels[id(box)][1]
-
-            for Q, R, joint, prodv, bad in scan_pairs_rows(spec, args.grid, budget=budget):
-                writer.writerow([label(Q), label(R), format_rational(joint),
-                                 format_rational(prodv), bad])
-                if bad:
-                    witnesses.append((Q, R, joint, prodv))
+            text, witnesses = _pairs_csv(spec, args.grid, budget)
             report = DependenceReport.from_witnesses(spec, args.grid, witnesses)
-            _write_with_manifest(args.pairs_csv, buf.getvalue(), argv, None, t0)
+            _write_with_manifest(args.pairs_csv, text, argv, None, t0)
         else:
             report = nuod_scan(spec, args.grid, budget=budget)
         _emit(args, report_to_json_dict(report), argv, None, t0)
@@ -409,11 +393,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on the first call and reused by every later main()."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
@@ -436,7 +425,8 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (UnsupportedSchemeError, HypothesisViolatedError, ValueError) as exc:
+    except (UnsupportedSchemeError, HypothesisViolatedError, ValueError, OSError) as exc:
+        # OSError: an input file that cannot be read, an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,6 +1,8 @@
 import json
+import re
 
-from negdep.cli import main
+from negdep import __version__, cli
+from negdep.cli import build_parser, main
 from negdep.samplers import point_set_from_csv, point_set_from_json
 
 
@@ -262,3 +264,69 @@ class TestReproduce:
     def test_usage_error_exit_two(self, capsys):
         assert main(["analyze"]) == 2
         capsys.readouterr()
+
+    def test_lines_end_with_wall_seconds(self, capsys):
+        code, out, _ = run(capsys, "reproduce-paper", "--criteria", "2,6")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 2
+        assert all(re.fullmatch(r"PASS criterion [26] \(.*\): .* \[\d+\.\d{3} s\]", l) for l in lines)
+
+
+NUOD = ["analyze", "nuod", "--scheme", "rsj", "--n", "5", "--dim", "2", "--generator", "1,1",
+        "--grid", "5"]
+
+
+class TestFileErrors:
+    def test_missing_config_exit_two(self, tmp_path, capsys):
+        code, out, err = run(capsys, "variance", "--config", str(tmp_path / "missing.json"))
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and "missing.json" in err
+
+    def test_unwritable_output_exit_two(self, tmp_path, capsys):
+        missing = tmp_path / "no" / "such"
+        for flag in ("--out", "--pairs-csv"):
+            code, _, err = run(capsys, *NUOD, flag, str(missing / "x"))
+            assert code == 2
+            assert err.startswith("error: ") and str(missing) in err
+        assert not (tmp_path / "no").exists()
+
+
+class TestParserReuse:
+    def test_built_once(self, capsys, monkeypatch):
+        builds = []
+
+        def counting():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert run(capsys, *NUOD)[0] == 1
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+
+    def test_usage_error_after_success(self, capsys):
+        assert run(capsys, *NUOD)[0] == 1
+        code, _, err = run(capsys, "analyze")
+        assert code == 2 and "usage:" in err
+        assert run(capsys, *NUOD)[0] == 1
+
+    def test_version_then_command(self, capsys):
+        code, out, _ = run(capsys, "--version")
+        assert code == 0 and out.strip() == f"negdep {__version__}"
+        code, out, _ = run(capsys, *NUOD)
+        assert code == 1 and json.loads(out)["violations"]
+        assert run(capsys, "--version") == (0, f"negdep {__version__}\n", "")
+
+    def test_pairs_csv_does_not_carry_over(self, tmp_path, capsys):
+        pairs, report = tmp_path / "pairs.csv", tmp_path / "report.json"
+        assert run(capsys, *NUOD, "--pairs-csv", str(pairs))[0] == 1
+        pairs.unlink()
+        (tmp_path / "pairs.csv.manifest.json").unlink()
+        assert run(capsys, *NUOD, "--out", str(report))[0] == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json",
+                                                               "report.json.manifest.json"]

@@ -13,7 +13,9 @@ The oracle functions below are the analyzer's earlier, direct forms:
   * the fixed-distance probe over every (generator, a, b) configuration;
   * the closed-form per-coordinate scan tables, one Fraction per anchor pair;
   * the triple-containment lattice count, one frozenset per lattice;
-  * the triple-containment latin count, over every tuple of permutations.
+  * the triple-containment latin count, over every tuple of permutations;
+  * the pairs table written row by row, format_rational and csv.writer per
+    row of scan_pairs_rows.
 
 They stay here as the reference; results must match exactly, witness dicts
 included.  The scan's one-factor route is also pinned against its
@@ -21,6 +23,8 @@ per-coordinate factors, and nuod_scan's per-factor certificate against the
 expansion over every box pair.
 """
 
+import csv
+import io
 import random
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
@@ -41,6 +45,7 @@ from negdep.analyzer import (
     _pair_counts,
     _pair_query,
     _pair_tables,
+    _pairs_csv,
     _scan_witnesses,
     _shifted_pair_overlap,
     _weight_table,
@@ -442,6 +447,68 @@ def test_block_size_does_not_change_results(monkeypatch):
         monkeypatch.setattr(mod, "_BLOCK", block)
         assert [(nuod_scan(s, m), list(scan_pairs_rows(s, m))) for s, m in cases] == whole
     assert not whole[0][0].ok
+
+
+# -- the pairs table in bulk ---------------------------------------------------
+
+
+def oracle_pairs_csv(spec, m):
+    """The pairs table as the CLI wrote it row by row, and its witnesses."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["Q", "R", "joint", "product", "violation"])
+    witnesses = []
+    for Q, R, joint, prodv, bad in scan_pairs_rows(spec, m):
+        writer.writerow([";".join(format_rational(a) for a in Q.anchor),
+                         ";".join(format_rational(a) for a in R.anchor),
+                         format_rational(joint), format_rational(prodv), bad])
+        if bad:
+            witnesses.append((Q, R, joint, prodv))
+    return buf.getvalue(), witnesses
+
+
+# the criterion-3 scans with at most 1e5 box pairs, the pairs-CSV scans of the
+# exact-scan benchmark, and a lattice with witnesses
+PAIRS_CSV = [(spec, m) for spec, m in CERTIFIED[:24] if m ** (2 * spec.dim) <= 10**5]
+PAIRS_CSV += [(SchemeSpec(RSJ, 5, 2, generator=(1, 2)), 5), (lhs_spec(4, 2), 8),
+              (SchemeSpec(RSJ, 5, 2, generator=(1, 1)), 10)]
+
+
+@pytest.mark.parametrize("spec,m", PAIRS_CSV, ids=[f"{_spec_id(s)}-M={m}" for s, m in PAIRS_CSV])
+def test_pairs_csv_matches_row_oracle(spec, m):
+    got, want = _pairs_csv(spec, m), oracle_pairs_csv(spec, m)
+    assert_same_pairs_csv(got, want)
+    report = DependenceReport.from_witnesses(spec, m, got[1])
+    assert report == DependenceReport.from_witnesses(spec, m, want[1]) == nuod_scan(spec, m)
+
+
+def assert_same_pairs_csv(got, want):
+    # lines, not whole texts: pytest's diff of two long unequal texts is very slow
+    assert got[0].splitlines(keepends=True) == want[0].splitlines(keepends=True)
+    assert got[1] == want[1]
+
+
+def test_pairs_csv_python_int_path_and_blocks(monkeypatch):
+    # every table in python ints, and blocks that split the rows of a Q box
+    cases = [(SchemeSpec(RSJ, 5, 2, generator=(1, 1)), 10), (lhs_spec(4, 2), 8),
+             (patterson_spec(3, 3), 5), (SchemeSpec(RSJ, 7, 2, shift="none", jitter=False), 7)]
+    want = [oracle_pairs_csv(s, m) for s, m in cases]
+    assert want[0][1] and want[3][1]
+    monkeypatch.setattr(mod, "_INT64_SAFE_LIMIT", 1)
+    _, blocks = _pair_tables(cases[0][0], _grid_anchors(10), 10**8)
+    assert next(blocks)[1].dtype == object
+    for block in (1 << 15, 7):
+        monkeypatch.setattr(mod, "_BLOCK", block)
+        for (s, m), w in zip(cases, want):
+            assert_same_pairs_csv(_pairs_csv(s, m), w)
+
+
+def test_pairs_csv_budget_matches_rows():
+    spec, m = lhs_spec(3, 2), 6
+    work = 2 * (3 * 6 * 9) + 6**4
+    with pytest.raises(mod.BudgetExceededError, match=f"{work} multiply-adds"):
+        _pairs_csv(spec, m, budget=work - 1)
+    assert_same_pairs_csv(_pairs_csv(spec, m, budget=work), oracle_pairs_csv(spec, m))
 
 
 # -- the lattice law from index-pair classes ----------------------------------
