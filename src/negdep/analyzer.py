@@ -21,10 +21,9 @@ the exact overlap fraction of each anchored interval with each cell.  A
 continuous torus shift is integrated in closed form as circle-arc overlaps.
 """
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import factorial, floor, gcd, lcm, prod
 from typing import NamedTuple
 
@@ -64,14 +63,6 @@ DEFAULT_BUDGET = 10**8
 # scanner table products stay below this to use int64; otherwise fall back
 # to python-int (object dtype) arithmetic, exact either way
 _INT64_SAFE_LIMIT = 2**62
-
-
-def resolve_budget(budget=None) -> int:
-    """Explicit argument, else the ND_BUDGET environment override, else default."""
-    if budget is not None:
-        return int(budget)
-    env = os.environ.get("ND_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
 
 
 class BudgetExceededError(RuntimeError):
@@ -206,10 +197,16 @@ def _position_model(spec: SchemeSpec) -> str:
 
 
 def _generators(spec: SchemeSpec) -> list:
-    """The generator values of each coordinate of a lattice spec."""
-    n = spec.n
+    """The generator values of each coordinate of a lattice spec.
+
+    Midpoint (patterson) sampling counts as the generator-1 lattice: its
+    distinct midpoints differ by every nonzero k/n equally often, and a
+    torus shift sees only the difference of a pair.
+    """
+    if spec.kind == "patterson":
+        return [np.ones(1, dtype=np.int64)] * spec.dim
     if spec.generator == "random":
-        return [np.arange(1, n, dtype=np.int64)] * spec.dim
+        return [np.arange(1, spec.n, dtype=np.int64)] * spec.dim
     return [np.array([g], dtype=np.int64) for g in spec.generator]
 
 
@@ -266,7 +263,7 @@ def _unshifted_counts(spec: SchemeSpec) -> np.ndarray:
     return np.bincount(codes.ravel(), minlength=cells * cells).reshape(cells, cells)
 
 
-def _pair_counts(spec: SchemeSpec, budget=None):
+def _pair_counts(spec: SchemeSpec, budget=DEFAULT_BUDGET):
     """Exact integer counts of the cell-pair law, as (P, total).
 
     P[i, j] counts the configurations that put p1 in cell vector i and p2
@@ -283,7 +280,6 @@ def _pair_counts(spec: SchemeSpec, budget=None):
     n, dim = spec.n, spec.dim
     if n < 2:
         raise ValueError("a distinct pair needs n >= 2")
-    budget = resolve_budget(budget)
     cells = n**dim
 
     if spec.kind == "rsj_lattice":
@@ -321,7 +317,8 @@ def _law_counts(n: int, dim: int, spec: SchemeSpec, budget):
     return _pair_counts(spec, budget)
 
 
-def discrete_pair_pmf(n: int, dim: int, spec: SchemeSpec = None, budget=None) -> PairLaw:
+def discrete_pair_pmf(n: int, dim: int, spec: SchemeSpec = None,
+                      budget=DEFAULT_BUDGET) -> PairLaw:
     """The exact cell-pair law of two distinct points, as a pmf dict.
 
     Built from the integer counts of _pair_counts: for the lattice scheme a
@@ -402,14 +399,11 @@ def _weight_table(anchors, n: int, position: str):
     return [[weight(c, nt) for nt in nts] for c in range(n)], den
 
 
-def _box_weights(box: AnchoredBox, n: int, position: str):
-    """Column a[z] = P(point in box | cell vector z) * den, and den."""
-    tables, den = [], 1
-    for a in box.anchor:
-        t, d = _weight_table([a], n, position)
-        tables.append(t)
-        den *= d
-    return _kron(tables, object)[:, 0], den
+def _box_weights(anchors, n: int, position: str):
+    """Column a[z] = P(point in [anchors, 1) | cell vector z) * den, and den."""
+    tables = [_weight_table([a], n, position) for a in anchors]
+    den = prod(d for _, d in tables)
+    return _kron([t for t, _ in tables], _int_dtype(den))[:, 0], den
 
 
 # -- joint box probabilities ---------------------------------------------------
@@ -419,30 +413,25 @@ def _is_factorized(spec: SchemeSpec) -> bool:
     return spec.kind in ("stratified1d", "lhs", "patterson") or is_full_rsj(spec)
 
 
+def _count_factors(spec: SchemeSpec, budget: int) -> list:
+    """The cell-pair law as count factors (P_f, total_f, k_f), over k_f coordinates each.
+
+    Every query and every scan reads the law through these.  Stratified,
+    lhs, patterson and the fully randomized lattice have one ordered
+    distinct cells factor per coordinate, 1 - I over n (n - 1); any other
+    law is the one _pair_counts factor over every coordinate.
+    """
+    if spec.n < 2:
+        raise ValueError("a distinct pair needs n >= 2")
+    if _is_factorized(spec):
+        return [(1 - np.eye(spec.n, dtype=np.int64), spec.n * (spec.n - 1), 1)] * spec.dim
+    return [(*_pair_counts(spec, budget), spec.dim)]
+
+
 def _joint_factor(spec: SchemeSpec, q, r) -> Fraction:
     if spec.kind == "patterson":
         return patterson_pair_factor(q, r, spec.n)
     return stratified_pair_box_prob(q, r, spec.n)
-
-
-def _marginal_factor(spec: SchemeSpec, q) -> Fraction:
-    if spec.kind == "patterson":
-        return patterson_marginal_factor(q, spec.n)
-    return 1 - Fraction(q)
-
-
-def _torus_generators(spec: SchemeSpec) -> list:
-    """Per-coordinate generator values of a jitterless lattice under a torus shift.
-
-    Midpoint (patterson) sampling counts as the generator-1 lattice: its
-    distinct midpoints differ by every nonzero k/n equally often, and the
-    torus shift sees only the difference of a pair.
-    """
-    if spec.kind == "patterson":
-        return [(1,)] * spec.dim
-    if spec.generator == "random":
-        return [range(1, spec.n)] * spec.dim
-    return [(g,) for g in spec.generator]
 
 
 def _shifted_pair_overlap(x1: Fraction, x2: Fraction, q: Fraction, r: Fraction) -> Fraction:
@@ -461,11 +450,10 @@ def _continuous_shift_box_prob(n: int, gammas, anchors1, anchors2, budget) -> Fr
     change when x1 and x2 move together, so an index pair (a, b) enters
     through delta = b - a (mod n) only, at x1 = 0 and x2 = gamma delta / n;
     each delta in 1..n-1 stands for n ordered pairs.  gammas[i] holds the
-    generator values of coordinate i (see _torus_generators).  The budget
+    generator values of coordinate i (see _generators).  The budget
     counts the summed terms, sum over coordinates of |gammas[i]| x (n - 1).
     """
     work = sum(len(g) for g in gammas) * (n - 1)
-    budget = resolve_budget(budget)
     if work > budget:
         raise BudgetExceededError(
             f"continuous-shift integration too large: {work} terms exceeds budget {budget}"
@@ -475,7 +463,7 @@ def _continuous_shift_box_prob(n: int, gammas, anchors1, anchors2, budget) -> Fr
         overlap = [_shifted_pair_overlap(Fraction(0), Fraction(e, n), anchors1[i], anchors2[i])
                    for e in range(n)]
         for delta in range(1, n):
-            acc = sum((overlap[gam * delta % n] for gam in coord_gammas), Fraction(0))
+            acc = sum((overlap[e] for e in (coord_gammas * delta % n).tolist()), Fraction(0))
             per_delta[delta - 1] *= acc / len(coord_gammas)
     return sum(per_delta, Fraction(0)) / (n - 1)
 
@@ -491,81 +479,89 @@ def _is_torus(spec: SchemeSpec) -> bool:
     return False
 
 
-def _law_prob(spec: SchemeSpec, law, Q, R) -> Fraction:
-    """P(p1 in Q, p2 in R) from the counts law = (P, total); a box None is the whole cube."""
-    P, total = law
-    pos = _position_model(spec)
-    (a, den_q), (b, den_r) = (
-        (np.ones(len(P), dtype=object), 1) if box is None else _box_weights(box, spec.n, pos)
-        for box in (Q, R)
-    )
-    den = total * den_q * den_r
-    dtype = _int_dtype(den)
-    return Fraction(int(a.astype(dtype) @ P.astype(dtype) @ b.astype(dtype)), den)
-
-
 def _check_boxes(spec: SchemeSpec, *boxes) -> None:
     if any(box.dim != spec.dim for box in boxes):
         raise ValueError("box dimension does not match the scheme")
 
 
+def _factor_query(spec: SchemeSpec, factors, Q: AnchoredBox, R: AnchoredBox) -> tuple:
+    """(P(p1 in Q, p2 in R), P(p1 in Q), P(p2 in R)) from the law's count factors.
+
+    Factor f = (P_f, total_f, k_f) covers the next k_f coordinates; a_f and
+    b_f are the integer weight columns of Q and R there (see _box_weights),
+    over den_a and den_b.  It contributes a_f^T P_f b_f / (total_f den_a
+    den_b) to the joint and P_f.sum(1) a_f / (total_f den_a), P_f.sum(0)
+    b_f / (total_f den_b) to the marginals; each is the product over factors.
+    """
+    pos = _position_model(spec)
+    nums, dens = [1, 1, 1], [1, 1, 1]
+    i = 0
+    for P, total, k in factors:
+        a, den_a = _box_weights(Q.anchor[i:i + k], spec.n, pos)
+        # pair_marginal_prob passes its one box as both Q and R
+        b, den_b = (a, den_a) if R is Q else _box_weights(R.anchor[i:i + k], spec.n, pos)
+        dtype = _int_dtype(total * den_a * den_b)
+        P, a, b = (v.astype(dtype, copy=False) for v in (P, a, b))
+        aP = a @ P  # aP.sum() is P.sum(1) a
+        terms = ((aP @ b, den_a * den_b), (aP.sum(), den_a), (P.sum(axis=0) @ b, den_b))
+        for j, (num, den) in enumerate(terms):
+            nums[j] *= int(num)
+            dens[j] *= total * den
+        i += k
+    return tuple(Fraction(num, den) for num, den in zip(nums, dens))
+
+
 def pair_box_prob(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox,
-                  method: str = "auto", budget=None) -> Fraction:
+                  method: str = "auto", budget=DEFAULT_BUDGET) -> Fraction:
     """Exact P(p1 in Q, p2 in R) for anchored boxes Q, R.
 
-    method "auto" picks the closed per-coordinate form when the joint law
-    factorizes (stratified, lhs, patterson, fully randomized lattice) and
-    exhaustive enumeration otherwise; "closed_form" and "enumeration" force
-    a route.  A continuous torus shift (jitterless) is integrated exactly
-    via circle-arc overlaps; combined with jitter it is unsupported.
+    method "auto" contracts the count factors of the law (one per
+    coordinate for stratified, lhs, patterson and the fully randomized
+    lattice); "enumeration" contracts the one _pair_counts factor over
+    every coordinate, and "closed_form" multiplies the per-coordinate
+    closed forms, which exist for the factorized laws only.  A continuous
+    torus shift (jitterless) is integrated exactly via circle-arc overlaps;
+    combined with jitter it is unsupported.
     """
     _check_boxes(spec, Q, R)
     if spec.n < 2:
         raise ValueError("a pair probability needs n >= 2")
     if _is_torus(spec):
-        return _continuous_shift_box_prob(spec.n, _torus_generators(spec), Q.anchor,
-                                          R.anchor, budget)
-
-    if method not in ("auto", "closed_form", "enumeration"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "closed_form" or (method == "auto" and _is_factorized(spec)):
+        return _continuous_shift_box_prob(spec.n, _generators(spec), Q.anchor, R.anchor, budget)
+    if method == "closed_form":
         if not _is_factorized(spec):
             raise UnsupportedSchemeError("no closed form for this spec; use enumeration")
-        result = Fraction(1)
-        for qi, ri in zip(Q.anchor, R.anchor):
-            result *= _joint_factor(spec, qi, ri)
-        return result
-    return _law_prob(spec, _pair_counts(spec, budget), Q, R)
+        return prod((_joint_factor(spec, q, r) for q, r in zip(Q.anchor, R.anchor)),
+                    start=Fraction(1))
+    if method == "auto":
+        factors = _count_factors(spec, budget)
+    elif method == "enumeration":
+        factors = [(*_pair_counts(spec, budget), spec.dim)]
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return _factor_query(spec, factors, Q, R)[0]
 
 
 def pair_marginal_prob(spec: SchemeSpec, box: AnchoredBox, side: int = 0,
-                       budget=None) -> Fraction:
+                       budget=DEFAULT_BUDGET) -> Fraction:
     """Exact P(p_side in box) under the pair law of the scheme."""
     _check_boxes(spec, box)
     if _is_torus(spec):
         # a uniform torus shift makes each coordinate uniform
         return box.volume()
-    if _is_factorized(spec):
-        result = Fraction(1)
-        for a in box.anchor:
-            result *= _marginal_factor(spec, a)
-        return result
-    Q, R = (box, None) if side == 0 else (None, box)
-    return _law_prob(spec, _pair_counts(spec, budget), Q, R)
+    return _factor_query(spec, _count_factors(spec, budget), box, box)[1 + side]
 
 
-def _pair_query(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox, budget=None) -> tuple:
+def _pair_query(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox,
+                budget=DEFAULT_BUDGET) -> tuple:
     """(P(p1 in Q, p2 in R), P(p1 in Q), P(p2 in R)) on the default routes.
 
-    An enumerated law is built once and contracted three times.
+    The law's count factors are built once and contracted for all three.
     """
     _check_boxes(spec, Q, R)
-    if _is_torus(spec) or _is_factorized(spec):
-        return (pair_box_prob(spec, Q, R, budget=budget),
-                pair_marginal_prob(spec, Q, 0, budget=budget),
-                pair_marginal_prob(spec, R, 1, budget=budget))
-    law = _pair_counts(spec, budget)
-    return tuple(_law_prob(spec, law, q, r) for q, r in ((Q, R), (Q, None), (None, R)))
+    if _is_torus(spec):
+        return pair_box_prob(spec, Q, R, budget=budget), Q.volume(), R.volume()
+    return _factor_query(spec, _count_factors(spec, budget), Q, R)
 
 
 # -- negative-dependence scan ---------------------------------------------------
@@ -616,7 +612,7 @@ def _grid_anchors(grid_resolution: int) -> list:
 
 
 def _factor_dims(spec: SchemeSpec, factors) -> list:
-    """k_f of each count factor the scan reads the law as (see _contract)."""
+    """k_f of each count factor of the law (see _count_factors), before it is built."""
     if factors is not None:
         return [k for _, _, k in factors]
     return [1] * spec.dim if _is_factorized(spec) else [spec.dim]
@@ -637,23 +633,17 @@ def _check_scan_work(work: int, budget: int) -> None:
 def _contract(spec: SchemeSpec, anchors, budget: int, factors=None) -> list:
     """Each count factor of the law contracted with the cell weights.
 
-    The law is a list of count factors (P_f, total_f, k_f) over k_f
-    coordinates each: one ordered-distinct-cells factor per coordinate when
-    the law factorizes (stratified, lhs, patterson, full lattice), else one
-    _pair_counts factor over every coordinate (factors overrides this).
-    With A_f the weights of factor f, its joint table is A_f^T P_f A_f
-    total_f and its product table (P_f.sum(1) A_f) x (P_f.sum(0) A_f), both
+    The law is the list of count factors of _count_factors (factors
+    overrides it).  With A_f the weights of factor f, its joint table is
+    A_f^T P_f A_f total_f and its product table (P_f.sum(1) A_f) x
+    (P_f.sum(0) A_f), both
     over (total_f den_w^k_f)^2, all three divided by their common divisor.
     Returns one (A_f, P_f A_f total_f, p1_f, p2_f, den_f) per factor, all
     nonnegative integers, reduced.
     """
-    n, dim = spec.n, spec.dim
     if factors is None:
-        if _is_factorized(spec):
-            factors = [(1 - np.eye(n, dtype=np.int64), n * (n - 1), 1)] * dim
-        else:
-            factors = [(*_pair_counts(spec, budget), dim)]
-    table, den_w = _weight_table(anchors, n, _position_model(spec))
+        factors = _count_factors(spec, budget)
+    table, den_w = _weight_table(anchors, spec.n, _position_model(spec))
     contracted = []
     for P, total, k in factors:
         scale = (total * den_w**k) ** 2
@@ -724,7 +714,7 @@ def _pair_tables(spec: SchemeSpec, anchors, budget: int, factors=None):
     return _expand(_contract(spec, anchors, budget, factors))
 
 
-def nuod_scan(spec: SchemeSpec, grid_resolution: int, budget=None) -> DependenceReport:
+def nuod_scan(spec: SchemeSpec, grid_resolution: int, budget=DEFAULT_BUDGET) -> DependenceReport:
     """Check joint <= product for all anchored-box pairs on the k/M grid.
 
     The product side uses the scheme's exact marginals (equal to box volume
@@ -749,7 +739,7 @@ def nuod_scan(spec: SchemeSpec, grid_resolution: int, budget=None) -> Dependence
     fixed-distance probe (shift_only_conditional) covers that ablation.
     """
     anchors = _grid_anchors(grid_resolution)
-    witnesses = _nuod_witnesses(spec, anchors, resolve_budget(budget))
+    witnesses = _nuod_witnesses(spec, anchors, budget)
     return DependenceReport.from_witnesses(spec, grid_resolution, witnesses)
 
 
@@ -801,7 +791,7 @@ class CopulaCheck(NamedTuple):
 
 
 def copula_equality_check(n: int, dim: int, spec: SchemeSpec = None,
-                          budget=None) -> CopulaCheck:
+                          budget=DEFAULT_BUDGET) -> CopulaCheck:
     """Compare the cell-pair pmf of a lattice spec with the lhs pmf.
 
     Both laws are exact integer counts, compared over a common denominator:
@@ -827,7 +817,7 @@ class IndependenceReport:
 
 
 def coordinate_independence_check(n: int, dim: int, spec: SchemeSpec = None,
-                                  budget=None) -> IndependenceReport:
+                                  budget=DEFAULT_BUDGET) -> IndependenceReport:
     """Verify that coordinate pair-cells factorize over every index subset.
 
     For each I subset of {0..dim-1} and every assignment of cell pairs on I,
@@ -876,14 +866,14 @@ def coordinate_independence_check(n: int, dim: int, spec: SchemeSpec = None,
 _CODE_BLOCK = 1 << 20
 
 
-def triple_distinguisher(n: int, dim: int, a, b, budget=None) -> tuple:
+def triple_distinguisher(n: int, dim: int, a, b, budget=DEFAULT_BUDGET) -> tuple:
     """Count discrete n-point configurations containing both cell vectors.
 
     Returns (lattice_count, lhs_count): the number of distinct shifted
-    lattices and of distinct latin grids containing both a and b, by
-    exhaustive construction.  Requires a, b to differ in every coordinate.
-    The budget bounds the (n-1)^dim n^dim lattices and the n! (dim-1)
-    permutations of the per-coordinate latin counts, each on its own.
+    lattices containing both a and b, by exhaustive construction, and of
+    distinct latin grids containing both, (n-2)!^(dim-1).  Requires a, b to
+    differ in every coordinate.  The budget bounds the (n-1)^dim n^dim
+    lattices.
     """
     if n < 5 or not is_prime(n):
         raise ValueError("needs a prime n >= 5")
@@ -897,7 +887,6 @@ def triple_distinguisher(n: int, dim: int, a, b, budget=None) -> tuple:
         raise ValueError("cell indices must lie in [0, n)")
     if any(x == y for x, y in zip(a, b)):
         raise ValueError("cell vectors share a coordinate cell; they must differ everywhere")
-    budget = resolve_budget(budget)
 
     lattice_terms = (n - 1) ** dim * n**dim
     if lattice_terms > budget:
@@ -920,22 +909,16 @@ def triple_distinguisher(n: int, dim: int, a, b, budget=None) -> tuple:
     lattice_count = len(np.unique(np.concatenate(found), axis=0))
 
     # latin grids keyed by the first coordinate: the grid is determined by
-    # one permutation per further coordinate mapping first-cell -> cell, and
-    # containing a and b constrains each permutation on its own, so the
-    # count is the product of per-coordinate counts
-    if factorial(n) * (dim - 1) > budget:
-        raise BudgetExceededError("latin grid enumeration exceeds budget")
-    lhs_count = 1
-    for i in range(1, dim):
-        lhs_count *= sum(1 for sig in permutations(range(n))
-                         if sig[a[0]] == a[i] and sig[b[0]] == b[i])
-    return lattice_count, lhs_count
+    # one permutation per further coordinate mapping first-cell -> cell;
+    # containing a and b fixes two distinct values of each, at two distinct
+    # places, which leaves (n - 2)! permutations per coordinate
+    return lattice_count, factorial(n - 2) ** (dim - 1)
 
 
 # -- ablation probes --------------------------------------------------------------
 
 
-def no_shift_mass(n: int, dim: int, budget=None) -> Fraction:
+def no_shift_mass(n: int, dim: int, budget=DEFAULT_BUDGET) -> Fraction:
     """Exact P(p1 in [0, 1/n)^dim) for the unshifted jittered lattice.
 
     Enumerates (generator, point index); jitter keeps each point inside its
@@ -943,7 +926,6 @@ def no_shift_mass(n: int, dim: int, budget=None) -> Fraction:
     value is 1/n for every dim, which breaks marginal uniformity as soon as
     dim >= 2 (a uniform point would give 1/n^dim).
     """
-    budget = resolve_budget(budget)
     terms = (n - 1) ** dim * n
     if terms > budget:
         raise BudgetExceededError("enumeration exceeds budget")
@@ -956,7 +938,7 @@ def no_shift_mass(n: int, dim: int, budget=None) -> Fraction:
 
 
 def shift_only_conditional(spec: SchemeSpec, epsilon, dim_index: int = None,
-                           budget=None) -> Fraction:
+                           budget=DEFAULT_BUDGET) -> Fraction:
     """Exact P(p1 in Q | p2 in R) for the fixed-distance probe.
 
     Q = [0,1)^(d-1) x [eps/2, 1) and R = [0,1)^(d-1) x [1-eps/2, 1) in the
@@ -986,13 +968,13 @@ def shift_only_conditional(spec: SchemeSpec, epsilon, dim_index: int = None,
         raise ValueError("dim_index out of range")
 
     n = spec.n
-    gammas = _torus_generators(spec)[i]
+    gammas = _generators(spec)[i]
     q = eps / 2
     # the other coordinates' anchors are 0, a factor 1 each, so the probed
     # coordinate alone carries P(p1 in Q, p2 in R)
     joint = _continuous_shift_box_prob(n, [gammas], [q], [1 - q], budget)
     x1 = Fraction(0)
-    for gam in gammas:
+    for gam in gammas.tolist():
         for delta in range(1, n):
             x2 = Fraction(gam * delta % n, n)
             d = torus_dist(x1, x2)
@@ -1031,7 +1013,7 @@ def report_to_json_dict(report: DependenceReport) -> dict:
     }
 
 
-def scan_pairs_rows(spec: SchemeSpec, grid_resolution: int, budget=None):
+def scan_pairs_rows(spec: SchemeSpec, grid_resolution: int, budget=DEFAULT_BUDGET):
     """One (Q, R, joint, product, violation) row per probed grid pair.
 
     The full per-pair table of a scan, for CSV export; the scan's budget,
@@ -1039,7 +1021,7 @@ def scan_pairs_rows(spec: SchemeSpec, grid_resolution: int, budget=None):
     Rows are yielded in lexicographic anchor order.
     """
     anchors = _grid_anchors(grid_resolution)
-    den, blocks = _pair_tables(spec, anchors, resolve_budget(budget))
+    den, blocks = _pair_tables(spec, anchors, budget)
     boxes = [AnchoredBox(a) for a in product(anchors, repeat=spec.dim)]
     for start, joint, prod in blocks:
         for Q, jrow, prow in zip(boxes[start:], joint.tolist(), prod.tolist()):
@@ -1047,7 +1029,7 @@ def scan_pairs_rows(spec: SchemeSpec, grid_resolution: int, budget=None):
                 yield Q, R, Fraction(j, den), Fraction(p, den), j > p
 
 
-def _pairs_csv(spec: SchemeSpec, grid_resolution: int, budget=None) -> tuple:
+def _pairs_csv(spec: SchemeSpec, grid_resolution: int, budget=DEFAULT_BUDGET) -> tuple:
     """The rows of scan_pairs_rows as CSV text, and the scan's witnesses.
 
     Columns Q, R, joint, product, violation: anchors as num/den joined by
@@ -1056,7 +1038,7 @@ def _pairs_csv(spec: SchemeSpec, grid_resolution: int, budget=None) -> tuple:
     written one f-string per row.
     """
     anchors = _grid_anchors(grid_resolution)
-    den, blocks = _pair_tables(spec, anchors, resolve_budget(budget))
+    den, blocks = _pair_tables(spec, anchors, budget)
     labels = [";".join(q) for q in product([format_rational(a) for a in anchors], repeat=spec.dim)]
     box = _grid_box(anchors, spec.dim)
     lines, witnesses = ["Q,R,joint,product,violation\n"], []

@@ -19,9 +19,11 @@ import io
 import json
 import sys
 import time
+from fractions import Fraction
 
 from . import __version__
 from .analyzer import (
+    DEFAULT_BUDGET,
     AnchoredBox,
     BudgetExceededError,
     DependenceReport,
@@ -34,7 +36,6 @@ from .analyzer import (
     no_shift_mass,
     nuod_scan,
     report_to_json_dict,
-    resolve_budget,
     shift_only_conditional,
     triple_distinguisher,
 )
@@ -136,7 +137,7 @@ def _cmd_generate(args, argv, t0) -> int:
 
 
 def _cmd_analyze(args, argv, t0) -> int:
-    budget = resolve_budget(args.budget)
+    budget = args.budget
     sub = args.analysis
 
     if sub == "pairprob":
@@ -210,13 +211,13 @@ def _cmd_analyze(args, argv, t0) -> int:
         payload = {"n": n, "dim": dim}
 
         mass = no_shift_mass(n, dim, budget=budget)
+        uniform = Fraction(1, n**dim)
         payload["no_shift"] = {
             "first_cell_mass": format_rational(mass),
-            "uniform_would_give": format_rational(parse_rational(f"1/{n**dim}")),
-            "sampling_scheme": mass == parse_rational(f"1/{n**dim}"),
+            "uniform_would_give": format_rational(uniform),
+            "sampling_scheme": mass == uniform,
         }
 
-        from fractions import Fraction
         eps_val = eps if eps is not None else Fraction(1, 2 * n)
         so_spec = SchemeSpec("rsj_lattice", n, dim, shift="continuous_torus", jitter=False)
         cond = shift_only_conditional(so_spec, eps_val, budget=budget)
@@ -304,9 +305,9 @@ def _cmd_reproduce(args, argv, t0) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
-def _add_spec_flags(p, need_seed=False):
-    p.add_argument("--scheme", required=True, choices=sorted(_SCHEME_ALIASES))
-    p.add_argument("--n", type=int, required=True)
+def _add_spec_flags(p, need_seed=False, required=True):
+    p.add_argument("--scheme", required=required, choices=sorted(_SCHEME_ALIASES))
+    p.add_argument("--n", type=int, required=required)
     p.add_argument("--dim", type=int, default=1)
     p.add_argument("--generator", default=None,
                    help="comma-separated field integers, or 'random'")
@@ -334,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     asub = a.add_subparsers(dest="analysis", required=True)
 
     def common_analysis_flags(p):
-        p.add_argument("--budget", type=int, default=None,
-                       help="enumeration term budget (default ND_BUDGET or 1e8)")
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                       help="enumeration term budget (default 1e8)")
         p.add_argument("--out", default=None)
 
     pp = asub.add_parser("pairprob", help="joint anchored-box probability")
@@ -375,12 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("variance", help="replication variance study")
     v.add_argument("--config", default=None, help="JSON batch config path")
-    v.add_argument("--scheme", choices=sorted(_SCHEME_ALIASES))
-    v.add_argument("--n", type=int)
-    v.add_argument("--dim", type=int, default=1)
-    v.add_argument("--generator", default=None)
-    v.add_argument("--shift", choices=sorted(_SHIFT_ALIASES), default="grid")
-    v.add_argument("--jitter", choices=["on", "off"], default="on")
+    _add_spec_flags(v, required=False)
     v.add_argument("--integrand", default="additive")
     v.add_argument("--replications", type=int, default=None)
     v.add_argument("--seed", type=int, default=None)

@@ -131,12 +131,6 @@ class TestAnalyze:
         assert code == 3
         assert "budget" in err
 
-    def test_nd_budget_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("ND_BUDGET", "10")
-        code, _, err = run(capsys, "analyze", "copula", "--scheme", "rsj",
-                           "--n", "5", "--dim", "2")
-        assert code == 3
-
     def test_copula(self, capsys):
         code, out, _ = run(capsys, "analyze", "copula", "--scheme", "rsj",
                            "--n", "3", "--dim", "2")

@@ -28,7 +28,7 @@ import io
 import random
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 import pytest
@@ -203,9 +203,11 @@ def _anchors(rnd, n, dim):
     return tuple(F(rnd.randrange(3 * n), 3 * n) for _ in range(dim))
 
 
+# the enumerated laws (one count factor), then laws of one factor per coordinate
 QUERIED = [s for s, _ in ENUMERATED] + [
     SchemeSpec(RSJ, 7, 3, generator=(1, 2, 3)),
     SchemeSpec(RSJ, 7, 2, shift="none", jitter=False),
+    full_rsj(5, 2), full_rsj(3, 3), lhs_spec(4, 3), patterson_spec(5, 2), stratified_spec(7),
 ]
 
 
@@ -222,13 +224,14 @@ def test_box_probs_match_fraction_oracle(spec):
 
 
 def test_huge_denominators_stay_exact():
-    # anchor denominators push the common denominator past int64
-    spec = SchemeSpec(RSJ, 5, 2, generator=(1, 2))
-    law = law_of(spec)
+    # anchor denominators push the common denominator past int64, over one
+    # count factor (both coordinates) and over one factor per coordinate
     Q = AnchoredBox((F(2**33, 2**35 + 1), F(3, 7)))
     R = AnchoredBox((F(3**20, 3**21 + 2), F(2**31 - 1, 2**33 + 3)))
-    assert pair_box_prob(spec, Q, R) == oracle_box_prob(law, Q, R)
-    assert pair_marginal_prob(spec, R, 1) == oracle_marginal_prob(law, R, 1)
+    for spec in (SchemeSpec(RSJ, 5, 2, generator=(1, 2)), lhs_spec(5, 2)):
+        law = law_of(spec)
+        assert pair_box_prob(spec, Q, R) == oracle_box_prob(law, Q, R)
+        assert pair_marginal_prob(spec, R, 1) == oracle_marginal_prob(law, R, 1)
 
 
 @pytest.mark.parametrize("position", ["jitter", "corner", "midpoint"])
@@ -337,6 +340,16 @@ def test_enumeration_method_matches_closed_form(spec):
                 == pair_box_prob(spec, Q, R, method="closed_form"))
 
 
+def test_enumeration_method_builds_the_law(monkeypatch):
+    # the one _pair_counts factor, also where the law has one factor per coordinate
+    spec = full_rsj(3, 2)
+    Q, R = AnchoredBox((F(1, 3), F(1, 2))), AnchoredBox((F(2, 9), F(0)))
+    calls = []
+    monkeypatch.setattr(mod, "_pair_counts", lambda *a: calls.append(a) or _pair_counts(*a))
+    assert pair_box_prob(spec, Q, R, method="enumeration") == pair_box_prob(spec, Q, R)
+    assert len(calls) == 1
+
+
 def test_budget_counts_kernel_work():
     # per factor c B (c + B) multiply-adds, c cell vectors and B boxes, plus
     # one comparison per box pair: one factor over both coordinates here
@@ -420,6 +433,36 @@ def test_failing_certificate_falls_back_to_expansion(spec, m, factors):
     one = _pair_tables(spec, anchors, 10**8, factors=_kron_factors(factors))
     assert fallback == expanded == _scan_witnesses(spec, anchors, one)
     assert fallback
+
+
+# p1 in a lower cell than p2: an asymmetric count factor, so the two
+# marginals differ (the law of every scheme is exchangeable)
+LOWER = (np.triu(np.ones((3, 3), dtype=np.int64), 1), 3, 1)
+
+
+@pytest.mark.parametrize("factors", [[LOWER, DISTINCT], [DISTINCT, LOWER], [LOWER, LOWER],
+                                     _kron_factors([LOWER, DISTINCT])],
+                         ids=["lower-distinct", "distinct-lower", "lower-lower", "one-factor"])
+def test_queries_keep_the_sides_of_the_law(factors, monkeypatch):
+    # joint and both marginals of an asymmetric law against Fraction sums
+    spec = lhs_spec(3, 2)
+    monkeypatch.setattr(mod, "_count_factors", lambda spec, budget: factors)
+    [(P, total, _)] = _kron_factors(factors)
+    cells = list(product(range(3), repeat=2))
+
+    def weight(z, box):
+        return prod(_cell_weight(c, q, 3, "jitter") for c, q in zip(z, box.anchor))
+
+    rnd = random.Random(3)
+    for _ in range(6):
+        Q, R = (AnchoredBox(_anchors(rnd, 3, 2)) for _ in range(2))
+        joint = sum(F(int(P[i, j]), total) * weight(z1, Q) * weight(z2, R)
+                    for i, z1 in enumerate(cells) for j, z2 in enumerate(cells))
+        m1 = sum(F(int(P[i].sum()), total) * weight(z, Q) for i, z in enumerate(cells))
+        m2 = sum(F(int(P[:, j].sum()), total) * weight(z, R) for j, z in enumerate(cells))
+        assert _pair_query(spec, Q, R) == (joint, m1, m2)
+        assert pair_box_prob(spec, Q, R) == joint
+        assert (pair_marginal_prob(spec, Q, 0), pair_marginal_prob(spec, R, 1)) == (m1, m2)
 
 
 def test_budget_counts_failing_certificate_expansion():
@@ -840,11 +883,14 @@ def test_triple_latin_count_matches_permutation_oracle(n, dim, a, b):
     assert triple_distinguisher(n, dim, a, b)[1] == oracle_latin_count(n, dim, a, b)
 
 
-def test_triple_latin_budget_counts_permutations():
-    # n! (dim - 1) permutations, above the (n-1)^dim n^dim = 1764 lattices at (7, 2)
-    with pytest.raises(mod.BudgetExceededError, match="latin"):
-        triple_distinguisher(7, 2, (0, 0), (1, 2), budget=5039)
-    assert triple_distinguisher(7, 2, (0, 0), (1, 2), budget=5040) == (1, 120)
+def test_triple_budget_counts_lattices_only():
+    # the (n-1)^dim n^dim = 1764 lattices at (7, 2); the latin count is
+    # (n - 2)!^(dim - 1) and enumerates nothing, so the 7! = 5040
+    # permutations of a coordinate do not count
+    with pytest.raises(mod.BudgetExceededError, match="lattice"):
+        triple_distinguisher(7, 2, (0, 0), (1, 2), budget=1763)
+    assert triple_distinguisher(7, 2, (0, 0), (1, 2), budget=1764) == (1, 120)
+    assert triple_distinguisher(7, 2, (0, 0), (1, 2), budget=5039) == (1, 120)
 
 
 def test_triple_count_does_not_depend_on_block(monkeypatch):
