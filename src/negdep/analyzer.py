@@ -377,26 +377,26 @@ def _kron(tables, dtype) -> np.ndarray:
 
 
 def _weight_table(anchors, n: int, position: str):
-    """T[c][k] = P(x >= anchors[k] | cell c) * den as integers, and den.
+    """T[c, k] = P(x >= anchors[k] | cell c) * den as an integer array, and den.
 
     With q = t / den, nt = n t and cell c = [c/n, (c+1)/n): jitter covers
     clamp((c+1) den - nt, 0, den) of it, a corner c/n lies in [q, 1) iff
     c den >= nt, a midpoint (2c+1)/(2n) iff (2c+1) den >= 2 nt.
     """
     den = lcm(*(a.denominator for a in anchors))
-    nts = [n * a.numerator * (den // a.denominator) for a in anchors]
+    dtype = _int_dtype(2 * (n + 1) * den)
+    nts = np.array([n * a.numerator * (den // a.denominator) for a in anchors], dtype=dtype)
+    c = np.arange(n, dtype=dtype)[:, None]
     if position == "jitter":
-        def weight(c, nt):
-            return min(max((c + 1) * den - nt, 0), den)
-    elif position == "corner":
-        def weight(c, nt):
-            return den if c * den >= nt else 0
+        # np.minimum/np.maximum: np.clip's call overhead dominates at small n
+        return np.minimum(np.maximum((c + 1) * den - nts, 0), den), den
+    if position == "corner":
+        inside = c * den >= nts
     elif position == "midpoint":
-        def weight(c, nt):
-            return den if (2 * c + 1) * den >= 2 * nt else 0
+        inside = (2 * c + 1) * den >= 2 * nts
     else:
         raise ValueError(f"unknown position model {position!r}")
-    return [[weight(c, nt) for nt in nts] for c in range(n)], den
+    return inside.astype(dtype) * den, den
 
 
 def _box_weights(anchors, n: int, position: str):
@@ -418,14 +418,31 @@ def _count_factors(spec: SchemeSpec, budget: int) -> list:
 
     Every query and every scan reads the law through these.  Stratified,
     lhs, patterson and the fully randomized lattice have one ordered
-    distinct cells factor per coordinate, 1 - I over n (n - 1); any other
-    law is the one _pair_counts factor over every coordinate.
+    distinct cells factor per coordinate, 1 - I over n (n - 1), given as
+    P_f = None: _apply_factor applies it in O(n) (a query's budget counts
+    its n cells, a scan's counts it as built).  Any other law is the one
+    _pair_counts factor over every coordinate.
     """
     if spec.n < 2:
         raise ValueError("a distinct pair needs n >= 2")
     if _is_factorized(spec):
-        return [(1 - np.eye(spec.n, dtype=np.int64), spec.n * (spec.n - 1), 1)] * spec.dim
+        if spec.dim * spec.n > budget:
+            raise BudgetExceededError(
+                f"law too large: {spec.dim * spec.n} cells exceeds budget {budget}"
+            )
+        return [(None, spec.n * (spec.n - 1), 1)] * spec.dim
     return [(*_pair_counts(spec, budget), spec.dim)]
+
+
+def _apply_factor(P, X) -> tuple:
+    """(P @ X, P.sum(axis=1)) for a count factor P and integer columns X.
+
+    P None is 1 - I: P @ X is X.sum(0) - X, and every row sums to c - 1.
+    """
+    if P is None:
+        return X.sum(axis=0) - X, np.full(len(X), len(X) - 1, dtype=X.dtype)
+    P = P.astype(X.dtype, copy=False)
+    return P @ X, P.sum(axis=1)
 
 
 def _joint_factor(spec: SchemeSpec, q, r) -> Fraction:
@@ -501,9 +518,10 @@ def _factor_query(spec: SchemeSpec, factors, Q: AnchoredBox, R: AnchoredBox) -> 
         # pair_marginal_prob passes its one box as both Q and R
         b, den_b = (a, den_a) if R is Q else _box_weights(R.anchor[i:i + k], spec.n, pos)
         dtype = _int_dtype(total * den_a * den_b)
-        P, a, b = (v.astype(dtype, copy=False) for v in (P, a, b))
-        aP = a @ P  # aP.sum() is P.sum(1) a
-        terms = ((aP @ b, den_a * den_b), (aP.sum(), den_a), (P.sum(axis=0) @ b, den_b))
+        a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
+        Pb, rows = _apply_factor(P, b[:, None])
+        # P_f.sum(0) b_f is the sum of P_f b_f
+        terms = ((a @ Pb[:, 0], den_a * den_b), (rows @ a, den_a), (Pb.sum(), den_b))
         for j, (num, den) in enumerate(terms):
             nums[j] *= int(num)
             dens[j] *= total * den
@@ -544,7 +562,9 @@ def pair_box_prob(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox,
 
 def pair_marginal_prob(spec: SchemeSpec, box: AnchoredBox, side: int = 0,
                        budget=DEFAULT_BUDGET) -> Fraction:
-    """Exact P(p_side in box) under the pair law of the scheme."""
+    """Exact P(p_side in box) under the pair law of the scheme, side 0 or 1."""
+    if side not in (0, 1):
+        raise ValueError(f"side must be 0 or 1, not {side!r}")
     _check_boxes(spec, box)
     if _is_torus(spec):
         # a uniform torus shift makes each coordinate uniform
@@ -649,8 +669,8 @@ def _contract(spec: SchemeSpec, anchors, budget: int, factors=None) -> list:
         scale = (total * den_w**k) ** 2
         dtype = _int_dtype(scale)
         A = _kron([table] * k, dtype)
-        P = P.astype(dtype)
-        PA, p1, p2 = P @ A * total, P.sum(axis=1) @ A, P.sum(axis=0) @ A
+        PA, rows = _apply_factor(P, A)
+        p1, p2, PA = rows @ A, PA.sum(axis=0), PA * total
         # cancel the factor's common divisor, split between the marginals
         g1, g2 = int(np.gcd.reduce(p1)), int(np.gcd.reduce(p2))
         g = gcd(scale, int(np.gcd.reduce(PA, axis=None)), g1 * g2)

@@ -109,6 +109,18 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["joint"] == "1/100"
 
+    def test_pairprob_large_factorized_law(self, capsys):
+        # one distinct-cells factor per coordinate, never built as n x n
+        code, out, _ = run(capsys, "analyze", "pairprob", "--scheme", "lhs",
+                           "--n", "100000", "--dim", "2",
+                           "--Q", "1/2,1/2", "--R", "1/2,1/2")
+        assert code == 0
+        assert json.loads(out)["joint"] == "2499900001/39999200004"
+        code, _, err = run(capsys, "analyze", "pairprob", "--scheme", "lhs",
+                           "--n", "100000", "--dim", "2", "--budget", "199999",
+                           "--Q", "1/2,1/2", "--R", "1/2,1/2")
+        assert code == 3
+
     def test_nuod_clean_exit_zero(self, capsys):
         code, out, _ = run(capsys, "analyze", "nuod", "--scheme", "lhs",
                            "--n", "4", "--dim", "2", "--grid", "8")

@@ -245,8 +245,9 @@ def test_weight_table_matches_fraction_weights(position):
         anchors = [F(rnd.randrange(d + 1), d) for d in dens] + [F(0), F(1), F(1, 2 * n)]
         table, den = _weight_table(anchors, n, position)
         want = [[_cell_weight(c, a, n, position) * den for a in anchors] for c in range(n)]
-        assert table == want
-        assert all(type(v) is int for row in table for v in row)
+        assert table.tolist() == want
+        # exact integers: int64, or python ints past the int64-safe range
+        assert table.dtype == np.int64 or all(type(v) is int for v in table.flat)
 
 
 def test_pairs_rows_match_fraction_oracle():
@@ -738,6 +739,37 @@ def test_torus_budget_counts_summed_terms():
         with pytest.raises(mod.BudgetExceededError, match=f"{work} terms"):
             pair_box_prob(spec, box, box, budget=work - 1)
         pair_box_prob(spec, box, box, budget=work)
+
+
+LARGE = [lhs_spec(100003, 2), full_rsj(100003, 2), patterson_spec(100003, 2),
+         stratified_spec(100003)]
+
+
+@pytest.mark.parametrize("spec", LARGE, ids=[_spec_id(s) for s in LARGE])
+def test_large_factorized_query_matches_closed_form(spec):
+    # the distinct-cells factors are applied in O(n) per coordinate, never built
+    Q = AnchoredBox((F(1, 3), F(12345, 100003))[:spec.dim])
+    R = AnchoredBox((F(2, 7), F(1, 2))[:spec.dim])
+    closed = pair_box_prob(spec, Q, R, method="closed_form")
+    assert pair_box_prob(spec, Q, R) == closed
+    assert _pair_query(spec, Q, R)[0] == closed
+
+
+def test_factorized_query_budget_counts_cells():
+    # dim x n cells: the weight column of each coordinate
+    spec, box = lhs_spec(1000, 2), AnchoredBox((F(1, 3), F(2, 5)))
+    for query in (lambda b: pair_box_prob(spec, box, box, budget=b),
+                  lambda b: pair_marginal_prob(spec, box, 1, budget=b),
+                  lambda b: _pair_query(spec, box, box, budget=b)):
+        with pytest.raises(mod.BudgetExceededError, match="2000 cells"):
+            query(1999)
+        query(2000)
+
+
+@pytest.mark.parametrize("side", [-1, 2])
+def test_marginal_side_must_be_zero_or_one(side):
+    with pytest.raises(ValueError, match="side"):
+        pair_marginal_prob(lhs_spec(3, 2), AnchoredBox((F(1, 3), F(1, 2))), side)
 
 
 # -- one law per query ------------------------------------------------------
