@@ -210,15 +210,6 @@ def _generators(spec: SchemeSpec) -> list:
     return [np.array([g], dtype=np.int64) for g in spec.generator]
 
 
-def _difference_index(n: int, dim: int) -> np.ndarray:
-    """idx[z1, z2]: the lexicographic number of the cell vector (z2 - z1) mod n."""
-    m = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    idx = np.zeros((1, 1), dtype=np.int64)
-    for _ in range(dim):
-        idx = (idx[:, None, :, None] * n + m[None, :, None, :]).reshape(len(idx) * n, -1)
-    return idx
-
-
 def _difference_counts(spec: SchemeSpec) -> np.ndarray:
     """F[e]: the count of cell vector pairs (z1, z2) at each difference e = z2 - z1.
 
@@ -275,7 +266,10 @@ def _pair_counts(spec: SchemeSpec, budget=DEFAULT_BUDGET):
     the terms of that sum the route evaluates plus the n^(2 dim) entries of
     P: (n - 1) n^dim under a grid shift (difference classes), n (n - 1)
     |generators| without one (table nonzeros), n^dim for lhs.  Counts and
-    total are divided by their common gcd.
+    total are divided by their common gcd.  Under a grid shift (and for
+    the latin kinds) P[z1, z2] = F[z2 - z1], so every row of P is a
+    permutation of the difference row F: the gcd is taken on F, and P is
+    gathered from the reduced F in one pass.
     """
     n, dim = spec.n, spec.dim
     if n < 2:
@@ -302,11 +296,19 @@ def _pair_counts(spec: SchemeSpec, budget=DEFAULT_BUDGET):
         )
     if spec.kind == "rsj_lattice" and spec.shift == "none":
         P = _unshifted_counts(spec)
-    else:
-        P = _difference_counts(spec)[_difference_index(n, dim)]
-    total = int(P.sum())
-    g = gcd(int(np.gcd.reduce(P, axis=None)), total)
-    return P // g, total // g
+        total = int(P.sum())
+        g = gcd(int(np.gcd.reduce(P, axis=None)), total)
+        P //= g
+        return P, total // g
+    F = _difference_counts(spec)
+    total = cells * int(F.sum())
+    g = gcd(int(np.gcd.reduce(F)), total)
+    F //= g
+    # coordinate i's difference (z2_i - z1_i) mod n, on axes i (z1) and dim + i (z2)
+    m = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+    diffs = tuple(m.reshape([n if k in (i, dim + i) else 1 for k in range(2 * dim)])
+                  for i in range(dim))
+    return F.reshape((n,) * dim)[diffs].reshape(cells, cells), total // g
 
 
 def _law_counts(n: int, dim: int, spec: SchemeSpec, budget):
@@ -822,8 +824,13 @@ def copula_equality_check(n: int, dim: int, spec: SchemeSpec = None,
     P_a, t_a = _law_counts(n, dim, spec, budget)
     P_b, t_b = _law_counts(n, dim, lhs_spec(n, dim), budget)
     dtype = _int_dtype(t_a * t_b)
-    diff = P_a.astype(dtype) * t_b - P_b.astype(dtype) * t_a
-    worst = Fraction(int(np.abs(diff).max()), t_a * t_b)
+    # both count arrays are private to this call: scale and subtract in place
+    diff = P_a.astype(dtype, copy=False)
+    diff *= t_b
+    scaled = P_b.astype(dtype, copy=False)
+    scaled *= t_a
+    diff -= scaled
+    worst = Fraction(int(np.abs(diff, out=diff).max()), t_a * t_b)
     return CopulaCheck(worst == 0, worst)
 
 
@@ -852,33 +859,38 @@ def coordinate_independence_check(n: int, dim: int, spec: SchemeSpec = None,
     # C[c_0, .., c_{dim-1}] counts by per-coordinate cell pair code z1 * n + z2
     axes = [ax for i in range(dim) for ax in (i, dim + i)]
     C = P.reshape((n,) * (2 * dim)).transpose(axes).reshape((nn,) * dim)
-    C = C.astype(_int_dtype(total**dim))
+    del P
+    C = C.astype(_int_dtype(total**dim), copy=False)
     singles = [C.sum(axis=tuple(j for j in range(dim) if j != i)) for i in range(dim)]
-    # discrete_pair_pmf orders its support by code, coordinate 0 least
-    # significant: Fortran order of C
-    support = np.flatnonzero(C.ravel(order="F"))
-    orders = []
-    for i in range(dim):
-        values, first = np.unique(support // nn**i % nn, return_index=True)
-        orders.append(values[np.argsort(first)])
+    # compared on every code: off a coordinate's support both sides are 0
     for size in range(2, dim + 1):
         for idx in combinations(range(dim), size):
-            joint = C.sum(axis=tuple(j for j in range(dim) if j not in idx))
+            joint = C if size == dim else C.sum(axis=tuple(j for j in range(dim) if j not in idx))
             expected = singles[idx[0]]
             for i in idx[1:]:
                 expected = np.multiply.outer(expected, singles[i])
-            cells = np.ix_(*(orders[i] for i in idx))
-            bad = joint[cells] * total ** (size - 1) != expected[cells]
-            if bad.any():
-                at = np.unravel_index(np.argmax(bad), bad.shape)
-                codes = tuple(int(orders[i][k]) for i, k in zip(idx, at))
-                return IndependenceReport(False, {
-                    "subset": idx,
-                    "cells": tuple(divmod(c, n) for c in codes),
-                    "joint": Fraction(int(joint[codes]), total),
-                    "product": prod(Fraction(int(singles[i][c]), total)
-                                    for i, c in zip(idx, codes)),
-                })
+            scaled = joint * total ** (size - 1)
+            if np.array_equal(scaled, expected):
+                continue
+            # the witness: discrete_pair_pmf orders its support by code,
+            # coordinate 0 least significant (Fortran order of C), and each
+            # coordinate's cell pairs go in order of first appearance there
+            support = np.flatnonzero(C.ravel(order="F"))
+            orders = []
+            for i in idx:
+                values, first = np.unique(support // nn**i % nn, return_index=True)
+                orders.append(values[np.argsort(first)])
+            cells = np.ix_(*orders)
+            bad = scaled[cells] != expected[cells]
+            at = np.unravel_index(np.argmax(bad), bad.shape)
+            codes = tuple(int(o[k]) for o, k in zip(orders, at))
+            return IndependenceReport(False, {
+                "subset": idx,
+                "cells": tuple(divmod(c, n) for c in codes),
+                "joint": Fraction(int(joint[codes]), total),
+                "product": prod(Fraction(int(singles[i][c]), total)
+                                for i, c in zip(idx, codes)),
+            })
     return IndependenceReport(True)
 
 
@@ -1053,9 +1065,10 @@ def _pairs_csv(spec: SchemeSpec, grid_resolution: int, budget=DEFAULT_BUDGET) ->
     """The rows of scan_pairs_rows as CSV text, and the scan's witnesses.
 
     Columns Q, R, joint, product, violation: anchors as num/den joined by
-    ';', probabilities as reduced num/den.  Each block of the integer tables
-    is reduced against den by one vectorized gcd (python ints included) and
-    written one f-string per row.
+    ';', probabilities as reduced num/den.  A table holds few distinct
+    values (the product table is an outer product), so each block reduces
+    and formats every distinct joint and product numerator once and
+    indexes the strings; rows are written one f-string each.
     """
     anchors = _grid_anchors(grid_resolution)
     den, blocks = _pair_tables(spec, anchors, budget)
@@ -1064,9 +1077,17 @@ def _pairs_csv(spec: SchemeSpec, grid_resolution: int, budget=DEFAULT_BUDGET) ->
     lines, witnesses = ["Q,R,joint,product,violation\n"], []
     for start, joint, prod in blocks:
         witnesses += _block_witnesses(box, den, start, joint, prod)
-        gj, gp = np.gcd(joint, den), np.gcd(prod, den)
-        cols = [c.tolist() for c in (joint // gj, den // gj, prod // gp, den // gp, joint > prod)]
+        cols = [_fraction_strings(joint, den), _fraction_strings(prod, den),
+                (joint > prod).tolist()]
         for q, *row in zip(labels[start:], *cols):
-            lines += [f"{q},{r},{jn}/{jd},{pn}/{pd},{bad}\n"
-                      for r, jn, jd, pn, pd, bad in zip(labels, *row)]
+            lines += [f"{q},{r},{j},{p},{bad}\n" for r, j, p, bad in zip(labels, *row)]
     return "".join(lines), witnesses
+
+
+def _fraction_strings(table, den: int) -> list:
+    """The rows of table / den as reduced "num/den" strings, one format per distinct value."""
+    values, inverse = np.unique(table.ravel(), return_inverse=True)
+    g = np.gcd(values, den)
+    text = np.array([f"{a}/{b}" for a, b in zip((values // g).tolist(), (den // g).tolist())],
+                    dtype=object)
+    return text[inverse.reshape(table.shape)].tolist()

@@ -26,6 +26,7 @@ expansion over every box pair.
 import csv
 import io
 import random
+import tracemalloc
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
 from math import gcd, lcm, prod
@@ -695,6 +696,51 @@ def test_structural_checks_pass_at_eleven_cubed():
     # refused before the index-pair classes: 1.46e8 enumerated terms
     assert copula_equality_check(11, 3) == (True, F(0))
     assert coordinate_independence_check(11, 3).ok
+
+
+def _xor_counts(n, pairs):
+    """(P, total) of a law that is pairwise independent but not three-wise.
+
+    Coordinate i takes cell pair pairs[i][x_i] for bits x_0, x_1 uniform and
+    x_2 = x_0 xor x_1: four equally likely cell vector pairs.
+    """
+    dim = len(pairs)
+    P = np.zeros((n**dim, n**dim), dtype=np.int64)
+    for x0, x1 in product((0, 1), repeat=2):
+        cell_pairs = [pairs[i][x] for i, x in enumerate((x0, x1, x0 ^ x1))]
+        z1, z2 = (sum(c[k] * n ** (dim - 1 - i) for i, c in enumerate(cell_pairs)) for k in (0, 1))
+        P[z1, z2] += 1
+    return P, 4
+
+
+def test_independence_witness_on_a_later_subset(monkeypatch):
+    # no supported spec fails past subset (0, 1); coordinate 0's first cell
+    # pair in support order, (2, 1), is not its smallest code
+    n, pairs = 3, [((2, 1), (0, 1)), ((0, 1), (1, 2)), ((1, 0), (2, 0))]
+    monkeypatch.setattr(mod, "_law_counts", lambda *args: _xor_counts(n, pairs))
+    spec = full_rsj(n, 3)
+    rep = coordinate_independence_check(n, 3)
+    ok, witness = oracle_independence(spec)
+    assert not ok and witness["subset"] == (0, 1, 2) and witness["cells"][0] == (2, 1)
+    assert (rep.ok, rep.witness) == (ok, witness)
+    assert repr(rep.witness) == repr(witness)
+
+
+def test_law_build_and_structural_check_memory_peaks():
+    # the law of full_rsj(7,3) is 343 x 343 int64, 0.94 MB; the build holds
+    # no n^(2d) index array or second copy, and the checks hold a few laws
+    law_bytes = 7**6 * 8
+    peaks = []
+    for call in (lambda: _pair_counts(full_rsj(7, 3)),
+                 lambda: coordinate_independence_check(7, 3),
+                 lambda: copula_equality_check(7, 3)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1] / law_bytes)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 1.5 and max(peaks[1:]) <= 3.5, peaks
 
 
 # -- the torus route over delta = b - a ---------------------------------------
