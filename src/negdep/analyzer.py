@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exact import CircularInterval, circular_overlap, format_rational, is_prime, torus_dist
-from .schemes import SchemeSpec, full_rsj, is_full_rsj, lhs_spec
+from .schemes import SchemeSpec, full_rsj, lhs_spec
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -55,7 +55,6 @@ __all__ = [
     "shift_only_conditional",
     "no_shift_mass",
     "report_to_json_dict",
-    "scan_pairs_rows",
 ]
 
 DEFAULT_BUDGET = 10**8
@@ -75,6 +74,12 @@ class UnsupportedSchemeError(ValueError):
 
 class HypothesisViolatedError(ValueError):
     """A premise of the requested probe fails; the witness is in args[0]."""
+
+
+def _charge(work: int, budget: int, what: str, unit: str) -> None:
+    """Refuse work above the budget, naming the work, its unit and the budget."""
+    if work > budget:
+        raise BudgetExceededError(f"{what} too large: {work} {unit} exceeds budget {budget}")
 
 
 @dataclass(frozen=True)
@@ -289,11 +294,7 @@ def _pair_counts(spec: SchemeSpec, budget=DEFAULT_BUDGET):
         terms = cells
     else:
         raise UnsupportedSchemeError(f"no discrete pair law for kind {spec.kind!r}")
-    work = terms + cells * cells
-    if work > budget:
-        raise BudgetExceededError(
-            f"enumeration too large: {work} terms exceeds budget {budget}"
-        )
+    _charge(terms + cells * cells, budget, "enumeration", "terms")
     if spec.kind == "rsj_lattice" and spec.shift == "none":
         P = _unshifted_counts(spec)
         total = int(P.sum())
@@ -412,26 +413,35 @@ def _box_weights(anchors, n: int, position: str):
 
 
 def _is_factorized(spec: SchemeSpec) -> bool:
-    return spec.kind in ("stratified1d", "lhs", "patterson") or is_full_rsj(spec)
+    """Whether the cell-pair law is one ordered distinct cells factor per coordinate.
+
+    True for stratified, lhs, patterson and a random-generator lattice
+    under a grid shift, jitter on or off: given the index pair (a, b),
+    gamma (b - a) is uniform over the nonzero residues and the shift over
+    all of them, so each coordinate's cell pair is uniform over ordered
+    distinct pairs, independently of the others and of (a, b).
+    """
+    if spec.kind == "rsj_lattice":
+        return spec.generator == "random" and spec.shift == "grid"
+    return spec.kind in ("stratified1d", "lhs", "patterson")
 
 
 def _count_factors(spec: SchemeSpec, budget: int) -> list:
     """The cell-pair law as count factors (P_f, total_f, k_f), over k_f coordinates each.
 
     Every query and every scan reads the law through these.  Stratified,
-    lhs, patterson and the fully randomized lattice have one ordered
-    distinct cells factor per coordinate, 1 - I over n (n - 1), given as
-    P_f = None: _apply_factor applies it in O(n) (a query's budget counts
-    its n cells, a scan's counts it as built).  Any other law is the one
-    _pair_counts factor over every coordinate.
+    lhs, patterson and the random-generator lattice under a grid shift,
+    jittered or not (see _is_factorized), have one ordered distinct cells
+    factor per coordinate, 1 - I over n (n - 1), given as P_f = None:
+    _apply_factor applies it in O(n) (a query's budget counts its n cells,
+    a scan's counts it as built).  The position model (jitter, corner,
+    midpoint) enters through the cell weights only.  Any other law is the
+    one _pair_counts factor over every coordinate.
     """
     if spec.n < 2:
         raise ValueError("a distinct pair needs n >= 2")
     if _is_factorized(spec):
-        if spec.dim * spec.n > budget:
-            raise BudgetExceededError(
-                f"law too large: {spec.dim * spec.n} cells exceeds budget {budget}"
-            )
+        _charge(spec.dim * spec.n, budget, "law", "cells")
         return [(None, spec.n * (spec.n - 1), 1)] * spec.dim
     return [(*_pair_counts(spec, budget), spec.dim)]
 
@@ -472,11 +482,7 @@ def _continuous_shift_box_prob(n: int, gammas, anchors1, anchors2, budget) -> Fr
     generator values of coordinate i (see _generators).  The budget
     counts the summed terms, sum over coordinates of |gammas[i]| x (n - 1).
     """
-    work = sum(len(g) for g in gammas) * (n - 1)
-    if work > budget:
-        raise BudgetExceededError(
-            f"continuous-shift integration too large: {work} terms exceeds budget {budget}"
-        )
+    _charge(sum(len(g) for g in gammas) * (n - 1), budget, "continuous-shift integration", "terms")
     per_delta = [Fraction(1)] * (n - 1)
     for i, coord_gammas in enumerate(gammas):
         overlap = [_shifted_pair_overlap(Fraction(0), Fraction(e, n), anchors1[i], anchors2[i])
@@ -536,10 +542,11 @@ def pair_box_prob(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox,
     """Exact P(p1 in Q, p2 in R) for anchored boxes Q, R.
 
     method "auto" contracts the count factors of the law (one per
-    coordinate for stratified, lhs, patterson and the fully randomized
-    lattice); "enumeration" contracts the one _pair_counts factor over
-    every coordinate, and "closed_form" multiplies the per-coordinate
-    closed forms, which exist for the factorized laws only.  A continuous
+    coordinate for stratified, lhs, patterson and the random-generator
+    lattice under a grid shift); "enumeration" contracts the one
+    _pair_counts factor over every coordinate, and "closed_form" multiplies
+    the per-coordinate closed forms, which exist for the factorized laws
+    with jittered or midpoint positions only.  A continuous
     torus shift (jitterless) is integrated exactly via circle-arc overlaps;
     combined with jitter it is unsupported.
     """
@@ -549,7 +556,8 @@ def pair_box_prob(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox,
     if _is_torus(spec):
         return _continuous_shift_box_prob(spec.n, _generators(spec), Q.anchor, R.anchor, budget)
     if method == "closed_form":
-        if not _is_factorized(spec):
+        # the closed forms take jittered or midpoint positions, not cell corners
+        if not _is_factorized(spec) or _position_model(spec) == "corner":
             raise UnsupportedSchemeError("no closed form for this spec; use enumeration")
         return prod((_joint_factor(spec, q, r) for q, r in zip(Q.anchor, R.anchor)),
                     start=Fraction(1))
@@ -645,13 +653,6 @@ def _contraction_work(n: int, m: int, dims) -> int:
     return sum(n**k * m**k * (n**k + m**k) for k in dims)
 
 
-def _check_scan_work(work: int, budget: int) -> None:
-    if work > budget:
-        raise BudgetExceededError(
-            f"grid scan too large: {work} multiply-adds exceeds budget {budget}"
-        )
-
-
 def _contract(spec: SchemeSpec, anchors, budget: int, factors=None) -> list:
     """Each count factor of the law contracted with the cell weights.
 
@@ -724,82 +725,94 @@ def _expand(contracted):
     return den, blocks()
 
 
-def _pair_tables(spec: SchemeSpec, anchors, budget: int, factors=None):
-    """_expand of _contract: the joint and product tables of every box pair.
-
-    The budget counts the contraction's multiply-adds plus one comparison
-    per box pair, sum_f c_f B_f (c_f + B_f) + M^(2 dim).
-    """
-    m = len(anchors)
-    work = _contraction_work(spec.n, m, _factor_dims(spec, factors))
-    _check_scan_work(work + m ** (2 * spec.dim), budget)
-    return _expand(_contract(spec, anchors, budget, factors))
-
-
 def nuod_scan(spec: SchemeSpec, grid_resolution: int, budget=DEFAULT_BUDGET) -> DependenceReport:
     """Check joint <= product for all anchored-box pairs on the k/M grid.
 
     The product side uses the scheme's exact marginals (equal to box volume
     whenever the scheme is marginally uniform).  For factorizable schemes
     both sides are multilinear in the 2*dim anchor coordinates on each cell
-    of the 1/n grid, so when M is a multiple of n the corner check on this
-    grid certifies the inequality for every anchored box pair (anchors at 1
-    make both sides vanish, so the open upper face is trivial).
+    of the 1/n grid (constant on each (j/n, (j+1)/n] for corner positions),
+    so when M is a multiple of n the corner check on this grid certifies
+    the inequality for every anchored box pair (anchors at 1 make both
+    sides vanish, so the open upper face is trivial).
 
-    When the law has several count factors (stratified, lhs, patterson,
-    full lattice: one per coordinate), joint and product of a box pair are
-    products of nonnegative per-factor entries, so checking each factor's
-    M^k_f x M^k_f tables certifies every box pair, and the report has no
-    witnesses.  Only if some factor fails are all M^(2 dim) box pairs
-    expanded and compared.  The budget counts the contraction and the
-    factor comparisons, sum_f c_f B_f (c_f + B_f) + sum_f B_f^2 (c_f = n^k_f
-    cell vectors, B_f = M^k_f boxes), checked before the contraction, and
-    M^(2 dim) more for an expansion, checked before it runs.  A one-factor
-    law is expanded directly; its B_f^2 is M^(2 dim).
+    When the law has several count factors (stratified, lhs, patterson and
+    the random-generator lattice under a grid shift: one per coordinate),
+    joint and product of a box pair are products of nonnegative per-factor
+    entries, so checking each factor's M^k_f x M^k_f tables certifies every
+    box pair, and the report has no witnesses.  Only if some factor fails
+    are all M^(2 dim) box pairs expanded and compared; a one-factor law is
+    expanded directly.  The budget is that of _scan.
 
     A continuous-torus-shift spec has no cell law and is not scanned; the
     fixed-distance probe (shift_only_conditional) covers that ablation.
     """
+    return _scan(spec, grid_resolution, budget)[0]
+
+
+def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, rows: bool = False,
+          factors=None) -> tuple:
+    """The k/M grid scan, as (DependenceReport, pairs CSV text or None).
+
+    The law's count factors (factors overrides _count_factors) are
+    contracted with the grid's cell weights once.  With several factors
+    and no rows wanted, the per-factor certificate runs; if it holds there
+    are no witnesses.  Otherwise every box pair is expanded once, and the
+    witnesses, and the CSV rows if wanted, are read from the same blocks.
+
+    Each stage's budget is checked before it runs.  The contraction costs
+    sum_f c_f B_f (c_f + B_f) multiply-adds (c_f = n^k_f cell vectors,
+    B_f = M^k_f boxes); the certificate adds sum_f B_f^2 comparisons and
+    the expansion one per box pair, M^(2 dim), on top of the certificate
+    when that ran and failed.
+
+    CSV columns Q, R, joint, product, violation, one row per box pair in
+    lexicographic order: anchors as num/den joined by ';', probabilities
+    as reduced num/den.
+    """
     anchors = _grid_anchors(grid_resolution)
-    witnesses = _nuod_witnesses(spec, anchors, budget)
-    return DependenceReport.from_witnesses(spec, grid_resolution, witnesses)
-
-
-def _nuod_witnesses(spec: SchemeSpec, anchors, budget: int, factors=None) -> list:
-    """nuod_scan's witnesses: the per-factor certificate, else the expansion."""
-    m, dims = len(anchors), _factor_dims(spec, factors)
-    work = _contraction_work(spec.n, m, dims) + sum(m ** (2 * k) for k in dims)
-    _check_scan_work(work, budget)
+    m, dim, dims = len(anchors), spec.dim, _factor_dims(spec, factors)
+    certify = len(dims) > 1 and not rows
+    work = _contraction_work(spec.n, m, dims)
+    work += sum(m ** (2 * k) for k in dims) if certify else m ** (2 * dim)
+    _charge(work, budget, "grid scan", "multiply-adds")
     contracted = _contract(spec, anchors, budget, factors)
-    if len(contracted) > 1:
+    if certify:
         if _certified(contracted):
-            return []
-        _check_scan_work(work + m ** (2 * spec.dim), budget)
-    return _scan_witnesses(spec, anchors, _expand(contracted))
-
-
-def _scan_witnesses(spec: SchemeSpec, anchors, tables) -> list:
-    """(Q, R, joint, product) for every box pair with joint > product."""
-    den, blocks = tables
-    box = _grid_box(anchors, spec.dim)
-    return [w for start, joint, prod in blocks for w in _block_witnesses(box, den, start, joint, prod)]
-
-
-def _grid_box(anchors, dim: int):
-    """The box of lexicographic index k over the anchors, as a function of k."""
-    m = len(anchors)
+            return DependenceReport.from_witnesses(spec, grid_resolution, []), None
+        _charge(work + m ** (2 * dim), budget, "grid scan", "multiply-adds")
 
     def box(k):
         return AnchoredBox(tuple(anchors[k // m ** (dim - 1 - i) % m] for i in range(dim)))
 
-    return box
+    if rows:
+        labels = [";".join(q) for q in product([format_rational(a) for a in anchors], repeat=dim)]
+    den, blocks = _expand(contracted)
+    witnesses, lines = [], ["Q,R,joint,product,violation\n"]
+    for start, joint, indep in blocks:
+        bad = joint > indep
+        witnesses += [(box(start + int(q)), box(int(r)),
+                       Fraction(int(joint[q, r]), den), Fraction(int(indep[q, r]), den))
+                      for q, r in zip(*np.nonzero(bad))]
+        if rows:
+            cols = [_fraction_strings(joint, den), _fraction_strings(indep, den), bad.tolist()]
+            for q, *row in zip(labels[start:], *cols):
+                lines += [f"{q},{r},{j},{p},{v}\n" for r, j, p, v in zip(labels, *row)]
+    report = DependenceReport.from_witnesses(spec, grid_resolution, witnesses)
+    return report, "".join(lines) if rows else None
 
 
-def _block_witnesses(box, den: int, start: int, joint, prod) -> list:
-    """The witnesses of one _expand block (see _scan_witnesses)."""
-    return [(box(start + int(q)), box(int(r)),
-             Fraction(int(joint[q, r]), den), Fraction(int(prod[q, r]), den))
-            for q, r in zip(*np.nonzero(joint > prod))]
+def _fraction_strings(table, den: int) -> list:
+    """The rows of table / den as reduced "num/den" strings, one format per distinct value.
+
+    A scan table holds few distinct values (the product table is an outer
+    product), so this formats far fewer strings than it returns.
+    """
+    values, inverse = np.unique(table.ravel(), return_inverse=True)
+    g = np.gcd(values, den)
+    text = np.array([f"{a}/{b}" for a, b in zip((values // g).tolist(), (den // g).tolist())],
+                    dtype=object)
+    return text[inverse.reshape(table.shape)].tolist()
 
 
 # -- structural separations -----------------------------------------------------
@@ -920,9 +933,7 @@ def triple_distinguisher(n: int, dim: int, a, b, budget=DEFAULT_BUDGET) -> tuple
     if any(x == y for x, y in zip(a, b)):
         raise ValueError("cell vectors share a coordinate cell; they must differ everywhere")
 
-    lattice_terms = (n - 1) ** dim * n**dim
-    if lattice_terms > budget:
-        raise BudgetExceededError("lattice enumeration exceeds budget")
+    _charge((n - 1) ** dim * n**dim, budget, "lattice enumeration", "lattices")
     # codes[g, s, m]: the lexicographic cell code of point m of the lattice
     # with generator g and shift s; a lattice is its sorted row of codes.
     # Generators go in blocks of about _CODE_BLOCK codes, to bound memory.
@@ -954,13 +965,18 @@ def no_shift_mass(n: int, dim: int, budget=DEFAULT_BUDGET) -> Fraction:
     """Exact P(p1 in [0, 1/n)^dim) for the unshifted jittered lattice.
 
     Enumerates (generator, point index); jitter keeps each point inside its
-    cell, so the event is exactly "the point's cell vector is zero".  The
-    value is 1/n for every dim, which breaks marginal uniformity as soon as
-    dim >= 2 (a uniform point would give 1/n^dim).
+    cell, so the event is exactly "the point's cell vector is zero".  For a
+    prime n the value is 1/n for every dim, which breaks marginal
+    uniformity as soon as dim >= 2 (a uniform point would give 1/n^dim).
+    The budget counts the (n - 1)^dim n enumerated terms.
     """
+    if dim < 1:
+        raise ValueError("needs dim >= 1")
     terms = (n - 1) ** dim * n
-    if terms > budget:
-        raise BudgetExceededError("enumeration exceeds budget")
+    # charged first: the budget also bounds is_prime's trial division
+    _charge(terms, budget, "no-shift enumeration", "terms")
+    if not is_prime(n):
+        raise ValueError("needs a prime n")
     hits = 0
     for g in product(range(1, n), repeat=dim):
         for m in range(n):
@@ -998,8 +1014,10 @@ def shift_only_conditional(spec: SchemeSpec, epsilon, dim_index: int = None,
     i = spec.dim - 1 if dim_index is None else dim_index
     if not 0 <= i < spec.dim:
         raise ValueError("dim_index out of range")
-
     n = spec.n
+    if n < 2:
+        raise ValueError("a distinct pair needs n >= 2")
+
     gammas = _generators(spec)[i]
     q = eps / 2
     # the other coordinates' anchors are 0, a factor 1 each, so the probed
@@ -1043,51 +1061,3 @@ def report_to_json_dict(report: DependenceReport) -> dict:
             for Q, R, joint, prodv in report.witnesses
         ],
     }
-
-
-def scan_pairs_rows(spec: SchemeSpec, grid_resolution: int, budget=DEFAULT_BUDGET):
-    """One (Q, R, joint, product, violation) row per probed grid pair.
-
-    The full per-pair table of a scan, for CSV export; the scan's budget,
-    which counts one comparison per box pair, guards the M^(2 dim) blowup.
-    Rows are yielded in lexicographic anchor order.
-    """
-    anchors = _grid_anchors(grid_resolution)
-    den, blocks = _pair_tables(spec, anchors, budget)
-    boxes = [AnchoredBox(a) for a in product(anchors, repeat=spec.dim)]
-    for start, joint, prod in blocks:
-        for Q, jrow, prow in zip(boxes[start:], joint.tolist(), prod.tolist()):
-            for R, j, p in zip(boxes, jrow, prow):
-                yield Q, R, Fraction(j, den), Fraction(p, den), j > p
-
-
-def _pairs_csv(spec: SchemeSpec, grid_resolution: int, budget=DEFAULT_BUDGET) -> tuple:
-    """The rows of scan_pairs_rows as CSV text, and the scan's witnesses.
-
-    Columns Q, R, joint, product, violation: anchors as num/den joined by
-    ';', probabilities as reduced num/den.  A table holds few distinct
-    values (the product table is an outer product), so each block reduces
-    and formats every distinct joint and product numerator once and
-    indexes the strings; rows are written one f-string each.
-    """
-    anchors = _grid_anchors(grid_resolution)
-    den, blocks = _pair_tables(spec, anchors, budget)
-    labels = [";".join(q) for q in product([format_rational(a) for a in anchors], repeat=spec.dim)]
-    box = _grid_box(anchors, spec.dim)
-    lines, witnesses = ["Q,R,joint,product,violation\n"], []
-    for start, joint, prod in blocks:
-        witnesses += _block_witnesses(box, den, start, joint, prod)
-        cols = [_fraction_strings(joint, den), _fraction_strings(prod, den),
-                (joint > prod).tolist()]
-        for q, *row in zip(labels[start:], *cols):
-            lines += [f"{q},{r},{j},{p},{bad}\n" for r, j, p, bad in zip(labels, *row)]
-    return "".join(lines), witnesses
-
-
-def _fraction_strings(table, den: int) -> list:
-    """The rows of table / den as reduced "num/den" strings, one format per distinct value."""
-    values, inverse = np.unique(table.ravel(), return_inverse=True)
-    g = np.gcd(values, den)
-    text = np.array([f"{a}/{b}" for a, b in zip((values // g).tolist(), (den // g).tolist())],
-                    dtype=object)
-    return text[inverse.reshape(table.shape)].tolist()

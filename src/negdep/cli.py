@@ -26,15 +26,13 @@ from .analyzer import (
     DEFAULT_BUDGET,
     AnchoredBox,
     BudgetExceededError,
-    DependenceReport,
     HypothesisViolatedError,
     UnsupportedSchemeError,
     _pair_query,
-    _pairs_csv,
+    _scan,
     copula_equality_check,
     coordinate_independence_check,
     no_shift_mass,
-    nuod_scan,
     report_to_json_dict,
     shift_only_conditional,
     triple_distinguisher,
@@ -161,13 +159,9 @@ def _cmd_analyze(args, argv, t0) -> int:
 
     if sub == "nuod":
         spec = _spec_from_args(args)
-        if args.pairs_csv:
-            # one pass: the report's witnesses are the rows flagged as violations
-            text, witnesses = _pairs_csv(spec, args.grid, budget)
-            report = DependenceReport.from_witnesses(spec, args.grid, witnesses)
+        report, text = _scan(spec, args.grid, budget, rows=bool(args.pairs_csv))
+        if text is not None:
             _write_with_manifest(args.pairs_csv, text, argv, None, t0)
-        else:
-            report = nuod_scan(spec, args.grid, budget=budget)
         _emit(args, report_to_json_dict(report), argv, None, t0)
         return EXIT_OK if report.ok else EXIT_VIOLATION
 
@@ -238,7 +232,7 @@ def _cmd_analyze(args, argv, t0) -> int:
         joint, marg_q, marg_r = _pair_query(fg_spec, Q, R, budget=budget)
         prodv = marg_q * marg_r
         payload["fixed_generator"] = {
-            "generator": list(gen),
+            "generator": spec_to_dict(fg_spec)["generator"],
             "Q": [format_rational(a) for a in Q.anchor],
             "R": [format_rational(a) for a in R.anchor],
             "joint": format_rational(joint),
@@ -267,24 +261,26 @@ def _cmd_variance(args, argv, t0) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = load_batch_config(fh.read())
-        if args.replications:
+        # a flag that is given is set, 0 included: variance_compare rejects it
+        if args.replications is not None:
             cfg["replications"] = args.replications
         if args.seed is not None:
             cfg["seed"] = args.seed
+        seed = int(cfg.get("seed", 0))
         results = run_variance_batch(cfg)
     else:
         spec = _spec_from_args(args)
         f = get_integrand(args.integrand, spec.dim)
-        reps = args.replications or 1000
-        results = [variance_compare(f, spec, reps, RngStream(args.seed or 0))]
+        reps = 1000 if args.replications is None else args.replications
+        seed = 0 if args.seed is None else args.seed
+        results = [variance_compare(f, spec, reps, RngStream(seed))]
 
     payload = {"results": [result_to_json_dict(r) for r in results]}
     if args.out_csv:
-        _write_with_manifest(args.out_csv, _results_to_csv(results), argv,
-                             args.seed, t0)
+        _write_with_manifest(args.out_csv, _results_to_csv(results), argv, seed, t0)
     if args.out_json:
         _write_with_manifest(args.out_json, json.dumps(payload, sort_keys=True, indent=1) + "\n",
-                             argv, args.seed, t0)
+                             argv, seed, t0)
     if not args.out_csv and not args.out_json:
         print(json.dumps(payload, sort_keys=True, indent=1))
     failed = [r for r in results if not r.dominates and not r.biased_capable]

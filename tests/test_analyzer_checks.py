@@ -4,20 +4,21 @@ from fractions import Fraction as F
 import pytest
 
 from negdep.analyzer import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     HypothesisViolatedError,
     UnsupportedSchemeError,
+    _scan,
     copula_equality_check,
     coordinate_independence_check,
     no_shift_mass,
     nuod_scan,
     report_to_json_dict,
-    scan_pairs_rows,
     shift_only_conditional,
     triple_distinguisher,
 )
 from negdep.schemes import SchemeSpec, full_rsj, lhs_spec, patterson_spec, stratified_spec
-from test_kernel import oracle_latin_count
+from test_kernel import oracle_latin_count, scan_pairs_rows
 
 
 class TestNuodScan:
@@ -101,7 +102,7 @@ class TestNuodScan:
 
     def test_pairs_rows_budget(self):
         with pytest.raises(BudgetExceededError):
-            list(scan_pairs_rows(full_rsj(7, 3), 14, budget=100))
+            _scan(full_rsj(7, 3), 14, 100, rows=True)
 
     def test_object_dtype_fallback_matches_int64(self, monkeypatch):
         # force the python-int route of the factorized scanner and of the
@@ -117,9 +118,9 @@ class TestNuodScan:
         def results():
             return (
                 nuod_scan(full_rsj(3, 2), 6),
-                list(scan_pairs_rows(patterson_spec(4, 2), 4)),
+                _scan(patterson_spec(4, 2), 4, DEFAULT_BUDGET, rows=True),
                 nuod_scan(fixed, 5),
-                list(scan_pairs_rows(fixed, 5)),
+                _scan(fixed, 5, DEFAULT_BUDGET, rows=True),
                 pair_box_prob(fixed, Q, R),
                 pair_marginal_prob(fixed, Q, 0),
                 pair_marginal_prob(fixed, R, 1),
@@ -179,6 +180,11 @@ class TestTripleDistinguisher:
         with pytest.raises(ValueError):
             triple_distinguisher(9, 2, (0, 0), (1, 1))
 
+    def test_budget_refusal_names_work_and_budget(self):
+        # (n - 1)^dim n^dim = 1764 lattices at (7, 2)
+        with pytest.raises(BudgetExceededError, match="1764 lattices exceeds budget 1000"):
+            triple_distinguisher(7, 2, (0, 0), (1, 2), budget=1000)
+
     def test_factored_counting_path_agrees(self):
         # the per-coordinate latin count against the enumeration over every
         # tuple of permutations
@@ -196,6 +202,19 @@ class TestNoShiftMass:
     def test_refutes_uniformity_for_d_at_least_2(self):
         for n, d in ((5, 2), (3, 3)):
             assert no_shift_mass(n, d) != F(1, n**d)
+
+    def test_needs_prime_n_and_positive_dim(self):
+        # n = 1 divided by zero, and n = 4 gave 5/18 rather than 1/n
+        for n, d in ((1, 2), (0, 2), (4, 2), (9, 1), (5, 0)):
+            with pytest.raises(ValueError, match="prime|dim"):
+                no_shift_mass(n, d)
+
+    def test_budget_counts_terms(self):
+        # (n - 1)^dim n enumerated (generator, point index) terms
+        work = 4**2 * 5
+        with pytest.raises(BudgetExceededError, match=f"{work} terms exceeds budget {work - 1}"):
+            no_shift_mass(5, 2, budget=work - 1)
+        assert no_shift_mass(5, 2, budget=work) == F(1, 5)
 
 
 class TestShiftOnlyConditional:
@@ -237,6 +256,11 @@ class TestShiftOnlyConditional:
             shift_only_conditional(full_rsj(5, 2), F(1, 10))
         with pytest.raises(UnsupportedSchemeError):
             shift_only_conditional(lhs_spec(5, 2), F(1, 10))
+
+    def test_needs_a_pair(self):
+        # one midpoint has no distinct partner; patterson_spec(1, d) divided by zero
+        with pytest.raises(ValueError, match="n >= 2"):
+            shift_only_conditional(patterson_spec(1, 2), F(1, 2))
 
     def test_probed_coordinate_selectable(self):
         spec = SchemeSpec("rsj_lattice", 5, 3, shift="continuous_torus", jitter=False)

@@ -182,6 +182,22 @@ class TestAnalyze:
         assert payload["fixed_generator"]["joint"] == "1/100"
         assert payload["fixed_generator"]["violation"] is True
 
+    def test_ablation_generator_field(self, capsys):
+        # a fixed generator prints its list; "random" prints the word
+        for flags, want in (([], [1, 1]), (["--generator", "1,2"], [1, 2]),
+                            (["--generator", "random"], "random")):
+            code, out, _ = run(capsys, "analyze", "ablation", "--n", "5", "--dim", "2", *flags)
+            assert code == 0
+            assert json.loads(out)["fixed_generator"]["generator"] == want
+        assert '"generator": [\n   1,\n   1\n  ]' in run(
+            capsys, "analyze", "ablation", "--n", "5", "--dim", "2")[1]
+
+    def test_ablation_needs_prime_n(self, capsys):
+        for n in ("1", "4"):
+            code, out, err = run(capsys, "analyze", "ablation", "--n", n, "--dim", "2")
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and "prime" in err
+
     def test_report_written_with_manifest(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code, _, _ = run(capsys, "analyze", "nuod", "--scheme", "lhs", "--n", "4",
@@ -223,6 +239,33 @@ class TestVariance:
     def test_missing_spec_usage_error(self, capsys):
         code, _, err = run(capsys, "variance", "--replications", "100")
         assert code == 2
+
+    def test_zero_replications_rejected(self, tmp_path, capsys):
+        # a given flag is set, 0 included, inline and over a config's count
+        cfg_path = tmp_path / "batch.json"
+        cfg_path.write_text(json.dumps({"replications": 150, "sizes": [[5, 2]],
+                                        "schemes": [{"kind": "lhs"}], "integrands": ["additive"]}))
+        for argv in (("--scheme", "lhs", "--n", "5", "--dim", "2"), ("--config", str(cfg_path))):
+            code, out, err = run(capsys, "variance", *argv, "--replications", "0")
+            assert code == 2 and out == ""
+            assert "at least 100" in err
+
+    def test_manifest_records_seed_used(self, tmp_path, capsys):
+        # the config's seed, the default 0, and a given flag
+        cfg_path = tmp_path / "batch.json"
+        cfg = {"seed": 3, "replications": 100, "sizes": [[5, 2]], "schemes": [{"kind": "lhs"}],
+               "integrands": ["additive"]}
+        cfg_path.write_text(json.dumps(cfg))
+        inline = ("--scheme", "lhs", "--n", "5", "--dim", "2", "--replications", "100")
+        for argv, seed in ((("--config", str(cfg_path)), 3),
+                           (("--config", str(cfg_path), "--seed", "5"), 5),
+                           (inline, 0), ((*inline, "--seed", "7"), 7)):
+            out = tmp_path / f"out-{seed}.json"
+            assert run(capsys, "variance", *argv, "--out-json", str(out))[0] == 0
+            manifest = json.loads((tmp_path / f"out-{seed}.json.manifest.json").read_text())
+            assert manifest["seed"] == seed
+        # the default seed runs the same stream as --seed 0
+        assert run(capsys, "variance", *inline) == run(capsys, "variance", *inline, "--seed", "0")
 
     def test_threads_flag_is_gone(self, capsys):
         code, _, err = run(capsys, "variance", "--scheme", "rsj", "--n", "5",

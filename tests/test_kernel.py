@@ -14,6 +14,7 @@ The oracle functions below are the analyzer's earlier, direct forms:
   * the closed-form per-coordinate scan tables, one Fraction per anchor pair;
   * the triple-containment lattice count, one frozenset per lattice;
   * the triple-containment latin count, over every tuple of permutations;
+  * the rows of every box pair, one Fraction each (scan_pairs_rows);
   * the pairs table written row by row, format_rational and csv.writer per
     row of scan_pairs_rows.
 
@@ -39,15 +40,14 @@ from negdep.analyzer import (
     AnchoredBox,
     DependenceReport,
     HypothesisViolatedError,
+    UnsupportedSchemeError,
     _certified,
     _contract,
+    _expand,
     _grid_anchors,
-    _nuod_witnesses,
     _pair_counts,
     _pair_query,
-    _pair_tables,
-    _pairs_csv,
-    _scan_witnesses,
+    _scan,
     _shifted_pair_overlap,
     _weight_table,
     copula_equality_check,
@@ -58,7 +58,6 @@ from negdep.analyzer import (
     pair_marginal_prob,
     patterson_marginal_factor,
     patterson_pair_factor,
-    scan_pairs_rows,
     shift_only_conditional,
     stratified_pair_box_prob,
     triple_distinguisher,
@@ -251,6 +250,21 @@ def test_weight_table_matches_fraction_weights(position):
         assert table.dtype == np.int64 or all(type(v) is int for v in table.flat)
 
 
+def scan_pairs_rows(spec, m):
+    """One (Q, R, joint, product, violation) row per box pair of the k/m grid.
+
+    Read one Fraction at a time from the expanded tables, in lexicographic
+    box order.
+    """
+    anchors = _grid_anchors(m)
+    den, blocks = _expand(_contract(spec, anchors, 10**8))
+    boxes = [AnchoredBox(a) for a in product(anchors, repeat=spec.dim)]
+    for start, joint, prodv in blocks:
+        for Q, jrow, prow in zip(boxes[start:], joint.tolist(), prodv.tolist()):
+            for R, j, p in zip(boxes, jrow, prow):
+                yield Q, R, F(j, den), F(p, den), j > p
+
+
 def test_pairs_rows_match_fraction_oracle():
     spec, m = SchemeSpec(RSJ, 5, 2, generator=(1, 2), jitter=False), 5
     law = law_of(spec)
@@ -282,10 +296,9 @@ def test_enumerated_route_matches_closed_form(spec, m):
     # one count factor over every coordinate against one per coordinate,
     # over every box pair of the grid, joint and product alike
     anchors = _grid_anchors(m)
-    enumerated = _pair_tables(spec, anchors, 10**8, factors=one_factor(spec))
-    assert _table(enumerated) == _table(_pair_tables(spec, anchors, 10**8))
-    enumerated = _pair_tables(spec, anchors, 10**8, factors=one_factor(spec))
-    assert _scan_witnesses(spec, anchors, enumerated) == []
+    enumerated = _expand(_contract(spec, anchors, 10**8, one_factor(spec)))
+    assert _table(enumerated) == _table(_expand(_contract(spec, anchors, 10**8)))
+    assert _scan(spec, m, 10**8, factors=one_factor(spec))[0].witnesses == ()
 
 
 def oracle_factor_tables(spec, anchors):
@@ -329,7 +342,7 @@ def test_one_coordinate_tables_match_closed_form(spec, m):
     anchors = _grid_anchors(m)
     jt, pt, den = oracle_factor_tables(spec, anchors)
     want = [(F(j, den), F(p, den)) for jrow, prow in zip(jt, pt) for j, p in zip(jrow, prow)]
-    assert _table(_pair_tables(spec, anchors, 10**8)) == want
+    assert _table(_expand(_contract(spec, anchors, 10**8))) == want
 
 
 @pytest.mark.parametrize("spec", [full_rsj(3, 2), lhs_spec(4, 2)])
@@ -360,13 +373,13 @@ def test_budget_counts_kernel_work():
     with pytest.raises(mod.BudgetExceededError, match="multiply-adds"):
         nuod_scan(spec, m, budget=work - 1)
     with pytest.raises(mod.BudgetExceededError):
-        list(scan_pairs_rows(spec, m, budget=work - 1))
+        _scan(spec, m, work - 1, rows=True)
     assert nuod_scan(spec, m, budget=work).worst_violation == F(1, 625)
 
 
 def test_budget_counts_factorized_work():
     # one factor per coordinate: nuod_scan contracts and compares each,
-    # 2 x (3 * 6 * (3 + 6) + 6^2); scan_pairs_rows contracts them and
+    # 2 x (3 * 6 * (3 + 6) + 6^2); the pairs table contracts them and
     # expands all 6^4 box pairs, 2 x 3 * 6 * (3 + 6) + 6^4
     spec, m = lhs_spec(3, 2), 6
     work = 2 * (3 * 6 * 9 + 36)
@@ -375,14 +388,17 @@ def test_budget_counts_factorized_work():
     assert nuod_scan(spec, m, budget=work).ok
     work = 2 * 3 * 6 * 9 + 6**4
     with pytest.raises(mod.BudgetExceededError, match=f"{work} multiply-adds"):
-        list(scan_pairs_rows(spec, m, budget=work - 1))
-    assert len(list(scan_pairs_rows(spec, m, budget=work))) == 6**4
+        _scan(spec, m, work - 1, rows=True)
+    assert _scan(spec, m, work, rows=True)[1].count("\n") == 1 + 6**4
 
 
-def expanded_report(spec, m):
+def expanded_report(spec, m, factors=None):
     """nuod_scan's report from the expansion over every box pair."""
     anchors = _grid_anchors(m)
-    witnesses = _scan_witnesses(spec, anchors, _pair_tables(spec, anchors, 10**8))
+    den, blocks = _expand(_contract(spec, anchors, 10**8, factors))
+    boxes = [AnchoredBox(a) for a in product(anchors, repeat=spec.dim)]
+    witnesses = [(boxes[start + q], boxes[r], F(int(joint[q, r]), den), F(int(prodv[q, r]), den))
+                 for start, joint, prodv in blocks for q, r in zip(*np.nonzero(joint > prodv))]
     return DependenceReport.from_witnesses(spec, m, witnesses)
 
 
@@ -408,6 +424,38 @@ def test_certificate_reaches_past_the_expansion():
         assert rep.grid["pairs"] == m ** (2 * spec.dim)
 
 
+# a random generator under a grid shift, jitter off: one 1 - I factor per
+# coordinate, read through corner weights
+JITTERLESS = [SchemeSpec(RSJ, 5, 2, jitter=False), SchemeSpec(RSJ, 7, 3, jitter=False)]
+
+
+@pytest.mark.parametrize("spec", JITTERLESS, ids=[_spec_id(s) for s in JITTERLESS])
+def test_jitterless_random_generator_law_is_factorized(spec):
+    n = spec.n
+    assert mod._count_factors(spec, 10**8) == [(None, n * (n - 1), 1)] * spec.dim
+    rnd = random.Random(str(spec))
+    boxes = [(AnchoredBox(_anchors(rnd, n, spec.dim)), AnchoredBox(_anchors(rnd, n, spec.dim)))
+             for _ in range(4)]
+    for Q, R in boxes:
+        assert pair_box_prob(spec, Q, R) == pair_box_prob(spec, Q, R, method="enumeration")
+        # the closed forms take jittered or midpoint positions, not corners
+        with pytest.raises(UnsupportedSchemeError):
+            pair_box_prob(spec, Q, R, method="closed_form")
+    # the Fraction oracle takes seconds at (7, 3): one box pair
+    law, (Q, R) = law_of(spec), boxes[0]
+    assert _pair_query(spec, Q, R) == (oracle_box_prob(law, Q, R), oracle_marginal_prob(law, Q, 0),
+                                       oracle_marginal_prob(law, R, 1))
+
+
+@pytest.mark.parametrize("m", [5, 10, 11])
+def test_jitterless_random_generator_certificate(m):
+    # corner weights are constant on each (j/n, (j+1)/n], so M % n == 0 certifies
+    spec = JITTERLESS[0]
+    rep = nuod_scan(spec, m)
+    assert rep == expanded_report(spec, m) == _scan(spec, m, 10**8, factors=one_factor(spec))[0]
+    assert rep.ok and rep.grid["certifies_all_boxes"] == (m % spec.n == 0)
+
+
 def _kron_factors(factors):
     """The law of count factors as one factor over all their coordinates."""
     P, total, k = np.ones((1, 1), dtype=np.int64), 1, 0
@@ -428,13 +476,11 @@ FAILING = [(lhs_spec(3, 2), 6, [DISTINCT, SAME]), (lhs_spec(3, 2), 6, [SAME, DIS
 @pytest.mark.parametrize("spec,m,factors", FAILING, ids=[f"{s.kind}(3,{s.dim})-{i}"
                                                           for i, (s, _, _) in enumerate(FAILING)])
 def test_failing_certificate_falls_back_to_expansion(spec, m, factors):
-    anchors = _grid_anchors(m)
-    assert not _certified(_contract(spec, anchors, 10**8, factors))
-    fallback = _nuod_witnesses(spec, anchors, 10**8, factors)
-    expanded = _scan_witnesses(spec, anchors, _pair_tables(spec, anchors, 10**8, factors=factors))
-    one = _pair_tables(spec, anchors, 10**8, factors=_kron_factors(factors))
-    assert fallback == expanded == _scan_witnesses(spec, anchors, one)
-    assert fallback
+    assert not _certified(_contract(spec, _grid_anchors(m), 10**8, factors))
+    fallback = _scan(spec, m, 10**8, factors=factors)[0]
+    one = _scan(spec, m, 10**8, factors=_kron_factors(factors))[0]
+    assert fallback == expanded_report(spec, m, factors) == one
+    assert fallback.witnesses
 
 
 # p1 in a lower cell than p2: an asymmetric count factor, so the two
@@ -471,15 +517,13 @@ def test_budget_counts_failing_certificate_expansion():
     # the contraction and factor comparisons, 2 x (3 * 6 * (3 + 6) + 6^2),
     # are checked first; the expansion's 6^4 box pairs on top before it runs
     spec, m, factors = FAILING[0]
-    anchors = _grid_anchors(m)
     work = 2 * (3 * 6 * 9 + 36)
     with pytest.raises(mod.BudgetExceededError, match=f"{work} multiply-adds"):
-        _nuod_witnesses(spec, anchors, work - 1, factors)
+        _scan(spec, m, work - 1, factors=factors)
     work += 6**4
     with pytest.raises(mod.BudgetExceededError, match=f"{work} multiply-adds"):
-        _nuod_witnesses(spec, anchors, work - 1, factors)
-    assert _nuod_witnesses(spec, anchors, work, factors) == _nuod_witnesses(spec, anchors, 10**8,
-                                                                            factors)
+        _scan(spec, m, work - 1, factors=factors)
+    assert _scan(spec, m, work, factors=factors) == _scan(spec, m, 10**8, factors=factors)
 
 
 def test_block_size_does_not_change_results(monkeypatch):
@@ -487,10 +531,10 @@ def test_block_size_does_not_change_results(monkeypatch):
     # several groups of last-factor rows: the same reports and rows
     cases = [(SchemeSpec(RSJ, 5, 2, generator=(1, 1)), 5), (full_rsj(3, 2), 6), (lhs_spec(3, 3), 3),
              (lhs_spec(3, 3), 4), (patterson_spec(3, 2), 4)]
-    whole = [(nuod_scan(s, m), list(scan_pairs_rows(s, m))) for s, m in cases]
+    whole = [(nuod_scan(s, m), _scan(s, m, 10**8, rows=True)) for s, m in cases]
     for block in (7, 5 * 27):
         monkeypatch.setattr(mod, "_BLOCK", block)
-        assert [(nuod_scan(s, m), list(scan_pairs_rows(s, m))) for s, m in cases] == whole
+        assert [(nuod_scan(s, m), _scan(s, m, 10**8, rows=True)) for s, m in cases] == whole
     assert not whole[0][0].ok
 
 
@@ -498,7 +542,7 @@ def test_block_size_does_not_change_results(monkeypatch):
 
 
 def oracle_pairs_csv(spec, m):
-    """The pairs table as the CLI wrote it row by row, and its witnesses."""
+    """The report of the pairs table's witnesses, and the table as the CLI wrote it row by row."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["Q", "R", "joint", "product", "violation"])
@@ -509,7 +553,7 @@ def oracle_pairs_csv(spec, m):
                          format_rational(joint), format_rational(prodv), bad])
         if bad:
             witnesses.append((Q, R, joint, prodv))
-    return buf.getvalue(), witnesses
+    return DependenceReport.from_witnesses(spec, m, witnesses), buf.getvalue()
 
 
 # the criterion-3 scans with at most 1e5 box pairs, the pairs-CSV scans of the
@@ -521,16 +565,15 @@ PAIRS_CSV += [(SchemeSpec(RSJ, 5, 2, generator=(1, 2)), 5), (lhs_spec(4, 2), 8),
 
 @pytest.mark.parametrize("spec,m", PAIRS_CSV, ids=[f"{_spec_id(s)}-M={m}" for s, m in PAIRS_CSV])
 def test_pairs_csv_matches_row_oracle(spec, m):
-    got, want = _pairs_csv(spec, m), oracle_pairs_csv(spec, m)
+    got, want = _scan(spec, m, 10**8, rows=True), oracle_pairs_csv(spec, m)
     assert_same_pairs_csv(got, want)
-    report = DependenceReport.from_witnesses(spec, m, got[1])
-    assert report == DependenceReport.from_witnesses(spec, m, want[1]) == nuod_scan(spec, m)
+    assert got[0] == nuod_scan(spec, m)
 
 
 def assert_same_pairs_csv(got, want):
     # lines, not whole texts: pytest's diff of two long unequal texts is very slow
-    assert got[0].splitlines(keepends=True) == want[0].splitlines(keepends=True)
-    assert got[1] == want[1]
+    assert got[1].splitlines(keepends=True) == want[1].splitlines(keepends=True)
+    assert got[0] == want[0]
 
 
 def test_pairs_csv_python_int_path_and_blocks(monkeypatch):
@@ -538,22 +581,22 @@ def test_pairs_csv_python_int_path_and_blocks(monkeypatch):
     cases = [(SchemeSpec(RSJ, 5, 2, generator=(1, 1)), 10), (lhs_spec(4, 2), 8),
              (patterson_spec(3, 3), 5), (SchemeSpec(RSJ, 7, 2, shift="none", jitter=False), 7)]
     want = [oracle_pairs_csv(s, m) for s, m in cases]
-    assert want[0][1] and want[3][1]
+    assert want[0][0].witnesses and want[3][0].witnesses
     monkeypatch.setattr(mod, "_INT64_SAFE_LIMIT", 1)
-    _, blocks = _pair_tables(cases[0][0], _grid_anchors(10), 10**8)
+    _, blocks = _expand(_contract(cases[0][0], _grid_anchors(10), 10**8))
     assert next(blocks)[1].dtype == object
     for block in (1 << 15, 7):
         monkeypatch.setattr(mod, "_BLOCK", block)
         for (s, m), w in zip(cases, want):
-            assert_same_pairs_csv(_pairs_csv(s, m), w)
+            assert_same_pairs_csv(_scan(s, m, 10**8, rows=True), w)
 
 
 def test_pairs_csv_budget_matches_rows():
     spec, m = lhs_spec(3, 2), 6
     work = 2 * (3 * 6 * 9) + 6**4
     with pytest.raises(mod.BudgetExceededError, match=f"{work} multiply-adds"):
-        _pairs_csv(spec, m, budget=work - 1)
-    assert_same_pairs_csv(_pairs_csv(spec, m, budget=work), oracle_pairs_csv(spec, m))
+        _scan(spec, m, work - 1, rows=True)
+    assert_same_pairs_csv(_scan(spec, m, work, rows=True), oracle_pairs_csv(spec, m))
 
 
 # -- the lattice law from index-pair classes ----------------------------------
