@@ -8,15 +8,7 @@ comparing scheme quadratures to the Monte Carlo baseline.
 
 __version__ = "0.1.0"
 
-from .exact import (
-    CircularInterval,
-    Rational,
-    circular_overlap,
-    format_rational,
-    is_prime,
-    parse_rational,
-    torus_dist,
-)
+from .exact import Rational, format_rational, is_prime, parse_rational
 from .rng import RngStream
 from .schemes import (
     SchemeSpec,

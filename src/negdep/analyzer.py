@@ -18,7 +18,8 @@ pairs of 1/n-grid cells, plus a per-cell position model) and anchored boxes
 
 Jitter is never discretized: a cell pair contributes its pmf weight times
 the exact overlap fraction of each anchored interval with each cell.  A
-continuous torus shift is integrated in closed form as circle-arc overlaps.
+continuous torus shift is integrated exactly as integer arc overlaps on a
+common grid 1/D per coordinate.
 """
 
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exact import CircularInterval, circular_overlap, format_rational, is_prime, torus_dist
+from .exact import format_rational, is_prime
 from .schemes import SchemeSpec, full_rsj, lhs_spec
 
 __all__ = [
@@ -84,11 +85,17 @@ def _charge(work: int, budget: int, what: str, unit: str) -> None:
 
 @dataclass(frozen=True)
 class AnchoredBox:
-    """Box [anchor, 1) per coordinate; anchor coordinates in [0,1)."""
+    """Box [anchor, 1) per coordinate; anchor coordinates in [0,1).
+
+    Coordinates are exact: Fractions, ints or decimal strings ("0.3" is
+    3/10).  Binary floats are rejected, so they never enter the exact path.
+    """
 
     anchor: tuple
 
     def __post_init__(self):
+        if any(isinstance(a, (float, np.floating)) for a in self.anchor):
+            raise TypeError("anchor coordinates must be exact, not binary floats")
         anc = tuple(Fraction(a) for a in self.anchor)
         if any(not 0 <= a < 1 for a in anc):
             raise ValueError("anchor coordinates must lie in [0, 1)")
@@ -463,13 +470,18 @@ def _joint_factor(spec: SchemeSpec, q, r) -> Fraction:
     return stratified_pair_box_prob(q, r, spec.n)
 
 
-def _shifted_pair_overlap(x1: Fraction, x2: Fraction, q: Fraction, r: Fraction) -> Fraction:
-    """Measure of shifts u with x1+u in [q,1) and x2+u in [r,1) (mod 1)."""
-    if q >= 1 or r >= 1:
-        return Fraction(0)
-    arc1 = CircularInterval((q - x1) % 1, 1 - q)
-    arc2 = CircularInterval((r - x2) % 1, 1 - r)
-    return circular_overlap(arc1, arc2)
+def _torus_overlaps(n: int, q: Fraction, r: Fraction, D: int, dtype) -> np.ndarray:
+    """ov[e] = D x the measure of shifts u with u in [q, 1) and e/n + u in [r, 1) (mod 1).
+
+    On the 1/D grid (n, and the denominators of q and r, divide D) the
+    first event is [qD, D) and the second the arc of length D - rD from
+    (rD - eD/n) mod D, which wraps past D into [0, end - D) when end > D.
+    """
+    qD, rD = q.numerator * (D // q.denominator), r.numerator * (D // r.denominator)
+    start = (rD - np.arange(n, dtype=dtype) * (D // n)) % D
+    end = start + (D - rD)
+    return (np.maximum(np.minimum(end, D) - np.maximum(start, qD), 0)
+            + np.maximum(end - D - qD, 0))
 
 
 def _continuous_shift_box_prob(n: int, gammas, anchors1, anchors2, budget) -> Fraction:
@@ -479,18 +491,22 @@ def _continuous_shift_box_prob(n: int, gammas, anchors1, anchors2, budget) -> Fr
     change when x1 and x2 move together, so an index pair (a, b) enters
     through delta = b - a (mod n) only, at x1 = 0 and x2 = gamma delta / n;
     each delta in 1..n-1 stands for n ordered pairs.  gammas[i] holds the
-    generator values of coordinate i (see _generators).  The budget
-    counts the summed terms, sum over coordinates of |gammas[i]| x (n - 1).
+    generator values of coordinate i (see _generators).  With ov_i the
+    integer overlaps of coordinate i on its grid 1/D_i (_torus_overlaps)
+    and S_i[delta] = sum over gamma of ov_i[gamma delta mod n], the joint
+    is sum_delta prod_i S_i[delta] over (n - 1) prod_i |gammas[i]| D_i.
+    The budget counts the summed terms, sum over coordinates of
+    |gammas[i]| x (n - 1).
     """
     _charge(sum(len(g) for g in gammas) * (n - 1), budget, "continuous-shift integration", "terms")
-    per_delta = [Fraction(1)] * (n - 1)
-    for i, coord_gammas in enumerate(gammas):
-        overlap = [_shifted_pair_overlap(Fraction(0), Fraction(e, n), anchors1[i], anchors2[i])
-                   for e in range(n)]
-        for delta in range(1, n):
-            acc = sum((overlap[e] for e in (coord_gammas * delta % n).tolist()), Fraction(0))
-            per_delta[delta - 1] *= acc / len(coord_gammas)
-    return sum(per_delta, Fraction(0)) / (n - 1)
+    Ds = [lcm(n, q.denominator, r.denominator) for q, r in zip(anchors1, anchors2)]
+    den = (n - 1) * prod(len(g) * D for g, D in zip(gammas, Ds))
+    dtype = _int_dtype(den)
+    delta = np.arange(1, n, dtype=np.int64)[:, None]
+    per_delta = np.ones(n - 1, dtype=dtype)
+    for g, q, r, D in zip(gammas, anchors1, anchors2, Ds):
+        per_delta = per_delta * _torus_overlaps(n, q, r, D, dtype)[g * delta % n].sum(axis=1)
+    return Fraction(int(per_delta.sum()), den)
 
 
 def _is_torus(spec: SchemeSpec) -> bool:
@@ -546,14 +562,23 @@ def pair_box_prob(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox,
     lattice under a grid shift); "enumeration" contracts the one
     _pair_counts factor over every coordinate, and "closed_form" multiplies
     the per-coordinate closed forms, which exist for the factorized laws
-    with jittered or midpoint positions only.  A continuous
-    torus shift (jitterless) is integrated exactly via circle-arc overlaps;
-    combined with jitter it is unsupported.
+    with jittered or midpoint positions only.  A continuous torus shift
+    (jitterless) has no cell law: method "auto" sums the integer arc
+    overlaps of each coordinate on its grid 1/D over the n - 1 index
+    differences (_continuous_shift_box_prob), and "enumeration" and
+    "closed_form" are unsupported; combined with jitter it is unsupported.
+    An unknown method raises ValueError for every spec.
     """
+    if method not in ("auto", "enumeration", "closed_form"):
+        raise ValueError(f"unknown method {method!r}")
     _check_boxes(spec, Q, R)
     if spec.n < 2:
         raise ValueError("a pair probability needs n >= 2")
     if _is_torus(spec):
+        if method != "auto":
+            raise UnsupportedSchemeError(
+                f"method {method!r} needs a cell law; a continuous torus shift has none"
+            )
         return _continuous_shift_box_prob(spec.n, _generators(spec), Q.anchor, R.anchor, budget)
     if method == "closed_form":
         # the closed forms take jittered or midpoint positions, not cell corners
@@ -563,10 +588,8 @@ def pair_box_prob(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox,
                     start=Fraction(1))
     if method == "auto":
         factors = _count_factors(spec, budget)
-    elif method == "enumeration":
-        factors = [(*_pair_counts(spec, budget), spec.dim)]
     else:
-        raise ValueError(f"unknown method {method!r}")
+        factors = [(*_pair_counts(spec, budget), spec.dim)]
     return _factor_query(spec, factors, Q, R)[0]
 
 
@@ -747,16 +770,16 @@ def nuod_scan(spec: SchemeSpec, grid_resolution: int, budget=DEFAULT_BUDGET) -> 
     A continuous-torus-shift spec has no cell law and is not scanned; the
     fixed-distance probe (shift_only_conditional) covers that ablation.
     """
-    return _scan(spec, grid_resolution, budget)[0]
+    return _scan(spec, grid_resolution, budget)
 
 
-def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, rows: bool = False,
-          factors=None) -> tuple:
-    """The k/M grid scan, as (DependenceReport, pairs CSV text or None).
+def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, csv_out=None,
+          factors=None) -> DependenceReport:
+    """The k/M grid scan; with csv_out, its pairs CSV is written there too.
 
     The law's count factors (factors overrides _count_factors) are
     contracted with the grid's cell weights once.  With several factors
-    and no rows wanted, the per-factor certificate runs; if it holds there
+    and no csv_out, the per-factor certificate runs; if it holds there
     are no witnesses.  Otherwise every box pair is expanded once, and the
     witnesses, and the CSV rows if wanted, are read from the same blocks.
 
@@ -766,40 +789,42 @@ def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, rows: bool = Fals
     the expansion one per box pair, M^(2 dim), on top of the certificate
     when that ran and failed.
 
-    CSV columns Q, R, joint, product, violation, one row per box pair in
-    lexicographic order: anchors as num/den joined by ';', probabilities
-    as reduced num/den.
+    csv_out is a text stream.  It receives nothing if the scan is refused;
+    otherwise the header, then one write per block of box pairs, so the
+    table is never held whole.  CSV columns Q, R, joint, product,
+    violation, one row per box pair in lexicographic order: anchors as
+    num/den joined by ';', probabilities as reduced num/den.
     """
     anchors = _grid_anchors(grid_resolution)
     m, dim, dims = len(anchors), spec.dim, _factor_dims(spec, factors)
-    certify = len(dims) > 1 and not rows
+    certify = len(dims) > 1 and csv_out is None
     work = _contraction_work(spec.n, m, dims)
     work += sum(m ** (2 * k) for k in dims) if certify else m ** (2 * dim)
     _charge(work, budget, "grid scan", "multiply-adds")
     contracted = _contract(spec, anchors, budget, factors)
     if certify:
         if _certified(contracted):
-            return DependenceReport.from_witnesses(spec, grid_resolution, []), None
+            return DependenceReport.from_witnesses(spec, grid_resolution, [])
         _charge(work + m ** (2 * dim), budget, "grid scan", "multiply-adds")
 
     def box(k):
         return AnchoredBox(tuple(anchors[k // m ** (dim - 1 - i) % m] for i in range(dim)))
 
-    if rows:
-        labels = [";".join(q) for q in product([format_rational(a) for a in anchors], repeat=dim)]
     den, blocks = _expand(contracted)
-    witnesses, lines = [], ["Q,R,joint,product,violation\n"]
+    if csv_out is not None:
+        labels = [";".join(q) for q in product([format_rational(a) for a in anchors], repeat=dim)]
+        csv_out.write("Q,R,joint,product,violation\n")
+    witnesses = []
     for start, joint, indep in blocks:
         bad = joint > indep
         witnesses += [(box(start + int(q)), box(int(r)),
                        Fraction(int(joint[q, r]), den), Fraction(int(indep[q, r]), den))
                       for q, r in zip(*np.nonzero(bad))]
-        if rows:
+        if csv_out is not None:
             cols = [_fraction_strings(joint, den), _fraction_strings(indep, den), bad.tolist()]
-            for q, *row in zip(labels[start:], *cols):
-                lines += [f"{q},{r},{j},{p},{v}\n" for r, j, p, v in zip(labels, *row)]
-    report = DependenceReport.from_witnesses(spec, grid_resolution, witnesses)
-    return report, "".join(lines) if rows else None
+            csv_out.write("".join(f"{q},{r},{j},{p},{v}\n" for q, *row in zip(labels[start:], *cols)
+                                  for r, j, p, v in zip(labels, *row)))
+    return DependenceReport.from_witnesses(spec, grid_resolution, witnesses)
 
 
 def _fraction_strings(table, den: int) -> list:
@@ -993,11 +1018,14 @@ def shift_only_conditional(spec: SchemeSpec, epsilon, dim_index: int = None,
     probed coordinate.  Supported: the jitterless lattice with a continuous
     torus shift, and midpoint (patterson) sampling with the same continuous
     shift applied (without a shift its conditioning event has probability
-    zero because the marginal is discrete).  The premise that all pair
-    distances in the probed coordinate exceed epsilon is verified over
-    every generator value and index difference b - a (with x1 = 0, since
-    a common shift moves no distance); a violation raises with the witness
-    positions.  The budget counts |generators| x (n - 1) terms.
+    zero because the marginal is discrete).  The joint is the integer
+    class sum of _continuous_shift_box_prob on the probed coordinate.  The
+    premise that all pair distances in the probed coordinate exceed
+    epsilon is verified on the integer differences e = gamma (b - a) mod n
+    of every generator value and index difference (with x1 = 0, since a
+    common shift moves no distance): min(e, n - e) den(eps) <= num(eps) n
+    is a violation, raised with the witness positions (0, e/n) of the
+    first one.  The budget counts |generators| x (n - 1) terms.
     Under the premise the conditional is 1, strictly above the box volume
     1 - eps/2, so the scheme cannot be pairwise negatively dependent.
     """
@@ -1023,17 +1051,16 @@ def shift_only_conditional(spec: SchemeSpec, epsilon, dim_index: int = None,
     # the other coordinates' anchors are 0, a factor 1 each, so the probed
     # coordinate alone carries P(p1 in Q, p2 in R)
     joint = _continuous_shift_box_prob(n, [gammas], [q], [1 - q], budget)
-    x1 = Fraction(0)
-    for gam in gammas.tolist():
-        for delta in range(1, n):
-            x2 = Fraction(gam * delta % n, n)
-            d = torus_dist(x1, x2)
-            if d <= eps:
-                raise HypothesisViolatedError(
-                    f"pair distance {format_rational(d)} <= epsilon "
-                    f"{format_rational(eps)} at positions "
-                    f"({format_rational(x1)}, {format_rational(x2)})"
-                )
+    # distance min(e, n - e) / n <= eps, for e = gamma delta mod n, gamma
+    # outer and delta inner; on integers m <= eps n iff m <= floor(eps n)
+    e = gammas[:, None] * np.arange(1, n, dtype=np.int64) % n
+    bad = np.minimum(e, n - e).ravel() <= eps.numerator * n // eps.denominator
+    if bad.any():
+        e = int(e.flat[np.argmax(bad)])
+        raise HypothesisViolatedError(
+            f"pair distance {format_rational(Fraction(min(e, n - e), n))} <= epsilon "
+            f"{format_rational(eps)} at positions (0/1, {format_rational(Fraction(e, n))})"
+        )
     return joint / q  # P(p2 in R) = eps / 2 under the uniform torus shift
 
 

@@ -13,6 +13,7 @@ arguments produce byte-identical data files.
 """
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -88,9 +89,30 @@ def _spec_from_args(args) -> SchemeSpec:
     )
 
 
+class _FileOnFirstWrite:
+    """A text file created by its first write: a scan refused before it writes leaves none."""
+
+    def __init__(self, path: str):
+        self.path, self.fh = path, None
+
+    def write(self, text: str) -> None:
+        if self.fh is None:
+            self.fh = open(self.path, "w", encoding="utf-8")
+        self.fh.write(text)
+
+    def close(self) -> None:
+        if self.fh is not None:
+            self.fh.close()
+
+
 def _write_with_manifest(path: str, data: str, argv, seed, t0, extra=None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(data)
+    _write_manifest(path, argv, seed, t0, extra)
+
+
+def _write_manifest(path: str, argv, seed, t0, extra=None) -> None:
+    """<path>.manifest.json for a data file already written at path."""
     manifest = {
         "command": "negdep " + " ".join(argv),
         "argv": list(argv),
@@ -159,9 +181,13 @@ def _cmd_analyze(args, argv, t0) -> int:
 
     if sub == "nuod":
         spec = _spec_from_args(args)
-        report, text = _scan(spec, args.grid, budget, rows=bool(args.pairs_csv))
-        if text is not None:
-            _write_with_manifest(args.pairs_csv, text, argv, None, t0)
+        if args.pairs_csv:
+            # the rows go to the file block by block; the manifest follows them
+            with contextlib.closing(_FileOnFirstWrite(args.pairs_csv)) as rows:
+                report = _scan(spec, args.grid, budget, csv_out=rows)
+            _write_manifest(args.pairs_csv, argv, None, t0)
+        else:
+            report = _scan(spec, args.grid, budget)
         _emit(args, report_to_json_dict(report), argv, None, t0)
         return EXIT_OK if report.ok else EXIT_VIOLATION
 

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 from itertools import product
 
+import numpy as np
 import pytest
 
 from negdep.analyzer import (
@@ -282,8 +283,35 @@ class TestPairBoxProb:
         with pytest.raises(ValueError):
             pair_box_prob(full_rsj(5, 2), AnchoredBox((F(0),)), AnchoredBox((F(0), F(0))))
 
+    @pytest.mark.parametrize("spec", [
+        full_rsj(5, 2), lhs_spec(5, 2),
+        SchemeSpec("rsj_lattice", 5, 2, shift="continuous_torus", jitter=False),
+    ])
+    def test_unknown_method_rejected_for_every_spec(self, spec):
+        box = AnchoredBox((F(1, 3), F(1, 2)))
+        with pytest.raises(ValueError, match="unknown method 'bogus'") as err:
+            pair_box_prob(spec, box, box, method="bogus")
+        assert not isinstance(err.value, UnsupportedSchemeError)
+
+    @pytest.mark.parametrize("method", ["enumeration", "closed_form"])
+    def test_continuous_shift_has_only_the_auto_route(self, method):
+        # no cell law to enumerate and no per-coordinate closed form
+        spec = SchemeSpec("rsj_lattice", 5, 2, shift="continuous_torus", jitter=False)
+        box = AnchoredBox((F(1, 3), F(1, 2)))
+        with pytest.raises(UnsupportedSchemeError, match=repr(method)):
+            pair_box_prob(spec, box, box, method=method)
+        assert pair_box_prob(spec, box, box) == F(2, 25)
+
 
 def test_anchored_box_validation():
     with pytest.raises(ValueError):
         AnchoredBox((F(1),))
     assert AnchoredBox((F(1, 4), F(1, 2))).volume() == F(3, 8)
+
+
+def test_anchored_box_rejects_binary_floats():
+    for bad in (0.3, np.float64(0.3), np.float32(0.5)):
+        with pytest.raises(TypeError, match="binary float"):
+            AnchoredBox((F(1, 4), bad))
+    # exact coordinates keep working: decimal strings are read exactly
+    assert AnchoredBox((F(3, 10), 0, "0.3", "1/3")).anchor == (F(3, 10), 0, F(3, 10), F(1, 3))

@@ -8,7 +8,6 @@ from negdep.analyzer import (
     BudgetExceededError,
     HypothesisViolatedError,
     UnsupportedSchemeError,
-    _scan,
     copula_equality_check,
     coordinate_independence_check,
     no_shift_mass,
@@ -18,7 +17,7 @@ from negdep.analyzer import (
     triple_distinguisher,
 )
 from negdep.schemes import SchemeSpec, full_rsj, lhs_spec, patterson_spec, stratified_spec
-from test_kernel import oracle_latin_count, scan_pairs_rows
+from test_kernel import oracle_latin_count, scan_csv, scan_pairs_rows
 
 
 class TestNuodScan:
@@ -102,7 +101,7 @@ class TestNuodScan:
 
     def test_pairs_rows_budget(self):
         with pytest.raises(BudgetExceededError):
-            _scan(full_rsj(7, 3), 14, 100, rows=True)
+            scan_csv(full_rsj(7, 3), 14, 100)
 
     def test_object_dtype_fallback_matches_int64(self, monkeypatch):
         # force the python-int route of the factorized scanner and of the
@@ -118,9 +117,9 @@ class TestNuodScan:
         def results():
             return (
                 nuod_scan(full_rsj(3, 2), 6),
-                _scan(patterson_spec(4, 2), 4, DEFAULT_BUDGET, rows=True),
+                scan_csv(patterson_spec(4, 2), 4, DEFAULT_BUDGET),
                 nuod_scan(fixed, 5),
-                _scan(fixed, 5, DEFAULT_BUDGET, rows=True),
+                scan_csv(fixed, 5, DEFAULT_BUDGET),
                 pair_box_prob(fixed, Q, R),
                 pair_marginal_prob(fixed, Q, 0),
                 pair_marginal_prob(fixed, R, 1),

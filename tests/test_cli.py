@@ -340,6 +340,12 @@ class TestFileErrors:
             assert err.startswith("error: ") and str(missing) in err
         assert not (tmp_path / "no").exists()
 
+    def test_refused_scan_writes_no_pairs_file(self, tmp_path, capsys):
+        code, out, err = run(capsys, *NUOD, "--budget", "100", "--pairs-csv",
+                             str(tmp_path / "pairs.csv"))
+        assert code == 3 and out == "" and "exceeds budget 100" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestParserReuse:
     def test_built_once(self, capsys, monkeypatch):

@@ -4,14 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negdep.exact import (
-    CircularInterval,
-    circular_overlap,
-    format_rational,
-    is_prime,
-    parse_rational,
-    torus_dist,
-)
+from negdep.exact import format_rational, is_prime, parse_rational
+# the circle geometry is the torus route's test oracle, kept in test_kernel
+from test_kernel import CircularInterval, circular_overlap, torus_dist
 
 
 def test_is_prime_small():
@@ -99,3 +94,18 @@ def test_circular_overlap_properties(s1, l1, s2, l2):
 def test_torus_dist_shift_invariance(x, y):
     shift = F(13, 64)
     assert torus_dist(x, y) == torus_dist((x + shift) % 1, (y + shift) % 1)
+
+
+def test_every_exported_name_resolves():
+    # each module's __all__ names only what the module defines
+    import importlib
+    import pkgutil
+
+    import negdep
+
+    modules = [negdep] + [importlib.import_module(f"negdep.{info.name}")
+                          for info in pkgutil.iter_modules(negdep.__path__)]
+    assert len(modules) > 8
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"

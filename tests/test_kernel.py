@@ -8,7 +8,9 @@ The oracle functions below are the analyzer's earlier, direct forms:
   * the enumerator of the lattice law, one bincount per ordered index pair
     over every (generator, grid shift) row;
   * the copula and independence checks on Fraction pmf dicts;
-  * the torus-shift integration over every ordered index pair;
+  * the torus-shift integration over every ordered index pair, with the
+    circle geometry it was built on (torus_dist, CircularInterval,
+    circular_overlap, _shifted_pair_overlap: Fraction arcs on the circle);
   * the Fraction cell weights behind the integer weight tables;
   * the fixed-distance probe over every (generator, a, b) configuration;
   * the closed-form per-coordinate scan tables, one Fraction per anchor pair;
@@ -28,6 +30,7 @@ import csv
 import io
 import random
 import tracemalloc
+from dataclasses import dataclass
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
 from math import gcd, lcm, prod
@@ -48,7 +51,6 @@ from negdep.analyzer import (
     _pair_counts,
     _pair_query,
     _scan,
-    _shifted_pair_overlap,
     _weight_table,
     copula_equality_check,
     coordinate_independence_check,
@@ -62,7 +64,7 @@ from negdep.analyzer import (
     stratified_pair_box_prob,
     triple_distinguisher,
 )
-from negdep.exact import format_rational, torus_dist
+from negdep.exact import format_rational
 from negdep.schemes import SchemeSpec, full_rsj, lhs_spec, patterson_spec, stratified_spec
 
 RSJ = "rsj_lattice"
@@ -232,6 +234,11 @@ def test_huge_denominators_stay_exact():
         law = law_of(spec)
         assert pair_box_prob(spec, Q, R) == oracle_box_prob(law, Q, R)
         assert pair_marginal_prob(spec, R, 1) == oracle_marginal_prob(law, R, 1)
+    # the torus class sum in python ints: its denominator (n - 1) prod |gammas| D_i
+    # is past int64, with D_i = lcm(n, anchor denominators)
+    for gen in ("random", (1, 2)):
+        spec = SchemeSpec(RSJ, 5, 2, generator=gen, shift="continuous_torus", jitter=False)
+        assert pair_box_prob(spec, Q, R) == oracle_torus_box_prob(spec, Q, R)
 
 
 @pytest.mark.parametrize("position", ["jitter", "corner", "midpoint"])
@@ -263,6 +270,12 @@ def scan_pairs_rows(spec, m):
         for Q, jrow, prow in zip(boxes[start:], joint.tolist(), prodv.tolist()):
             for R, j, p in zip(boxes, jrow, prow):
                 yield Q, R, F(j, den), F(p, den), j > p
+
+
+def scan_csv(spec, m, budget=10**8):
+    """_scan with its pairs CSV written to a StringIO: (report, CSV text)."""
+    out = io.StringIO()
+    return _scan(spec, m, budget, csv_out=out), out.getvalue()
 
 
 def test_pairs_rows_match_fraction_oracle():
@@ -298,7 +311,7 @@ def test_enumerated_route_matches_closed_form(spec, m):
     anchors = _grid_anchors(m)
     enumerated = _expand(_contract(spec, anchors, 10**8, one_factor(spec)))
     assert _table(enumerated) == _table(_expand(_contract(spec, anchors, 10**8)))
-    assert _scan(spec, m, 10**8, factors=one_factor(spec))[0].witnesses == ()
+    assert _scan(spec, m, 10**8, factors=one_factor(spec)).witnesses == ()
 
 
 def oracle_factor_tables(spec, anchors):
@@ -373,7 +386,7 @@ def test_budget_counts_kernel_work():
     with pytest.raises(mod.BudgetExceededError, match="multiply-adds"):
         nuod_scan(spec, m, budget=work - 1)
     with pytest.raises(mod.BudgetExceededError):
-        _scan(spec, m, work - 1, rows=True)
+        scan_csv(spec, m, work - 1)
     assert nuod_scan(spec, m, budget=work).worst_violation == F(1, 625)
 
 
@@ -388,8 +401,8 @@ def test_budget_counts_factorized_work():
     assert nuod_scan(spec, m, budget=work).ok
     work = 2 * 3 * 6 * 9 + 6**4
     with pytest.raises(mod.BudgetExceededError, match=f"{work} multiply-adds"):
-        _scan(spec, m, work - 1, rows=True)
-    assert _scan(spec, m, work, rows=True)[1].count("\n") == 1 + 6**4
+        scan_csv(spec, m, work - 1)
+    assert scan_csv(spec, m, work)[1].count("\n") == 1 + 6**4
 
 
 def expanded_report(spec, m, factors=None):
@@ -452,7 +465,7 @@ def test_jitterless_random_generator_certificate(m):
     # corner weights are constant on each (j/n, (j+1)/n], so M % n == 0 certifies
     spec = JITTERLESS[0]
     rep = nuod_scan(spec, m)
-    assert rep == expanded_report(spec, m) == _scan(spec, m, 10**8, factors=one_factor(spec))[0]
+    assert rep == expanded_report(spec, m) == _scan(spec, m, 10**8, factors=one_factor(spec))
     assert rep.ok and rep.grid["certifies_all_boxes"] == (m % spec.n == 0)
 
 
@@ -477,8 +490,8 @@ FAILING = [(lhs_spec(3, 2), 6, [DISTINCT, SAME]), (lhs_spec(3, 2), 6, [SAME, DIS
                                                           for i, (s, _, _) in enumerate(FAILING)])
 def test_failing_certificate_falls_back_to_expansion(spec, m, factors):
     assert not _certified(_contract(spec, _grid_anchors(m), 10**8, factors))
-    fallback = _scan(spec, m, 10**8, factors=factors)[0]
-    one = _scan(spec, m, 10**8, factors=_kron_factors(factors))[0]
+    fallback = _scan(spec, m, 10**8, factors=factors)
+    one = _scan(spec, m, 10**8, factors=_kron_factors(factors))
     assert fallback == expanded_report(spec, m, factors) == one
     assert fallback.witnesses
 
@@ -531,10 +544,10 @@ def test_block_size_does_not_change_results(monkeypatch):
     # several groups of last-factor rows: the same reports and rows
     cases = [(SchemeSpec(RSJ, 5, 2, generator=(1, 1)), 5), (full_rsj(3, 2), 6), (lhs_spec(3, 3), 3),
              (lhs_spec(3, 3), 4), (patterson_spec(3, 2), 4)]
-    whole = [(nuod_scan(s, m), _scan(s, m, 10**8, rows=True)) for s, m in cases]
+    whole = [(nuod_scan(s, m), scan_csv(s, m, 10**8)) for s, m in cases]
     for block in (7, 5 * 27):
         monkeypatch.setattr(mod, "_BLOCK", block)
-        assert [(nuod_scan(s, m), _scan(s, m, 10**8, rows=True)) for s, m in cases] == whole
+        assert [(nuod_scan(s, m), scan_csv(s, m, 10**8)) for s, m in cases] == whole
     assert not whole[0][0].ok
 
 
@@ -565,7 +578,7 @@ PAIRS_CSV += [(SchemeSpec(RSJ, 5, 2, generator=(1, 2)), 5), (lhs_spec(4, 2), 8),
 
 @pytest.mark.parametrize("spec,m", PAIRS_CSV, ids=[f"{_spec_id(s)}-M={m}" for s, m in PAIRS_CSV])
 def test_pairs_csv_matches_row_oracle(spec, m):
-    got, want = _scan(spec, m, 10**8, rows=True), oracle_pairs_csv(spec, m)
+    got, want = scan_csv(spec, m, 10**8), oracle_pairs_csv(spec, m)
     assert_same_pairs_csv(got, want)
     assert got[0] == nuod_scan(spec, m)
 
@@ -588,15 +601,41 @@ def test_pairs_csv_python_int_path_and_blocks(monkeypatch):
     for block in (1 << 15, 7):
         monkeypatch.setattr(mod, "_BLOCK", block)
         for (s, m), w in zip(cases, want):
-            assert_same_pairs_csv(_scan(s, m, 10**8, rows=True), w)
+            assert_same_pairs_csv(scan_csv(s, m, 10**8), w)
 
 
 def test_pairs_csv_budget_matches_rows():
     spec, m = lhs_spec(3, 2), 6
     work = 2 * (3 * 6 * 9) + 6**4
     with pytest.raises(mod.BudgetExceededError, match=f"{work} multiply-adds"):
-        _scan(spec, m, work - 1, rows=True)
-    assert_same_pairs_csv(_scan(spec, m, work, rows=True), oracle_pairs_csv(spec, m))
+        scan_csv(spec, m, work - 1)
+    assert_same_pairs_csv(scan_csv(spec, m, work), oracle_pairs_csv(spec, m))
+
+
+def test_pairs_csv_streams_by_block(monkeypatch):
+    # the rows go out one write per block: the traced peak is a few blocks'
+    # text (about 6x the largest write here), never the 1.5 MB table
+    class Sink:
+        size = largest = writes = 0
+
+        def write(self, text):
+            self.size += len(text)
+            self.largest = max(self.largest, len(text))
+            self.writes += 1
+
+    spec, m = full_rsj(7, 2), 14
+    monkeypatch.setattr(mod, "_BLOCK", 1 << 10)
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        report = _scan(spec, m, 10**8, csv_out=sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == nuod_scan(spec, m)
+    # the header, then blocks of 1024 // 196 = 5 Q boxes of 196 rows each
+    assert sink.writes == 1 + 40
+    assert peak <= 10 * sink.largest and peak * 4 <= sink.size, (peak, sink.largest, sink.size)
 
 
 # -- the lattice law from index-pair classes ----------------------------------
@@ -787,6 +826,61 @@ def test_law_build_and_structural_check_memory_peaks():
 
 
 # -- the torus route over delta = b - a ---------------------------------------
+
+
+def torus_dist(x, y) -> F:
+    """Distance on the circle T^1: min of the two arc lengths between x, y."""
+    x, y = F(x), F(y)
+    if not (0 <= x < 1 and 0 <= y < 1):
+        raise ValueError("torus coordinates must lie in [0, 1)")
+    hi, lo = (x, y) if x >= y else (y, x)
+    return min(hi - lo, 1 - hi + lo)
+
+
+@dataclass(frozen=True)
+class CircularInterval:
+    """Half-open arc [start, start+length) on the unit circle.
+
+    start lies in [0,1); length in [0,1]. start+length > 1 wraps past 1.
+    """
+
+    start: F
+    length: F
+
+    def __post_init__(self):
+        object.__setattr__(self, "start", F(self.start))
+        object.__setattr__(self, "length", F(self.length))
+        if not 0 <= self.start < 1:
+            raise ValueError("start must lie in [0, 1)")
+        if not 0 <= self.length <= 1:
+            raise ValueError("length must lie in [0, 1]")
+
+    def segments(self) -> list:
+        """The arc as one or two linear half-open pieces inside [0, 1)."""
+        end = self.start + self.length
+        if end <= 1:
+            return [(self.start, end)]
+        return [(self.start, F(1)), (F(0), end - 1)]
+
+
+def circular_overlap(a: CircularInterval, b: CircularInterval) -> F:
+    """Lebesgue measure of the intersection of two arcs on the circle."""
+    total = F(0)
+    for lo1, hi1 in a.segments():
+        for lo2, hi2 in b.segments():
+            lo, hi = max(lo1, lo2), min(hi1, hi2)
+            if hi > lo:
+                total += hi - lo
+    return total
+
+
+def _shifted_pair_overlap(x1, x2, q, r) -> F:
+    """Measure of shifts u with x1+u in [q,1) and x2+u in [r,1) (mod 1)."""
+    if q >= 1 or r >= 1:
+        return F(0)
+    arc1 = CircularInterval((q - x1) % 1, 1 - q)
+    arc2 = CircularInterval((r - x2) % 1, 1 - r)
+    return circular_overlap(arc1, arc2)
 
 
 def oracle_torus_box_prob(spec, Q, R):
