@@ -41,13 +41,18 @@ def parse_rational(text: str) -> Fraction:
     """Parse "num/den", integer, or decimal strings into an exact rational.
 
     Decimal strings are read exactly ("0.6" -> 3/5); binary floats are
-    rejected so they can never leak into the exact path.
+    rejected so they can never leak into the exact path.  A zero
+    denominator ("1/0") raises ValueError, like any other malformed text.
     """
     if isinstance(text, float):
         raise TypeError("refusing to parse a binary float into the exact path")
     if isinstance(text, (Fraction, int)):
         return Fraction(text)
-    return Fraction(text.strip())
+    text = text.strip()
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(x: Fraction) -> str:

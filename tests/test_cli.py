@@ -1,6 +1,8 @@
 import json
 import re
 
+import pytest
+
 from negdep import __version__, cli
 from negdep.cli import build_parser, main
 from negdep.samplers import point_set_from_csv, point_set_from_json
@@ -120,6 +122,15 @@ class TestAnalyze:
                            "--n", "100000", "--dim", "2", "--budget", "199999",
                            "--Q", "1/2,1/2", "--R", "1/2,1/2")
         assert code == 3
+
+    @pytest.mark.parametrize("argv", [
+        ("pairprob", "--scheme", "lhs", "--n", "5", "--dim", "2", "--Q", "1/0,0", "--R", "0,0"),
+        ("ablation", "--n", "5", "--dim", "2", "--epsilon", "1/0"),
+    ], ids=["pairprob", "ablation"])
+    def test_zero_denominator_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "analyze", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "zero denominator" in err
 
     def test_nuod_clean_exit_zero(self, capsys):
         code, out, _ = run(capsys, "analyze", "nuod", "--scheme", "lhs",

@@ -24,6 +24,12 @@ def test_parse_rational_exact():
         parse_rational(0.6)
 
 
+@pytest.mark.parametrize("text", ["1/0", " 3/0 ", "0/0", "-2/0"])
+def test_parse_rational_zero_denominator_is_a_value_error(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational(text)
+
+
 def test_format_rational():
     assert format_rational(F(3, 5)) == "3/5"
     assert format_rational(F(0)) == "0/1"

@@ -505,25 +505,46 @@ LOWER = (np.triu(np.ones((3, 3), dtype=np.int64), 1), 3, 1)
                                      _kron_factors([LOWER, DISTINCT])],
                          ids=["lower-distinct", "distinct-lower", "lower-lower", "one-factor"])
 def test_queries_keep_the_sides_of_the_law(factors, monkeypatch):
-    # joint and both marginals of an asymmetric law against Fraction sums
-    spec = lhs_spec(3, 2)
+    # joint and both marginals of an asymmetric law against Fraction sums:
+    # single box queries, then a scan's every box pair, report and pairs CSV
+    spec, m = lhs_spec(3, 2), 4
     monkeypatch.setattr(mod, "_count_factors", lambda spec, budget: factors)
     [(P, total, _)] = _kron_factors(factors)
     cells = list(product(range(3), repeat=2))
+    law = [(z1, z2, F(int(P[i, j]), total))
+           for i, z1 in enumerate(cells) for j, z2 in enumerate(cells) if P[i, j]]
 
     def weight(z, box):
         return prod(_cell_weight(c, q, 3, "jitter") for c, q in zip(z, box.anchor))
 
+    def joint(Q, R):
+        return sum((p * weight(z1, Q) * weight(z2, R) for z1, z2, p in law), F(0))
+
+    def marginal(box, side):
+        return sum((p * weight((z1, z2)[side], box) for z1, z2, p in law), F(0))
+
     rnd = random.Random(3)
     for _ in range(6):
         Q, R = (AnchoredBox(_anchors(rnd, 3, 2)) for _ in range(2))
-        joint = sum(F(int(P[i, j]), total) * weight(z1, Q) * weight(z2, R)
-                    for i, z1 in enumerate(cells) for j, z2 in enumerate(cells))
-        m1 = sum(F(int(P[i].sum()), total) * weight(z, Q) for i, z in enumerate(cells))
-        m2 = sum(F(int(P[:, j].sum()), total) * weight(z, R) for j, z in enumerate(cells))
-        assert _pair_query(spec, Q, R) == (joint, m1, m2)
-        assert pair_box_prob(spec, Q, R) == joint
+        j, m1, m2 = joint(Q, R), marginal(Q, 0), marginal(R, 1)
+        assert _pair_query(spec, Q, R) == (j, m1, m2)
+        assert pair_box_prob(spec, Q, R) == j
         assert (pair_marginal_prob(spec, Q, 0), pair_marginal_prob(spec, R, 1)) == (m1, m2)
+
+    boxes = [AnchoredBox(a) for a in product(_grid_anchors(m), repeat=2)]
+    labels = [";".join(format_rational(a) for a in box.anchor) for box in boxes]
+    m1s, m2s = [marginal(b, 0) for b in boxes], [marginal(b, 1) for b in boxes]
+    assert m1s != m2s
+    rows, witnesses = ["Q,R,joint,product,violation\n"], []
+    for Q, q, m1 in zip(boxes, labels, m1s):
+        for R, r, m2 in zip(boxes, labels, m2s):
+            j = joint(Q, R)
+            rows.append(f"{q},{r},{format_rational(j)},{format_rational(m1 * m2)},{j > m1 * m2}\n")
+            if j > m1 * m2:
+                witnesses.append((Q, R, j, m1 * m2))
+    report, text = scan_csv(spec, m)
+    assert text == "".join(rows)
+    assert report == DependenceReport.from_witnesses(spec, m, witnesses) == nuod_scan(spec, m)
 
 
 def test_budget_counts_failing_certificate_expansion():
