@@ -6,9 +6,18 @@ derived without sharing state.  The exact output sequence is part of this
 package's contract and is pinned by tests; do not change the mixing
 constants or the draw algorithms.
 
+Because word i depends on (key, i) alone, words can be mixed ahead of the
+counter in one numpy block (``reserve``) and read back in order: every
+draw reads the lookahead window while it covers the counter and mixes as
+usual past it.  A reservation changes no output and no counter value; a
+short or unused one only costs speed.
+
 Reference for the mixer: Steele, Lea, Flood, "Fast splittable pseudorandom
-number generators", OOPSLA 2014.
+number generators", OOPSLA 2014.  Block mixing of a counter-based stream:
+Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011.
 """
+
+import operator
 
 import numpy as np
 
@@ -17,26 +26,42 @@ __all__ = ["RngStream", "FRAC_BITS"]
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # increment between successive counter states
 _SPLIT = 0xD1B54A32D192ED03   # increment used when deriving substream keys
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
+_GOLDEN_U64 = np.uint64(_GOLDEN)
+_MUL1_U64 = np.uint64(_MUL1)
+_MUL2_U64 = np.uint64(_MUL2)
 
 # Uniform offsets are 53-bit fractions; 53 = float64 mantissa width.
 FRAC_BITS = 53
+_EMPTY = np.empty(0, dtype=np.uint64)
 
 
 def _mix64(z: int) -> int:
     z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
     return z ^ (z >> 31)
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
+def _words(key: int, start: int, count: int) -> np.ndarray:
+    """Words start+1, ..., start+count of the stream keyed by key."""
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= _GOLDEN_U64
+    z += np.uint64(key)
+    z ^= z >> 30
+    z *= _MUL1_U64
+    z ^= z >> 27
+    z *= _MUL2_U64
+    z ^= z >> 31
     return z
+
+
+def _count(count) -> int:
+    count = operator.index(count)
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    return count
 
 
 class RngStream:
@@ -45,13 +70,19 @@ class RngStream:
     Equal seeds give equal sequences.  ``split(k)`` derives an independent
     substream keyed by (seed, k); children never share counter state with
     the parent, so parallel consumers each own their stream.
+
+    The lookahead window holds words ``_lo + 1 .. _lo + len(_block)``, as an
+    array (``_block``) and as a list of ints (``_ahead``) for scalar reads.
     """
 
-    __slots__ = ("_key", "_counter")
+    __slots__ = ("_key", "_counter", "_lo", "_block", "_ahead")
 
     def __init__(self, seed: int):
         self._key = seed & _MASK64
         self._counter = 0
+        self._lo = 0
+        self._block = _EMPTY
+        self._ahead = []
 
     @property
     def seed(self) -> int:
@@ -63,22 +94,41 @@ class RngStream:
         return self._counter
 
     def split(self, stream_id: int) -> "RngStream":
-        child = RngStream.__new__(RngStream)
-        child._key = _mix64(self._key + ((stream_id + 1) & _MASK64) * _SPLIT)
-        child._counter = 0
-        return child
+        return RngStream(_mix64(self._key + ((stream_id + 1) & _MASK64) * _SPLIT))
+
+    def reserve(self, count: int) -> None:
+        """Mix the next count words ahead in one block; the counter stays.
+
+        Draws then read these words in order.  No output changes: a
+        reservation only decides where words are mixed, not which.  A
+        window that already covers the next count words is kept.
+        """
+        count = _count(count)
+        if self._counter - self._lo + count > len(self._ahead):
+            self._mix_ahead(count)
+
+    def _mix_ahead(self, count: int) -> None:
+        self._lo = self._counter
+        self._block = _words(self._key, self._counter, count)
+        self._ahead = self._block.tolist()
 
     # -- raw words ---------------------------------------------------------
 
     def u64(self) -> int:
+        i = self._counter - self._lo
         self._counter += 1
+        if i < len(self._ahead):
+            return self._ahead[i]
         return _mix64(self._key + self._counter * _GOLDEN)
 
     def u64_array(self, count: int) -> np.ndarray:
-        idx = np.arange(self._counter + 1, self._counter + count + 1, dtype=np.uint64)
+        count = _count(count)
+        i = self._counter - self._lo
+        start = self._counter
         self._counter += count
-        states = np.uint64(self._key) + idx * np.uint64(_GOLDEN)
-        return _mix64_array(states)
+        if i + count <= len(self._ahead):
+            return self._block[i:i + count].copy()
+        return _words(self._key, start, count)
 
     # -- derived draws -----------------------------------------------------
 
@@ -93,14 +143,20 @@ class RngStream:
         return self.bits53_array(count).astype(np.float64) * (2.0 ** -FRAC_BITS)
 
     def integer(self, bound: int) -> int:
-        """Unbiased uniform integer in [0, bound) via top-bits rejection."""
+        """Unbiased uniform integer in [0, bound) via top-bits rejection.
+
+        bound is any integer in [1, 2**64]; integer(2**64) is a raw word.
+        """
+        bound = operator.index(bound)
         if bound < 1:
             raise ValueError("bound must be positive")
+        if bound > 1 << 64:
+            raise ValueError("bound must be at most 2**64")
         if bound == 1:
             return 0
-        k = (bound - 1).bit_length()
+        shift = 64 - (bound - 1).bit_length()
         while True:
-            r = self.u64() >> (64 - k)
+            r = self.u64() >> shift
             if r < bound:
                 return r
 
@@ -108,9 +164,27 @@ class RngStream:
         return [self.integer(bound) for _ in range(count)]
 
     def permutation(self, n: int) -> list:
-        """Uniform permutation of range(n) by Fisher-Yates (downward)."""
+        """Uniform permutation of range(n) by Fisher-Yates (downward).
+
+        Step j draws integer(j + 1) from the window's words; when they run
+        out, the next block is mixed at once rather than word by word.
+        """
         a = list(range(n))
+        words = self._ahead
+        end = len(words)
+        pos = self._counter - self._lo
         for j in range(n - 1, 0, -1):
-            k = self.integer(j + 1)
+            shift = 64 - j.bit_length()
+            while True:
+                if pos >= end:
+                    self._counter = self._lo + pos
+                    self._mix_ahead(2 * j)
+                    words, pos = self._ahead, 0
+                    end = len(words)
+                k = words[pos] >> shift
+                pos += 1
+                if k <= j:
+                    break
             a[j], a[k] = a[k], a[j]
+        self._counter = self._lo + pos
         return a

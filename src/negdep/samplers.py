@@ -7,6 +7,9 @@ export.  Regenerating from (spec, seed) is bit-identical.
 
 Draw order is pinned so seeds stay stable: generator, then shift, then
 permutation(s), then jitters in point order (coordinates within a point).
+Each sampler first reserves the words it will likely draw (two per
+rejection-sampled integer, jitters exactly), so a point set is normally
+mixed in one numpy block; the reservation changes no draw.
 """
 
 import csv
@@ -108,6 +111,11 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n is capped at {MAX_N} (exact int64 coordinate encoding)")
 
 
+def _perm_words(n: int) -> int:
+    # words permutation(n) likely draws: n - 1 steps, under 2 words each
+    return 2 * (n - 1)
+
+
 def _jitter_block(rng: RngStream, n: int, dim: int) -> np.ndarray:
     # one call, point-major layout: point order, coordinates within a point
     return rng.bits53_array(n * dim).astype(np.int64).reshape(n, dim)
@@ -118,13 +126,15 @@ def _latin(spec: SchemeSpec, rng: RngStream) -> PointSet:
     # coordinate, then iid jitter in the cell or the exact cell midpoint
     n, dim = spec.n, spec.dim
     _check_n(n)
+    jitter = spec.kind != "patterson"
+    rng.reserve(dim * _perm_words(n) + (n * dim if jitter else 0))
     cells = np.empty((n, dim), dtype=np.int64)
     for i in range(dim):
         cells[:, i] = rng.permutation(n)
-    if spec.kind == "patterson":
-        offsets = 1 << (FRAC_BITS - 1)  # exact midpoint 1/2
-    else:
+    if jitter:
         offsets = _jitter_block(rng, n, dim)
+    else:
+        offsets = 1 << (FRAC_BITS - 1)  # exact midpoint 1/2
     return PointSet((cells << FRAC_BITS) + offsets, spec, rng.seed)
 
 
@@ -190,6 +200,12 @@ def rsj_rank1(spec: SchemeSpec, rng: RngStream) -> PointSet:
         raise ValueError(f"rsj_rank1 needs an rsj_lattice spec, got {spec.kind!r}")
     n, dim = spec.n, spec.dim
     _check_n(n)
+    # two words per generator entry (integer(1) draws none) and per shift
+    # cell, one more per torus fraction
+    gen_words = 2 if spec.generator == "random" and n > 2 else 0
+    shift_words = {"grid": 2, "continuous_torus": 3, "none": 0}[spec.shift]
+    rng.reserve(dim * (gen_words + shift_words) + _perm_words(n)
+                + (n * dim if spec.jitter else 0))
 
     if spec.generator == "random":
         g = [rng.integer(n - 1) + 1 for _ in range(dim)]

@@ -7,7 +7,8 @@ on or off).  Specs are immutable and hashable so they can key caches and
 round-trip through JSON.
 """
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 from .exact import is_prime
 
@@ -39,6 +40,8 @@ _DEFAULT_JITTER = True
 class SchemeSpec:
     """Description of one sampling scheme (or ablation) at size (n, dim).
 
+    n, dim and the generator entries are integers (numpy integers are
+    stored as int; floats raise TypeError).
     generator: "random", or a tuple of field integers in {1,..,n-1}.
     shift: "grid" (uniform on the 1/n lattice), "continuous_torus"
            (uniform on [0,1)^d), or "none".
@@ -55,6 +58,8 @@ class SchemeSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}; expected one of {KINDS}")
+        object.__setattr__(self, "n", operator.index(self.n))
+        object.__setattr__(self, "dim", operator.index(self.dim))
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.dim < 1:
@@ -67,7 +72,7 @@ class SchemeSpec:
             if self.shift not in SHIFTS:
                 raise ValueError(f"unknown shift {self.shift!r}; expected one of {SHIFTS}")
             if self.generator != "random":
-                g = tuple(int(v) for v in self.generator)
+                g = tuple(operator.index(v) for v in self.generator)
                 if len(g) != self.dim:
                     raise ValueError(f"generator length {len(g)} does not match dim {self.dim}")
                 if any(not 1 <= v < self.n for v in g):

@@ -1,6 +1,9 @@
+import random
+
 import numpy as np
 import pytest
 
+import negdep.rng as rng_module
 from negdep.rng import RngStream
 
 # Pinned outputs: the stream is a contract, changing it silently would break
@@ -96,3 +99,126 @@ def test_uniform01_range():
     u = RngStream(9).uniform01(10**4)
     assert u.min() >= 0.0 and u.max() < 1.0
     assert abs(u.mean() - 0.5) < 4 * (12 ** -0.5) / 100
+
+
+def test_integer_takes_any_integer_bound():
+    assert RngStream(7).integer(np.int64(5)) == RngStream(7).integer(5)
+    r = RngStream(7)
+    r.reserve(4)
+    assert r.integer(np.int64(5)) == RngStream(7).integer(5)
+    with pytest.raises(TypeError):
+        RngStream(7).integer(5.0)
+
+
+def test_integer_bound_above_two_to_the_64_is_refused():
+    for r in (RngStream(3), RngStream(3)):
+        with pytest.raises(ValueError, match="at most 2\\*\\*64"):
+            r.integer(2**64 + 1)
+        assert r.counter == 0
+        r.reserve(8)  # the second pass asks the window path
+    # 2**64 itself is a raw word, on either path
+    assert RngStream(3).integer(2**64) == RngStream(3).u64()
+    r = RngStream(3)
+    r.reserve(2)
+    assert r.integer(2**64) == RngStream(3).u64()
+
+
+def test_negative_counts_are_refused():
+    with pytest.raises(ValueError):
+        RngStream(0).u64_array(-1)
+    with pytest.raises(ValueError):
+        RngStream(0).reserve(-1)
+
+
+def _fisher_yates(r, n):
+    # the word-by-word loop permutation() replaced; the reference it must match
+    a = list(range(n))
+    for j in range(n - 1, 0, -1):
+        k = r.integer(j + 1)
+        a[j], a[k] = a[k], a[j]
+    return a
+
+
+def _draw(r, name, arg):
+    if name in ("u64", "bits53"):
+        return getattr(r, name)()
+    if name in ("integer", "permutation"):
+        return getattr(r, name)(arg)
+    if name == "integers":
+        return r.integers(*arg)
+    return getattr(r, name)(arg).tolist()  # u64_array, bits53_array, uniform01
+
+
+def _random_draw(rnd):
+    name = rnd.choice(["u64", "bits53", "integer", "integers", "permutation",
+                       "u64_array", "bits53_array", "uniform01"])
+    if name == "integer":
+        return name, rnd.choice([1, 2, 3, 7, 31, 1000, 2**63 + 5, 2**64])
+    if name == "integers":
+        return name, (rnd.randint(1, 40), rnd.randint(0, 5))
+    if name == "permutation":
+        return name, rnd.choice([0, 1, 2, 3, 5, 31, 64])
+    return name, rnd.randint(0, 40)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_reserve_changes_no_output_and_no_counter(seed):
+    # a stream that reserves against one that never does: every draw and
+    # every counter value must agree after every step.  Reservations are of
+    # size 0, short, exact (the words the next draw takes) and long, made
+    # mid-stream, twice in a row and after the window is used up.
+    rnd = random.Random(seed)
+    plain, ahead = RngStream(seed * 7919 + 1), RngStream(seed * 7919 + 1)
+    for step in range(200):
+        name, arg = _random_draw(rnd)
+        before = plain.counter
+        want = _draw(plain, name, arg)
+        how = rnd.choice(["none", "zero", "short", "exact", "long", "twice"])
+        if how == "exact":
+            ahead.reserve(plain.counter - before)
+        elif how != "none":
+            count = {"zero": 0, "short": rnd.randint(1, 3), "long": rnd.randint(40, 300),
+                     "twice": rnd.randint(0, 60)}[how]
+            ahead.reserve(count)
+            if how == "twice":
+                ahead.reserve(rnd.randint(0, 60))
+        assert ahead.counter == before, (step, how)
+        assert _draw(ahead, name, arg) == want, (step, name, how)
+        assert ahead.counter == plain.counter, (step, name, how)
+
+
+def test_window_arrays_own_their_memory():
+    # an array read from the window is a copy, not a view that pins the block
+    r = RngStream(4)
+    r.reserve(10)
+    assert r.u64_array(5).flags.owndata
+
+
+def test_permutation_matches_word_by_word_loop():
+    for seed in range(20):
+        for n in (0, 1, 2, 3, 5, 17, 31, 64, 200):
+            r = RngStream(seed)
+            assert r.permutation(n) == _fisher_yates(ref := RngStream(seed), n)
+            assert r.counter == ref.counter
+
+
+def test_permutation_mixes_more_words_mid_loop(monkeypatch):
+    blocks = []
+    words = rng_module._words
+
+    def counting(key, start, count):
+        blocks.append((start, count))
+        return words(key, start, count)
+
+    monkeypatch.setattr(rng_module, "_words", counting)
+    r, ref = RngStream(11), RngStream(11)
+    r.u64()
+    ref.u64()
+    r.reserve(3)  # runs out three steps into the loop
+    assert r.permutation(31) == _fisher_yates(ref, 31)
+    assert r.counter == ref.counter
+    assert blocks[0] == (1, 3) and len(blocks) >= 2
+    # each further block starts where the last one ended
+    for (s0, c0), (s1, _) in zip(blocks, blocks[1:]):
+        assert s1 == s0 + c0
+    assert r.u64() == ref.u64()

@@ -211,15 +211,94 @@ _PINNED_STREAM = [
         2**40 + 7: "05f49d213d69d4651c93eab14f481f9e0e87ba7c50115a9c9d1b71ce6780938c"}),
 ]
 
+# n = 2, recorded the same way: the random generator's integer(1) draws no word
+_PINNED_N2_STREAM = [
+    (full_rsj(2, 3), {
+        1000: "f51e0832907f75dd9987c3375d91787cb64e89ddddb3432e7851560370d5cb81",
+        2**40 + 7: "b0b7c0b58bd24fda5487a6c417de69ddd8ed47e1042c0bbe731ddad2872471cf"}),
+    (SchemeSpec("rsj_lattice", 2, 3, shift="continuous_torus"), {
+        1000: "b91d9558bb00a1d0036df8aeed603666df963006deb556178b980ceb2bef00f7",
+        2**40 + 7: "05b59fe4798cd00ec863d78d2a8a19a70d225aa02fd88ba34e9b0163637cc975"}),
+    (SchemeSpec("rsj_lattice", 2, 3, shift="none"), {
+        1000: "ffbe669698bb2fef7bb161d8c711a1571669a6b86b455cc2bae7ea730681144a",
+        2**40 + 7: "c25b892c113ff81faace884dc892aa46ad9831603ffdedf05bdcab80313f8714"}),
+    (SchemeSpec("rsj_lattice", 2, 3, jitter=False), {
+        1000: "7fc88a146c6b05193ab66e045712572734dd057fe439f721cb5de65b6536effd",
+        2**40 + 7: "e8ccb4c6fccab79ee21aa723d2ad37c200bb98cf711c198a8e1c705dd9be13d1"}),
+]
 
-@pytest.mark.parametrize("spec,digests", _PINNED_STREAM, ids=[
-    f"{s.kind}-g={s.generator}-shift={s.shift}-jitter={s.jitter}" for s, _ in _PINNED_STREAM])
-def test_generate_stream_pinned(spec, digests):
+# words each spec above draws: 3 shift cells (3 more torus fractions),
+# 1 for the permutation, 6 jitters
+_PINNED_N2_COUNTERS = {"grid": 10, "continuous_torus": 13, "none": 7}
+
+
+def _pinned_ids(table):
+    return [f"{s.kind}-g={s.generator}-shift={s.shift}-jitter={s.jitter}" for s, _ in table]
+
+
+def _check_pinned(spec, digests):
     for seed, want in digests.items():
         ps = generate(spec, seed)
         assert hashlib.sha256(ps.nums.tobytes()).hexdigest() == want, seed
         # a stream argument is drawn from in place and gives the same set
         assert generate(spec, RngStream(seed)) == ps
+
+
+@pytest.mark.parametrize("spec,digests", _PINNED_STREAM, ids=_pinned_ids(_PINNED_STREAM))
+def test_generate_stream_pinned(spec, digests):
+    _check_pinned(spec, digests)
+
+
+@pytest.mark.parametrize("spec,digests", _PINNED_N2_STREAM, ids=_pinned_ids(_PINNED_N2_STREAM))
+def test_generate_stream_pinned_n2(spec, digests):
+    _check_pinned(spec, digests)
+
+
+def test_generate_leaves_pinned_counter_at_n2():
+    for spec, digests in _PINNED_N2_STREAM:
+        want = _PINNED_N2_COUNTERS[spec.shift] - (0 if spec.jitter else 6)
+        for seed in digests:
+            r = RngStream(seed)
+            generate(spec, r)
+            assert r.counter == want
+
+
+def _every_spec():
+    for n in (1, 2, 3, 5, 31):
+        yield stratified_spec(n)
+        for d in range(1, 5):
+            yield lhs_spec(n, d)
+            yield patterson_spec(n, d)
+            if n == 1:
+                continue
+            for g in ("random", tuple((1 + 2 * i) % (n - 1) + 1 for i in range(d))):
+                for shift in ("grid", "continuous_torus", "none"):
+                    for jitter in (True, False):
+                        yield SchemeSpec("rsj_lattice", n, d, generator=g, shift=shift,
+                                         jitter=jitter)
+
+
+def test_reservations_change_no_point_and_no_counter(monkeypatch):
+    # generate as shipped against generate with every reservation a no-op:
+    # the same numerators, the same counter left on the stream, and the
+    # same next word
+    def run():
+        out = []
+        for spec in _every_spec():
+            for seed in (0, 3, 2**40 + 7):
+                r = RngStream(seed)
+                r.u64()  # start mid-stream
+                ps = generate(spec, r)
+                out.append((spec, seed, ps.nums.tobytes(), r.counter, r.u64()))
+        return out
+
+    shipped = run()
+    with monkeypatch.context() as m:
+        m.setattr(RngStream, "reserve", lambda self, count: None)
+        unreserved = run()
+    assert len(shipped) > 500
+    for got, want in zip(shipped, unreserved):
+        assert got == want, got[:2]
 
 
 def test_latin_entry_points_match_generate():

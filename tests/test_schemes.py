@@ -1,5 +1,9 @@
+import json
+
+import numpy as np
 import pytest
 
+from negdep.samplers import generate
 from negdep.schemes import (
     SchemeSpec,
     full_rsj,
@@ -72,3 +76,31 @@ def test_spec_dict_round_trip():
         SchemeSpec("rsj_lattice", 5, 2, generator=(2, 3), shift="none", jitter=False),
     ):
         assert spec_from_dict(spec_to_dict(spec)) == spec
+
+
+def test_numpy_integer_sizes_are_stored_as_int():
+    spec = SchemeSpec("rsj_lattice", np.int64(5), np.int32(2), generator=(np.int64(1), 2))
+    assert type(spec.n) is int and type(spec.dim) is int
+    assert all(type(v) is int for v in spec.generator)
+    assert spec == SchemeSpec("rsj_lattice", 5, 2, generator=(1, 2))
+    assert generate(SchemeSpec("rsj_lattice", np.int64(5), 2), 1) == generate(full_rsj(5, 2), 1)
+    lhs = SchemeSpec("lhs", np.int64(5), np.int64(2))
+    assert spec_from_dict(json.loads(json.dumps(spec_to_dict(lhs)))) == lhs_spec(5, 2)
+
+
+def test_non_integer_sizes_and_generators_are_refused():
+    with pytest.raises(TypeError):
+        SchemeSpec("lhs", 5.0, 2)
+    with pytest.raises(TypeError):
+        SchemeSpec("lhs", 5, 2.0)
+    with pytest.raises(TypeError):
+        SchemeSpec("rsj_lattice", 5, 2, generator=(1.5, 2.9))
+    with pytest.raises(TypeError):
+        SchemeSpec("rsj_lattice", 5, 2, generator=(1, 2.0))
+
+
+def test_spec_from_dict_accepts_json_integers():
+    d = {"kind": "rsj_lattice", "n": 5, "dim": 2, "generator": [1, 3],
+         "shift": "none", "jitter": "off"}
+    assert spec_from_dict(d) == SchemeSpec("rsj_lattice", 5, 2, generator=(1, 3),
+                                           shift="none", jitter=False)
