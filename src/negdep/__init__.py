@@ -36,11 +36,9 @@ from .analyzer import (
     BudgetExceededError,
     DependenceReport,
     HypothesisViolatedError,
-    PairLaw,
     UnsupportedSchemeError,
     copula_equality_check,
     coordinate_independence_check,
-    discrete_pair_pmf,
     no_shift_mass,
     nuod_scan,
     pair_box_prob,

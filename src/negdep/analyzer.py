@@ -1,9 +1,9 @@
 """Exact pairwise-dependence analysis.
 
 Everything here is exact rational arithmetic.  The central objects are the
-joint law of a pair of distinct points (as a probability mass function over
-pairs of 1/n-grid cells, plus a per-cell position model) and anchored boxes
-[x, 1).  On top of those sit:
+joint law of a pair of distinct points (as integer counts over pairs of
+1/n-grid cells, plus a per-cell position model) and anchored boxes [x, 1).
+On top of those sit:
 
   * closed-form stratified pair probabilities per coordinate,
   * the discrete cell-pair law as exact integer counts, summed over
@@ -12,11 +12,11 @@ pairs of 1/n-grid cells, plus a per-cell position model) and anchored boxes
   * a negative-dependence scanner over anchored-box grids,
   * the structural checks that separate the shifted-lattice scheme from
     Latin hypercube sampling (copula equality, coordinate independence,
-    triple containment counts), and
-  * the ablation probes (missing shift, shift-only with fixed distances,
-    fixed generator).
+    triple containment counts, over the n - 1 candidate lattices), and
+  * the ablation probes (missing shift, counted per coordinate; shift-only
+    with fixed distances; fixed generator).
 
-Jitter is never discretized: a cell pair contributes its pmf weight times
+Jitter is never discretized: a cell pair contributes its count times
 the exact overlap fraction of each anchored interval with each cell.  A
 continuous torus shift is integrated exactly as integer arc overlaps on a
 common grid 1/D per coordinate.
@@ -39,12 +39,10 @@ __all__ = [
     "UnsupportedSchemeError",
     "HypothesisViolatedError",
     "AnchoredBox",
-    "PairLaw",
     "DependenceReport",
     "stratified_pair_box_prob",
     "patterson_pair_factor",
     "patterson_marginal_factor",
-    "discrete_pair_pmf",
     "pair_box_prob",
     "pair_marginal_prob",
     "nuod_scan",
@@ -168,36 +166,6 @@ def patterson_marginal_factor(q, n: int) -> Fraction:
 
 
 # -- the discrete pair law ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PairLaw:
-    """Joint law of two distinct points: cell-pair pmf + position model.
-
-    pmf maps (cells of p1, cells of p2) to exact probabilities summing to 1.
-    position is "jitter" (uniform in cell), "corner" or "midpoint".
-    """
-
-    spec: SchemeSpec
-    n: int
-    dim: int
-    pmf: dict
-    position: str
-
-    def validate(self) -> None:
-        total = sum(self.pmf.values(), Fraction(0))
-        if total != 1:
-            raise ValueError(f"pmf sums to {total}, expected 1")
-        for z1, z2 in self.pmf:
-            if any(a == b for a, b in zip(z1, z2)):
-                raise ValueError("support contains a coordinate-equal cell pair")
-
-    def marginal(self, side: int) -> dict:
-        out = {}
-        for (z1, z2), p in self.pmf.items():
-            key = z1 if side == 0 else z2
-            out[key] = out.get(key, Fraction(0)) + p
-        return out
 
 
 def _position_model(spec: SchemeSpec) -> str:
@@ -325,35 +293,6 @@ def _law_counts(n: int, dim: int, spec: SchemeSpec, budget):
     if (spec.n, spec.dim) != (n, dim):
         raise ValueError("spec size does not match (n, dim)")
     return _pair_counts(spec, budget)
-
-
-def discrete_pair_pmf(n: int, dim: int, spec: SchemeSpec = None,
-                      budget=DEFAULT_BUDGET) -> PairLaw:
-    """The exact cell-pair law of two distinct points, as a pmf dict.
-
-    Built from the integer counts of _pair_counts: for the lattice scheme a
-    sum over index-pair classes of per-coordinate (generator, shift) count
-    tables; for stratified/lhs/patterson the Kronecker power of the ordered
-    distinct-strata table.  Above the budget the call refuses rather than
-    sampling.
-    """
-    spec = spec if spec is not None else full_rsj(n, dim)
-    P, total = _law_counts(n, dim, spec, budget)
-    i1, i2 = np.nonzero(P)
-    cellv = np.array(list(product(range(n), repeat=dim)), dtype=np.int64)
-    # a fixed support order (per-coordinate code z1*n + z2, coordinate 0
-    # least significant): coordinate_independence_check reports the first
-    # failing cell pair in this order
-    codes = (cellv[i1] * n + cellv[i2]) @ (np.int64(n * n) ** np.arange(dim, dtype=np.int64))
-    order = np.argsort(codes)
-    cellv = [tuple(z) for z in cellv.tolist()]
-    pmf = {
-        (cellv[a], cellv[b]): Fraction(int(P[a, b]), total)
-        for a, b in zip(i1[order].tolist(), i2[order].tolist())
-    }
-    law = PairLaw(spec=spec, n=n, dim=dim, pmf=pmf, position=_position_model(spec))
-    law.validate()
-    return law
 
 
 # -- the integer kernel ------------------------------------------------------------
@@ -752,12 +691,20 @@ def nuod_scan(spec: SchemeSpec, grid_resolution: int, budget=DEFAULT_BUDGET) -> 
     """Check joint <= product for all anchored-box pairs on the k/M grid.
 
     The product side uses the scheme's exact marginals (equal to box volume
-    whenever the scheme is marginally uniform).  For factorizable schemes
-    both sides are multilinear in the 2*dim anchor coordinates on each cell
-    of the 1/n grid (constant on each (j/n, (j+1)/n] for corner positions),
-    so when M is a multiple of n the corner check on this grid certifies
-    the inequality for every anchored box pair (anchors at 1 make both
-    sides vanish, so the open upper face is trivial).
+    whenever the scheme is marginally uniform).  When M is a multiple of n
+    the grid decides every anchored box pair, for every cell law.  Hold
+    each of the 2*dim anchor coordinates in one cell [j/n, (j+1)/n] of the
+    1/n grid.  With jitter a cell weight is linear in its anchor there, and
+    joint - product is multilinear in the anchors (the joint sums counts
+    times one weight per anchor; the marginals of Q and R have disjoint
+    anchors), so its largest value lies at a vertex.  Corner and midpoint
+    weights take, at every anchor, their value at one end of the cell
+    ((j/n, (j+1)/n] for corners, each side of the midpoint for midpoints),
+    so every value of joint - product is a vertex value.  The vertices lie
+    on the k/n grid (anchors at 1 make both sides vanish), so worst_violation
+    at such M is the supremum over all anchored box pairs.  The report's
+    certifies_all_boxes still claims this for factorized laws only.  A
+    grid that is not a multiple of n can miss violations.
 
     When the law has several count factors (stratified, lhs, patterson and
     the random-generator lattice under a grid shift: one per coordinate),
@@ -890,7 +837,8 @@ def coordinate_independence_check(n: int, dim: int, spec: SchemeSpec = None,
     marginals: on the integer counts, C_I total^(|I|-1) == prod of the c_i.
     Exact; returns the first failing assignment as witness, with subsets in
     combinations order and each coordinate's cell pairs in order of first
-    appearance in the support order of discrete_pair_pmf.
+    appearance in the support of C (the nonzero cell-pair codes in Fortran
+    order, coordinate 0 least significant).
     """
     P, total = _law_counts(n, dim, spec, budget)
     nn = n * n
@@ -910,9 +858,9 @@ def coordinate_independence_check(n: int, dim: int, spec: SchemeSpec = None,
             scaled = joint * total ** (size - 1)
             if np.array_equal(scaled, expected):
                 continue
-            # the witness: discrete_pair_pmf orders its support by code,
-            # coordinate 0 least significant (Fortran order of C), and each
-            # coordinate's cell pairs go in order of first appearance there
+            # the witness: the support of C in Fortran order (coordinate 0
+            # least significant), each coordinate's cell pairs in order of
+            # first appearance there
             support = np.flatnonzero(C.ravel(order="F"))
             orders = []
             for i in idx:
@@ -932,20 +880,20 @@ def coordinate_independence_check(n: int, dim: int, spec: SchemeSpec = None,
     return IndependenceReport(True)
 
 
-# cell codes per block of triple_distinguisher's lattices (8 MB of int64)
-_CODE_BLOCK = 1 << 20
-
-
 def triple_distinguisher(n: int, dim: int, a, b, budget=DEFAULT_BUDGET) -> tuple:
     """Count discrete n-point configurations containing both cell vectors.
 
     Returns (lattice_count, lhs_count): the number of distinct shifted
-    lattices containing both a and b, by exhaustive construction, and of
-    distinct latin grids containing both, (n-2)!^(dim-1).  Requires a, b to
-    differ in every coordinate.  The budget bounds the (n-1)^dim n^dim
-    lattices.
+    lattices containing both a and b, and of distinct latin grids
+    containing both, (n-2)!^(dim-1).  Requires a, b to differ in every
+    coordinate.  A lattice {g m + s} holding a is {a + g k : k in Z_n}, so
+    it holds b iff g delta = b - a (mod n) for some delta in 1..n-1: the
+    candidates are g = (b - a) delta^-1, n - 1 lattices of n cells each.
+    Each lattice's cells are sorted and the distinct rows counted.  The
+    budget counts the (n - 1) n dim cell entries built, charged before the
+    primality test.
     """
-    if n < 5 or not is_prime(n):
+    if n < 5:
         raise ValueError("needs a prime n >= 5")
     if dim < 2:
         raise ValueError("needs dim >= 2")
@@ -957,24 +905,18 @@ def triple_distinguisher(n: int, dim: int, a, b, budget=DEFAULT_BUDGET) -> tuple
         raise ValueError("cell indices must lie in [0, n)")
     if any(x == y for x, y in zip(a, b)):
         raise ValueError("cell vectors share a coordinate cell; they must differ everywhere")
+    _charge((n - 1) * n * dim, budget, "lattice construction", "cell entries")
+    if not is_prime(n):
+        raise ValueError("needs a prime n >= 5")
 
-    _charge((n - 1) ** dim * n**dim, budget, "lattice enumeration", "lattices")
-    # codes[g, s, m]: the lexicographic cell code of point m of the lattice
-    # with generator g and shift s; a lattice is its sorted row of codes.
-    # Generators go in blocks of about _CODE_BLOCK codes, to bound memory.
-    gens = np.array(list(product(range(1, n), repeat=dim)), dtype=np.int64)
-    shifts = np.array(list(product(range(n), repeat=dim)), dtype=np.int64)
-    m = np.arange(n, dtype=np.int64)
-    code_a, code_b = (sum(v * n ** (dim - 1 - i) for i, v in enumerate(c)) for c in (a, b))
-    step = max(1, _CODE_BLOCK // (len(shifts) * n))
-    found = []
-    for g in (gens[lo:lo + step] for lo in range(0, len(gens), step)):
-        codes = np.zeros((len(g), len(shifts), n), dtype=np.int64)
-        for i in range(dim):
-            codes = codes * n + (g[:, i, None, None] * m + shifts[None, :, i, None]) % n
-        hit = (codes == code_a).any(axis=2) & (codes == code_b).any(axis=2)
-        found.append(np.sort(codes[hit], axis=1))
-    lattice_count = len(np.unique(np.concatenate(found), axis=0))
+    inv = np.array([pow(delta, -1, n) for delta in range(1, n)], dtype=np.int64)
+    gens = (np.array(b, dtype=np.int64) - a) % n * inv[:, None] % n
+    # cells[l, k]: point a + g_l k of lattice l, one row of dim cells
+    cells = (np.array(a, dtype=np.int64) + gens[:, None, :] * np.arange(n)[:, None]) % n
+    order = np.lexsort(cells.transpose(2, 0, 1)[::-1], axis=-1)
+    rows = np.take_along_axis(cells, order[:, :, None], axis=1).reshape(n - 1, n * dim)
+    # rows of one dtype and length are equal iff their bytes are
+    lattice_count = len({row.tobytes() for row in rows})
 
     # latin grids keyed by the first coordinate: the grid is determined by
     # one permutation per further coordinate mapping first-cell -> cell;
@@ -989,25 +931,25 @@ def triple_distinguisher(n: int, dim: int, a, b, budget=DEFAULT_BUDGET) -> tuple
 def no_shift_mass(n: int, dim: int, budget=DEFAULT_BUDGET) -> Fraction:
     """Exact P(p1 in [0, 1/n)^dim) for the unshifted jittered lattice.
 
-    Enumerates (generator, point index); jitter keeps each point inside its
-    cell, so the event is exactly "the point's cell vector is zero".  For a
-    prime n the value is 1/n for every dim, which breaks marginal
-    uniformity as soon as dim >= 2 (a uniform point would give 1/n^dim).
-    The budget counts the (n - 1)^dim n enumerated terms.
+    Jitter keeps each point inside its cell, so the event is exactly "the
+    point's cell vector is zero": point m with generator g hits it iff
+    g_i m = 0 (mod n) in every coordinate.  Each g_i ranges over 1..n-1
+    independently, so sum_m c[m]^dim of the (n - 1)^dim n (generator,
+    point index) terms hit, with c[m] = #{g : g m = 0 (mod n)} =
+    gcd(m, n) - 1 (gcd(0, n) = n).  For a prime n the value
+    is 1/n for every dim, which breaks marginal uniformity as soon as
+    dim >= 2 (a uniform point would give 1/n^dim).  The budget counts the
+    n entries of c.
     """
     if dim < 1:
         raise ValueError("needs dim >= 1")
-    terms = (n - 1) ** dim * n
     # charged first: the budget also bounds is_prime's trial division
-    _charge(terms, budget, "no-shift enumeration", "terms")
+    _charge(n, budget, "no-shift count", "terms")
     if not is_prime(n):
         raise ValueError("needs a prime n")
-    hits = 0
-    for g in product(range(1, n), repeat=dim):
-        for m in range(n):
-            if all((gi * m) % n == 0 for gi in g):
-                hits += 1
-    return Fraction(hits, terms)
+    c = np.gcd(np.arange(n, dtype=np.int64), n) - 1
+    hits = sum(v**dim for v in c[c > 0].tolist())
+    return Fraction(hits, (n - 1) ** dim * n)
 
 
 def shift_only_conditional(spec: SchemeSpec, epsilon, dim_index: int = None,

@@ -39,7 +39,7 @@ from .analyzer import (
     triple_distinguisher,
 )
 from .exact import format_rational, parse_rational
-from .schemes import SchemeSpec, patterson_spec, spec_to_dict
+from .schemes import SchemeSpec, _as_int, patterson_spec, spec_to_dict
 from .variance import (
     get_integrand,
     load_batch_config,
@@ -292,7 +292,7 @@ def _cmd_variance(args, argv, t0) -> int:
             cfg["replications"] = args.replications
         if args.seed is not None:
             cfg["seed"] = args.seed
-        seed = int(cfg.get("seed", 0))
+        seed = _as_int(cfg.get("seed", 0), "seed")
         results = run_variance_batch(cfg)
     else:
         spec = _spec_from_args(args)

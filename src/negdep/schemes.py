@@ -71,7 +71,7 @@ class SchemeSpec:
                 raise ValueError(f"N must be prime for rsj_lattice (got {self.n})")
             if self.shift not in SHIFTS:
                 raise ValueError(f"unknown shift {self.shift!r}; expected one of {SHIFTS}")
-            if self.generator != "random":
+            if not (isinstance(self.generator, str) and self.generator == "random"):
                 g = tuple(operator.index(v) for v in self.generator)
                 if len(g) != self.dim:
                     raise ValueError(f"generator length {len(g)} does not match dim {self.dim}")
@@ -148,17 +148,38 @@ def spec_to_dict(spec: SchemeSpec) -> dict:
     }
 
 
+def _as_int(value, key: str) -> int:
+    """value as an int, for JSON input: ints and numpy integers pass.
+
+    bool, float, str and everything else raise ValueError naming key, so a
+    5.7 is refused rather than truncated.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
 def spec_from_dict(d: dict) -> SchemeSpec:
+    for key in ("kind", "n", "dim"):
+        if key not in d:
+            raise ValueError(f"scheme spec missing key {key!r}")
     gen = d.get("generator", "random")
     if gen != "random":
-        gen = tuple(int(v) for v in gen)
+        if not isinstance(gen, (list, tuple)):
+            raise ValueError(f"generator must be 'random' or a list of integers, got {gen!r}")
+        gen = tuple(_as_int(v, "generator") for v in gen)
     jitter = d.get("jitter", "on")
-    if isinstance(jitter, str):
+    if not isinstance(jitter, bool):
+        if jitter not in ("on", "off"):
+            raise ValueError(f"jitter must be 'on', 'off' or a bool, got {jitter!r}")
         jitter = jitter == "on"
     return SchemeSpec(
         kind=d["kind"],
-        n=int(d["n"]),
-        dim=int(d["dim"]),
+        n=_as_int(d["n"], "n"),
+        dim=_as_int(d["dim"], "dim"),
         generator=gen,
         shift=d.get("shift", _DEFAULT_SHIFT),
         jitter=jitter,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .rng import RngStream
 from .samplers import generate
-from .schemes import SchemeSpec, is_marginally_uniform, spec_from_dict, spec_to_dict
+from .schemes import SchemeSpec, _as_int, is_marginally_uniform, spec_from_dict, spec_to_dict
 
 __all__ = [
     "Integrand",
@@ -380,13 +380,19 @@ def run_variance_batch(config: dict, rng_seed=None) -> list:
     "n"/"dim" and overrides any the dict carries),
     "integrands" (names).  Returns VarianceResult objects in a stable order.
     """
-    seed = int(config.get("seed", 0)) if rng_seed is None else int(rng_seed)
-    replications = int(config["replications"])
-    sizes = [(int(n), int(d)) for n, d in config["sizes"]]
+    seed = _as_int(config.get("seed", 0), "seed") if rng_seed is None else int(rng_seed)
+    replications = _as_int(config["replications"], "replications")
+    sizes = []
+    for size in config["sizes"]:
+        if not isinstance(size, (list, tuple)) or len(size) != 2:
+            raise ValueError(f"sizes entries must be [n, dim] pairs, got {size!r}")
+        sizes.append(tuple(_as_int(v, "sizes") for v in size))
     results = []
     job = 0
     root = RngStream(seed)
     for stub in config["schemes"]:
+        if not isinstance(stub, dict):
+            raise ValueError(f"schemes entries must be spec objects, got {stub!r}")
         for (n, dim) in sizes:
             spec = spec_from_dict({**stub, "n": n, "dim": dim})
             for name in config["integrands"]:

@@ -7,9 +7,9 @@ import pytest
 from negdep.analyzer import (
     AnchoredBox,
     BudgetExceededError,
-    PairLaw,
     UnsupportedSchemeError,
-    discrete_pair_pmf,
+    _law_counts,
+    _pair_counts,
     pair_box_prob,
     pair_marginal_prob,
     patterson_marginal_factor,
@@ -17,6 +17,7 @@ from negdep.analyzer import (
     stratified_pair_box_prob,
 )
 from negdep.schemes import SchemeSpec, full_rsj, lhs_spec, patterson_spec
+from test_kernel import PairLaw, discrete_pair_pmf
 
 
 def oracle(q, r, n):
@@ -136,12 +137,12 @@ class TestDiscretePairPmf:
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError, match="too large"):
-            discrete_pair_pmf(7, 3, budget=1000)
+            _pair_counts(full_rsj(7, 3), budget=1000)
 
     def test_continuous_shift_has_no_cell_law(self):
         spec = SchemeSpec("rsj_lattice", 5, 2, shift="continuous_torus", jitter=False)
         with pytest.raises(UnsupportedSchemeError):
-            discrete_pair_pmf(5, 2, spec)
+            _law_counts(5, 2, spec, 10**8)
 
     def test_pmf_validation(self):
         law = discrete_pair_pmf(3, 1)

@@ -180,9 +180,13 @@ class TestTripleDistinguisher:
             triple_distinguisher(9, 2, (0, 0), (1, 1))
 
     def test_budget_refusal_names_work_and_budget(self):
-        # (n - 1)^dim n^dim = 1764 lattices at (7, 2)
-        with pytest.raises(BudgetExceededError, match="1764 lattices exceeds budget 1000"):
-            triple_distinguisher(7, 2, (0, 0), (1, 2), budget=1000)
+        # (n - 1) n dim = 84 cell entries of the candidate lattices at (7, 2)
+        with pytest.raises(BudgetExceededError, match="84 cell entries exceeds budget 83"):
+            triple_distinguisher(7, 2, (0, 0), (1, 2), budget=83)
+        assert triple_distinguisher(7, 2, (0, 0), (1, 2), budget=84) == (1, 120)
+        # charged before the trial division of n, which would run for minutes here
+        with pytest.raises(BudgetExceededError, match="cell entries"):
+            triple_distinguisher(10**18 + 3, 2, (0, 0), (1, 2))
 
     def test_factored_counting_path_agrees(self):
         # the per-coordinate latin count against the enumeration over every
@@ -209,11 +213,11 @@ class TestNoShiftMass:
                 no_shift_mass(n, d)
 
     def test_budget_counts_terms(self):
-        # (n - 1)^dim n enumerated (generator, point index) terms
-        work = 4**2 * 5
-        with pytest.raises(BudgetExceededError, match=f"{work} terms exceeds budget {work - 1}"):
-            no_shift_mass(5, 2, budget=work - 1)
-        assert no_shift_mass(5, 2, budget=work) == F(1, 5)
+        # the n entries of c[m] = #{g : g m = 0 (mod n)}, whatever the dim
+        for n, dim in ((5, 2), (7, 4)):
+            with pytest.raises(BudgetExceededError, match=f"{n} terms exceeds budget {n - 1}"):
+                no_shift_mass(n, dim, budget=n - 1)
+            assert no_shift_mass(n, dim, budget=n) == F(1, n)
 
 
 class TestShiftOnlyConditional:

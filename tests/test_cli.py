@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import pytest
 
@@ -181,6 +182,15 @@ class TestAnalyze:
                            "--a", "0,0", "--b", "0,2")
         assert code == 2
 
+    def test_triple_budget_refuses_before_primality(self, capsys):
+        # the cell entries are charged before trial division of n
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "analyze", "triple", "--n", "1000000000000000003",
+                             "--dim", "2", "--a", "0,0", "--b", "1,2")
+        assert time.perf_counter() - t0 < 1
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "cell entries" in err
+
     def test_ablation(self, capsys):
         code, out, _ = run(capsys, "analyze", "ablation", "--n", "5", "--dim", "2")
         assert code == 0
@@ -312,6 +322,28 @@ class TestVariance:
                  for r in payload["results"]}
         assert flags[("rsj_lattice", "none")] is True
         assert flags[("rsj_lattice", "grid")] is False
+
+    @pytest.mark.parametrize("change,key", [
+        ({"sizes": [[5.9, 2]]}, "sizes"),
+        ({"sizes": [[5, "2"]]}, "sizes"),
+        ({"sizes": [5]}, "sizes"),
+        ({"replications": 1.5}, "replications"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": [1]}, "seed"),
+        ({"schemes": ["lhs"]}, "schemes"),
+        ({"schemes": [{"shift": "none"}]}, "kind"),
+        ({"schemes": [{"kind": "rsj_lattice", "generator": [1.5, 2.9]}]}, "generator"),
+        ({"schemes": [{"kind": "rsj_lattice", "jitter": "yes"}]}, "jitter"),
+    ])
+    def test_malformed_config_is_a_usage_error(self, tmp_path, capsys, change, key):
+        # refused with one line naming the key, never truncated or a traceback
+        cfg = {"seed": 3, "replications": 50, "sizes": [[5, 2]],
+               "schemes": [{"kind": "lhs"}], "integrands": ["additive"], **change}
+        cfg_path = tmp_path / "batch.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "variance", "--config", str(cfg_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and key in err
 
 
 class TestReproduce:

@@ -14,8 +14,11 @@ The oracle functions below are the analyzer's earlier, direct forms:
   * the Fraction cell weights behind the integer weight tables;
   * the fixed-distance probe over every (generator, a, b) configuration;
   * the closed-form per-coordinate scan tables, one Fraction per anchor pair;
-  * the triple-containment lattice count, one frozenset per lattice;
+  * the cell-pair law as a Fraction pmf dict (discrete_pair_pmf, PairLaw);
+  * the triple-containment lattice count, one frozenset per lattice of
+    every (generator, shift);
   * the triple-containment latin count, over every tuple of permutations;
+  * the no-shift first-cell mass, over every (generator, point index);
   * the rows of every box pair, one Fraction each (scan_pairs_rows);
   * the pairs table written row by row, format_rational and csv.writer per
     row of scan_pairs_rows.
@@ -50,11 +53,12 @@ from negdep.analyzer import (
     _grid_anchors,
     _pair_counts,
     _pair_query,
+    _position_model,
     _scan,
     _weight_table,
     copula_equality_check,
     coordinate_independence_check,
-    discrete_pair_pmf,
+    no_shift_mass,
     nuod_scan,
     pair_box_prob,
     pair_marginal_prob,
@@ -87,6 +91,59 @@ def _cell_weight(c, q, n, position):
     if position == "midpoint":
         return F(1) if F(2 * c + 1, 2 * n) >= q else F(0)
     raise ValueError(f"unknown position model {position!r}")
+
+
+@dataclass(frozen=True)
+class PairLaw:
+    """Joint law of two distinct points: cell-pair pmf + position model.
+
+    pmf maps (cells of p1, cells of p2) to exact probabilities summing to 1.
+    position is "jitter" (uniform in cell), "corner" or "midpoint".
+    """
+
+    spec: SchemeSpec
+    n: int
+    dim: int
+    pmf: dict
+    position: str
+
+    def validate(self) -> None:
+        total = sum(self.pmf.values(), F(0))
+        if total != 1:
+            raise ValueError(f"pmf sums to {total}, expected 1")
+        for z1, z2 in self.pmf:
+            if any(a == b for a, b in zip(z1, z2)):
+                raise ValueError("support contains a coordinate-equal cell pair")
+
+    def marginal(self, side: int) -> dict:
+        out = {}
+        for (z1, z2), p in self.pmf.items():
+            key = z1 if side == 0 else z2
+            out[key] = out.get(key, F(0)) + p
+        return out
+
+
+def discrete_pair_pmf(n, dim, spec=None, budget=10**8):
+    """The cell-pair law of _law_counts as a Fraction pmf dict.
+
+    The support goes in order of the per-coordinate codes z1 * n + z2,
+    coordinate 0 least significant: the order in which
+    coordinate_independence_check reads its witness.
+    """
+    spec = spec if spec is not None else full_rsj(n, dim)
+    P, total = mod._law_counts(n, dim, spec, budget)  # looked up per call: tests patch it
+    i1, i2 = np.nonzero(P)
+    cellv = np.array(list(product(range(n), repeat=dim)), dtype=np.int64)
+    codes = (cellv[i1] * n + cellv[i2]) @ (np.int64(n * n) ** np.arange(dim, dtype=np.int64))
+    order = np.argsort(codes)
+    cellv = [tuple(z) for z in cellv.tolist()]
+    pmf = {
+        (cellv[a], cellv[b]): F(int(P[a, b]), total)
+        for a, b in zip(i1[order].tolist(), i2[order].tolist())
+    }
+    law = PairLaw(spec=spec, n=n, dim=dim, pmf=pmf, position=_position_model(spec))
+    law.validate()
+    return law
 
 
 def law_of(spec):
@@ -255,6 +312,55 @@ def test_weight_table_matches_fraction_weights(position):
         assert table.tolist() == want
         # exact integers: int64, or python ints past the int64-safe range
         assert table.dtype == np.int64 or all(type(v) is int for v in table.flat)
+
+
+# -- a scan at M = n decides every cell law -----------------------------------
+
+# the cell laws that do not factor per coordinate: fixed generators, no shift
+UNFACTORED = [
+    SchemeSpec(RSJ, 5, 2, generator=(1, 2)),
+    SchemeSpec(RSJ, 5, 2, generator=(1, 2), jitter=False),
+    SchemeSpec(RSJ, 5, 2, generator=(1, 1)),
+    SchemeSpec(RSJ, 7, 2, generator=(1, 3)),
+    SchemeSpec(RSJ, 3, 3, generator=(1, 2, 1)),
+    SchemeSpec(RSJ, 5, 2, shift="none"),
+    SchemeSpec(RSJ, 5, 2, shift="none", jitter=False),
+    SchemeSpec(RSJ, 3, 2, shift="none"),
+]
+
+
+@pytest.mark.parametrize("spec", UNFACTORED, ids=[_spec_id(s) for s in UNFACTORED])
+def test_scan_at_multiples_of_n_keeps_the_worst(spec):
+    worst = nuod_scan(spec, spec.n).worst_violation
+    for k in (2, 3):
+        assert nuod_scan(spec, k * spec.n).worst_violation == worst
+
+
+# cell corners, a fixed generator with jitter, and two unshifted laws
+OFF_GRID = UNFACTORED[1::2]
+
+
+@pytest.mark.parametrize("spec", OFF_GRID, ids=[_spec_id(s) for s in OFF_GRID])
+def test_off_grid_anchors_never_exceed_the_grid_worst(spec):
+    # random anchors with denominators up to 60, weighed by the Fraction oracle
+    worst = nuod_scan(spec, spec.n).worst_violation
+    law = law_of(spec)
+    rnd = random.Random(_spec_id(spec))
+    for _ in range(40):
+        Q, R = (AnchoredBox(tuple(F(rnd.randrange(d), d) for d in
+                                  (rnd.randrange(2, 61) for _ in range(spec.dim))))
+                for _ in range(2))
+        gap = oracle_box_prob(law, Q, R) - oracle_marginal_prob(law, Q, 0) * oracle_marginal_prob(law, R, 1)
+        assert gap <= worst
+
+
+def test_grid_off_multiples_of_n_misses_violations():
+    # the M = 5 grid reports rsj(7,2) g=(1,3) clean; the M = 7 grid does not
+    spec = SchemeSpec(RSJ, 7, 2, generator=(1, 3))
+    coarse, fine = nuod_scan(spec, 5), nuod_scan(spec, 7)
+    assert coarse.ok and coarse.witnesses == ()
+    assert not fine.ok and len(fine.witnesses) == 38
+    assert fine.worst_violation == F(16, 7203)
 
 
 def scan_pairs_rows(spec, m):
@@ -730,8 +836,8 @@ def test_pair_counts_budget_counts_terms():
                        (SchemeSpec(RSJ, 5, 2, shift="none"), 20 * 4**2 + 5**4),
                        (lhs_spec(4, 2), 4**2 + 4**4)):
         with pytest.raises(mod.BudgetExceededError, match=f"{work} terms"):
-            discrete_pair_pmf(spec.n, spec.dim, spec, budget=work - 1)
-        discrete_pair_pmf(spec.n, spec.dim, spec, budget=work)
+            _pair_counts(spec, budget=work - 1)
+        _pair_counts(spec, budget=work)
 
 
 # -- structural checks on the integer counts ----------------------------------
@@ -1070,7 +1176,7 @@ def test_probe_budget_counts_generator_differences():
         shift_only_conditional(spec, F(1, 100), budget=work)
 
 
-# -- triple containment counts as sorted code rows ----------------------------
+# -- triple containment and no-shift mass, counted per coordinate ------------
 
 
 def oracle_lattice_count(n, dim, a, b):
@@ -1098,9 +1204,12 @@ def _triples():
 
 
 TRIPLES = _triples()
+# sizes whose latin oracle (n!^(dim - 1) permutation tuples) would take too long
+LATTICE_ONLY = [(11, 2, (3, 9), (10, 0)), (7, 3, (6, 0, 2), (1, 4, 5))]
 
 
-@pytest.mark.parametrize("n,dim,a,b", TRIPLES, ids=[f"{n}-{d}-{a}-{b}" for n, d, a, b in TRIPLES])
+@pytest.mark.parametrize("n,dim,a,b", TRIPLES + LATTICE_ONLY,
+                         ids=[f"{n}-{d}-{a}-{b}" for n, d, a, b in TRIPLES + LATTICE_ONLY])
 def test_triple_lattice_count_matches_frozenset_oracle(n, dim, a, b):
     assert triple_distinguisher(n, dim, a, b)[0] == oracle_lattice_count(n, dim, a, b)
 
@@ -1120,18 +1229,26 @@ def test_triple_latin_count_matches_permutation_oracle(n, dim, a, b):
 
 
 def test_triple_budget_counts_lattices_only():
-    # the (n-1)^dim n^dim = 1764 lattices at (7, 2); the latin count is
-    # (n - 2)!^(dim - 1) and enumerates nothing, so the 7! = 5040
-    # permutations of a coordinate do not count
-    with pytest.raises(mod.BudgetExceededError, match="lattice"):
-        triple_distinguisher(7, 2, (0, 0), (1, 2), budget=1763)
-    assert triple_distinguisher(7, 2, (0, 0), (1, 2), budget=1764) == (1, 120)
-    assert triple_distinguisher(7, 2, (0, 0), (1, 2), budget=5039) == (1, 120)
+    # the (n - 1) n dim = 84 cell entries of the n - 1 candidate lattices at
+    # (7, 2); the latin count is (n - 2)!^(dim - 1) and enumerates nothing,
+    # so neither the 7! = 5040 permutations of a coordinate nor the
+    # (n - 1)^dim n^dim = 1764 (generator, shift) pairs count
+    with pytest.raises(mod.BudgetExceededError, match="84 cell entries exceeds budget 83"):
+        triple_distinguisher(7, 2, (0, 0), (1, 2), budget=83)
+    assert triple_distinguisher(7, 2, (0, 0), (1, 2), budget=84) == (1, 120)
 
 
-def test_triple_count_does_not_depend_on_block(monkeypatch):
-    # one generator per block, and a few generators per block
-    whole = [triple_distinguisher(*case) for case in TRIPLES]
-    for block in (1, 3 * 5**3 * 5):
-        monkeypatch.setattr(mod, "_CODE_BLOCK", block)
-        assert [triple_distinguisher(*case) for case in TRIPLES] == whole
+def oracle_no_shift_mass(n, dim):
+    """P(cell vector 0) over every (generator, point index) of the unshifted lattice."""
+    hits = terms = 0
+    for g in product(range(1, n), repeat=dim):
+        for m in range(n):
+            hits += all(gi * m % n == 0 for gi in g)
+            terms += 1
+    return F(hits, terms)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 11, 13])
+def test_no_shift_mass_matches_enumeration_oracle(n):
+    for dim in range(1, 5):
+        assert no_shift_mass(n, dim) == oracle_no_shift_mass(n, dim) == F(1, n)

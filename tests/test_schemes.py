@@ -86,6 +86,9 @@ def test_numpy_integer_sizes_are_stored_as_int():
     assert generate(SchemeSpec("rsj_lattice", np.int64(5), 2), 1) == generate(full_rsj(5, 2), 1)
     lhs = SchemeSpec("lhs", np.int64(5), np.int64(2))
     assert spec_from_dict(json.loads(json.dumps(spec_to_dict(lhs)))) == lhs_spec(5, 2)
+    # an array generator is converted before it is compared with "random"
+    arr = SchemeSpec("rsj_lattice", 5, 2, generator=np.array([1, 2]))
+    assert arr == spec and all(type(v) is int for v in arr.generator)
 
 
 def test_non_integer_sizes_and_generators_are_refused():
@@ -104,3 +107,27 @@ def test_spec_from_dict_accepts_json_integers():
          "shift": "none", "jitter": "off"}
     assert spec_from_dict(d) == SchemeSpec("rsj_lattice", 5, 2, generator=(1, 3),
                                            shift="none", jitter=False)
+    d = {"kind": "rsj_lattice", "n": np.int64(5), "dim": np.int32(2),
+         "generator": [np.int64(1), 3], "shift": "none", "jitter": False}
+    assert spec_from_dict(d) == SchemeSpec("rsj_lattice", 5, 2, generator=(1, 3),
+                                           shift="none", jitter=False)
+
+
+@pytest.mark.parametrize("d,key", [
+    ({"kind": "rsj_lattice", "n": 5.7, "dim": 2}, "n"),
+    ({"kind": "lhs", "n": "5", "dim": 2}, "n"),
+    ({"kind": "lhs", "n": 5, "dim": True}, "dim"),
+    ({"kind": "lhs", "n": 5, "dim": 2.0}, "dim"),
+    ({"kind": "rsj_lattice", "n": 5, "dim": 2, "generator": [1.5, 2.9]}, "generator"),
+    ({"kind": "rsj_lattice", "n": 5, "dim": 2, "generator": "1,2"}, "generator"),
+    ({"kind": "rsj_lattice", "n": 5, "dim": 2, "jitter": "yes"}, "jitter"),
+    ({"kind": "rsj_lattice", "n": 5, "dim": 2, "jitter": 1}, "jitter"),
+    ({"n": 5, "dim": 2}, "kind"),
+    ({"kind": "lhs", "dim": 2}, "n"),
+    ({"kind": "lhs", "n": 5}, "dim"),
+])
+def test_spec_from_dict_refuses_what_it_would_truncate(d, key):
+    # a ValueError naming the key: the CLI maps it to exit 2
+    with pytest.raises(ValueError, match=rf"^{key} must|key '{key}'"):
+        spec_from_dict(d)
+
