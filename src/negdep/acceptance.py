@@ -27,8 +27,8 @@ from .analyzer import (
     stratified_pair_box_prob,
     triple_distinguisher,
 )
-from .rng import RngStream
-from .samplers import generate
+from .rng import FRAC_BITS, RngStream
+from .samplers import _unit_floats, replicate
 from .schemes import SchemeSpec, full_rsj, lhs_spec, patterson_spec
 from .variance import integrand_library, variance_compare
 
@@ -225,17 +225,12 @@ def criterion_sampling_scheme_property() -> CriterionResult:
     reps = 10**5
     qs = [Fraction(k, 10) for k in range(1, 10)]
     for spec, seed in ((full_rsj(n, d), 2001), (lhs_spec(n, d), 2002)):
-        root = RngStream(seed)
-        first = np.empty((reps, d))
-        first_cells = np.empty(reps, dtype=np.int64)
-        last_cells = np.empty(reps, dtype=np.int64)
-        for rep in range(reps):
-            ps = generate(spec, root.split(rep))
-            pts = ps.floats()
-            first[rep] = pts[0]
-            cells = ps.cells()
-            first_cells[rep] = cells[0, 0] * n + cells[0, 1]
-            last_cells[rep] = cells[-1, 0] * n + cells[-1, 1]
+        # the first and last point of every draw, exported once
+        ends = np.array([ps.nums[[0, -1]] for ps in replicate(spec, RngStream(seed), reps)])
+        first = _unit_floats(ends[:, 0], n)
+        cells = ends >> FRAC_BITS
+        first_cells = cells[:, 0, 0] * n + cells[:, 0, 1]
+        last_cells = cells[:, 1, 0] * n + cells[:, 1, 1]
         for i in range(d):
             for q in qs:
                 emp = float((first[:, i] >= float(q)).mean())

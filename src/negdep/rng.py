@@ -10,7 +10,10 @@ Because word i depends on (key, i) alone, words can be mixed ahead of the
 counter in one numpy block (``reserve``) and read back in order: every
 draw reads the lookahead window while it covers the counter and mixes as
 usual past it.  A reservation changes no output and no counter value; a
-short or unused one only costs speed.
+short or unused one only costs speed.  ``split_block`` does the same for a
+run of substreams: it derives their keys and mixes their first words as one
+``(count, words)`` block, so a replication study splits and mixes many
+replications at once and still draws exactly the words ``split`` would.
 
 Reference for the mixer: Steele, Lea, Flood, "Fast splittable pseudorandom
 number generators", OOPSLA 2014.  Block mixing of a counter-based stream:
@@ -29,6 +32,7 @@ _SPLIT = 0xD1B54A32D192ED03   # increment used when deriving substream keys
 _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
 _GOLDEN_U64 = np.uint64(_GOLDEN)
+_SPLIT_U64 = np.uint64(_SPLIT)
 _MUL1_U64 = np.uint64(_MUL1)
 _MUL2_U64 = np.uint64(_MUL2)
 
@@ -44,17 +48,22 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _words(key: int, start: int, count: int) -> np.ndarray:
-    """Words start+1, ..., start+count of the stream keyed by key."""
-    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z *= _GOLDEN_U64
-    z += np.uint64(key)
+def _mix_array(z: np.ndarray) -> np.ndarray:
+    """_mix64 on every entry of a uint64 array, in place."""
     z ^= z >> 30
     z *= _MUL1_U64
     z ^= z >> 27
     z *= _MUL2_U64
     z ^= z >> 31
     return z
+
+
+def _words(key: int, start: int, count: int) -> np.ndarray:
+    """Words start+1, ..., start+count of the stream keyed by key."""
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= _GOLDEN_U64
+    z += np.uint64(key)
+    return _mix_array(z)
 
 
 def _count(count) -> int:
@@ -95,6 +104,26 @@ class RngStream:
 
     def split(self, stream_id: int) -> "RngStream":
         return RngStream(_mix64(self._key + ((stream_id + 1) & _MASK64) * _SPLIT))
+
+    def split_block(self, first: int, count: int, words: int):
+        """Iterate over split(first), ..., split(first + count - 1), each
+        with its first words words already mixed as its lookahead window.
+
+        The keys come from one vectorised SplitMix step (uint64 arithmetic
+        wraps exactly like split's mask) and the windows are mixed as one
+        (count, words) block; a stream's list view of its row is built only
+        when it is handed out.  Every stream equals split(first + i) in
+        seed, counter and every draw, within the window and past it.
+        """
+        count, words = _count(count), _count(words)
+        ids = np.arange(count, dtype=np.uint64)
+        ids += np.uint64((operator.index(first) + 1) & _MASK64)
+        ids *= _SPLIT_U64
+        ids += np.uint64(self._key)
+        keys = _mix_array(ids)
+        block = np.arange(1, words + 1, dtype=np.uint64) * _GOLDEN_U64 + keys[:, None]
+        _mix_array(block)
+        return (_windowed(key, row) for key, row in zip(keys.tolist(), block))
 
     def reserve(self, count: int) -> None:
         """Mix the next count words ahead in one block; the counter stays.
@@ -188,3 +217,11 @@ class RngStream:
             a[j], a[k] = a[k], a[j]
         self._counter = self._lo + pos
         return a
+
+
+def _windowed(key: int, window: np.ndarray) -> RngStream:
+    # a fresh stream whose lookahead window is words 1 .. len(window)
+    stream = RngStream(key)
+    stream._block = window
+    stream._ahead = window.tolist()
+    return stream

@@ -7,9 +7,11 @@ export.  Regenerating from (spec, seed) is bit-identical.
 
 Draw order is pinned so seeds stay stable: generator, then shift, then
 permutation(s), then jitters in point order (coordinates within a point).
-Each sampler first reserves the words it will likely draw (two per
-rejection-sampled integer, jitters exactly), so a point set is normally
-mixed in one numpy block; the reservation changes no draw.
+Each sampler first reserves the words it will likely draw (``_draw_words``:
+two per rejection-sampled integer, jitters exactly), so a point set is
+normally mixed in one numpy block; the reservation changes no draw.
+``replicate`` draws the point sets of many substreams, whose words
+``RngStream.split_block`` mixes a block of substreams at a time.
 """
 
 import csv
@@ -26,6 +28,7 @@ __all__ = [
     "MAX_N",
     "PointSet",
     "generate",
+    "replicate",
     "stratified_1d",
     "lhs",
     "patterson",
@@ -89,8 +92,7 @@ class PointSet:
         Numerators within a few ulps of n * 2**53 round up to 1.0 in the
         division; they are clamped to the largest float below 1.
         """
-        out = self.nums / float(self.n * _FRAC_ONE)
-        return np.minimum(out, _BELOW_ONE, out=out)
+        return _unit_floats(self.nums, self.n)
 
     def __eq__(self, other):
         return (
@@ -102,6 +104,13 @@ class PointSet:
 
     def __repr__(self):
         return f"PointSet(n={self.n}, dim={self.dim}, kind={self.spec.kind!r}, seed={self.seed})"
+
+
+def _unit_floats(nums: np.ndarray, n: int) -> np.ndarray:
+    # the float export of numerators over n * 2**53, rows of any number of
+    # point sets at once: divide, then clamp to [0, 1)
+    out = nums / float(n * _FRAC_ONE)
+    return np.minimum(out, _BELOW_ONE, out=out)
 
 
 def _check_n(n: int) -> None:
@@ -116,6 +125,22 @@ def _perm_words(n: int) -> int:
     return 2 * (n - 1)
 
 
+def _draw_words(spec: SchemeSpec) -> int:
+    """Words one point set of spec likely draws, after checking n.
+
+    Two per generator entry (integer(1) draws none) and per shift cell, one
+    more per torus fraction, the permutations, then one per jitter.
+    """
+    n, dim = spec.n, spec.dim
+    _check_n(n)
+    jitter = n * dim if spec.jitter and spec.kind != "patterson" else 0
+    if spec.kind != "rsj_lattice":
+        return dim * _perm_words(n) + jitter
+    gen_words = 2 if spec.generator == "random" and n > 2 else 0
+    shift_words = {"grid": 2, "continuous_torus": 3, "none": 0}[spec.shift]
+    return dim * (gen_words + shift_words) + _perm_words(n) + jitter
+
+
 def _jitter_block(rng: RngStream, n: int, dim: int) -> np.ndarray:
     # one call, point-major layout: point order, coordinates within a point
     return rng.bits53_array(n * dim).astype(np.int64).reshape(n, dim)
@@ -125,13 +150,11 @@ def _latin(spec: SchemeSpec, rng: RngStream) -> PointSet:
     # stratified1d, lhs and patterson: one stratum permutation per
     # coordinate, then iid jitter in the cell or the exact cell midpoint
     n, dim = spec.n, spec.dim
-    _check_n(n)
-    jitter = spec.kind != "patterson"
-    rng.reserve(dim * _perm_words(n) + (n * dim if jitter else 0))
+    rng.reserve(_draw_words(spec))
     cells = np.empty((n, dim), dtype=np.int64)
     for i in range(dim):
         cells[:, i] = rng.permutation(n)
-    if jitter:
+    if spec.kind != "patterson":
         offsets = _jitter_block(rng, n, dim)
     else:
         offsets = 1 << (FRAC_BITS - 1)  # exact midpoint 1/2
@@ -199,13 +222,7 @@ def rsj_rank1(spec: SchemeSpec, rng: RngStream) -> PointSet:
     if spec.kind != "rsj_lattice":
         raise ValueError(f"rsj_rank1 needs an rsj_lattice spec, got {spec.kind!r}")
     n, dim = spec.n, spec.dim
-    _check_n(n)
-    # two words per generator entry (integer(1) draws none) and per shift
-    # cell, one more per torus fraction
-    gen_words = 2 if spec.generator == "random" and n > 2 else 0
-    shift_words = {"grid": 2, "continuous_torus": 3, "none": 0}[spec.shift]
-    rng.reserve(dim * (gen_words + shift_words) + _perm_words(n)
-                + (n * dim if spec.jitter else 0))
+    rng.reserve(_draw_words(spec))
 
     if spec.generator == "random":
         g = [rng.integer(n - 1) + 1 for _ in range(dim)]
@@ -243,6 +260,36 @@ def generate(spec: SchemeSpec, seed: "int | RngStream") -> PointSet:
     if spec.kind == "rsj_lattice":
         return rsj_rank1(spec, rng)
     return _latin(spec, rng)
+
+
+# Replications are split and mixed about this many words at a time: large
+# enough to amortise the numpy calls, small enough that a block's Python
+# word lists and float export stay well under a megabyte.
+_BLOCK_WORDS = 1 << 14
+
+
+def _stream_blocks(rng: RngStream, replications: int, words: int, width: int,
+                   offset: int = 0):
+    """Substreams rng.split(offset + k), k < replications, in order, as one
+    RngStream.split_block iterator per block.
+
+    A block holds about _BLOCK_WORDS words (words pre-mixed per stream) and
+    about as many float cells (width exported per stream).
+    """
+    per_block = max(1, _BLOCK_WORDS // max(words, width, 1))
+    for first in range(0, replications, per_block):
+        yield rng.split_block(offset + first, min(per_block, replications - first), words)
+
+
+def replicate(spec: SchemeSpec, rng: RngStream, replications: int):
+    """Iterate over generate(spec, rng.split(k)) for k < replications.
+
+    The substreams are split and mixed in blocks, which changes no point
+    set: each is bit-identical to its own generate call.
+    """
+    for block in _stream_blocks(rng, replications, _draw_words(spec), spec.n * spec.dim):
+        for stream in block:
+            yield generate(spec, stream)
 
 
 # -- export / import --------------------------------------------------------

@@ -163,6 +163,8 @@ def _as_int(value, key: str) -> int:
 
 
 def spec_from_dict(d: dict) -> SchemeSpec:
+    if not isinstance(d, dict):
+        raise ValueError(f"scheme spec must be an object, got {d!r}")
     for key in ("kind", "n", "dim"):
         if key not in d:
             raise ValueError(f"scheme spec missing key {key!r}")

@@ -3,10 +3,13 @@ import re
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from negdep import __version__, cli
 from negdep.cli import build_parser, main
 from negdep.samplers import point_set_from_csv, point_set_from_json
+from negdep.schemes import KINDS, SHIFTS, spec_from_dict
 
 
 def run(capsys, *argv):
@@ -428,3 +431,85 @@ class TestParserReuse:
         assert run(capsys, *NUOD, "--out", str(report))[0] == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json",
                                                                "report.json.manifest.json"]
+
+
+# -- malformed input, generated ------------------------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**20, 10**20) | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6,
+)
+_NOT_INT = _JSON.filter(lambda v: type(v) is not int)
+_NOT_LIST = _JSON.filter(lambda v: not isinstance(v, list))
+# malformed for a scheme stub that runs at n = 2, dim = 1, where the only
+# valid fixed generator is [1]
+_BAD_RSJ_FIELD = {
+    "generator": _JSON.filter(lambda g: g not in ("random", [1])),
+    "shift": _JSON.filter(lambda v: v not in SHIFTS),
+    "jitter": _JSON.filter(lambda v: v not in ("on", "off") and not isinstance(v, bool)),
+}
+_BAD_SPEC = st.one_of(
+    _JSON.filter(lambda v: not isinstance(v, dict)),
+    st.fixed_dictionaries({}, optional={"shift": _JSON, "jitter": _JSON}),
+    st.fixed_dictionaries({"kind": _JSON.filter(lambda v: v not in KINDS)}),
+    *(st.fixed_dictionaries({"kind": st.just("rsj_lattice"), key: bad})
+      for key, bad in _BAD_RSJ_FIELD.items()),
+)
+_BAD_SIZE = st.one_of(
+    _NOT_LIST,
+    st.lists(st.integers(1, 3), max_size=3).filter(lambda v: len(v) != 2),
+    st.tuples(_NOT_INT, st.integers(1, 2)).map(list),
+    st.tuples(st.integers(1, 2), _NOT_INT).map(list),
+    st.tuples(st.integers(-5, 0) | st.integers(513, 10**6), st.just(1)).map(list),
+    st.tuples(st.just(2), st.integers(-5, 0)).map(list),
+)
+_BAD_INTEGRAND = _JSON.filter(lambda v: v not in ("additive", "product", "box_indicator",
+                                                  "origin_box", "smooth_monotone", "constant"))
+_DROP = object()
+_BAD_FIELD = st.one_of(
+    st.tuples(st.sampled_from(["replications", "sizes", "schemes", "integrands"]), st.just(_DROP)),
+    st.tuples(st.just("replications"), _NOT_INT | st.integers(-10**6, 99)),
+    st.tuples(st.just("seed"), _NOT_INT),
+    st.tuples(st.just("sizes"), _NOT_LIST | st.lists(_BAD_SIZE, min_size=1, max_size=2)),
+    st.tuples(st.just("schemes"), _NOT_LIST | st.lists(_BAD_SPEC, min_size=1, max_size=2)),
+    st.tuples(st.just("integrands"), _NOT_LIST | st.lists(_BAD_INTEGRAND, min_size=1, max_size=2)),
+)
+
+
+def _with_bad_field(field):
+    # a valid, cheap config with one field dropped or made malformed
+    cfg = {"seed": 3, "replications": 100, "sizes": [[2, 1]],
+           "schemes": [{"kind": "rsj_lattice"}], "integrands": ["additive"]}
+    key, value = field
+    if value is _DROP:
+        del cfg[key]
+    else:
+        cfg[key] = value
+    return cfg
+
+
+_BAD_CONFIG = _BAD_FIELD.map(_with_bad_field) | _JSON.filter(lambda v: not isinstance(v, dict))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.filter_too_much])
+@given(cfg=_BAD_CONFIG)
+def test_malformed_configs_exit_two_with_one_line(tmp_path, capsys, cfg):
+    # exit 2, stdout empty, one "error:" line, never an exception out of main
+    cfg_path = tmp_path / "batch.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "variance", "--config", str(cfg_path))
+    assert (code, out) == (2, ""), (cfg, err)
+    assert err.startswith("error: ") and err.count("\n") == 1, (cfg, err)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(spec=_BAD_SPEC)
+def test_malformed_spec_dicts_raise_value_error(spec):
+    # the same malformed stubs, sized: only ValueError, which the CLI maps to 2
+    d = {**spec, "n": 2, "dim": 1} if isinstance(spec, dict) else spec
+    with pytest.raises(ValueError):
+        spec_from_dict(d)

@@ -222,3 +222,45 @@ def test_permutation_mixes_more_words_mid_loop(monkeypatch):
     for (s0, c0), (s1, _) in zip(blocks, blocks[1:]):
         assert s1 == s0 + c0
     assert r.u64() == ref.u64()
+
+
+def _next_draws(r):
+    # raw words, then rejection-sampled integers and a permutation, then an
+    # array draw: with a short window these run past it
+    return ([r.u64() for _ in range(3)], r.integer(7), r.integer(2**40 + 3),
+            r.permutation(9), r.bits53_array(12).tolist(), r.counter)
+
+
+@pytest.mark.parametrize("first", [0, 7, 2**32])
+@pytest.mark.parametrize("window", ["none", "short", "exact", "long"])
+@pytest.mark.parametrize("count", [1, 37])
+def test_split_block_equals_split(first, window, count):
+    # "exact" is the number of words the draws take on the block's first
+    # stream; the later streams of a block then see a short or a long window
+    root = RngStream(2024)
+    taken = _next_draws(root.split(first))[-1]
+    words = {"none": 0, "short": 5, "exact": taken, "long": 200}[window]
+    streams = list(root.split_block(first, count, words))
+    assert len(streams) == count
+    for i, s in enumerate(streams):
+        ref = root.split(first + i)
+        assert (s.seed, s.counter) == (ref.seed, ref.counter)
+        assert _next_draws(s) == _next_draws(ref)
+    assert root.counter == 0
+
+
+@pytest.mark.parametrize("first", [2**64 - 3, 2**64 - 1, 2**64 + 5, -4])
+def test_split_block_wraps_ids_like_split(first):
+    # ids whose +1 reaches 2**64 (or is negative) wrap as split's mask does
+    root = RngStream(77)
+    for i, s in enumerate(root.split_block(first, 6, 4)):
+        ref = root.split(first + i)
+        assert s.seed == ref.seed
+        assert [s.u64() for _ in range(6)] == [ref.u64() for _ in range(6)]
+
+
+def test_split_block_refuses_negative_sizes():
+    with pytest.raises(ValueError):
+        RngStream(0).split_block(0, -1, 3)
+    with pytest.raises(ValueError):
+        RngStream(0).split_block(0, 3, -1)

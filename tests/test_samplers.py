@@ -20,6 +20,7 @@ from negdep.samplers import (
     point_set_to_csv,
     point_set_to_json,
     rank1_lattice_points,
+    replicate,
     rsj_cell_matrix,
     rsj_rank1,
     stratified_1d,
@@ -48,13 +49,21 @@ def test_stratified_marginal_uniform():
     # empirical P(p_1 >= q) vs 1 - q at 3 sigma, 1e5 seeded replications
     reps = 10**5
     root = RngStream(404)
-    first = np.empty(reps)
-    for k in range(reps):
-        first[k] = stratified_1d(10, root.split(k)).floats()[0, 0]
+    first = np.array([ps.floats()[0, 0] for ps in replicate(stratified_spec(10), root, reps)])
     for q in [k / 10 for k in range(1, 10)]:
         p = 1 - q
         sigma = sqrt(p * (1 - p) / reps)
         assert abs((first >= q).mean() - p) < 3 * sigma
+
+
+@pytest.mark.parametrize("spec", [stratified_spec(10), lhs_spec(5, 2), patterson_spec(3, 2),
+                                  full_rsj(2, 3), SchemeSpec("rsj_lattice", 3, 2, shift="none")])
+def test_replicate_equals_generate_per_substream(spec):
+    root = RngStream(8)
+    reps = 1500  # up to three blocks, the last one partial
+    got = list(replicate(spec, root, reps))
+    assert len(got) == reps
+    assert all(ps == generate(spec, root.split(k)) for k, ps in enumerate(got))
 
 
 def test_lhs_latin_property():
@@ -89,8 +98,8 @@ def test_lhs_cell_pair_frequencies():
     counts = np.zeros((20, 20))
     pair_codes = [(a, b) for a in range(5) for b in range(5) if a != b]
     code = {ab: i for i, ab in enumerate(pair_codes)}
-    for k in range(reps):
-        cells = lhs(5, 2, RngStream(root.split(k).seed)).cells()
+    for ps in replicate(lhs_spec(5, 2), root, reps):
+        cells = ps.cells()
         i = code[(cells[0, 0], cells[1, 0])]
         j = code[(cells[0, 1], cells[1, 1])]
         counts[i, j] += 1

@@ -1,14 +1,18 @@
+import zlib
 from fractions import Fraction as F
 from math import sqrt
 
 import numpy as np
 import pytest
 
+import negdep.samplers as samplers_module
 from negdep.analyzer import AnchoredBox, pair_box_prob, pair_marginal_prob
 from negdep.rng import RngStream
 from negdep.schemes import SchemeSpec, full_rsj, lhs_spec, patterson_spec, stratified_spec
 from negdep.variance import (
     VarianceResult,
+    _mc_estimates,
+    _rqmc_estimates,
     additive_integrand,
     box_indicator_integrand,
     constant_integrand,
@@ -171,11 +175,9 @@ def test_unbiasedness_library_at_10k_replications():
     reps = 10**4
     cases = [(stratified_spec(5), 1), (lhs_spec(5, 2), 2), (full_rsj(5, 2), 2)]
     for spec, dim in cases:
-        root = RngStream(1000 + spec.n * dim + hash(spec.kind) % 97)
+        root = RngStream(1000 + spec.n * dim + zlib.crc32(spec.kind.encode()) % 97)
         for f in integrand_library(dim):
-            ests = np.empty(reps)
-            for k in range(reps):
-                ests[k] = rqmc_estimate(f, spec, root.split(k))
+            ests = _rqmc_estimates(f, spec, reps, root)
             stderr = ests.std(ddof=1) / sqrt(reps)
             err = abs(ests.mean() - float(f.exact_mean))
             assert err < 4 * stderr + 1e-12, (spec.kind, f.name, err, stderr)
@@ -264,3 +266,50 @@ def test_fixed_generator_positive_covariance():
     sigma = x.std(ddof=1) / sqrt(reps)
     assert cov_est > 3 * sigma
     assert abs(cov_est - float(exact_cov)) < 4 * sigma
+
+
+# every kind and ablation at n = 31, where 257 replications take two or
+# three blocks and end in a partial one
+_BLOCK_SPECS = [
+    stratified_spec(31),
+    lhs_spec(31, 3),
+    patterson_spec(31, 3),
+    full_rsj(31, 3),
+    SchemeSpec("rsj_lattice", 31, 3, generator=(1, 5, 12)),
+    SchemeSpec("rsj_lattice", 31, 3, shift="continuous_torus"),
+    SchemeSpec("rsj_lattice", 31, 3, shift="none"),
+    SchemeSpec("rsj_lattice", 31, 3, jitter=False),
+]
+
+
+@pytest.mark.parametrize("spec", _BLOCK_SPECS,
+                         ids=lambda s: f"{s.kind}-{s.generator}-{s.shift}-{s.jitter}")
+def test_block_estimates_equal_serial_ones(spec):
+    reps = 257
+    d = spec.dim
+    words = max(samplers_module._draw_words(spec), spec.n * d)
+    per_block = samplers_module._BLOCK_WORDS // words
+    assert 1 < per_block < reps and reps % per_block
+    root = RngStream(31)
+    for f in integrand_library(d) + [origin_box_integrand(d, F(1, 2)), constant_integrand(d)]:
+        block = _rqmc_estimates(f, spec, reps, root)
+        assert block.tolist() == [rqmc_estimate(f, spec, root.split(k)) for k in range(reps)]
+
+
+def test_block_mc_baseline_equals_serial_one():
+    f = smooth_monotone_integrand(3)
+    bare = type(f)(name="bare", arity=3, evaluator=f.evaluator, monotone_flags=f.monotone_flags)
+    root = RngStream(32)
+    reps = 257
+    assert samplers_module._BLOCK_WORDS // (31 * 3) < reps
+    block = _mc_estimates(bare, 31, reps, root)
+    assert block.tolist() == [mc_estimate(bare, 31, root.split(2**32 + k)) for k in range(reps)]
+    res = variance_compare(bare, full_rsj(31, 3), reps, root)
+    assert not res.mc_variance_exact
+    assert res.mc_variance == float(block.var(ddof=1))
+
+
+def test_arity_mismatch_is_refused_before_any_draw():
+    # no stream is touched: the check runs first
+    with pytest.raises(ValueError, match="arity"):
+        variance_compare(additive_integrand(3), full_rsj(5, 2), 100, None)
