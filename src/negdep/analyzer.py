@@ -9,11 +9,12 @@ On top of those sit:
   * the discrete cell-pair law as exact integer counts, summed over
     index-pair classes,
   * joint box probabilities for every supported scheme and ablation,
-  * a negative-dependence scanner over anchored-box grids,
+  * a negative-dependence scanner over anchored-box grids (both are one
+    contraction of the law's count factors with integer cell weights),
   * the structural checks that separate the shifted-lattice scheme from
     Latin hypercube sampling (copula equality, coordinate independence,
     triple containment counts, over the n - 1 candidate lattices), and
-  * the ablation probes (missing shift, counted per coordinate; shift-only
+  * the ablation probes (missing shift, in closed form; shift-only
     with fixed distances; fixed generator).
 
 Jitter is never discretized: a cell pair contributes its count times
@@ -25,7 +26,7 @@ common grid 1/D per coordinate.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial, floor, gcd, lcm, prod
+from math import factorial, floor, gcd, isqrt, lcm, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -297,14 +298,15 @@ def _law_counts(n: int, dim: int, spec: SchemeSpec, budget):
 
 # -- the integer kernel ------------------------------------------------------------
 #
-# Every enumerated query and every scan is a contraction of a count matrix
-# P (cell vector of p1 x cell vector of p2) with integer cell weights: the
-# joint over box pairs is J = A^T P A and the marginals are P.sum(1) @ A
-# and P.sum(0) @ A, where A[z, Q] = P(point in Q | cell vector z) * den is
-# the Kronecker product of one integer table per coordinate.  All
-# arithmetic is on integers over a known common denominator; int64 where
-# the denominator bounds every entry below _INT64_SAFE_LIMIT, python ints
-# otherwise.
+# Every query and every scan is one contraction (_contract) of each count
+# factor P_f of the law with integer cell weights: the joint table is
+# A_f^T P_f B_f and the marginals P_f.sum(1) A_f and P_f.sum(0) B_f, where
+# A_f[z, Q] = P(p1 in Q | cell vector z) * den_a is the Kronecker product
+# of one integer table per coordinate (B_f likewise for p2).  A box query
+# is the 1 x 1 case; a scan has one column per grid box, the same on both
+# sides, and alone reduces the tables (_reduce).  All arithmetic is on
+# integers over a known common denominator: int64 where it bounds every
+# entry below _INT64_SAFE_LIMIT, python ints otherwise.
 
 # box pairs per kernel block: bounds a scan's memory, and keeps a block's
 # arrays in cache (2^15 ran the factorized scans fastest among 2^13..2^17)
@@ -317,10 +319,10 @@ def _int_dtype(bound: int):
 
 
 def _kron(tables, dtype) -> np.ndarray:
-    """Kronecker product of the tables, first table most significant."""
-    out = np.ones((1, 1), dtype=dtype)
-    for t in tables:
-        t = np.asarray(t, dtype=dtype)
+    """Kronecker product of the tables, first most significant; one table is not copied."""
+    tables = [np.asarray(t, dtype=dtype) for t in tables]
+    out = tables[0] if tables else np.ones((1, 1), dtype=dtype)
+    for t in tables[1:]:
         out = (out[:, None, :, None] * t[None, :, None, :]).reshape(len(out) * len(t), -1)
     return out
 
@@ -346,13 +348,6 @@ def _weight_table(anchors, n: int, position: str):
     else:
         raise ValueError(f"unknown position model {position!r}")
     return inside.astype(dtype) * den, den
-
-
-def _box_weights(anchors, n: int, position: str):
-    """Column a[z] = P(point in [anchors, 1) | cell vector z) * den, and den."""
-    tables = [_weight_table([a], n, position) for a in anchors]
-    den = prod(d for _, d in tables)
-    return _kron([t for t, _ in tables], _int_dtype(den))[:, 0], den
 
 
 # -- joint box probabilities ---------------------------------------------------
@@ -403,10 +398,27 @@ def _apply_factor(P, X) -> tuple:
     return P @ X, P.sum(axis=1)
 
 
-def _joint_factor(spec: SchemeSpec, q, r) -> Fraction:
-    if spec.kind == "patterson":
-        return patterson_pair_factor(q, r, spec.n)
-    return stratified_pair_box_prob(q, r, spec.n)
+def _contract(factors, tables_a, tables_b):
+    """Each count factor (P_f, total_f, k_f) contracted with both sides' cell weights.
+
+    tables_a and tables_b hold p1's and p2's (table, den) of _weight_table
+    per coordinate; A_f and B_f are their Kronecker products over factor
+    f's coordinates, over den_a and den_b (B_f is A_f for one shared list).
+    Yields one unreduced (A_f, P_f B_f, p1_f, p2_f, total_f, den_a, den_b)
+    per factor, in the dtype of total_f den_a den_b: the joint A_f^T P_f B_f
+    over total_f den_a den_b, p1_f = P_f.sum(1) A_f over total_f den_a and
+    p2_f = P_f.sum(0) B_f over total_f den_b.
+    """
+    i = 0
+    for P, total, k in factors:
+        (ta, da), (tb, db) = zip(*tables_a[i:i + k]), zip(*tables_b[i:i + k])
+        den_a, den_b = prod(da), prod(db)
+        dtype = _int_dtype(total * den_a * den_b)
+        A = _kron(ta, dtype)
+        B = A if tables_b is tables_a else _kron(tb, dtype)
+        PB, rows = _apply_factor(P, B)
+        yield A, PB, rows @ A, PB.sum(axis=0), total, den_a, den_b
+        i += k
 
 
 def _torus_overlaps(n: int, q: Fraction, r: Fraction, D: int, dtype) -> np.ndarray:
@@ -467,29 +479,17 @@ def _check_boxes(spec: SchemeSpec, *boxes) -> None:
 def _factor_query(spec: SchemeSpec, factors, Q: AnchoredBox, R: AnchoredBox) -> tuple:
     """(P(p1 in Q, p2 in R), P(p1 in Q), P(p2 in R)) from the law's count factors.
 
-    Factor f = (P_f, total_f, k_f) covers the next k_f coordinates; a_f and
-    b_f are the integer weight columns of Q and R there (see _box_weights),
-    over den_a and den_b.  It contributes a_f^T P_f b_f / (total_f den_a
-    den_b) to the joint and P_f.sum(1) a_f / (total_f den_a), P_f.sum(0)
-    b_f / (total_f den_b) to the marginals; each is the product over factors.
+    The 1 x 1 case of _contract; each probability is the product over
+    factors, numerators and denominators multiplied as integers.
     """
     pos = _position_model(spec)
-    nums, dens = [1, 1, 1], [1, 1, 1]
-    i = 0
-    for P, total, k in factors:
-        a, den_a = _box_weights(Q.anchor[i:i + k], spec.n, pos)
-        # pair_marginal_prob passes its one box as both Q and R
-        b, den_b = (a, den_a) if R is Q else _box_weights(R.anchor[i:i + k], spec.n, pos)
-        dtype = _int_dtype(total * den_a * den_b)
-        a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
-        Pb, rows = _apply_factor(P, b[:, None])
-        # P_f.sum(0) b_f is the sum of P_f b_f
-        terms = ((a @ Pb[:, 0], den_a * den_b), (rows @ a, den_a), (Pb.sum(), den_b))
-        for j, (num, den) in enumerate(terms):
-            nums[j] *= int(num)
-            dens[j] *= total * den
-        i += k
-    return tuple(Fraction(num, den) for num, den in zip(nums, dens))
+    tables_a = [_weight_table([q], spec.n, pos) for q in Q.anchor]
+    # pair_marginal_prob passes its one box as both Q and R
+    tables_b = tables_a if R is Q else [_weight_table([r], spec.n, pos) for r in R.anchor]
+    terms = [(A[:, 0] @ PB[:, 0], p1[0], p2[0], total * den_a * den_b, total * den_a, total * den_b)
+             for A, PB, p1, p2, total, den_a, den_b in _contract(factors, tables_a, tables_b)]
+    return tuple(Fraction(prod(int(t[j]) for t in terms), prod(t[j + 3] for t in terms))
+                 for j in range(3))
 
 
 def pair_box_prob(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox,
@@ -523,12 +523,10 @@ def pair_box_prob(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox,
         # the closed forms take jittered or midpoint positions, not cell corners
         if not _is_factorized(spec) or _position_model(spec) == "corner":
             raise UnsupportedSchemeError("no closed form for this spec; use enumeration")
-        return prod((_joint_factor(spec, q, r) for q, r in zip(Q.anchor, R.anchor)),
-                    start=Fraction(1))
-    if method == "auto":
-        factors = _count_factors(spec, budget)
-    else:
-        factors = [(*_pair_counts(spec, budget), spec.dim)]
+        pair = patterson_pair_factor if spec.kind == "patterson" else stratified_pair_box_prob
+        return prod((pair(q, r, spec.n) for q, r in zip(Q.anchor, R.anchor)), start=Fraction(1))
+    factors = (_count_factors(spec, budget) if method == "auto"
+               else [(*_pair_counts(spec, budget), spec.dim)])
     return _factor_query(spec, factors, Q, R)[0]
 
 
@@ -598,8 +596,6 @@ class DependenceReport:
 
 
 def _grid_anchors(grid_resolution: int) -> list:
-    if grid_resolution < 1:
-        raise ValueError("grid resolution must be positive")
     return [Fraction(k, grid_resolution) for k in range(grid_resolution)]
 
 
@@ -610,38 +606,23 @@ def _factor_dims(spec: SchemeSpec, factors) -> list:
     return [1] * spec.dim if _is_factorized(spec) else [spec.dim]
 
 
-def _contraction_work(n: int, m: int, dims) -> int:
-    """_contract's multiply-adds, sum_f c_f B_f (c_f + B_f): c_f = n^k_f, B_f = m^k_f."""
-    return sum(n**k * m**k * (n**k + m**k) for k in dims)
+def _reduce(contracted) -> list:
+    """The scan's (A_f, P_f B_f total_f, p1_f, p2_f, den_f) of each _contract factor.
 
-
-def _contract(spec: SchemeSpec, anchors, budget: int, factors=None) -> list:
-    """Each count factor of the law contracted with the cell weights.
-
-    The law is the list of count factors of _count_factors (factors
-    overrides it).  With A_f the weights of factor f, its joint table is
-    A_f^T P_f A_f total_f and its product table (P_f.sum(1) A_f) x
-    (P_f.sum(0) A_f), both
-    over (total_f den_w^k_f)^2, all three divided by their common divisor.
-    Returns one (A_f, P_f A_f total_f, p1_f, p2_f, den_f) per factor, all
-    nonnegative integers, reduced.
+    Joint A_f^T (P_f B_f total_f) and product p1_f x p2_f share den_f =
+    total_f^2 den_a den_b, whose dtype the tables widen to first; all three
+    are then divided by their common divisor, split between the marginals.
     """
-    if factors is None:
-        factors = _count_factors(spec, budget)
-    table, den_w = _weight_table(anchors, spec.n, _position_model(spec))
-    contracted = []
-    for P, total, k in factors:
-        scale = (total * den_w**k) ** 2
-        dtype = _int_dtype(scale)
-        A = _kron([table] * k, dtype)
-        PA, rows = _apply_factor(P, A)
-        p1, p2, PA = rows @ A, PA.sum(axis=0), PA * total
-        # cancel the factor's common divisor, split between the marginals
+    reduced = []
+    for A, PB, p1, p2, total, den_a, den_b in contracted:
+        scale = total * total * den_a * den_b
+        PB, p1, p2 = (v.astype(_int_dtype(scale), copy=False) for v in (PB, p1, p2))
+        PB = PB * total
         g1, g2 = int(np.gcd.reduce(p1)), int(np.gcd.reduce(p2))
-        g = gcd(scale, int(np.gcd.reduce(PA, axis=None)), g1 * g2)
+        g = gcd(scale, int(np.gcd.reduce(PB, axis=None)), g1 * g2)
         g1 = gcd(g, g1)
-        contracted.append((A, PA // g, p1 // g1, p2 // (g // g1), scale // g))
-    return contracted
+        reduced.append((A, PB // g, p1 // g1, p2 // (g // g1), scale // g))
+    return reduced
 
 
 def _certified(contracted) -> bool:
@@ -725,12 +706,14 @@ def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, csv_out=None,
     """The k/M grid scan; with csv_out, its pairs CSV is written there too.
 
     The law's count factors (factors overrides _count_factors) are
-    contracted with the grid's cell weights once.  With several factors
+    contracted once with the grid's one weight table on every coordinate
+    and both sides, then reduced (_reduce).  With several factors
     and no csv_out, the per-factor certificate runs; if it holds there
     are no witnesses.  Otherwise every box pair is expanded once, and the
     witnesses, and the CSV rows if wanted, are read from the same blocks.
 
-    Each stage's budget is checked before it runs.  The contraction costs
+    Each stage's budget is checked before it runs, the first before the M
+    anchors are built.  The contraction costs
     sum_f c_f B_f (c_f + B_f) multiply-adds (c_f = n^k_f cell vectors,
     B_f = M^k_f boxes); the certificate adds sum_f B_f^2 comparisons and
     the expansion one per box pair, M^(2 dim), on top of the certificate
@@ -742,13 +725,17 @@ def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, csv_out=None,
     violation, one row per box pair in lexicographic order: anchors as
     num/den joined by ';', probabilities as reduced num/den.
     """
-    anchors = _grid_anchors(grid_resolution)
-    m, dim, dims = len(anchors), spec.dim, _factor_dims(spec, factors)
+    if grid_resolution < 1:
+        raise ValueError("grid resolution must be positive")
+    m, dim, dims = grid_resolution, spec.dim, _factor_dims(spec, factors)
     certify = len(dims) > 1 and csv_out is None
-    work = _contraction_work(spec.n, m, dims)
+    work = sum((spec.n * m) ** k * (spec.n**k + m**k) for k in dims)
     work += sum(m ** (2 * k) for k in dims) if certify else m ** (2 * dim)
     _charge(work, budget, "grid scan", "multiply-adds")
-    contracted = _contract(spec, anchors, budget, factors)
+    anchors = _grid_anchors(m)
+    factors = _count_factors(spec, budget) if factors is None else factors
+    tables = [_weight_table(anchors, spec.n, _position_model(spec))] * dim
+    contracted = _reduce(_contract(factors, tables, tables))
     if certify:
         if _certified(contracted):
             return DependenceReport.from_witnesses(spec, grid_resolution, [])
@@ -933,23 +920,19 @@ def no_shift_mass(n: int, dim: int, budget=DEFAULT_BUDGET) -> Fraction:
 
     Jitter keeps each point inside its cell, so the event is exactly "the
     point's cell vector is zero": point m with generator g hits it iff
-    g_i m = 0 (mod n) in every coordinate.  Each g_i ranges over 1..n-1
-    independently, so sum_m c[m]^dim of the (n - 1)^dim n (generator,
-    point index) terms hit, with c[m] = #{g : g m = 0 (mod n)} =
-    gcd(m, n) - 1 (gcd(0, n) = n).  For a prime n the value
-    is 1/n for every dim, which breaks marginal uniformity as soon as
-    dim >= 2 (a uniform point would give 1/n^dim).  The budget counts the
-    n entries of c.
+    g_i m = 0 (mod n) in every coordinate.  For a prime n only m = 0 does,
+    under every generator: (n - 1)^dim of the (n - 1)^dim n (generator,
+    point index) terms hit, so the value is 1/n for every dim, which breaks
+    marginal uniformity as soon as dim >= 2 (a uniform point would give
+    1/n^dim).  The budget counts the trial divisions of the primality test,
+    at most (isqrt(n) + 1) // 2, and is charged before it runs.
     """
     if dim < 1:
         raise ValueError("needs dim >= 1")
-    # charged first: the budget also bounds is_prime's trial division
-    _charge(n, budget, "no-shift count", "terms")
+    _charge((isqrt(max(n, 0)) + 1) // 2, budget, "primality test", "trial divisions")
     if not is_prime(n):
         raise ValueError("needs a prime n")
-    c = np.gcd(np.arange(n, dtype=np.int64), n) - 1
-    hits = sum(v**dim for v in c[c > 0].tolist())
-    return Fraction(hits, (n - 1) ** dim * n)
+    return Fraction(1, n)
 
 
 def shift_only_conditional(spec: SchemeSpec, epsilon, dim_index: int = None,

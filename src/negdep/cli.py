@@ -227,7 +227,7 @@ def _cmd_analyze(args, argv, t0) -> int:
 
     if sub == "ablation":
         n, dim = args.n, args.dim
-        eps = parse_rational(args.epsilon) if args.epsilon else None
+        eps = parse_rational(args.epsilon) if args.epsilon is not None else None
         payload = {"n": n, "dim": dim}
 
         mass = no_shift_mass(n, dim, budget=budget)
@@ -251,7 +251,7 @@ def _cmd_analyze(args, argv, t0) -> int:
             "negatively_dependent": cond <= lam_q,
         }
 
-        gen = _parse_generator(args.generator) if args.generator else (1,) * dim
+        gen = _parse_generator(args.generator) if args.generator is not None else (1,) * dim
         fg_spec = SchemeSpec("rsj_lattice", n, dim, generator=gen)
         Q = AnchoredBox((Fraction(n - 2, n),) * dim)
         R = AnchoredBox((Fraction(n - 1, n),) * dim)
@@ -424,6 +424,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
+    # argparse takes "--n=--" as an empty list, unconverted; no option here takes a list
+    if any(isinstance(v, list) for v in vars(args).values()):
+        print("error: an option was given '--' as its value", file=sys.stderr)
+        return EXIT_USAGE
 
     t0 = time.perf_counter()
     try:

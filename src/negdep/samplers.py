@@ -7,11 +7,13 @@ export.  Regenerating from (spec, seed) is bit-identical.
 
 Draw order is pinned so seeds stay stable: generator, then shift, then
 permutation(s), then jitters in point order (coordinates within a point).
-Each sampler first reserves the words it will likely draw (``_draw_words``:
-two per rejection-sampled integer, jitters exactly), so a point set is
-normally mixed in one numpy block; the reservation changes no draw.
+The samplers only draw; they do not size their streams.  ``generate``
+reserves the words a point set will likely draw (``_draw_words``: two per
+rejection-sampled integer, jitters exactly) on a stream it makes from an
+integer seed, so that point set is normally mixed in one numpy block, and
 ``replicate`` draws the point sets of many substreams, whose words
-``RngStream.split_block`` mixes a block of substreams at a time.
+``RngStream.split_block`` mixes a block of substreams at a time.  Neither
+changes a draw.
 """
 
 import csv
@@ -150,7 +152,7 @@ def _latin(spec: SchemeSpec, rng: RngStream) -> PointSet:
     # stratified1d, lhs and patterson: one stratum permutation per
     # coordinate, then iid jitter in the cell or the exact cell midpoint
     n, dim = spec.n, spec.dim
-    rng.reserve(_draw_words(spec))
+    _check_n(n)
     cells = np.empty((n, dim), dtype=np.int64)
     for i in range(dim):
         cells[:, i] = rng.permutation(n)
@@ -222,7 +224,7 @@ def rsj_rank1(spec: SchemeSpec, rng: RngStream) -> PointSet:
     if spec.kind != "rsj_lattice":
         raise ValueError(f"rsj_rank1 needs an rsj_lattice spec, got {spec.kind!r}")
     n, dim = spec.n, spec.dim
-    rng.reserve(_draw_words(spec))
+    _check_n(n)
 
     if spec.generator == "random":
         g = [rng.integer(n - 1) + 1 for _ in range(dim)]
@@ -254,9 +256,16 @@ def generate(spec: SchemeSpec, seed: "int | RngStream") -> PointSet:
     """Generate the point set for (spec, seed); bit-identical on replay.
 
     seed is an integer or an RngStream, which is drawn from in place;
-    generate(spec, s) equals generate(spec, RngStream(s)).
+    generate(spec, s) equals generate(spec, RngStream(s)).  A stream made
+    here from an integer seed first reserves the words the point set will
+    likely draw (_draw_words); a given stream is drawn as it comes (the
+    streams of split_block are already sized).
     """
-    rng = seed if isinstance(seed, RngStream) else RngStream(seed)
+    if isinstance(seed, RngStream):
+        rng = seed
+    else:
+        rng = RngStream(seed)
+        rng.reserve(_draw_words(spec))
     if spec.kind == "rsj_lattice":
         return rsj_rank1(spec, rng)
     return _latin(spec, rng)

@@ -405,7 +405,7 @@ def result_csv_row(res: VarianceResult) -> list:
     ]
 
 
-def run_variance_batch(config: dict, rng_seed=None) -> list:
+def run_variance_batch(config: dict) -> list:
     """Run the cross product of schemes x integrands x sizes from a config.
 
     Config keys: "seed", "replications", "sizes" ([[n, dim], ...]),
@@ -413,7 +413,7 @@ def run_variance_batch(config: dict, rng_seed=None) -> list:
     "n"/"dim" and overrides any the dict carries),
     "integrands" (names).  Returns VarianceResult objects in a stable order.
     """
-    seed = _as_int(config.get("seed", 0), "seed") if rng_seed is None else int(rng_seed)
+    seed = _as_int(config.get("seed", 0), "seed")
     replications = _as_int(config["replications"], "replications")
     for key in ("sizes", "schemes", "integrands"):
         if not isinstance(config[key], (list, tuple)):

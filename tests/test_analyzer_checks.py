@@ -213,11 +213,13 @@ class TestNoShiftMass:
                 no_shift_mass(n, d)
 
     def test_budget_counts_terms(self):
-        # the n entries of c[m] = #{g : g m = 0 (mod n)}, whatever the dim
-        for n, dim in ((5, 2), (7, 4)):
-            with pytest.raises(BudgetExceededError, match=f"{n} terms exceeds budget {n - 1}"):
-                no_shift_mass(n, dim, budget=n - 1)
-            assert no_shift_mass(n, dim, budget=n) == F(1, n)
+        # the trial divisions of the primality test, (isqrt(n) + 1) // 2,
+        # whatever the dim
+        for n, dim, work in ((5, 2, 1), (7, 4, 1), (13, 3, 2), (10000019, 2, 1581)):
+            with pytest.raises(BudgetExceededError,
+                               match=f"{work} trial divisions exceeds budget {work - 1}"):
+                no_shift_mass(n, dim, budget=work - 1)
+            assert no_shift_mass(n, dim, budget=work) == F(1, n)
 
 
 class TestShiftOnlyConditional:

@@ -1,6 +1,7 @@
 import json
 import re
 import time
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -513,3 +514,96 @@ def test_malformed_spec_dicts_raise_value_error(spec):
     d = {**spec, "n": 2, "dim": 1} if isinstance(spec, dict) else spec
     with pytest.raises(ValueError):
         spec_from_dict(d)
+
+
+# -- malformed argv, generated -------------------------------------------------
+
+# tokens that int() refuses, and tokens that parse_rational refuses
+_NOT_INT = st.one_of(
+    st.sampled_from(["", "x", "nan", "inf", "1e3", "0x10", "--", "1/0", "2.0"]),
+    st.builds("{}/{}".format, st.integers(-20, 20), st.integers(2, 9)),
+)
+_NOT_RATIONAL = st.sampled_from(["", "x", "nan", "inf", "1/0", "3/0", "1//2", "0.5.1"])
+_UNIT = st.builds(lambda k, d: F(k % d, d), st.integers(0, 12), st.integers(1, 13))
+_OFF_UNIT = st.sampled_from(["1", "13/13", "7/5", "3", "1.0", "-1/3", "-0.25", "-2"])
+
+
+def _join(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+def _entry(flag: str, old: list, token):
+    """flag=old with one entry replaced by a token."""
+    return st.tuples(st.integers(0, len(old) - 1), token).map(
+        lambda it: f"{flag}={_join(old[:it[0]] + [it[1]] + old[it[0] + 1:])}")
+
+
+def _arity(flag: str, entry, size: int):
+    """A comma-separated flag of any length but size."""
+    return st.sampled_from([k for k in range(1, 5) if k != size]).flatmap(
+        lambda k: st.lists(entry, min_size=k, max_size=k)).map(lambda v: f"{flag}={_join(v)}")
+
+
+_COMMANDS = ["generate", "pairprob", "nuod", "copula", "independence", "triple", "ablation"]
+
+
+@st.composite
+def _bad_argv(draw, command):
+    """(argv, exit code): generate or an analyze subcommand with one malformed token."""
+    n, dim = draw(st.sampled_from([5, 7, 11, 13])), draw(st.integers(2, 3))
+    vector = st.lists(st.integers(0, n - 1), min_size=dim, max_size=dim)
+    a, g, steps = draw(vector), draw(vector.map(lambda v: [x % (n - 1) + 1 for x in v])), draw(vector)
+    b = [(x + y % (n - 1) + 1) % n for x, y in zip(a, steps)]  # b differs from a everywhere
+    Q, R = (draw(st.lists(_UNIT, min_size=dim, max_size=dim)) for _ in "QR")
+    rsj = ["--scheme=rsj", f"--n={n}", f"--dim={dim}"]
+    commands = {
+        "generate": ["generate", *rsj, "--seed=3"],
+        "pairprob": ["analyze", "pairprob", *rsj, f"--Q={_join(Q)}", f"--R={_join(R)}"],
+        "nuod": ["analyze", "nuod", *rsj, "--grid=4"],
+        "copula": ["analyze", "copula", *rsj],
+        "independence": ["analyze", "independence", *rsj],
+        "triple": ["analyze", "triple", f"--n={n}", f"--dim={dim}", f"--a={_join(a)}",
+                   f"--b={_join(b)}"],
+        "ablation": ["analyze", "ablation", f"--n={n}", f"--dim={dim}"],
+    }
+    argv = commands[command]
+    ints = [t.split("=")[0] for t in argv if t.split("=")[0] in ("--n", "--dim", "--seed", "--grid")]
+    usage = [
+        st.tuples(st.sampled_from(ints), _NOT_INT).map("=".join),
+        # not prime: rsj, triple and ablation all need a prime n
+        st.sampled_from([0, 1, 4, 6, 8, 9, 10, 12]).map(lambda m: f"--n={m}"),
+    ]
+    refused = []
+    if command != "triple":
+        # a generator entry that is zero mod n, or not an integer
+        usage.append(_entry("--generator", g, st.sampled_from([0, n, 2 * n]) | _NOT_INT))
+    if command == "pairprob":
+        usage += [_entry("--Q", Q, _NOT_RATIONAL | _OFF_UNIT), _arity("--R", _UNIT, dim)]
+    if command == "nuod":
+        usage.append(st.integers(-10**12, 0).map(lambda m: f"--grid={m}"))
+        refused.append(st.integers(10**5, 10**12).map(lambda m: f"--grid={m}"))
+    if command == "triple":
+        usage += [_entry("--b", b, _NOT_INT | st.sampled_from([-1, n, 99])),
+                  _arity("--a", st.integers(0, n - 1), dim)]
+    if command == "ablation":
+        eps = _NOT_RATIONAL | st.sampled_from(["0", "-1/26", "27/52", "0.6", "1", "2"])
+        usage.append(eps.map(lambda e: f"--epsilon={e}"))
+    defect, code = draw(st.one_of([s.map(lambda t: (t, 2)) for s in usage]
+                                  + [s.map(lambda t: (t, 3)) for s in refused]))
+    flag = defect.split("=")[0]
+    return [t for t in argv if t.split("=")[0] != flag] + [defect], code
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_argv_exits_two_without_traceback(capsys, command, data):
+    # one malformed token in a valid command: exit 2 (a huge grid: 3, at
+    # once), nothing on stdout, an error line, never an exception out of main
+    argv, want = data.draw(_bad_argv(command))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (want, ""), (argv, err)
+    assert "error: " in err and "Traceback" not in err, (argv, err)
+    assert time.perf_counter() - t0 < 2, argv

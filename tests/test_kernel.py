@@ -49,11 +49,13 @@ from negdep.analyzer import (
     UnsupportedSchemeError,
     _certified,
     _contract,
+    _count_factors,
     _expand,
     _grid_anchors,
     _pair_counts,
     _pair_query,
     _position_model,
+    _reduce,
     _scan,
     _weight_table,
     copula_equality_check,
@@ -363,6 +365,13 @@ def test_grid_off_multiples_of_n_misses_violations():
     assert fine.worst_violation == F(16, 7203)
 
 
+def scan_contract(spec, anchors, factors=None):
+    """_scan's reduced contraction of the law's count factors (or factors) with grid weights."""
+    factors = _count_factors(spec, 10**8) if factors is None else factors
+    tables = [_weight_table(anchors, spec.n, _position_model(spec))] * spec.dim
+    return _reduce(_contract(factors, tables, tables))
+
+
 def scan_pairs_rows(spec, m):
     """One (Q, R, joint, product, violation) row per box pair of the k/m grid.
 
@@ -370,7 +379,7 @@ def scan_pairs_rows(spec, m):
     box order.
     """
     anchors = _grid_anchors(m)
-    den, blocks = _expand(_contract(spec, anchors, 10**8))
+    den, blocks = _expand(scan_contract(spec, anchors))
     boxes = [AnchoredBox(a) for a in product(anchors, repeat=spec.dim)]
     for start, joint, prodv in blocks:
         for Q, jrow, prow in zip(boxes[start:], joint.tolist(), prodv.tolist()):
@@ -415,8 +424,8 @@ def test_enumerated_route_matches_closed_form(spec, m):
     # one count factor over every coordinate against one per coordinate,
     # over every box pair of the grid, joint and product alike
     anchors = _grid_anchors(m)
-    enumerated = _expand(_contract(spec, anchors, 10**8, one_factor(spec)))
-    assert _table(enumerated) == _table(_expand(_contract(spec, anchors, 10**8)))
+    enumerated = _expand(scan_contract(spec, anchors, one_factor(spec)))
+    assert _table(enumerated) == _table(_expand(scan_contract(spec, anchors)))
     assert _scan(spec, m, 10**8, factors=one_factor(spec)).witnesses == ()
 
 
@@ -461,7 +470,7 @@ def test_one_coordinate_tables_match_closed_form(spec, m):
     anchors = _grid_anchors(m)
     jt, pt, den = oracle_factor_tables(spec, anchors)
     want = [(F(j, den), F(p, den)) for jrow, prow in zip(jt, pt) for j, p in zip(jrow, prow)]
-    assert _table(_expand(_contract(spec, anchors, 10**8))) == want
+    assert _table(_expand(scan_contract(spec, anchors))) == want
 
 
 @pytest.mark.parametrize("spec", [full_rsj(3, 2), lhs_spec(4, 2)])
@@ -496,6 +505,22 @@ def test_budget_counts_kernel_work():
     assert nuod_scan(spec, m, budget=work).worst_violation == F(1, 625)
 
 
+def test_budget_refuses_before_the_anchors_are_built(monkeypatch):
+    # M = 10^9 Fractions would take minutes and gigabytes: the charge comes first
+    def build(m):
+        raise AssertionError(f"built {m} anchors")
+
+    monkeypatch.setattr(mod, "_grid_anchors", build)
+    for spec in (lhs_spec(3, 2), SchemeSpec(RSJ, 5, 2, generator=(1, 2))):
+        with pytest.raises(mod.BudgetExceededError, match="multiply-adds"):
+            nuod_scan(spec, 10**9)
+        with pytest.raises(mod.BudgetExceededError):
+            scan_csv(spec, 10**9)
+    for m in (0, -3):
+        with pytest.raises(ValueError, match="grid resolution"):
+            nuod_scan(lhs_spec(3, 2), m)
+
+
 def test_budget_counts_factorized_work():
     # one factor per coordinate: nuod_scan contracts and compares each,
     # 2 x (3 * 6 * (3 + 6) + 6^2); the pairs table contracts them and
@@ -514,7 +539,7 @@ def test_budget_counts_factorized_work():
 def expanded_report(spec, m, factors=None):
     """nuod_scan's report from the expansion over every box pair."""
     anchors = _grid_anchors(m)
-    den, blocks = _expand(_contract(spec, anchors, 10**8, factors))
+    den, blocks = _expand(scan_contract(spec, anchors, factors))
     boxes = [AnchoredBox(a) for a in product(anchors, repeat=spec.dim)]
     witnesses = [(boxes[start + q], boxes[r], F(int(joint[q, r]), den), F(int(prodv[q, r]), den))
                  for start, joint, prodv in blocks for q, r in zip(*np.nonzero(joint > prodv))]
@@ -595,7 +620,7 @@ FAILING = [(lhs_spec(3, 2), 6, [DISTINCT, SAME]), (lhs_spec(3, 2), 6, [SAME, DIS
 @pytest.mark.parametrize("spec,m,factors", FAILING, ids=[f"{s.kind}(3,{s.dim})-{i}"
                                                           for i, (s, _, _) in enumerate(FAILING)])
 def test_failing_certificate_falls_back_to_expansion(spec, m, factors):
-    assert not _certified(_contract(spec, _grid_anchors(m), 10**8, factors))
+    assert not _certified(scan_contract(spec, _grid_anchors(m), factors))
     fallback = _scan(spec, m, 10**8, factors=factors)
     one = _scan(spec, m, 10**8, factors=_kron_factors(factors))
     assert fallback == expanded_report(spec, m, factors) == one
@@ -723,7 +748,7 @@ def test_pairs_csv_python_int_path_and_blocks(monkeypatch):
     want = [oracle_pairs_csv(s, m) for s, m in cases]
     assert want[0][0].witnesses and want[3][0].witnesses
     monkeypatch.setattr(mod, "_INT64_SAFE_LIMIT", 1)
-    _, blocks = _expand(_contract(cases[0][0], _grid_anchors(10), 10**8))
+    _, blocks = _expand(scan_contract(cases[0][0], _grid_anchors(10)))
     assert next(blocks)[1].dtype == object
     for block in (1 << 15, 7):
         monkeypatch.setattr(mod, "_BLOCK", block)

@@ -12,6 +12,7 @@ from negdep.rng import RngStream
 from negdep.samplers import (
     MAX_N,
     PointSet,
+    _draw_words,
     generate,
     lhs,
     patterson,
@@ -289,8 +290,9 @@ def _every_spec():
 
 def test_reservations_change_no_point_and_no_counter(monkeypatch):
     # generate as shipped against generate with every reservation a no-op:
-    # the same numerators, the same counter left on the stream, and the
-    # same next word
+    # the same numerators from an integer seed, whose stream generate
+    # reserves, and from a stream, with the same counter left on it and
+    # the same next word
     def run():
         out = []
         for spec in _every_spec():
@@ -298,7 +300,8 @@ def test_reservations_change_no_point_and_no_counter(monkeypatch):
                 r = RngStream(seed)
                 r.u64()  # start mid-stream
                 ps = generate(spec, r)
-                out.append((spec, seed, ps.nums.tobytes(), r.counter, r.u64()))
+                out.append((spec, seed, generate(spec, seed).nums.tobytes(), ps.nums.tobytes(),
+                            r.counter, r.u64()))
         return out
 
     shipped = run()
@@ -308,6 +311,20 @@ def test_reservations_change_no_point_and_no_counter(monkeypatch):
     assert len(shipped) > 500
     for got, want in zip(shipped, unreserved):
         assert got == want, got[:2]
+
+
+@pytest.mark.parametrize("spec", [full_rsj(7, 3), lhs_spec(7, 3), patterson_spec(5, 2)],
+                         ids=["rsj", "lhs", "patterson"])
+def test_generate_reserves_only_a_stream_it_makes(spec, monkeypatch):
+    # an integer seed's stream is sized once; a given stream, and each
+    # split_block stream of replicate, is drawn as it comes
+    calls = []
+    monkeypatch.setattr(RngStream, "reserve", lambda self, count: calls.append(count))
+    generate(spec, 5)
+    assert calls == [_draw_words(spec)]
+    generate(spec, RngStream(5))
+    assert len(list(replicate(spec, RngStream(5), 40))) == 40
+    assert calls == [_draw_words(spec)]
 
 
 def test_latin_entry_points_match_generate():
@@ -353,8 +370,8 @@ def test_exchangeability_histograms():
         nbins = n**d
         h1 = np.zeros(nbins)
         h2 = np.zeros(nbins)
-        for k in range(reps):
-            cells = generate(spec, root.split(k)).cells()
+        for k, ps in enumerate(replicate(spec, root, reps)):
+            cells = ps.cells()
             enc_first = int(sum(cells[0, i] * n**i for i in range(d)))
             enc_last = int(sum(cells[-1, i] * n**i for i in range(d)))
             if k < half:

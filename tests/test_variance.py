@@ -8,10 +8,12 @@ import pytest
 import negdep.samplers as samplers_module
 from negdep.analyzer import AnchoredBox, pair_box_prob, pair_marginal_prob
 from negdep.rng import RngStream
+from negdep.samplers import _unit_floats, replicate
 from negdep.schemes import SchemeSpec, full_rsj, lhs_spec, patterson_spec, stratified_spec
 from negdep.variance import (
     VarianceResult,
     _mc_estimates,
+    _means,
     _rqmc_estimates,
     additive_integrand,
     box_indicator_integrand,
@@ -171,13 +173,17 @@ class TestVarianceCompare:
 
 def test_unbiasedness_library_at_10k_replications():
     # every non-ablated scheme x every library integrand with an exact mean:
-    # replicate mean within 4 standard errors over 1e4 randomizations
+    # replicate mean within 4 standard errors over 1e4 randomizations.  Each
+    # spec's point sets are drawn once and read by every integrand; the
+    # estimates are those of _rqmc_estimates, checked on a prefix
     reps = 10**4
     cases = [(stratified_spec(5), 1), (lhs_spec(5, 2), 2), (full_rsj(5, 2), 2)]
     for spec, dim in cases:
         root = RngStream(1000 + spec.n * dim + zlib.crc32(spec.kind.encode()) % 97)
+        pts = _unit_floats(np.concatenate([ps.nums for ps in replicate(spec, root, reps)]), spec.n)
         for f in integrand_library(dim):
-            ests = _rqmc_estimates(f, spec, reps, root)
+            ests = _means(f, spec.n, pts)
+            assert np.array_equal(ests[:257], _rqmc_estimates(f, spec, 257, root))
             stderr = ests.std(ddof=1) / sqrt(reps)
             err = abs(ests.mean() - float(f.exact_mean))
             assert err < 4 * stderr + 1e-12, (spec.kind, f.name, err, stderr)
