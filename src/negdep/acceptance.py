@@ -17,12 +17,11 @@ import numpy as np
 from .analyzer import (
     AnchoredBox,
     _pair_counts,
+    _pair_query,
     copula_equality_check,
     coordinate_independence_check,
     no_shift_mass,
     nuod_scan,
-    pair_box_prob,
-    pair_marginal_prob,
     shift_only_conditional,
     stratified_pair_box_prob,
     triple_distinguisher,
@@ -96,8 +95,8 @@ def criterion_fixed_generator_counterexample() -> CriterionResult:
     spec = SchemeSpec("rsj_lattice", 5, 2, generator=(1, 1))
     Q = AnchoredBox((Fraction(3, 5), Fraction(3, 5)))
     R = AnchoredBox((Fraction(4, 5), Fraction(4, 5)))
-    joint = pair_box_prob(spec, Q, R)
-    prodv = pair_marginal_prob(spec, Q, 0) * pair_marginal_prob(spec, R, 1)
+    joint, marg_q, marg_r = _pair_query(spec, Q, R)
+    prodv = marg_q * marg_r
     ok = joint == Fraction(1, 100) and prodv == Fraction(4, 625) and joint > prodv
     return CriterionResult(ok, f"joint={joint}, product={prodv}")
 

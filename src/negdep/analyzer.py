@@ -82,6 +82,18 @@ def _charge(work: int, budget: int, what: str, unit: str) -> None:
         raise BudgetExceededError(f"{what} too large: {work} {unit} exceeds budget {budget}")
 
 
+def _power(base: int, k: int, budget: int, what: str, unit: str) -> int:
+    """base^k, a lower bound of work about to be charged, refused first if 2^k exceeds the budget.
+
+    For base >= 2 the work is at least 2^k, so a large k is refused before
+    base^k is formed: thousands of digits are slow to build and to print.
+    """
+    if base >= 2 and k >= int(budget).bit_length():
+        raise BudgetExceededError(
+            f"{what} too large: at least 2^{k} {unit} exceeds budget {budget}")
+    return base**k
+
+
 @dataclass(frozen=True)
 class AnchoredBox:
     """Box [anchor, 1) per coordinate; anchor coordinates in [0,1).
@@ -105,10 +117,9 @@ class AnchoredBox:
         return len(self.anchor)
 
     def volume(self) -> Fraction:
-        v = Fraction(1)
-        for a in self.anchor:
-            v *= 1 - a
-        return v
+        # one Fraction over the integer products, not one per coordinate
+        return Fraction(prod(a.denominator - a.numerator for a in self.anchor),
+                        prod(a.denominator for a in self.anchor))
 
 
 # -- per-coordinate closed forms ---------------------------------------------
@@ -191,6 +202,11 @@ def _generators(spec: SchemeSpec) -> list:
     return [np.array([g], dtype=np.int64) for g in spec.generator]
 
 
+def _generator_count(spec: SchemeSpec) -> int:
+    """|G|, the number of generator values of each coordinate, without building them."""
+    return spec.n - 1 if spec.kind == "rsj_lattice" and spec.generator == "random" else 1
+
+
 def _difference_counts(spec: SchemeSpec) -> np.ndarray:
     """F[e]: the count of cell vector pairs (z1, z2) at each difference e = z2 - z1.
 
@@ -255,7 +271,7 @@ def _pair_counts(spec: SchemeSpec, budget=DEFAULT_BUDGET):
     n, dim = spec.n, spec.dim
     if n < 2:
         raise ValueError("a distinct pair needs n >= 2")
-    cells = n**dim
+    cells = _power(n, dim, budget, "enumeration", "terms")
 
     if spec.kind == "rsj_lattice":
         if spec.shift == "continuous_torus":
@@ -265,7 +281,7 @@ def _pair_counts(spec: SchemeSpec, budget=DEFAULT_BUDGET):
         if spec.shift == "grid":
             terms = (n - 1) * cells
         else:
-            terms = n * (n - 1) * prod(len(g) for g in _generators(spec))
+            terms = n * (n - 1) * _generator_count(spec) ** dim
     elif spec.kind in ("stratified1d", "lhs", "patterson"):
         terms = cells
     else:
@@ -435,21 +451,25 @@ def _torus_overlaps(n: int, q: Fraction, r: Fraction, D: int, dtype) -> np.ndarr
             + np.maximum(end - D - qD, 0))
 
 
-def _continuous_shift_box_prob(n: int, gammas, anchors1, anchors2, budget) -> Fraction:
+def _continuous_shift_box_prob(spec: SchemeSpec, coords, anchors1, anchors2, budget) -> Fraction:
     """The jitterless lattice under a uniform torus shift, summed over b - a.
 
     The measure of shifts putting x1 in [q, 1) and x2 in [r, 1) does not
     change when x1 and x2 move together, so an index pair (a, b) enters
     through delta = b - a (mod n) only, at x1 = 0 and x2 = gamma delta / n;
-    each delta in 1..n-1 stands for n ordered pairs.  gammas[i] holds the
-    generator values of coordinate i (see _generators).  With ov_i the
-    integer overlaps of coordinate i on its grid 1/D_i (_torus_overlaps)
-    and S_i[delta] = sum over gamma of ov_i[gamma delta mod n], the joint
-    is sum_delta prod_i S_i[delta] over (n - 1) prod_i |gammas[i]| D_i.
-    The budget counts the summed terms, sum over coordinates of
-    |gammas[i]| x (n - 1).
+    each delta in 1..n-1 stands for n ordered pairs.  Coordinates coords
+    carry the anchors; any other is a factor 1.  With G_i the generator
+    values of coordinate i (_generators), ov_i its integer overlaps on the
+    grid 1/D_i (_torus_overlaps) and S_i[delta] = sum over G_i of
+    ov_i[gamma delta mod n], the joint is sum_delta prod_i S_i[delta] over
+    (n - 1) prod_i |G_i| D_i.  The budget counts the summed terms,
+    sum_i |G_i| (n - 1), and is charged before G_i is built.
     """
-    _charge(sum(len(g) for g in gammas) * (n - 1), budget, "continuous-shift integration", "terms")
+    n = spec.n
+    _charge(len(coords) * _generator_count(spec) * (n - 1), budget,
+            "continuous-shift integration", "terms")
+    gens = _generators(spec)
+    gammas = [gens[i] for i in coords]
     Ds = [lcm(n, q.denominator, r.denominator) for q, r in zip(anchors1, anchors2)]
     den = (n - 1) * prod(len(g) * D for g, D in zip(gammas, Ds))
     dtype = _int_dtype(den)
@@ -465,27 +485,52 @@ def _is_torus(spec: SchemeSpec) -> bool:
     if spec.kind == "rsj_lattice" and spec.shift == "continuous_torus":
         if spec.jitter:
             raise UnsupportedSchemeError(
-                "continuous torus shift combined with jitter is not analyzed"
-            )
+                "continuous torus shift combined with jitter is not analyzed")
         return True
     return False
 
 
-def _check_boxes(spec: SchemeSpec, *boxes) -> None:
-    if any(box.dim != spec.dim for box in boxes):
-        raise ValueError("box dimension does not match the scheme")
+def _pair_query(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox, method: str = "auto",
+                budget=DEFAULT_BUDGET) -> tuple:
+    """(P(p1 in Q, p2 in R), P(p1 in Q), P(p2 in R)): every box query, its route picked here.
 
-
-def _factor_query(spec: SchemeSpec, factors, Q: AnchoredBox, R: AnchoredBox) -> tuple:
-    """(P(p1 in Q, p2 in R), P(p1 in Q), P(p2 in R)) from the law's count factors.
-
-    The 1 x 1 case of _contract; each probability is the product over
-    factors, numerators and denominators multiplied as integers.
+    method "auto" contracts the law's count factors (_count_factors),
+    "enumeration" the one _pair_counts factor, each the 1 x 1 case of
+    _contract; "closed_form" multiplies the per-coordinate closed forms of
+    the factorized laws with jittered or midpoint positions.  A continuous
+    torus shift (jitterless) has no cell law: "auto" sums its classes
+    (_continuous_shift_box_prob), with the box volumes as marginals, and
+    the other methods are unsupported.  An unknown method raises ValueError.
     """
+    if method not in ("auto", "enumeration", "closed_form"):
+        raise ValueError(f"unknown method {method!r}")
+    if Q.dim != spec.dim or R.dim != spec.dim:
+        raise ValueError("box dimension does not match the scheme")
+    n = spec.n
+    if n < 2:
+        raise ValueError("a pair probability needs n >= 2")
+    if _is_torus(spec):
+        if method != "auto":
+            raise UnsupportedSchemeError(
+                f"method {method!r} needs a cell law; a continuous torus shift has none")
+        joint = _continuous_shift_box_prob(spec, range(spec.dim), Q.anchor, R.anchor, budget)
+        return joint, Q.volume(), R.volume()
+    if method == "closed_form":
+        # the closed forms take jittered or midpoint positions, not cell corners
+        if not _is_factorized(spec) or _position_model(spec) == "corner":
+            raise UnsupportedSchemeError("no closed form for this spec; use enumeration")
+        if spec.kind == "patterson":
+            pair = patterson_pair_factor
+            marginals = [prod(patterson_marginal_factor(a, n) for a in box.anchor) for box in (Q, R)]
+        else:  # the jittered kinds are marginally uniform
+            pair, marginals = stratified_pair_box_prob, [Q.volume(), R.volume()]
+        return prod(pair(q, r, n) for q, r in zip(Q.anchor, R.anchor)), *marginals
+    factors = (_count_factors(spec, budget) if method == "auto"
+               else [(*_pair_counts(spec, budget), spec.dim)])
     pos = _position_model(spec)
-    tables_a = [_weight_table([q], spec.n, pos) for q in Q.anchor]
+    tables_a = [_weight_table([q], n, pos) for q in Q.anchor]
     # pair_marginal_prob passes its one box as both Q and R
-    tables_b = tables_a if R is Q else [_weight_table([r], spec.n, pos) for r in R.anchor]
+    tables_b = tables_a if R is Q else [_weight_table([r], n, pos) for r in R.anchor]
     terms = [(A[:, 0] @ PB[:, 0], p1[0], p2[0], total * den_a * den_b, total * den_a, total * den_b)
              for A, PB, p1, p2, total, den_a, den_b in _contract(factors, tables_a, tables_b)]
     return tuple(Fraction(prod(int(t[j]) for t in terms), prod(t[j + 3] for t in terms))
@@ -494,40 +539,11 @@ def _factor_query(spec: SchemeSpec, factors, Q: AnchoredBox, R: AnchoredBox) -> 
 
 def pair_box_prob(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox,
                   method: str = "auto", budget=DEFAULT_BUDGET) -> Fraction:
-    """Exact P(p1 in Q, p2 in R) for anchored boxes Q, R.
+    """Exact P(p1 in Q, p2 in R) for anchored boxes Q, R: the joint of _pair_query.
 
-    method "auto" contracts the count factors of the law (one per
-    coordinate for stratified, lhs, patterson and the random-generator
-    lattice under a grid shift); "enumeration" contracts the one
-    _pair_counts factor over every coordinate, and "closed_form" multiplies
-    the per-coordinate closed forms, which exist for the factorized laws
-    with jittered or midpoint positions only.  A continuous torus shift
-    (jitterless) has no cell law: method "auto" sums the integer arc
-    overlaps of each coordinate on its grid 1/D over the n - 1 index
-    differences (_continuous_shift_box_prob), and "enumeration" and
-    "closed_form" are unsupported; combined with jitter it is unsupported.
-    An unknown method raises ValueError for every spec.
+    method "auto", "enumeration" or "closed_form" picks the route there.
     """
-    if method not in ("auto", "enumeration", "closed_form"):
-        raise ValueError(f"unknown method {method!r}")
-    _check_boxes(spec, Q, R)
-    if spec.n < 2:
-        raise ValueError("a pair probability needs n >= 2")
-    if _is_torus(spec):
-        if method != "auto":
-            raise UnsupportedSchemeError(
-                f"method {method!r} needs a cell law; a continuous torus shift has none"
-            )
-        return _continuous_shift_box_prob(spec.n, _generators(spec), Q.anchor, R.anchor, budget)
-    if method == "closed_form":
-        # the closed forms take jittered or midpoint positions, not cell corners
-        if not _is_factorized(spec) or _position_model(spec) == "corner":
-            raise UnsupportedSchemeError("no closed form for this spec; use enumeration")
-        pair = patterson_pair_factor if spec.kind == "patterson" else stratified_pair_box_prob
-        return prod((pair(q, r, spec.n) for q, r in zip(Q.anchor, R.anchor)), start=Fraction(1))
-    factors = (_count_factors(spec, budget) if method == "auto"
-               else [(*_pair_counts(spec, budget), spec.dim)])
-    return _factor_query(spec, factors, Q, R)[0]
+    return _pair_query(spec, Q, R, method, budget)[0]
 
 
 def pair_marginal_prob(spec: SchemeSpec, box: AnchoredBox, side: int = 0,
@@ -535,23 +551,10 @@ def pair_marginal_prob(spec: SchemeSpec, box: AnchoredBox, side: int = 0,
     """Exact P(p_side in box) under the pair law of the scheme, side 0 or 1."""
     if side not in (0, 1):
         raise ValueError(f"side must be 0 or 1, not {side!r}")
-    _check_boxes(spec, box)
-    if _is_torus(spec):
+    if box.dim == spec.dim and _is_torus(spec):
         # a uniform torus shift makes each coordinate uniform
         return box.volume()
-    return _factor_query(spec, _count_factors(spec, budget), box, box)[1 + side]
-
-
-def _pair_query(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox,
-                budget=DEFAULT_BUDGET) -> tuple:
-    """(P(p1 in Q, p2 in R), P(p1 in Q), P(p2 in R)) on the default routes.
-
-    The law's count factors are built once and contracted for all three.
-    """
-    _check_boxes(spec, Q, R)
-    if _is_torus(spec):
-        return pair_box_prob(spec, Q, R, budget=budget), Q.volume(), R.volume()
-    return _factor_query(spec, _count_factors(spec, budget), Q, R)
+    return _pair_query(spec, box, box, budget=budget)[1 + side]
 
 
 # -- negative-dependence scan ---------------------------------------------------
@@ -729,8 +732,10 @@ def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, csv_out=None,
         raise ValueError("grid resolution must be positive")
     m, dim, dims = grid_resolution, spec.dim, _factor_dims(spec, factors)
     certify = len(dims) > 1 and csv_out is None
+    _power(spec.n, max(dims), budget, "grid scan", "multiply-adds")
     work = sum((spec.n * m) ** k * (spec.n**k + m**k) for k in dims)
-    work += sum(m ** (2 * k) for k in dims) if certify else m ** (2 * dim)
+    work += (sum(m ** (2 * k) for k in dims) if certify
+             else _power(m, 2 * dim, budget, "grid scan", "multiply-adds"))
     _charge(work, budget, "grid scan", "multiply-adds")
     anchors = _grid_anchors(m)
     factors = _count_factors(spec, budget) if factors is None else factors
@@ -739,7 +744,8 @@ def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, csv_out=None,
     if certify:
         if _certified(contracted):
             return DependenceReport.from_witnesses(spec, grid_resolution, [])
-        _charge(work + m ** (2 * dim), budget, "grid scan", "multiply-adds")
+        _charge(work + _power(m, 2 * dim, budget, "grid scan", "multiply-adds"), budget,
+                "grid scan", "multiply-adds")
 
     def box(k):
         return AnchoredBox(tuple(anchors[k // m ** (dim - 1 - i) % m] for i in range(dim)))
@@ -896,12 +902,21 @@ def triple_distinguisher(n: int, dim: int, a, b, budget=DEFAULT_BUDGET) -> tuple
     if not is_prime(n):
         raise ValueError("needs a prime n >= 5")
 
-    inv = np.array([pow(delta, -1, n) for delta in range(1, n)], dtype=np.int64)
-    gens = (np.array(b, dtype=np.int64) - a) % n * inv[:, None] % n
+    # g k < n^2 is formed in int32 while that fits, and cells < n are held
+    # in int16 while 2n does
+    wide = np.int32 if n * n < 2**31 else np.int64
+    narrow = np.int16 if 2 * n < 2**15 else wide
+    a, b = np.array(a, dtype=wide), np.array(b, dtype=wide)
+    inv = np.array([pow(delta, -1, n) for delta in range(1, n)], dtype=wide)
+    gens = (b - a) % n * inv[:, None] % n
     # cells[l, k]: point a + g_l k of lattice l, one row of dim cells
-    cells = (np.array(a, dtype=np.int64) + gens[:, None, :] * np.arange(n)[:, None]) % n
+    cells = gens[:, None, :] * np.arange(n, dtype=wide)[:, None]
+    cells += a
+    cells %= n
+    cells = cells.astype(narrow)
     order = np.lexsort(cells.transpose(2, 0, 1)[::-1], axis=-1)
     rows = np.take_along_axis(cells, order[:, :, None], axis=1).reshape(n - 1, n * dim)
+    del cells, order
     # rows of one dtype and length are equal iff their bytes are
     lattice_count = len({row.tobytes() for row in rows})
 
@@ -971,11 +986,11 @@ def shift_only_conditional(spec: SchemeSpec, epsilon, dim_index: int = None,
     if n < 2:
         raise ValueError("a distinct pair needs n >= 2")
 
-    gammas = _generators(spec)[i]
     q = eps / 2
     # the other coordinates' anchors are 0, a factor 1 each, so the probed
     # coordinate alone carries P(p1 in Q, p2 in R)
-    joint = _continuous_shift_box_prob(n, [gammas], [q], [1 - q], budget)
+    joint = _continuous_shift_box_prob(spec, [i], [q], [1 - q], budget)
+    gammas = _generators(spec)[i]
     # distance min(e, n - e) / n <= eps, for e = gamma delta mod n, gamma
     # outer and delta inner; on integers m <= eps n iff m <= floor(eps n)
     e = gammas[:, None] * np.arange(1, n, dtype=np.int64) % n

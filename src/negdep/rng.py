@@ -81,7 +81,8 @@ class RngStream:
     the parent, so parallel consumers each own their stream.
 
     The lookahead window holds words ``_lo + 1 .. _lo + len(_block)``, as an
-    array (``_block``) and as a list of ints (``_ahead``) for scalar reads.
+    array (``_block``) and as a memoryview of it (``_ahead``), which scalar
+    reads index as ints without copying the window.
     """
 
     __slots__ = ("_key", "_counter", "_lo", "_block", "_ahead")
@@ -111,9 +112,9 @@ class RngStream:
 
         The keys come from one vectorised SplitMix step (uint64 arithmetic
         wraps exactly like split's mask) and the windows are mixed as one
-        (count, words) block; a stream's list view of its row is built only
-        when it is handed out.  Every stream equals split(first + i) in
-        seed, counter and every draw, within the window and past it.
+        (count, words) block, each stream reading its row in place.  Every
+        stream equals split(first + i) in seed, counter and every draw,
+        within the window and past it.
         """
         count, words = _count(count), _count(words)
         ids = np.arange(count, dtype=np.uint64)
@@ -139,7 +140,7 @@ class RngStream:
     def _mix_ahead(self, count: int) -> None:
         self._lo = self._counter
         self._block = _words(self._key, self._counter, count)
-        self._ahead = self._block.tolist()
+        self._ahead = memoryview(self._block)
 
     # -- raw words ---------------------------------------------------------
 
@@ -223,5 +224,5 @@ def _windowed(key: int, window: np.ndarray) -> RngStream:
     # a fresh stream whose lookahead window is words 1 .. len(window)
     stream = RngStream(key)
     stream._block = window
-    stream._ahead = window.tolist()
+    stream._ahead = memoryview(window)
     return stream

@@ -8,7 +8,7 @@ structure of the scheme is what drives the comparison.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import sqrt
 from typing import Callable, Optional
@@ -360,32 +360,18 @@ def variance_compare(f: Integrand, spec: SchemeSpec, replications: int,
     )
 
 
+# the JSON and CSV columns after the scheme: the result's fields after
+# spec, with the spec's dim after n
+_FIELDS = ["integrand", "n", "dim", *(f.name for f in fields(VarianceResult)[3:])]
+_CSV_FIELDS = ["scheme", "generator", "shift", "jitter", *_FIELDS]
+
+
+def _values(res: VarianceResult) -> list:
+    return [res.spec.dim if k == "dim" else getattr(res, k) for k in _FIELDS]
+
+
 def result_to_json_dict(res: VarianceResult) -> dict:
-    return {
-        "scheme": spec_to_dict(res.spec),
-        "integrand": res.integrand,
-        "n": res.n,
-        "dim": res.spec.dim,
-        "replications": res.replications,
-        "seed": res.seed,
-        "est_mean": res.est_mean,
-        "est_variance": res.est_variance,
-        "variance_stderr": res.variance_stderr,
-        "mc_variance": res.mc_variance,
-        "mc_variance_exact": res.mc_variance_exact,
-        "dominates": res.dominates,
-        "trivial": res.trivial,
-        "biased_capable": res.biased_capable,
-        "bias": res.bias,
-    }
-
-
-_CSV_FIELDS = [
-    "scheme", "generator", "shift", "jitter", "integrand", "n", "dim",
-    "replications", "seed", "est_mean", "est_variance", "variance_stderr",
-    "mc_variance", "mc_variance_exact", "dominates", "trivial",
-    "biased_capable", "bias",
-]
+    return {"scheme": spec_to_dict(res.spec), **dict(zip(_FIELDS, _values(res)))}
 
 
 def result_csv_header() -> list:
@@ -396,13 +382,9 @@ def result_csv_row(res: VarianceResult) -> list:
     d = spec_to_dict(res.spec)
     gen = d["generator"]
     gen_str = gen if isinstance(gen, str) else ";".join(str(v) for v in gen)
-    return [
-        d["kind"], gen_str, d["shift"], d["jitter"], res.integrand, res.n,
-        res.spec.dim, res.replications, res.seed, repr(res.est_mean),
-        repr(res.est_variance), repr(res.variance_stderr), repr(res.mc_variance),
-        res.mc_variance_exact, res.dominates, res.trivial, res.biased_capable,
-        "" if res.bias is None else repr(res.bias),
-    ]
+    # floats as repr (exact round trip), a missing bias as an empty field
+    return [d["kind"], gen_str, d["shift"], d["jitter"],
+            *("" if v is None else repr(v) if isinstance(v, float) else v for v in _values(res))]
 
 
 def run_variance_batch(config: dict) -> list:

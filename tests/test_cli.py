@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import time
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from negdep import __version__, cli
+from negdep import __version__, analyzer, cli
 from negdep.cli import build_parser, main
 from negdep.samplers import point_set_from_csv, point_set_from_json
 from negdep.schemes import KINDS, SHIFTS, spec_from_dict
@@ -158,6 +159,31 @@ class TestAnalyze:
                            "--budget", "1000")
         assert code == 3
         assert "budget" in err
+
+    @pytest.mark.parametrize("dim", ["10000", "1000000"])
+    @pytest.mark.parametrize("argv", [("copula", "--scheme", "rsj", "--n", "5"),
+                                      ("nuod", "--scheme", "rsj", "--n", "5", "--shift", "none",
+                                       "--grid", "5")], ids=["copula", "nuod"])
+    def test_huge_dim_exits_three_at_once(self, capsys, argv, dim):
+        # the work is at least 2^dim, refused before n^dim is formed
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "analyze", *argv, "--dim", dim)
+        assert time.perf_counter() - t0 < 1
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and f"at least 2^{dim} " in err
+
+    def test_ablation_torus_budget_refuses_before_generators(self, capsys, monkeypatch):
+        # the fixed-distance probe charges (n - 1)^2 terms from the spec
+        # before the n - 1 generator values are built
+        def unbuilt(spec):
+            raise AssertionError("generators built before the budget was charged")
+
+        monkeypatch.setattr(analyzer, "_generators", unbuilt)
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "analyze", "ablation", "--n", "10000019", "--dim", "2")
+        assert time.perf_counter() - t0 < 1
+        assert code == 3 and out == ""
+        assert f"continuous-shift integration too large: {10000018 ** 2} terms" in err
 
     def test_copula(self, capsys):
         code, out, _ = run(capsys, "analyze", "copula", "--scheme", "rsj",
@@ -326,6 +352,33 @@ class TestVariance:
                  for r in payload["results"]}
         assert flags[("rsj_lattice", "none")] is True
         assert flags[("rsj_lattice", "grid")] is False
+
+    def test_config_batch_csv_bytes(self, tmp_path, capsys):
+        # a 12-cell batch, its CSV pinned byte for byte by sha256
+        cfg = {
+            "seed": 11,
+            "replications": 100,
+            "sizes": [[5, 2], [7, 2]],
+            "schemes": [
+                {"kind": "rsj_lattice", "generator": [1, 2], "shift": "none", "jitter": False},
+                {"kind": "lhs"},
+                {"kind": "patterson"},
+            ],
+            "integrands": ["box_indicator", "smooth_monotone"],
+        }
+        cfg_path = tmp_path / "batch.json"
+        cfg_path.write_text(json.dumps(cfg))
+        csv_path = tmp_path / "out.csv"
+        code, _, _ = run(capsys, "variance", "--config", str(cfg_path), "--out-csv", str(csv_path))
+        assert code == 0
+        data = csv_path.read_bytes()
+        assert data.splitlines()[0] == (
+            b"scheme,generator,shift,jitter,integrand,n,dim,replications,seed,est_mean,"
+            b"est_variance,variance_stderr,mc_variance,mc_variance_exact,dominates,trivial,"
+            b"biased_capable,bias")
+        assert data.count(b"\n") == 13
+        assert hashlib.sha256(data).hexdigest() == (
+            "e28919b1f2e4dfcc4c7d1c9612745fb9d4946f5cc76f3122f969de87f3b13bb7")
 
     @pytest.mark.parametrize("change,key", [
         ({"sizes": [[5.9, 2]]}, "sizes"),

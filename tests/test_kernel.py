@@ -40,6 +40,8 @@ from math import gcd, lcm, prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import negdep.analyzer as mod
 from negdep.analyzer import (
@@ -71,7 +73,15 @@ from negdep.analyzer import (
     triple_distinguisher,
 )
 from negdep.exact import format_rational
-from negdep.schemes import SchemeSpec, full_rsj, lhs_spec, patterson_spec, stratified_spec
+from negdep.schemes import (
+    KINDS,
+    SHIFTS,
+    SchemeSpec,
+    full_rsj,
+    lhs_spec,
+    patterson_spec,
+    stratified_spec,
+)
 
 RSJ = "rsj_lattice"
 
@@ -1107,6 +1117,84 @@ def test_marginal_side_must_be_zero_or_one(side):
         pair_marginal_prob(lhs_spec(3, 2), AnchoredBox((F(1, 3), F(1, 2))), side)
 
 
+def test_torus_budget_is_charged_before_the_generators(monkeypatch):
+    # sum_i |G_i| (n - 1) terms come from the spec alone: a random generator
+    # at n = 10000019 is refused before its (n - 1)-entry array is built
+    def unbuilt(spec):
+        raise AssertionError("generators built before the budget was charged")
+
+    monkeypatch.setattr(mod, "_generators", unbuilt)
+    spec = SchemeSpec(RSJ, 10000019, 2, shift="continuous_torus", jitter=False)
+    box = AnchoredBox((F(1, 3), F(2, 5)))
+    with pytest.raises(mod.BudgetExceededError, match=f"{2 * (10000018 ** 2)} terms"):
+        _pair_query(spec, box, box)
+    with pytest.raises(mod.BudgetExceededError, match=f"{10000018 ** 2} terms"):
+        shift_only_conditional(spec, F(1, 100))
+
+
+@pytest.mark.parametrize("spec", [full_rsj(5, 10**4), lhs_spec(2, 10**6),
+                                  SchemeSpec(RSJ, 5, 10**4, shift="none")],
+                         ids=["rsj-grid", "lhs", "rsj-none"])
+def test_huge_dim_is_refused_before_n_to_the_dim(spec):
+    # the law has at least 2^dim cells, so a dim past the budget's bit
+    # length is refused before n^dim (thousands of digits) is formed
+    with pytest.raises(mod.BudgetExceededError, match=f"at least 2\\^{spec.dim} terms"):
+        _pair_counts(spec)
+    with pytest.raises(mod.BudgetExceededError, match="at least 2\\^"):
+        _scan(spec, 5, 10**8, factors=[(None, 20, spec.dim)])
+
+
+# -- one route per query ----------------------------------------------------
+
+
+def _box_on_half_grid(draw, n, dim):
+    return AnchoredBox(tuple(F(draw(st.integers(0, 2 * n - 1)), 2 * n) for _ in range(dim)))
+
+
+@st.composite
+def _query_cases(draw):
+    """A spec of any kind and ablation (prime n <= 7, dim <= 3) and two boxes on the k/(2n) grid."""
+    n, kind = draw(st.sampled_from([2, 3, 5, 7])), draw(st.sampled_from(KINDS))
+    dim = 1 if kind == "stratified1d" else draw(st.integers(1, 3))
+    flags = {}
+    if kind == RSJ:
+        flags = {"generator": draw(st.one_of(st.just("random"),
+                                             st.tuples(*[st.integers(1, n - 1)] * dim))),
+                 "shift": draw(st.sampled_from(SHIFTS)), "jitter": draw(st.booleans())}
+    return (SchemeSpec(kind, n, dim, **flags), _box_on_half_grid(draw, n, dim),
+            _box_on_half_grid(draw, n, dim))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=_query_cases())
+def test_query_routes_agree(case):
+    # auto and enumeration give one triple, closed_form the same wherever it
+    # is defined; a torus shift has the box volumes as marginals
+    spec, Q, R = case
+    if spec.kind == RSJ and spec.shift == "continuous_torus":
+        if spec.jitter:
+            with pytest.raises(UnsupportedSchemeError):
+                _pair_query(spec, Q, R)
+            return
+        joint, mq, mr = _pair_query(spec, Q, R)
+        assert (mq, mr) == (Q.volume(), R.volume())
+        assert (pair_marginal_prob(spec, Q, 0), pair_marginal_prob(spec, R, 1)) == (mq, mr)
+        assert pair_box_prob(spec, Q, R) == joint
+        for method in ("enumeration", "closed_form"):
+            with pytest.raises(UnsupportedSchemeError):
+                _pair_query(spec, Q, R, method)
+        return
+    auto = _pair_query(spec, Q, R)
+    assert _pair_query(spec, Q, R, "enumeration") == auto
+    assert (pair_box_prob(spec, Q, R), pair_marginal_prob(spec, Q, 0),
+            pair_marginal_prob(spec, R, 1)) == auto
+    if mod._is_factorized(spec) and _position_model(spec) != "corner":
+        assert _pair_query(spec, Q, R, "closed_form") == auto
+    else:
+        with pytest.raises(UnsupportedSchemeError):
+            _pair_query(spec, Q, R, "closed_form")
+
+
 # -- one law per query ------------------------------------------------------
 
 
@@ -1261,6 +1349,21 @@ def test_triple_budget_counts_lattices_only():
     with pytest.raises(mod.BudgetExceededError, match="84 cell entries exceeds budget 83"):
         triple_distinguisher(7, 2, (0, 0), (1, 2), budget=83)
     assert triple_distinguisher(7, 2, (0, 0), (1, 2), budget=84) == (1, 120)
+
+
+def test_triple_lattices_are_held_in_narrow_dtypes():
+    # g k in int32 and the cells, sort keys and sorted rows in int16: at
+    # most 9 traced bytes per cell entry of the n - 1 candidate lattices
+    n, dim = 1009, 4
+    triple_distinguisher(11, 2, (0, 0), (1, 2))
+    tracemalloc.start()
+    try:
+        count = triple_distinguisher(n, dim, (0,) * dim, (1, 2, 3, 4))[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 1
+    assert peak <= 9 * (n - 1) * n * dim
 
 
 def oracle_no_shift_mass(n, dim):
