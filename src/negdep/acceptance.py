@@ -22,13 +22,14 @@ from .analyzer import (
     coordinate_independence_check,
     no_shift_mass,
     nuod_scan,
+    pair_box_prob,
     shift_only_conditional,
     stratified_pair_box_prob,
     triple_distinguisher,
 )
 from .rng import FRAC_BITS, RngStream
 from .samplers import _unit_floats, replicate
-from .schemes import SchemeSpec, full_rsj, lhs_spec, patterson_spec
+from .schemes import SchemeSpec, full_rsj, lhs_spec, patterson_spec, stratified_spec
 from .variance import integrand_library, variance_compare
 
 __all__ = ["CRITERIA", "run_acceptance", "CriterionResult"]
@@ -37,32 +38,6 @@ __all__ = ["CRITERIA", "run_acceptance", "CriterionResult"]
 class CriterionResult(NamedTuple):
     passed: bool
     detail: str
-
-
-# -- independent oracle for the stratified closed form -----------------------
-
-
-def _stratum_tail_fraction(c: int, x: Fraction, n: int) -> Fraction:
-    """Fraction of stratum [c/n, (c+1)/n) lying inside [x, 1)."""
-    lo = max(Fraction(c, n), x)
-    hi = Fraction(c + 1, n)
-    return (hi - lo) * n if hi > lo else Fraction(0)
-
-
-def stratified_pair_oracle(q, r, n: int) -> Fraction:
-    """Brute force: sum over ordered distinct stratum pairs of the overlap
-    weights, each pair carrying probability 1/(n(n-1))."""
-    q, r = Fraction(q), Fraction(r)
-    total = Fraction(0)
-    for j in range(n):
-        wq = _stratum_tail_fraction(j, q, n)
-        if wq == 0:
-            continue
-        for k in range(n):
-            if j == k:
-                continue
-            total += wq * _stratum_tail_fraction(k, r, n)
-    return total / (n * (n - 1))
 
 
 # -- criteria ------------------------------------------------------------------
@@ -170,19 +145,22 @@ def criterion_fixed_distance_conditional() -> CriterionResult:
 
 
 def criterion_stratified_closed_form_oracle() -> CriterionResult:
-    """Closed form equals the ordered-stratum-pair oracle on the 1/(4N) grid
-    and never exceeds (1-q)(1-r)."""
+    """Closed form equals the enumerated cell-pair law's box probability on
+    the 1/(4N) grid and never exceeds (1-q)(1-r)."""
     for n in range(2, 9):
+        spec = stratified_spec(n)
         for kq in range(4 * n):
             for kr in range(4 * n):
                 q, r = Fraction(kq, 4 * n), Fraction(kr, 4 * n)
                 closed = stratified_pair_box_prob(q, r, n)
-                oracle = stratified_pair_oracle(q, r, n)
-                if closed != oracle:
+                enumerated = pair_box_prob(spec, AnchoredBox((q,)), AnchoredBox((r,)),
+                                           method="enumeration")
+                if closed != enumerated:
                     return CriterionResult(False, f"mismatch at N={n}, q={q}, r={r}")
                 if closed > (1 - q) * (1 - r):
                     return CriterionResult(False, f"bound fails at N={n}, q={q}, r={r}")
-    return CriterionResult(True, "closed form == oracle and <= (1-q)(1-r) on all 1/(4N) grids, N=2..8")
+    return CriterionResult(
+        True, "closed form == enumeration and <= (1-q)(1-r) on all 1/(4N) grids, N=2..8")
 
 
 def criterion_variance_domination() -> CriterionResult:

@@ -26,7 +26,7 @@ common grid 1/D per coordinate.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial, floor, gcd, isqrt, lcm, prod
+from math import factorial, floor, gcd, lcm, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -207,50 +207,6 @@ def _generator_count(spec: SchemeSpec) -> int:
     return spec.n - 1 if spec.kind == "rsj_lattice" and spec.generator == "random" else 1
 
 
-def _difference_counts(spec: SchemeSpec) -> np.ndarray:
-    """F[e]: the count of cell vector pairs (z1, z2) at each difference e = z2 - z1.
-
-    Under a grid shift the shift fixes z1, and z2 - z1 = gamma (b - a), so
-    coordinate i's n x n table of an index pair is circulant, with first
-    row D_i[delta, e] = #{gamma: gamma delta = e (mod n)} for delta = b - a:
-    n - 1 classes of n ordered pairs each.  The sum over classes of their
-    Kronecker products is block circulant, so its first row F determines
-    it.  For lhs/stratified/patterson the cells of a coordinate are an
-    ordered pair of distinct strata: one class, every nonzero difference.
-    """
-    n = spec.n
-    if spec.kind == "rsj_lattice":
-        delta = np.arange(1, n)[:, None]
-        rows = [np.bincount(((delta - 1) * n + g * delta % n).ravel(), minlength=(n - 1) * n)
-                .reshape(n - 1, n) for g in _generators(spec)]
-        weight = n
-    else:
-        rows = [(np.arange(n) != 0).astype(np.int64)[None]] * spec.dim
-        weight = 1
-    F = rows[0]
-    for r in rows[1:]:
-        F = (F[:, :, None] * r[:, None, :]).reshape(len(F), -1)
-    return weight * F.sum(axis=0)
-
-
-def _unshifted_counts(spec: SchemeSpec) -> np.ndarray:
-    """P of the lattice without a shift: a sum over ordered index pairs (a, b).
-
-    Coordinate i's table of a pair counts the generators gamma with cells
-    (gamma a, gamma b); its Kronecker products are summed by enumerating
-    their nonzero entries, all pairs and generators at once.
-    """
-    n, dim = spec.n, spec.dim
-    cells = n**dim
-    a, b = np.nonzero(1 - np.eye(n, dtype=np.int64))
-    codes = np.zeros((len(a), 1), dtype=np.int64)
-    for i, g in enumerate(_generators(spec)):
-        place = n ** (dim - 1 - i)
-        entry = (g * a[:, None] % n) * (place * cells) + (g * b[:, None] % n) * place
-        codes = (codes[:, :, None] + entry[:, None, :]).reshape(len(a), -1)
-    return np.bincount(codes.ravel(), minlength=cells * cells).reshape(cells, cells)
-
-
 def _pair_counts(spec: SchemeSpec, budget=DEFAULT_BUDGET):
     """Exact integer counts of the cell-pair law, as (P, total).
 
@@ -258,50 +214,63 @@ def _pair_counts(spec: SchemeSpec, budget=DEFAULT_BUDGET):
     in cell vector j, with the n^dim cell vectors numbered lexicographically
     (coordinate 0 most significant); P / total is the law.  Given the index
     pair (a, b) of the two points, the generator and the shift act on each
-    coordinate independently, so P is a sum over classes of index pairs of
-    Kronecker products of per-coordinate n x n tables.  The budget counts
-    the terms of that sum the route evaluates plus the n^(2 dim) entries of
-    P: (n - 1) n^dim under a grid shift (difference classes), n (n - 1)
-    |generators| without one (table nonzeros), n^dim for lhs.  Counts and
-    total are divided by their common gcd.  Under a grid shift (and for
-    the latin kinds) P[z1, z2] = F[z2 - z1], so every row of P is a
-    permutation of the difference row F: the gcd is taken on F, and P is
-    gathered from the reduced F in one pass.
+    coordinate independently, so P is a sum over classes of index pairs.
+    All classes are enumerated at once: a class's codes are the sums over
+    coordinates of one code per generator value gamma, in every combination
+    (a Kronecker sum), and one bincount counts the codes of every class.
+
+    Under a grid shift P[z1, z2] depends on z2 - z1 only, and a class is
+    (0, delta), delta = 1..n-1, standing for the n pairs with b - a = delta:
+    coordinate i's code is the difference gamma delta mod n, and the
+    bincount is the difference row F.  lhs, stratified and patterson are
+    one class (0, 1) whose coordinates take every value 1..n-1 (composite
+    n too).  Without a shift every ordered pair (a, b) is a class, coded by
+    its cells (gamma a, gamma b) in P's layout.  The budget counts the
+    codes, classes x prod_i |G_i| (_generator_count, n - 1 for the latin
+    kinds), plus the n^(2 dim) entries of P, before any generator array is
+    built.  Counts and total are divided by their common gcd; under a shift
+    every row of P is a permutation of F, so the gcd is taken on F, and P
+    is gathered from the reduced F in one pass.
     """
     n, dim = spec.n, spec.dim
     if n < 2:
         raise ValueError("a distinct pair needs n >= 2")
     cells = _power(n, dim, budget, "enumeration", "terms")
-
+    latin = spec.kind in ("stratified1d", "lhs", "patterson")
     if spec.kind == "rsj_lattice":
         if spec.shift == "continuous_torus":
             raise UnsupportedSchemeError(
                 "the discrete cell law is undefined for a continuous torus shift"
             )
-        if spec.shift == "grid":
-            terms = (n - 1) * cells
-        else:
-            terms = n * (n - 1) * _generator_count(spec) ** dim
-    elif spec.kind in ("stratified1d", "lhs", "patterson"):
-        terms = cells
+        shifted = spec.shift == "grid"
+        classes, values = (n - 1 if shifted else n * (n - 1)), _generator_count(spec)
+    elif latin:
+        shifted, classes, values = True, 1, n - 1
     else:
         raise UnsupportedSchemeError(f"no discrete pair law for kind {spec.kind!r}")
-    _charge(terms + cells * cells, budget, "enumeration", "terms")
-    if spec.kind == "rsj_lattice" and spec.shift == "none":
-        P = _unshifted_counts(spec)
-        total = int(P.sum())
-        g = gcd(int(np.gcd.reduce(P, axis=None)), total)
-        P //= g
-        return P, total // g
-    F = _difference_counts(spec)
-    total = cells * int(F.sum())
-    g = gcd(int(np.gcd.reduce(F)), total)
-    F //= g
+    _charge(classes * values**dim + cells * cells, budget, "enumeration", "terms")
+    if shifted:
+        b = np.arange(1, 2 if latin else n)
+    else:
+        a, b = np.nonzero(1 - np.eye(n, dtype=np.int64))
+    codes = np.zeros((len(b), 1), dtype=np.int64)
+    for i, g in enumerate([np.arange(1, n)] * dim if latin else _generators(spec)):
+        place = n ** (dim - 1 - i)
+        entry = g * b[:, None] % n * place
+        if not shifted:  # under a shift a = 0: the code is the difference
+            entry += g * a[:, None] % n * (place * cells)
+        codes = (codes[:, :, None] + entry[:, None, :]).reshape(len(b), -1)
+    counts = np.bincount(codes.ravel(), minlength=cells if shifted else cells * cells)
+    total = int(counts.sum()) * (cells if shifted else 1)
+    g = gcd(int(np.gcd.reduce(counts)), total)
+    counts //= g
+    if not shifted:
+        return counts.reshape(cells, cells), total // g
     # coordinate i's difference (z2_i - z1_i) mod n, on axes i (z1) and dim + i (z2)
     m = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
     diffs = tuple(m.reshape([n if k in (i, dim + i) else 1 for k in range(2 * dim)])
                   for i in range(dim))
-    return F.reshape((n,) * dim)[diffs].reshape(cells, cells), total // g
+    return counts.reshape((n,) * dim)[diffs].reshape(cells, cells), total // g
 
 
 def _law_counts(n: int, dim: int, spec: SchemeSpec, budget):
@@ -930,7 +899,7 @@ def triple_distinguisher(n: int, dim: int, a, b, budget=DEFAULT_BUDGET) -> tuple
 # -- ablation probes --------------------------------------------------------------
 
 
-def no_shift_mass(n: int, dim: int, budget=DEFAULT_BUDGET) -> Fraction:
+def no_shift_mass(n: int, dim: int) -> Fraction:
     """Exact P(p1 in [0, 1/n)^dim) for the unshifted jittered lattice.
 
     Jitter keeps each point inside its cell, so the event is exactly "the
@@ -939,12 +908,10 @@ def no_shift_mass(n: int, dim: int, budget=DEFAULT_BUDGET) -> Fraction:
     under every generator: (n - 1)^dim of the (n - 1)^dim n (generator,
     point index) terms hit, so the value is 1/n for every dim, which breaks
     marginal uniformity as soon as dim >= 2 (a uniform point would give
-    1/n^dim).  The budget counts the trial divisions of the primality test,
-    at most (isqrt(n) + 1) // 2, and is charged before it runs.
+    1/n^dim).  A closed form: no budget applies.
     """
     if dim < 1:
         raise ValueError("needs dim >= 1")
-    _charge((isqrt(max(n, 0)) + 1) // 2, budget, "primality test", "trial divisions")
     if not is_prime(n):
         raise ValueError("needs a prime n")
     return Fraction(1, n)

@@ -50,6 +50,7 @@ from .variance import (
     variance_compare,
 )
 from .rng import RngStream
+from .samplers import _check_size
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -128,7 +129,16 @@ def _write_manifest(path: str, argv, seed, t0, extra=None) -> None:
 
 
 def _emit(args, payload: dict, argv, seed, t0) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=1)
+    # exact counts can pass the interpreter's int-to-str digit limit (4300
+    # by default, none before Python 3.10.7): lifted for this dump only
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=1)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     out = getattr(args, "out", None)
     if out:
         _write_with_manifest(out, text + "\n", argv, seed, t0)
@@ -230,7 +240,7 @@ def _cmd_analyze(args, argv, t0) -> int:
         eps = parse_rational(args.epsilon) if args.epsilon is not None else None
         payload = {"n": n, "dim": dim}
 
-        mass = no_shift_mass(n, dim, budget=budget)
+        mass = no_shift_mass(n, dim)
         uniform = Fraction(1, n**dim)
         payload["no_shift"] = {
             "first_cell_mass": format_rational(mass),
@@ -296,6 +306,7 @@ def _cmd_variance(args, argv, t0) -> int:
         results = run_variance_batch(cfg)
     else:
         spec = _spec_from_args(args)
+        _check_size(spec.n, spec.dim)
         f = get_integrand(args.integrand, spec.dim)
         reps = 1000 if args.replications is None else args.replications
         seed = 0 if args.seed is None else args.seed

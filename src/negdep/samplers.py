@@ -28,6 +28,7 @@ from .schemes import SchemeSpec, spec_from_dict, spec_to_dict
 
 __all__ = [
     "MAX_N",
+    "MAX_COORDINATES",
     "PointSet",
     "generate",
     "replicate",
@@ -48,6 +49,9 @@ _FRAC_ONE = 1 << FRAC_BITS
 # Coordinate numerators live in [0, n * 2**53) and all intermediate sums fit
 # int64 for n up to this cap; plenty for desk scale.
 MAX_N = 512
+# A point set holds n * dim coordinates: 8 MB of int64 numerators at this
+# cap, which is checked before any word is drawn or any array built.
+MAX_COORDINATES = 2**20
 
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
@@ -115,11 +119,14 @@ def _unit_floats(nums: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(out, _BELOW_ONE, out=out)
 
 
-def _check_n(n: int) -> None:
+def _check_size(n: int, dim: int) -> None:
+    """Refuse a point set of more than MAX_N points or MAX_COORDINATES coordinates."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > MAX_N:
         raise ValueError(f"n is capped at {MAX_N} (exact int64 coordinate encoding)")
+    if n * dim > MAX_COORDINATES:
+        raise ValueError(f"n * dim = {n * dim} exceeds the cap of {MAX_COORDINATES} coordinates")
 
 
 def _perm_words(n: int) -> int:
@@ -128,13 +135,13 @@ def _perm_words(n: int) -> int:
 
 
 def _draw_words(spec: SchemeSpec) -> int:
-    """Words one point set of spec likely draws, after checking n.
+    """Words one point set of spec likely draws, after checking its size.
 
     Two per generator entry (integer(1) draws none) and per shift cell, one
     more per torus fraction, the permutations, then one per jitter.
     """
     n, dim = spec.n, spec.dim
-    _check_n(n)
+    _check_size(n, dim)
     jitter = n * dim if spec.jitter and spec.kind != "patterson" else 0
     if spec.kind != "rsj_lattice":
         return dim * _perm_words(n) + jitter
@@ -152,7 +159,7 @@ def _latin(spec: SchemeSpec, rng: RngStream) -> PointSet:
     # stratified1d, lhs and patterson: one stratum permutation per
     # coordinate, then iid jitter in the cell or the exact cell midpoint
     n, dim = spec.n, spec.dim
-    _check_n(n)
+    _check_size(n, dim)
     cells = np.empty((n, dim), dtype=np.int64)
     for i in range(dim):
         cells[:, i] = rng.permutation(n)
@@ -188,10 +195,10 @@ def rank1_lattice_points(g, n: int) -> PointSet:
     generator is g/n).  This is the deterministic building block; sampling
     entry points additionally randomize and permute.
     """
-    _check_n(n)
+    g = tuple(int(v) for v in g)
+    _check_size(n, len(g))
     if not is_prime(n):
         raise ValueError(f"N must be prime for a rank-1 lattice (got {n})")
-    g = tuple(int(v) for v in g)
     if any(not 1 <= v < n for v in g):
         raise ValueError("degenerate generator: coordinates must be nonzero mod N")
     spec = SchemeSpec("rsj_lattice", n, len(g), generator=g, shift="none", jitter=False)
@@ -224,7 +231,7 @@ def rsj_rank1(spec: SchemeSpec, rng: RngStream) -> PointSet:
     if spec.kind != "rsj_lattice":
         raise ValueError(f"rsj_rank1 needs an rsj_lattice spec, got {spec.kind!r}")
     n, dim = spec.n, spec.dim
-    _check_n(n)
+    _check_size(n, dim)
 
     if spec.generator == "random":
         g = [rng.integer(n - 1) + 1 for _ in range(dim)]

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .rng import RngStream
-from .samplers import _draw_words, _stream_blocks, _unit_floats, generate
+from .samplers import _check_size, _draw_words, _stream_blocks, _unit_floats, generate
 from .schemes import SchemeSpec, _as_int, is_marginally_uniform, spec_from_dict, spec_to_dict
 
 __all__ = [
@@ -394,6 +394,8 @@ def run_variance_batch(config: dict) -> list:
     "schemes" (spec dicts; each is run at every size, which sets its
     "n"/"dim" and overrides any the dict carries),
     "integrands" (names).  Returns VarianceResult objects in a stable order.
+    Every size is checked against the point-set caps (MAX_N, MAX_COORDINATES)
+    before any job runs.
     """
     seed = _as_int(config.get("seed", 0), "seed")
     replications = _as_int(config["replications"], "replications")
@@ -405,6 +407,7 @@ def run_variance_batch(config: dict) -> list:
         if not isinstance(size, (list, tuple)) or len(size) != 2:
             raise ValueError(f"sizes entries must be [n, dim] pairs, got {size!r}")
         sizes.append(tuple(_as_int(v, "sizes") for v in size))
+        _check_size(*sizes[-1])
     results = []
     job = 0
     root = RngStream(seed)

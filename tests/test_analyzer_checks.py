@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -184,7 +185,7 @@ class TestTripleDistinguisher:
         with pytest.raises(BudgetExceededError, match="84 cell entries exceeds budget 83"):
             triple_distinguisher(7, 2, (0, 0), (1, 2), budget=83)
         assert triple_distinguisher(7, 2, (0, 0), (1, 2), budget=84) == (1, 120)
-        # charged before the trial division of n, which would run for minutes here
+        # charged before n is tested or any of the 10^36 cell entries built
         with pytest.raises(BudgetExceededError, match="cell entries"):
             triple_distinguisher(10**18 + 3, 2, (0, 0), (1, 2))
 
@@ -212,14 +213,12 @@ class TestNoShiftMass:
             with pytest.raises(ValueError, match="prime|dim"):
                 no_shift_mass(n, d)
 
-    def test_budget_counts_terms(self):
-        # the trial divisions of the primality test, (isqrt(n) + 1) // 2,
-        # whatever the dim
-        for n, dim, work in ((5, 2, 1), (7, 4, 1), (13, 3, 2), (10000019, 2, 1581)):
-            with pytest.raises(BudgetExceededError,
-                               match=f"{work} trial divisions exceeds budget {work - 1}"):
-                no_shift_mass(n, dim, budget=work - 1)
-            assert no_shift_mass(n, dim, budget=work) == F(1, n)
+    def test_huge_prime_n_is_decided_at_once(self):
+        t0 = time.perf_counter()
+        assert no_shift_mass(10**18 + 3, 2) == F(1, 10**18 + 3)
+        with pytest.raises(ValueError, match="prime"):
+            no_shift_mass(10**18 + 1, 2)
+        assert time.perf_counter() - t0 < 0.1
 
 
 class TestShiftOnlyConditional:

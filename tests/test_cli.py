@@ -1,14 +1,16 @@
 import hashlib
 import json
 import re
+import sys
 import time
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from negdep import __version__, analyzer, cli
+from negdep import __version__, analyzer, cli, rng, variance
 from negdep.cli import build_parser, main
 from negdep.samplers import point_set_from_csv, point_set_from_json
 from negdep.schemes import KINDS, SHIFTS, spec_from_dict
@@ -207,13 +209,35 @@ class TestAnalyze:
         payload = json.loads(out)
         assert payload["lattice"] == 1 and payload["lhs"] == 6
 
+    @pytest.mark.parametrize("argv, key, value", [
+        (["nuod", "--scheme", "lhs", "--n", "5", "--dim", "4000", "--grid", "5"],
+         ("grid", "pairs"), 5**8000),
+        (["triple", "--n", "1009", "--dim", "4", "--a", "0,0,0,0", "--b", "1,2,3,4"],
+         ("lhs",), factorial(1007)**3),
+    ], ids=["nuod-grid-pairs", "triple-lhs"])
+    def test_exact_counts_of_any_size_are_printed(self, capsys, argv, key, value):
+        # past the interpreter's 4300-digit int-to-str limit, which the dump
+        # lifts for itself only
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "analyze", *argv)
+        assert code == 0 and err == ""
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            payload = json.loads(out)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        for k in key:
+            payload = payload[k]
+        assert payload == value
+
     def test_triple_shared_cell_usage_error(self, capsys):
         code, _, err = run(capsys, "analyze", "triple", "--n", "5", "--dim", "2",
                            "--a", "0,0", "--b", "0,2")
         assert code == 2
 
     def test_triple_budget_refuses_before_primality(self, capsys):
-        # the cell entries are charged before trial division of n
+        # the cell entries are charged before n is tested or any lattice built
         t0 = time.perf_counter()
         code, out, err = run(capsys, "analyze", "triple", "--n", "1000000000000000003",
                              "--dim", "2", "--a", "0,0", "--b", "1,2")
@@ -401,6 +425,29 @@ class TestVariance:
         code, out, err = run(capsys, "variance", "--config", str(cfg_path))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--scheme", "lhs", "--n", "2", "--dim", "1000000000", "--seed", "1"],
+    ["variance", "--scheme", "rsj", "--n", "5", "--dim", "300000", "--integrand", "product"],
+    ["variance", "--config", "CONFIG"],
+], ids=["generate", "variance-inline", "variance-config"])
+def test_oversized_point_sets_refused_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    # n * dim past 2**20 exits 2 before a word is mixed or an integrand built
+    def untouched(*args, **kwargs):
+        raise AssertionError("work started before the size check")
+
+    monkeypatch.setattr(rng, "_words", untouched)
+    monkeypatch.setattr(variance, "get_integrand", untouched)
+    monkeypatch.setattr(cli, "get_integrand", untouched)
+    config = tmp_path / "batch.json"
+    config.write_text(json.dumps({"seed": 1, "replications": 100, "sizes": [[2, 10**9]],
+                                  "schemes": [{"kind": "lhs"}], "integrands": ["product"]}))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *[str(config) if a == "CONFIG" else a for a in argv])
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: n * dim = ") and err.count("\n") == 1, err
 
 
 class TestReproduce:

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,27 @@ def test_is_prime_small():
     composites = [0, 1, 4, 6, 9, 15, 49, 100, 121]
     assert all(is_prime(p) for p in primes)
     assert not any(is_prime(c) for c in composites)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
+
+    assert [n for n in range(5000) if is_prime(n)] == [n for n in range(5000) if trial(n)]
+
+
+def test_is_prime_refutes_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2..7, 2..23 and 2..37
+    for n, factor in ((3215031751, 151), (3825123056546413051, 149491),
+                      (318665857834031151167461, 399165290221)):
+        assert n % factor == 0 and not is_prime(n)
+    assert is_prime(10**18 + 3) and is_prime(2**61 - 1)
+
+
+def test_is_prime_refuses_past_its_bound():
+    assert not is_prime(3317044064679887385961981 - 1)  # even, and below the bound
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        is_prime(3317044064679887385961981)
 
 
 def test_parse_rational_exact():

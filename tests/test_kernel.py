@@ -863,16 +863,28 @@ def test_pair_counts_match_index_pair_enumerator(spec):
 
 
 def test_pair_counts_budget_counts_terms():
-    # the terms of the class sum plus the n^(2 dim) entries of P: (n - 1)
-    # n^dim difference classes under a grid shift, n (n - 1) |generators|
-    # table nonzeros without one, n^dim for lhs
-    for spec, work in ((full_rsj(5, 2), 4 * 5**2 + 5**4),
+    # the enumerated codes, classes x prod |G_i|, plus the n^(2 dim) entries
+    # of P: n - 1 difference classes under a grid shift, n (n - 1) ordered
+    # pairs without one, one class of (n - 1)^dim codes for the latin kinds
+    for spec, work in ((full_rsj(5, 2), 4 * 4**2 + 5**4),
+                       (SchemeSpec(RSJ, 5, 2, generator=(1, 2)), 4 + 5**4),
                        (SchemeSpec(RSJ, 5, 2, generator=(1, 2), shift="none"), 20 + 5**4),
                        (SchemeSpec(RSJ, 5, 2, shift="none"), 20 * 4**2 + 5**4),
-                       (lhs_spec(4, 2), 4**2 + 4**4)):
+                       (lhs_spec(4, 2), 3**2 + 4**4),
+                       (patterson_spec(4, 2), 3**2 + 4**4)):
         with pytest.raises(mod.BudgetExceededError, match=f"{work} terms"):
             _pair_counts(spec, budget=work - 1)
         _pair_counts(spec, budget=work)
+
+
+@pytest.mark.parametrize("shift", ["grid", "none"])
+def test_pair_counts_refuses_before_building_generators(monkeypatch, shift):
+    def unbuilt(spec):
+        raise AssertionError("generator values built before the budget check")
+
+    monkeypatch.setattr(mod, "_generators", unbuilt)
+    with pytest.raises(mod.BudgetExceededError, match="enumeration too large"):
+        _pair_counts(SchemeSpec(RSJ, 10000019, 2, shift=shift))
 
 
 # -- structural checks on the integer counts ----------------------------------

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -30,6 +31,14 @@ def test_rsj_requires_prime_n():
     with pytest.raises(ValueError, match="prime"):
         SchemeSpec("rsj_lattice", 6, 2)
     SchemeSpec("rsj_lattice", 2, 3)  # 2 is prime
+
+
+def test_huge_prime_n_is_decided_at_once():
+    t0 = time.perf_counter()
+    assert SchemeSpec("rsj_lattice", 10**18 + 3, 2).n == 10**18 + 3
+    with pytest.raises(ValueError, match="prime"):
+        SchemeSpec("rsj_lattice", 10**18 + 1, 2)
+    assert time.perf_counter() - t0 < 0.01
 
 
 def test_degenerate_generator_rejected():
