@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exact import format_rational, is_prime
+from .exact import any_digits, format_rational, is_prime
 from .schemes import SchemeSpec, full_rsj, lhs_spec
 
 __all__ = [
@@ -207,8 +207,14 @@ def _generator_count(spec: SchemeSpec) -> int:
     return spec.n - 1 if spec.kind == "rsj_lattice" and spec.generator == "random" else 1
 
 
-def _pair_counts(spec: SchemeSpec, budget=DEFAULT_BUDGET):
-    """Exact integer counts of the cell-pair law, as (P, total).
+def _shift_invariant(spec: SchemeSpec) -> bool:
+    """Whether the cell-pair law is a function of z2 - z1: a latin kind, or a lattice under a grid shift."""
+    return spec.kind in ("stratified1d", "lhs", "patterson") or (
+        spec.kind == "rsj_lattice" and spec.shift == "grid")
+
+
+def _pair_counts(spec: SchemeSpec, budget=DEFAULT_BUDGET, gather: bool = True):
+    """Exact integer counts of the cell-pair law, as (P, total), or (F, total) ungathered.
 
     P[i, j] counts the configurations that put p1 in cell vector i and p2
     in cell vector j, with the n^dim cell vectors numbered lexicographically
@@ -225,12 +231,19 @@ def _pair_counts(spec: SchemeSpec, budget=DEFAULT_BUDGET):
     bincount is the difference row F.  lhs, stratified and patterson are
     one class (0, 1) whose coordinates take every value 1..n-1 (composite
     n too).  Without a shift every ordered pair (a, b) is a class, coded by
-    its cells (gamma a, gamma b) in P's layout.  The budget counts the
-    codes, classes x prod_i |G_i| (_generator_count, n - 1 for the latin
-    kinds), plus the n^(2 dim) entries of P, before any generator array is
-    built.  Counts and total are divided by their common gcd; under a shift
-    every row of P is a permutation of F, so the gcd is taken on F, and P
-    is gathered from the reduced F in one pass.
+    its cells (gamma a, gamma b) in P's layout.  Counts and total are
+    divided by their common gcd; under a shift every row of P is a
+    permutation of F, so the gcd is taken on F, and P is gathered from the
+    reduced F in one pass.
+
+    With gather False a shift-invariant law (_shift_invariant: a latin
+    kind, or a grid shift) is returned as F itself, shape (n,) * dim with
+    coordinate i on axis i and P[z1, z2] = F[z2 - z1]
+    (total is still the sum of P, n^dim times the sum of F); a law without
+    a shift is P either way.  The budget counts the codes, classes x
+    prod_i |G_i| (_generator_count, n - 1 for the latin kinds), plus the
+    entries returned, n^(2 dim) for P and n^dim for F, before any generator
+    array is built.
     """
     n, dim = spec.n, spec.dim
     if n < 2:
@@ -242,13 +255,15 @@ def _pair_counts(spec: SchemeSpec, budget=DEFAULT_BUDGET):
             raise UnsupportedSchemeError(
                 "the discrete cell law is undefined for a continuous torus shift"
             )
-        shifted = spec.shift == "grid"
-        classes, values = (n - 1 if shifted else n * (n - 1)), _generator_count(spec)
+        classes = n - 1 if spec.shift == "grid" else n * (n - 1)
+        values = _generator_count(spec)
     elif latin:
-        shifted, classes, values = True, 1, n - 1
+        classes, values = 1, n - 1
     else:
         raise UnsupportedSchemeError(f"no discrete pair law for kind {spec.kind!r}")
-    _charge(classes * values**dim + cells * cells, budget, "enumeration", "terms")
+    shifted = _shift_invariant(spec)
+    entries = cells * cells if gather or not shifted else cells
+    _charge(classes * values**dim + entries, budget, "enumeration", "terms")
     if shifted:
         b = np.arange(1, 2 if latin else n)
     else:
@@ -266,6 +281,8 @@ def _pair_counts(spec: SchemeSpec, budget=DEFAULT_BUDGET):
     counts //= g
     if not shifted:
         return counts.reshape(cells, cells), total // g
+    if not gather:
+        return counts.reshape((n,) * dim), total // g
     # coordinate i's difference (z2_i - z1_i) mod n, on axes i (z1) and dim + i (z2)
     m = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
     diffs = tuple(m.reshape([n if k in (i, dim + i) else 1 for k in range(2 * dim)])
@@ -273,12 +290,17 @@ def _pair_counts(spec: SchemeSpec, budget=DEFAULT_BUDGET):
     return counts.reshape((n,) * dim)[diffs].reshape(cells, cells), total // g
 
 
-def _law_counts(n: int, dim: int, spec: SchemeSpec, budget):
-    """_pair_counts of spec (default the full lattice), which must have size (n, dim)."""
+def _sized_spec(n: int, dim: int, spec: SchemeSpec) -> SchemeSpec:
+    """spec (default the full lattice), which must have size (n, dim)."""
     spec = spec if spec is not None else full_rsj(n, dim)
     if (spec.n, spec.dim) != (n, dim):
         raise ValueError("spec size does not match (n, dim)")
-    return _pair_counts(spec, budget)
+    return spec
+
+
+def _law_counts(n: int, dim: int, spec: SchemeSpec, budget, gather: bool = True):
+    """_pair_counts of _sized_spec(n, dim, spec)."""
+    return _pair_counts(_sized_spec(n, dim, spec), budget, gather)
 
 
 # -- the integer kernel ------------------------------------------------------------
@@ -744,8 +766,9 @@ def _fraction_strings(table, den: int) -> list:
     """
     values, inverse = np.unique(table.ravel(), return_inverse=True)
     g = np.gcd(values, den)
-    text = np.array([f"{a}/{b}" for a, b in zip((values // g).tolist(), (den // g).tolist())],
-                    dtype=object)
+    with any_digits():
+        text = np.array([f"{a}/{b}" for a, b in zip((values // g).tolist(), (den // g).tolist())],
+                        dtype=object)
     return text[inverse.reshape(table.shape)].tolist()
 
 
@@ -766,15 +789,23 @@ def copula_equality_check(n: int, dim: int, spec: SchemeSpec = None,
     Both laws are exact integer counts, compared over a common denominator:
     the discrepancy is the largest |P_a t_b - P_b t_a| / (t_a t_b).  The
     fully randomized lattice matches lhs exactly (discrepancy 0); a fixed
-    generator does not.
+    generator does not.  lhs is shift-invariant, and so is a lattice under
+    a grid shift: then both are compared on their difference rows F
+    (_pair_counts ungathered), n^dim entries each.  P[z1, z2] = F[z2 - z1]
+    for both, so the entries of P_a t_b - P_b t_a are those of
+    F_a t_b - F_b t_a.  Only a lattice without a shift is compared on the
+    n^(2 dim) entries of P, against the gathered lhs law.  Each law is
+    charged to the budget on its own: its codes plus the entries returned.
     """
-    P_a, t_a = _law_counts(n, dim, spec, budget)
-    P_b, t_b = _law_counts(n, dim, lhs_spec(n, dim), budget)
+    spec = _sized_spec(n, dim, spec)
+    gather = not _shift_invariant(spec)
+    counts_a, t_a = _law_counts(n, dim, spec, budget, gather)
+    counts_b, t_b = _law_counts(n, dim, lhs_spec(n, dim), budget, gather)
     dtype = _int_dtype(t_a * t_b)
     # both count arrays are private to this call: scale and subtract in place
-    diff = P_a.astype(dtype, copy=False)
+    diff = counts_a.astype(dtype, copy=False)
     diff *= t_b
-    scaled = P_b.astype(dtype, copy=False)
+    scaled = counts_b.astype(dtype, copy=False)
     scaled *= t_a
     diff -= scaled
     worst = Fraction(int(np.abs(diff, out=diff).max()), t_a * t_b)
@@ -796,37 +827,57 @@ def coordinate_independence_check(n: int, dim: int, spec: SchemeSpec = None,
 
     For each I subset of {0..dim-1} and every assignment of cell pairs on I,
     the joint marginal over I must equal the product of single-coordinate
-    marginals: on the integer counts, C_I total^(|I|-1) == prod of the c_i.
-    Exact; returns the first failing assignment as witness, with subsets in
-    combinations order and each coordinate's cell pairs in order of first
-    appearance in the support of C (the nonzero cell-pair codes in Fortran
-    order, coordinate 0 least significant).
+    marginals: on the integer counts C by per-coordinate cell pair code
+    z1 * n + z2, C_I total^(|I|-1) == prod of the c_i.  Exact; returns the
+    first failing assignment as witness, with subsets in combinations order
+    and each coordinate's cell pairs in order of first appearance in the
+    support of C (the nonzero cell-pair codes in Fortran order, coordinate
+    0 least significant).
+
+    A shift-invariant law (a grid shift, or a latin kind) is checked on its
+    difference row F alone (_pair_counts ungathered, n^dim entries): C is
+    F[z2 - z1] per coordinate, so with S = sum F the marginals are
+    C_I = n^(dim-|I|) F_I, total = n^dim S, and the test is exactly
+    F_I S^(|I|-1) == prod F_i.  In the support of C a cell pair (z1, z2)
+    first appears where every other coordinate takes its smallest code,
+    and among the pairs of one difference e the smallest code is (0, e):
+    so the cell pairs come in the order of first appearance of the
+    differences in the support of F in Fortran order, each as (0, e), and
+    the witness is the one the dense C gives.  Only a law without a shift
+    is read as C, from its n^(2 dim) entries P.  Either way the test runs
+    on one coordinate count array X (F or C) with S = sum X.  The budget
+    counts the codes plus the entries built (_pair_counts).
     """
-    P, total = _law_counts(n, dim, spec, budget)
-    nn = n * n
-    # C[c_0, .., c_{dim-1}] counts by per-coordinate cell pair code z1 * n + z2
-    axes = [ax for i in range(dim) for ax in (i, dim + i)]
-    C = P.reshape((n,) * (2 * dim)).transpose(axes).reshape((nn,) * dim)
-    del P
-    C = C.astype(_int_dtype(total**dim), copy=False)
-    singles = [C.sum(axis=tuple(j for j in range(dim) if j != i)) for i in range(dim)]
+    spec = _sized_spec(n, dim, spec)
+    gather = not _shift_invariant(spec)
+    X, _ = _law_counts(n, dim, spec, budget, gather)
+    if gather:
+        axes = [ax for i in range(dim) for ax in (i, dim + i)]
+        X = X.reshape((n,) * (2 * dim)).transpose(axes).reshape((n * n,) * dim)
+        base, weight = n * n, 1
+    else:
+        # F's code e < n is the cell pair (0, e) = divmod(e, n), and stands for n cell pairs
+        base, weight = n, n
+    S = int(X.sum())
+    X = X.astype(_int_dtype(S**dim), copy=False)
+    singles = [X.sum(axis=tuple(j for j in range(dim) if j != i)) for i in range(dim)]
     # compared on every code: off a coordinate's support both sides are 0
     for size in range(2, dim + 1):
         for idx in combinations(range(dim), size):
-            joint = C if size == dim else C.sum(axis=tuple(j for j in range(dim) if j not in idx))
+            joint = X if size == dim else X.sum(axis=tuple(j for j in range(dim) if j not in idx))
             expected = singles[idx[0]]
             for i in idx[1:]:
                 expected = np.multiply.outer(expected, singles[i])
-            scaled = joint * total ** (size - 1)
+            scaled = joint * S ** (size - 1)
             if np.array_equal(scaled, expected):
                 continue
-            # the witness: the support of C in Fortran order (coordinate 0
-            # least significant), each coordinate's cell pairs in order of
-            # first appearance there
-            support = np.flatnonzero(C.ravel(order="F"))
+            # the witness: the support of X in Fortran order (coordinate 0
+            # least significant), each coordinate's codes in order of first
+            # appearance there
+            support = np.flatnonzero(X.ravel(order="F"))
             orders = []
             for i in idx:
-                values, first = np.unique(support // nn**i % nn, return_index=True)
+                values, first = np.unique(support // base**i % base, return_index=True)
                 orders.append(values[np.argsort(first)])
             cells = np.ix_(*orders)
             bad = scaled[cells] != expected[cells]
@@ -835,8 +886,8 @@ def coordinate_independence_check(n: int, dim: int, spec: SchemeSpec = None,
             return IndependenceReport(False, {
                 "subset": idx,
                 "cells": tuple(divmod(c, n) for c in codes),
-                "joint": Fraction(int(joint[codes]), total),
-                "product": prod(Fraction(int(singles[i][c]), total)
+                "joint": Fraction(int(joint[codes]), weight**size * S),
+                "product": prod(Fraction(int(singles[i][c]), weight * S)
                                 for i, c in zip(idx, codes)),
             })
     return IndependenceReport(True)

@@ -38,7 +38,7 @@ from .analyzer import (
     shift_only_conditional,
     triple_distinguisher,
 )
-from .exact import format_rational, parse_rational
+from .exact import any_digits, format_rational, parse_rational
 from .schemes import SchemeSpec, _as_int, patterson_spec, spec_to_dict
 from .variance import (
     get_integrand,
@@ -129,16 +129,8 @@ def _write_manifest(path: str, argv, seed, t0, extra=None) -> None:
 
 
 def _emit(args, payload: dict, argv, seed, t0) -> None:
-    # exact counts can pass the interpreter's int-to-str digit limit (4300
-    # by default, none before Python 3.10.7): lifted for this dump only
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
+    with any_digits():  # exact counts of any size
         text = json.dumps(payload, sort_keys=True, indent=1)
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
     out = getattr(args, "out", None)
     if out:
         _write_with_manifest(out, text + "\n", argv, seed, t0)

@@ -7,6 +7,7 @@ enter the exact path; they only appear in sampler exports and in the
 variance lab.
 """
 
+import sys
 from fractions import Fraction
 
 __all__ = [
@@ -74,7 +75,28 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+class any_digits:
+    """Lift the interpreter's int-to-str digit limit inside a with block, and restore it after.
+
+    Exact counts and rationals can pass the limit (4300 digits by default,
+    none before Python 3.10.7), which would make printing them raise.  A
+    class rather than a generator context manager: format_rational enters
+    it on every call, and this costs about a third as much per entry.
+    """
+
+    def __enter__(self):
+        self.limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0: no limit
+        if self.limit:
+            sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc):
+        if self.limit:
+            sys.set_int_max_str_digits(self.limit)
+
+
 def format_rational(x: Fraction) -> str:
+    """x as "num/den" in lowest terms, with any number of digits."""
     if not isinstance(x, Fraction):
         x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+    with any_digits():
+        return f"{x.numerator}/{x.denominator}"

@@ -1,15 +1,19 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from fractions import Fraction as F
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import negdep
 from negdep import __version__, analyzer, cli, rng, variance
 from negdep.cli import build_parser, main
 from negdep.samplers import point_set_from_csv, point_set_from_json
@@ -230,6 +234,25 @@ class TestAnalyze:
         for k in key:
             payload = payload[k]
         assert payload == value
+
+    def test_exact_rationals_of_any_size_are_printed(self, capsys):
+        # the joint and product of lhs(5, 6000) at anchors 1/7 have more
+        # digits than the interpreter's int-to-str limit
+        limit = sys.get_int_max_str_digits()
+        anchor = ",".join(["1/7"] * 6000)
+        code, out, err = run(capsys, "analyze", "pairprob", "--scheme", "lhs", "--n", "5",
+                             "--dim", "6000", "--Q", anchor, "--R", anchor)
+        assert code == 0 and err == ""
+        assert sys.get_int_max_str_digits() == limit
+        payload = json.loads(out)
+        sys.set_int_max_str_digits(0)
+        try:
+            assert len(payload["joint"]) > limit
+            # lhs factorizes: one stratified pair factor and two 6/7 marginals per coordinate
+            assert F(payload["joint"]) == analyzer.stratified_pair_box_prob(F(1, 7), F(1, 7), 5)**6000
+            assert F(payload["product"]) == F(6, 7) ** 12000
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_triple_shared_cell_usage_error(self, capsys):
         code, _, err = run(capsys, "analyze", "triple", "--n", "5", "--dim", "2",
@@ -523,6 +546,13 @@ class TestParserReuse:
         code, out, _ = run(capsys, *NUOD)
         assert code == 1 and json.loads(out)["violations"]
         assert run(capsys, "--version") == (0, f"negdep {__version__}\n", "")
+
+    def test_python_m_negdep_runs_the_cli(self):
+        # from a checkout, with only the source directory on the path
+        env = {**os.environ, "PYTHONPATH": str(Path(negdep.__file__).parent.parent)}
+        done = subprocess.run([sys.executable, "-m", "negdep", "--version"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, f"negdep {__version__}\n", "")
 
     def test_pairs_csv_does_not_carry_over(self, tmp_path, capsys):
         pairs, report = tmp_path / "pairs.csv", tmp_path / "report.json"

@@ -1,10 +1,13 @@
+import sys
 from fractions import Fraction as F
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from negdep.analyzer import _fraction_strings
 from negdep.exact import format_rational, is_prime, parse_rational
 # the circle geometry is the torus route's test oracle, kept in test_kernel
 from test_kernel import CircularInterval, circular_overlap, torus_dist
@@ -55,6 +58,24 @@ def test_parse_rational_zero_denominator_is_a_value_error(text):
 def test_format_rational():
     assert format_rational(F(3, 5)) == "3/5"
     assert format_rational(F(0)) == "0/1"
+
+
+def test_rationals_past_the_digit_limit_are_formatted():
+    # 5000 digits under the interpreter's default limit, 4300, which is back
+    # in place after each call: one rational, and a scan table's cells
+    big = 10**4999 + 1
+    outer = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        text = format_rational(F(big, 3))
+        assert sys.get_int_max_str_digits() == 4300
+        cells = _fraction_strings(np.array([[1, 2], [2, 0]], dtype=object), 2 * big)
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(outer)
+    assert text == "1" + "0" * 4998 + "1/3"
+    assert cells[1][1] == "0/1" and cells[0][1] == cells[1][0] == f"1/{text[:-2]}"
+    assert cells[0][0] == "1/2" + "0" * 4998 + "2"
 
 
 def test_rational_arithmetic_exact_random_pairs():

@@ -48,6 +48,7 @@ from negdep.analyzer import (
     AnchoredBox,
     DependenceReport,
     HypothesisViolatedError,
+    IndependenceReport,
     UnsupportedSchemeError,
     _certified,
     _contract,
@@ -954,6 +955,37 @@ def test_structural_checks_pass_at_eleven_cubed():
     assert coordinate_independence_check(11, 3).ok
 
 
+def test_structural_checks_on_the_difference_row_at_scale():
+    # shift-invariant laws are checked on their n^d difference row: the
+    # dense law of (17, 3) has 2.4e7 entries, that of (101, 3) 1.06e12
+    assert coordinate_independence_check(17, 3).ok
+    fixed = SchemeSpec(RSJ, 101, 3, generator=(1, 2, 3))
+    # lattice cells have mass 1/(n^d (n-1)), lhs cells 1/(n^d (n-1)^d)
+    n, d = 101, 3
+    worst = F((n - 1) ** (d - 1) - 1, n**d * (n - 1) ** d)
+    assert worst == F(99, 10201000000)
+    assert copula_equality_check(n, d, fixed) == (False, worst)
+    # F is 1 at (delta, 2 delta, 3 delta): in Fortran order the support
+    # starts at 3 delta = 1, delta = 34, so the first cell pairs are (0, 34)
+    # and (0, 68), with joint 1/(n^2 (n-1)) and marginals 1/(n (n-1))
+    rep = coordinate_independence_check(n, d, fixed)
+    assert rep == IndependenceReport(False, {
+        "subset": (0, 1), "cells": ((0, 34), (0, 68)),
+        "joint": F(1, n**2 * (n - 1)), "product": F(1, n * (n - 1)) ** 2})
+
+
+@pytest.mark.parametrize("spec,work", [
+    (full_rsj(5, 2), 4 * 4**2 + 5**2),  # the codes plus the 5^2 entries of F
+    (SchemeSpec(RSJ, 5, 2, shift="none"), 20 * 4**2 + 5**4),  # plus the 5^4 of P
+], ids=["grid", "none"])
+def test_structural_check_budgets(spec, work):
+    # each law is charged on its own; lhs's (4^2 codes) is the smaller here
+    for check in (copula_equality_check, coordinate_independence_check):
+        with pytest.raises(mod.BudgetExceededError, match=f"{work} terms exceeds budget {work - 1}"):
+            check(5, 2, spec, budget=work - 1)
+        check(5, 2, spec, budget=work)
+
+
 def _xor_counts(n, pairs):
     """(P, total) of a law that is pairwise independent but not three-wise.
 
@@ -971,32 +1003,78 @@ def _xor_counts(n, pairs):
 
 def test_independence_witness_on_a_later_subset(monkeypatch):
     # no supported spec fails past subset (0, 1); coordinate 0's first cell
-    # pair in support order, (2, 1), is not its smallest code
+    # pair in support order, (2, 1), is not its smallest code.  The law of
+    # a spec without a shift is read on the dense route
     n, pairs = 3, [((2, 1), (0, 1)), ((0, 1), (1, 2)), ((1, 0), (2, 0))]
-    monkeypatch.setattr(mod, "_law_counts", lambda *args: _xor_counts(n, pairs))
-    spec = full_rsj(n, 3)
-    rep = coordinate_independence_check(n, 3)
+    monkeypatch.setattr(mod, "_law_counts", lambda *args, **kwargs: _xor_counts(n, pairs))
+    spec = SchemeSpec(RSJ, n, 3, shift="none")
+    rep = coordinate_independence_check(n, 3, spec)
     ok, witness = oracle_independence(spec)
     assert not ok and witness["subset"] == (0, 1, 2) and witness["cells"][0] == (2, 1)
     assert (rep.ok, rep.witness) == (ok, witness)
     assert repr(rep.witness) == repr(witness)
 
 
+def _xor_row(n, diffs):
+    """(F, total) of a difference row that is pairwise independent but not three-wise.
+
+    Coordinate i takes difference diffs[i][x_i] for bits x_0, x_1 uniform
+    and x_2 = x_0 xor x_1; total is the sum of the gathered law, n^3 sum F.
+    """
+    F_ = np.zeros((n,) * 3, dtype=np.int64)
+    for x0, x1 in product((0, 1), repeat=2):
+        F_[tuple(diffs[i][x] for i, x in enumerate((x0, x1, x0 ^ x1)))] += 1
+    return F_, 4 * n**3
+
+
+def test_independence_witness_on_a_later_subset_of_the_difference_row(monkeypatch):
+    # F read alone: coordinate 0's first difference in support order, 2, is
+    # not its smallest, so its first cell pair is (0, 2), not (0, 1)
+    n = 3
+    row, total = _xor_row(n, [(2, 1), (1, 2), (1, 2)])
+    cellv = np.array(list(product(range(n), repeat=3)))
+    # P[z1, z2] = F[z2 - z1], for the Fraction oracle
+    dense = row[tuple(((cellv[None, :, :] - cellv[:, None, :]) % n).transpose(2, 0, 1))]
+    calls = []
+
+    def law(n_, dim, spec, budget, gather=True):
+        calls.append(gather)
+        return (dense if gather else row), total
+
+    monkeypatch.setattr(mod, "_law_counts", law)
+    rep = coordinate_independence_check(n, 3)
+    assert calls == [False]
+    ok, witness = oracle_independence(full_rsj(n, 3))
+    assert not ok and witness["subset"] == (0, 1, 2) and witness["cells"][0] == (0, 2)
+    assert (rep.ok, rep.witness) == (ok, witness)
+    assert repr(rep.witness) == repr(witness)
+
+
 def test_law_build_and_structural_check_memory_peaks():
-    # the law of full_rsj(7,3) is 343 x 343 int64, 0.94 MB; the build holds
-    # no n^(2d) index array or second copy, and the checks hold a few laws
+    # the law of (7, 3) is 343 x 343 int64, 0.94 MB.  The build holds no
+    # n^(2d) index array or second copy.  A check of a shift-invariant law,
+    # passing or failing, holds its 343-entry difference rows and never
+    # gathers the law; without a shift a check holds a few laws
     law_bytes = 7**6 * 8
-    peaks = []
-    for call in (lambda: _pair_counts(full_rsj(7, 3)),
-                 lambda: coordinate_independence_check(7, 3),
-                 lambda: copula_equality_check(7, 3)):
+    fixed = SchemeSpec(RSJ, 7, 3, generator=(1, 2, 3))
+    unshifted = SchemeSpec(RSJ, 7, 3, shift="none")
+
+    def peak(call):
         tracemalloc.start()
         try:
             call()
-            peaks.append(tracemalloc.get_traced_memory()[1] / law_bytes)
+            return tracemalloc.get_traced_memory()[1] / law_bytes
         finally:
             tracemalloc.stop()
-    assert peaks[0] <= 1.5 and max(peaks[1:]) <= 3.5, peaks
+
+    assert peak(lambda: _pair_counts(full_rsj(7, 3))) <= 1.5
+    row = [peak(lambda c=c, s=s: c(7, 3, s))
+           for c in (coordinate_independence_check, copula_equality_check)
+           for s in (full_rsj(7, 3), fixed)]
+    assert max(row) <= 0.1, row
+    dense = [peak(lambda c=c: c(7, 3, unshifted))
+             for c in (coordinate_independence_check, copula_equality_check)]
+    assert max(dense) <= 3.5, dense
 
 
 # -- the torus route over delta = b - a ---------------------------------------
