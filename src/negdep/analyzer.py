@@ -42,8 +42,6 @@ __all__ = [
     "AnchoredBox",
     "DependenceReport",
     "stratified_pair_box_prob",
-    "patterson_pair_factor",
-    "patterson_marginal_factor",
     "pair_box_prob",
     "pair_marginal_prob",
     "nuod_scan",
@@ -98,8 +96,8 @@ def _power(base: int, k: int, budget: int, what: str, unit: str) -> int:
 class AnchoredBox:
     """Box [anchor, 1) per coordinate; anchor coordinates in [0,1).
 
-    Coordinates are exact: Fractions, ints or decimal strings ("0.3" is
-    3/10).  Binary floats are rejected, so they never enter the exact path.
+    Coordinates are exact: Fractions, ints or decimal strings of any length
+    ("0.3" is 3/10).  Binary floats are rejected: they never enter the exact path.
     """
 
     anchor: tuple
@@ -107,7 +105,8 @@ class AnchoredBox:
     def __post_init__(self):
         if any(isinstance(a, (float, np.floating)) for a in self.anchor):
             raise TypeError("anchor coordinates must be exact, not binary floats")
-        anc = tuple(Fraction(a) for a in self.anchor)
+        with any_digits():
+            anc = tuple(Fraction(a) for a in self.anchor)
         if any(not 0 <= a < 1 for a in anc):
             raise ValueError("anchor coordinates must lie in [0, 1)")
         object.__setattr__(self, "anchor", anc)
@@ -122,7 +121,7 @@ class AnchoredBox:
                         prod(a.denominator for a in self.anchor))
 
 
-# -- per-coordinate closed forms ---------------------------------------------
+# -- the stratified closed form ----------------------------------------------
 
 
 def stratified_pair_box_prob(q, r, n: int) -> Fraction:
@@ -152,29 +151,6 @@ def stratified_pair_box_prob(q, r, n: int) -> Fraction:
     if eta > rho:
         q, r = r, q
     return (n * (1 - q) - 1) * (1 - r) / (n - 1)
-
-
-def _midpoint_count(q, n: int) -> int:
-    """Number of cell midpoints (2c+1)/(2n) lying in [q, 1)."""
-    q = Fraction(q)
-    # (2c+1)/(2n) >= q  <=>  c >= (2nq - 1)/2
-    lo = 2 * n * q - 1
-    c_min = -(-lo.numerator // (2 * lo.denominator)) if lo > 0 else 0
-    return max(0, n - c_min)
-
-
-def patterson_pair_factor(q, r, n: int) -> Fraction:
-    """Exact P(p1 >= q, p2 >= r) per coordinate for midpoint lattice sampling."""
-    if n < 2:
-        raise ValueError("a distinct pair needs at least two strata")
-    cq = _midpoint_count(q, n)
-    cr = _midpoint_count(r, n)
-    cboth = _midpoint_count(max(Fraction(q), Fraction(r)), n)
-    return Fraction(cq * cr - cboth, n * (n - 1))
-
-
-def patterson_marginal_factor(q, n: int) -> Fraction:
-    return Fraction(_midpoint_count(q, n), n)
 
 
 # -- the discrete pair law ----------------------------------------------------
@@ -334,17 +310,18 @@ def _kron(tables, dtype) -> np.ndarray:
     return out
 
 
-def _weight_table(anchors, n: int, position: str):
+def _weight_table(anchors, n: int, position: str, cells=None):
     """T[c, k] = P(x >= anchors[k] | cell c) * den as an integer array, and den.
 
     With q = t / den, nt = n t and cell c = [c/n, (c+1)/n): jitter covers
     clamp((c+1) den - nt, 0, den) of it, a corner c/n lies in [q, 1) iff
-    c den >= nt, a midpoint (2c+1)/(2n) iff (2c+1) den >= 2 nt.
+    c den >= nt, a midpoint (2c+1)/(2n) iff (2c+1) den >= 2 nt.  Given
+    cells, T is the one row T[k] = the weight of anchors[k] at cell cells[k].
     """
     den = lcm(*(a.denominator for a in anchors))
     dtype = _int_dtype(2 * (n + 1) * den)
     nts = np.array([n * a.numerator * (den // a.denominator) for a in anchors], dtype=dtype)
-    c = np.arange(n, dtype=dtype)[:, None]
+    c = np.arange(n, dtype=dtype)[:, None] if cells is None else np.array(cells, dtype=dtype)
     if position == "jitter":
         # np.minimum/np.maximum: np.clip's call overhead dominates at small n
         return np.minimum(np.maximum((c + 1) * den - nts, 0), den), den
@@ -377,19 +354,17 @@ def _is_factorized(spec: SchemeSpec) -> bool:
 def _count_factors(spec: SchemeSpec, budget: int) -> list:
     """The cell-pair law as count factors (P_f, total_f, k_f), over k_f coordinates each.
 
-    Every query and every scan reads the law through these.  Stratified,
-    lhs, patterson and the random-generator lattice under a grid shift,
-    jittered or not (see _is_factorized), have one ordered distinct cells
-    factor per coordinate, 1 - I over n (n - 1), given as P_f = None:
-    _apply_factor applies it in O(n) (a query's budget counts its n cells,
-    a scan's counts it as built).  The position model (jitter, corner,
-    midpoint) enters through the cell weights only.  Any other law is the
-    one _pair_counts factor over every coordinate.
+    The scan reads the law through these.  Stratified, lhs, patterson and
+    the random-generator lattice under a grid shift, jittered or not (see
+    _is_factorized), have one ordered distinct cells factor per coordinate,
+    1 - I over n (n - 1), given as P_f = None: _apply_factor applies it in
+    O(n) without building it, within the scan's own budget.  The position
+    model (jitter, corner, midpoint) enters through the cell weights only.
+    Any other law is the one _pair_counts factor over every coordinate.
     """
     if spec.n < 2:
         raise ValueError("a distinct pair needs n >= 2")
     if _is_factorized(spec):
-        _charge(spec.dim * spec.n, budget, "law", "cells")
         return [(None, spec.n * (spec.n - 1), 1)] * spec.dim
     return [(*_pair_counts(spec, budget), spec.dim)]
 
@@ -481,14 +456,42 @@ def _is_torus(spec: SchemeSpec) -> bool:
     return False
 
 
+def _step_terms(n: int, position: str, Q: AnchoredBox, R: AnchoredBox) -> list:
+    """Per-coordinate (joint, p1, p2, den_joint, den_p1, den_p2) of a factorized law, O(1) each.
+
+    A one-anchor weight column (_weight_table) is a step for every position
+    model: 0 below the anchor's cell s = floor(n q), w at s, den above.  So
+    1 - I over n (n - 1) gives, with sum_a = w_a + (n - 1 - s_a) den_a, the
+    joint sum_a sum_b - sum_c a[c] b[c] (a diagonal nonzero from max(s_a, s_b)
+    up) over n (n - 1) den_a den_b, and p1 (n - 1) sum_a over n (n - 1) den_a.
+    """
+    def steps(box):
+        cells = [n * a.numerator // a.denominator for a in box.anchor]
+        weights, den = _weight_table(box.anchor, n, position, cells)
+        # each weight over its own anchor's denominator: the box's lcm would enter dim times
+        return [(s, w * a.denominator // den, a.denominator)
+                for s, w, a in zip(cells, weights.tolist(), box.anchor)]
+
+    total = n * (n - 1)
+    terms = []
+    for (s, w, da), (t, v, db) in zip(steps(Q), steps(R)):
+        top = max(s, t)
+        diag = (w if s == top else da) * (v if t == top else db) + (n - 1 - top) * da * db
+        sum_a, sum_b = w + (n - 1 - s) * da, v + (n - 1 - t) * db
+        terms.append((sum_a * sum_b - diag, (n - 1) * sum_a, (n - 1) * sum_b,
+                      total * da * db, total * da, total * db))
+    return terms
+
+
 def _pair_query(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox, method: str = "auto",
                 budget=DEFAULT_BUDGET) -> tuple:
     """(P(p1 in Q, p2 in R), P(p1 in Q), P(p2 in R)): every box query, its route picked here.
 
-    method "auto" contracts the law's count factors (_count_factors),
-    "enumeration" the one _pair_counts factor, each the 1 x 1 case of
-    _contract; "closed_form" multiplies the per-coordinate closed forms of
-    the factorized laws with jittered or midpoint positions.  A continuous
+    A factorized law (_is_factorized, corner weights included) is answered
+    in closed form on integers, O(1) per coordinate with no budget
+    (_step_terms), by method "auto" and "closed_form" alike; any other law
+    refuses "closed_form".  The rest, and "enumeration" always, contract the
+    one _pair_counts factor (the 1 x 1 case of _contract).  A continuous
     torus shift (jitterless) has no cell law: "auto" sums its classes
     (_continuous_shift_box_prob), with the box volumes as marginals, and
     the other methods are unsupported.  An unknown method raises ValueError.
@@ -506,24 +509,19 @@ def _pair_query(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox, method: str = 
                 f"method {method!r} needs a cell law; a continuous torus shift has none")
         joint = _continuous_shift_box_prob(spec, range(spec.dim), Q.anchor, R.anchor, budget)
         return joint, Q.volume(), R.volume()
-    if method == "closed_form":
-        # the closed forms take jittered or midpoint positions, not cell corners
-        if not _is_factorized(spec) or _position_model(spec) == "corner":
-            raise UnsupportedSchemeError("no closed form for this spec; use enumeration")
-        if spec.kind == "patterson":
-            pair = patterson_pair_factor
-            marginals = [prod(patterson_marginal_factor(a, n) for a in box.anchor) for box in (Q, R)]
-        else:  # the jittered kinds are marginally uniform
-            pair, marginals = stratified_pair_box_prob, [Q.volume(), R.volume()]
-        return prod(pair(q, r, n) for q, r in zip(Q.anchor, R.anchor)), *marginals
-    factors = (_count_factors(spec, budget) if method == "auto"
-               else [(*_pair_counts(spec, budget), spec.dim)])
-    pos = _position_model(spec)
-    tables_a = [_weight_table([q], n, pos) for q in Q.anchor]
-    # pair_marginal_prob passes its one box as both Q and R
-    tables_b = tables_a if R is Q else [_weight_table([r], n, pos) for r in R.anchor]
-    terms = [(A[:, 0] @ PB[:, 0], p1[0], p2[0], total * den_a * den_b, total * den_a, total * den_b)
-             for A, PB, p1, p2, total, den_a, den_b in _contract(factors, tables_a, tables_b)]
+    pos, factorized = _position_model(spec), _is_factorized(spec)
+    if method == "closed_form" and not factorized:
+        raise UnsupportedSchemeError("no closed form for this spec; use enumeration")
+    if factorized and method != "enumeration":
+        terms = _step_terms(n, pos, Q, R)
+    else:
+        # the law first: its budget refuses a large dim before d tables are built
+        factors = [(*_pair_counts(spec, budget), spec.dim)]
+        tables_a = [_weight_table([q], n, pos) for q in Q.anchor]
+        # pair_marginal_prob passes its one box as both Q and R
+        tables_b = tables_a if R is Q else [_weight_table([r], n, pos) for r in R.anchor]
+        terms = [(A[:, 0] @ PB[:, 0], p1[0], p2[0], total * den_a * den_b, total * den_a, total * den_b)
+                 for A, PB, p1, p2, total, den_a, den_b in _contract(factors, tables_a, tables_b)]
     return tuple(Fraction(prod(int(t[j]) for t in terms), prod(t[j + 3] for t in terms))
                  for j in range(3))
 
@@ -532,7 +530,8 @@ def pair_box_prob(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox,
                   method: str = "auto", budget=DEFAULT_BUDGET) -> Fraction:
     """Exact P(p1 in Q, p2 in R) for anchored boxes Q, R: the joint of _pair_query.
 
-    method "auto", "enumeration" or "closed_form" picks the route there.
+    method "auto", "enumeration" or "closed_form" picks the route there; on a
+    factorized law "auto" and "closed_form" are one O(dim) closed form.
     """
     return _pair_query(spec, Q, R, method, budget)[0]
 

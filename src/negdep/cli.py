@@ -229,29 +229,13 @@ def _cmd_analyze(args, argv, t0) -> int:
 
     if sub == "ablation":
         n, dim = args.n, args.dim
-        eps = parse_rational(args.epsilon) if args.epsilon is not None else None
-        payload = {"n": n, "dim": dim}
-
+        eps_val = parse_rational(args.epsilon) if args.epsilon is not None else Fraction(1, 2 * n)
         mass = no_shift_mass(n, dim)
-        uniform = Fraction(1, n**dim)
-        payload["no_shift"] = {
-            "first_cell_mass": format_rational(mass),
-            "uniform_would_give": format_rational(uniform),
-            "sampling_scheme": mass == uniform,
-        }
 
-        eps_val = eps if eps is not None else Fraction(1, 2 * n)
         so_spec = SchemeSpec("rsj_lattice", n, dim, shift="continuous_torus", jitter=False)
         cond = shift_only_conditional(so_spec, eps_val, budget=budget)
         lam_q = 1 - eps_val / 2
         pat = shift_only_conditional(patterson_spec(n, dim), eps_val, budget=budget)
-        payload["fixed_distance"] = {
-            "epsilon": format_rational(eps_val),
-            "conditional": format_rational(cond),
-            "patterson_conditional": format_rational(pat),
-            "box_volume": format_rational(lam_q),
-            "negatively_dependent": cond <= lam_q,
-        }
 
         gen = _parse_generator(args.generator) if args.generator is not None else (1,) * dim
         fg_spec = SchemeSpec("rsj_lattice", n, dim, generator=gen)
@@ -259,13 +243,33 @@ def _cmd_analyze(args, argv, t0) -> int:
         R = AnchoredBox((Fraction(n - 1, n),) * dim)
         joint, marg_q, marg_r = _pair_query(fg_spec, Q, R, budget=budget)
         prodv = marg_q * marg_r
-        payload["fixed_generator"] = {
-            "generator": spec_to_dict(fg_spec)["generator"],
-            "Q": [format_rational(a) for a in Q.anchor],
-            "R": [format_rational(a) for a in R.anchor],
-            "joint": format_rational(joint),
-            "product": format_rational(prodv),
-            "violation": joint > prodv,
+
+        # formatted only now: 1/n^dim has dim log10(n) digits, and the
+        # query above refuses a large dim first
+        uniform = Fraction(1, n**dim)
+        payload = {
+            "n": n,
+            "dim": dim,
+            "no_shift": {
+                "first_cell_mass": format_rational(mass),
+                "uniform_would_give": format_rational(uniform),
+                "sampling_scheme": mass == uniform,
+            },
+            "fixed_distance": {
+                "epsilon": format_rational(eps_val),
+                "conditional": format_rational(cond),
+                "patterson_conditional": format_rational(pat),
+                "box_volume": format_rational(lam_q),
+                "negatively_dependent": cond <= lam_q,
+            },
+            "fixed_generator": {
+                "generator": spec_to_dict(fg_spec)["generator"],
+                "Q": [format_rational(a) for a in Q.anchor],
+                "R": [format_rational(a) for a in R.anchor],
+                "joint": format_rational(joint),
+                "product": format_rational(prodv),
+                "violation": joint > prodv,
+            },
         }
         _emit(args, payload, argv, None, t0)
         return EXIT_OK

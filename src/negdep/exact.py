@@ -60,9 +60,10 @@ def is_prime(n: int) -> bool:
 def parse_rational(text: str) -> Fraction:
     """Parse "num/den", integer, or decimal strings into an exact rational.
 
-    Decimal strings are read exactly ("0.6" -> 3/5); binary floats are
-    rejected so they can never leak into the exact path.  A zero
-    denominator ("1/0") raises ValueError, like any other malformed text.
+    Decimal strings are read exactly ("0.6" -> 3/5), with any number of
+    digits; binary floats are rejected so they can never leak into the
+    exact path.  A zero denominator ("1/0") raises ValueError, like any
+    other malformed text.
     """
     if isinstance(text, float):
         raise TypeError("refusing to parse a binary float into the exact path")
@@ -70,7 +71,8 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     text = text.strip()
     try:
-        return Fraction(text)
+        with any_digits():
+            return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 

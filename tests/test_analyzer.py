@@ -12,12 +12,10 @@ from negdep.analyzer import (
     _pair_counts,
     pair_box_prob,
     pair_marginal_prob,
-    patterson_marginal_factor,
-    patterson_pair_factor,
     stratified_pair_box_prob,
 )
 from negdep.schemes import SchemeSpec, full_rsj, lhs_spec, patterson_spec
-from test_kernel import PairLaw, discrete_pair_pmf
+from test_kernel import PairLaw, discrete_pair_pmf, patterson_marginal_factor, patterson_pair_factor
 
 
 def oracle(q, r, n):

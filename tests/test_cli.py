@@ -124,16 +124,30 @@ class TestAnalyze:
         assert json.loads(out)["joint"] == "1/100"
 
     def test_pairprob_large_factorized_law(self, capsys):
-        # one distinct-cells factor per coordinate, never built as n x n
-        code, out, _ = run(capsys, "analyze", "pairprob", "--scheme", "lhs",
-                           "--n", "100000", "--dim", "2",
-                           "--Q", "1/2,1/2", "--R", "1/2,1/2")
-        assert code == 0
-        assert json.loads(out)["joint"] == "2499900001/39999200004"
-        code, _, err = run(capsys, "analyze", "pairprob", "--scheme", "lhs",
-                           "--n", "100000", "--dim", "2", "--budget", "199999",
-                           "--Q", "1/2,1/2", "--R", "1/2,1/2")
-        assert code == 3
+        # one closed form per coordinate, O(1) whatever n: no budget applies
+        for budget in ([], ["--budget", "1"]):
+            code, out, _ = run(capsys, "analyze", "pairprob", "--scheme", "lhs",
+                               "--n", "100000", "--dim", "2", *budget,
+                               "--Q", "1/2,1/2", "--R", "1/2,1/2")
+            assert code == 0
+            assert json.loads(out)["joint"] == "2499900001/39999200004"
+
+    def test_pairprob_anchor_past_the_digit_limit(self, capsys):
+        # 5000 digits, past the interpreter's 4300-digit str-to-int limit,
+        # which is back in place after the command
+        limit = sys.get_int_max_str_digits()
+        q = "0." + "3" * 5000
+        code, out, err = run(capsys, "analyze", "pairprob", "--scheme", "lhs", "--n", "5",
+                             "--dim", "1", "--Q", q, "--R", "0.5")
+        assert code == 0 and err == ""
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            payload = json.loads(out)
+            assert F(payload["Q"][0]) == F(q)
+            assert F(payload["joint"]) == analyzer.stratified_pair_box_prob(F(q), F(1, 2), 5)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     @pytest.mark.parametrize("argv", [
         ("pairprob", "--scheme", "lhs", "--n", "5", "--dim", "2", "--Q", "1/0,0", "--R", "0,0"),
@@ -289,6 +303,17 @@ class TestAnalyze:
             assert json.loads(out)["fixed_generator"]["generator"] == want
         assert '"generator": [\n   1,\n   1\n  ]' in run(
             capsys, "analyze", "ablation", "--n", "5", "--dim", "2")[1]
+
+    def test_ablation_budget_refuses_before_formatting(self, capsys, monkeypatch):
+        # the fixed-generator query refuses a large dim before any payload
+        # string is built: 1/n^dim alone has dim log10(n) digits
+        def unformatted(x):
+            raise AssertionError(f"formatted {x!r} before the budget refused")
+
+        monkeypatch.setattr(cli, "format_rational", unformatted)
+        code, out, err = run(capsys, "analyze", "ablation", "--n", "5", "--dim", "100")
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "at least 2^100 terms" in err
 
     def test_ablation_needs_prime_n(self, capsys):
         for n in ("1", "4"):

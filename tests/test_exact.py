@@ -49,6 +49,19 @@ def test_parse_rational_exact():
         parse_rational(0.6)
 
 
+def test_parse_rational_past_the_digit_limit():
+    # 5000 digits under the interpreter's default str-to-int limit, 4300,
+    # which is back in place after the call
+    outer = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        x = parse_rational(" 0." + "3" * 5000 + " ")
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(outer)
+    assert x == F(10**5000 // 3, 10**5000)
+
+
 @pytest.mark.parametrize("text", ["1/0", " 3/0 ", "0/0", "-2/0"])
 def test_parse_rational_zero_denominator_is_a_value_error(text):
     with pytest.raises(ValueError, match="zero denominator"):

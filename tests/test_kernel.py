@@ -14,6 +14,9 @@ The oracle functions below are the analyzer's earlier, direct forms:
   * the Fraction cell weights behind the integer weight tables;
   * the fixed-distance probe over every (generator, a, b) configuration;
   * the closed-form per-coordinate scan tables, one Fraction per anchor pair;
+  * the patterson closed forms (the midpoint count, the pair and marginal
+    factors), which with stratified_pair_box_prob check the integer step
+    route of the factorized queries;
   * the cell-pair law as a Fraction pmf dict (discrete_pair_pmf, PairLaw);
   * the triple-containment lattice count, one frozenset per lattice of
     every (generator, shift);
@@ -67,8 +70,6 @@ from negdep.analyzer import (
     nuod_scan,
     pair_box_prob,
     pair_marginal_prob,
-    patterson_marginal_factor,
-    patterson_pair_factor,
     shift_only_conditional,
     stratified_pair_box_prob,
     triple_distinguisher,
@@ -104,6 +105,47 @@ def _cell_weight(c, q, n, position):
     if position == "midpoint":
         return F(1) if F(2 * c + 1, 2 * n) >= q else F(0)
     raise ValueError(f"unknown position model {position!r}")
+
+
+def _midpoint_count(q, n):
+    """Number of cell midpoints (2c+1)/(2n) lying in [q, 1)."""
+    q = F(q)
+    # (2c+1)/(2n) >= q  <=>  c >= (2nq - 1)/2
+    lo = 2 * n * q - 1
+    c_min = -(-lo.numerator // (2 * lo.denominator)) if lo > 0 else 0
+    return max(0, n - c_min)
+
+
+def patterson_pair_factor(q, r, n):
+    """Exact P(p1 >= q, p2 >= r) per coordinate for midpoint lattice sampling."""
+    if n < 2:
+        raise ValueError("a distinct pair needs at least two strata")
+    cq = _midpoint_count(q, n)
+    cr = _midpoint_count(r, n)
+    cboth = _midpoint_count(max(F(q), F(r)), n)
+    return F(cq * cr - cboth, n * (n - 1))
+
+
+def patterson_marginal_factor(q, n):
+    return F(_midpoint_count(q, n), n)
+
+
+def oracle_factorized_query(spec, Q, R):
+    """(joint, P(p1 in Q), P(p2 in R)) of a factorized law by the per-coordinate closed forms.
+
+    The joint multiplies one pair factor per coordinate (patterson_pair_factor
+    for midpoints, stratified_pair_box_prob for jitter); the marginals are
+    prod patterson_marginal_factor for midpoints, the box volumes for the
+    jittered kinds.  Cell corners have no closed form here.
+    """
+    assert mod._is_factorized(spec) and _position_model(spec) != "corner"
+    n = spec.n
+    if spec.kind == "patterson":
+        pair = patterson_pair_factor
+        marginals = [prod(patterson_marginal_factor(a, n) for a in box.anchor) for box in (Q, R)]
+    else:
+        pair, marginals = stratified_pair_box_prob, [Q.volume(), R.volume()]
+    return prod(pair(q, r, n) for q, r in zip(Q.anchor, R.anchor)), *marginals
 
 
 @dataclass(frozen=True)
@@ -592,10 +634,9 @@ def test_jitterless_random_generator_law_is_factorized(spec):
     boxes = [(AnchoredBox(_anchors(rnd, n, spec.dim)), AnchoredBox(_anchors(rnd, n, spec.dim)))
              for _ in range(4)]
     for Q, R in boxes:
-        assert pair_box_prob(spec, Q, R) == pair_box_prob(spec, Q, R, method="enumeration")
-        # the closed forms take jittered or midpoint positions, not corners
-        with pytest.raises(UnsupportedSchemeError):
-            pair_box_prob(spec, Q, R, method="closed_form")
+        # the step route reads corner weights too
+        enumerated = pair_box_prob(spec, Q, R, method="enumeration")
+        assert pair_box_prob(spec, Q, R) == pair_box_prob(spec, Q, R, method="closed_form") == enumerated
     # the Fraction oracle takes seconds at (7, 3): one box pair
     law, (Q, R) = law_of(spec), boxes[0]
     assert _pair_query(spec, Q, R) == (oracle_box_prob(law, Q, R), oracle_marginal_prob(law, Q, 0),
@@ -648,10 +689,14 @@ LOWER = (np.triu(np.ones((3, 3), dtype=np.int64), 1), 3, 1)
                          ids=["lower-distinct", "distinct-lower", "lower-lower", "one-factor"])
 def test_queries_keep_the_sides_of_the_law(factors, monkeypatch):
     # joint and both marginals of an asymmetric law against Fraction sums:
-    # single box queries, then a scan's every box pair, report and pairs CSV
+    # single box queries, which contract the law as one _pair_counts factor
+    # on a fixed-generator spec, then a scan's every box pair, report and
+    # pairs CSV, which read the count factors
     spec, m = lhs_spec(3, 2), 4
     monkeypatch.setattr(mod, "_count_factors", lambda spec, budget: factors)
     [(P, total, _)] = _kron_factors(factors)
+    monkeypatch.setattr(mod, "_pair_counts", lambda spec, budget: (P, total))
+    queried = SchemeSpec(RSJ, 3, 2, generator=(1, 2))
     cells = list(product(range(3), repeat=2))
     law = [(z1, z2, F(int(P[i, j]), total))
            for i, z1 in enumerate(cells) for j, z2 in enumerate(cells) if P[i, j]]
@@ -669,9 +714,9 @@ def test_queries_keep_the_sides_of_the_law(factors, monkeypatch):
     for _ in range(6):
         Q, R = (AnchoredBox(_anchors(rnd, 3, 2)) for _ in range(2))
         j, m1, m2 = joint(Q, R), marginal(Q, 0), marginal(R, 1)
-        assert _pair_query(spec, Q, R) == (j, m1, m2)
-        assert pair_box_prob(spec, Q, R) == j
-        assert (pair_marginal_prob(spec, Q, 0), pair_marginal_prob(spec, R, 1)) == (m1, m2)
+        assert _pair_query(queried, Q, R) == (j, m1, m2)
+        assert pair_box_prob(queried, Q, R) == j
+        assert (pair_marginal_prob(queried, Q, 0), pair_marginal_prob(queried, R, 1)) == (m1, m2)
 
     boxes = [AnchoredBox(a) for a in product(_grid_anchors(m), repeat=2)]
     labels = [";".join(format_rational(a) for a in box.anchor) for box in boxes]
@@ -1182,23 +1227,41 @@ LARGE = [lhs_spec(100003, 2), full_rsj(100003, 2), patterson_spec(100003, 2),
 
 @pytest.mark.parametrize("spec", LARGE, ids=[_spec_id(s) for s in LARGE])
 def test_large_factorized_query_matches_closed_form(spec):
-    # the distinct-cells factors are applied in O(n) per coordinate, never built
+    # the step route against the per-coordinate Fraction closed forms
     Q = AnchoredBox((F(1, 3), F(12345, 100003))[:spec.dim])
     R = AnchoredBox((F(2, 7), F(1, 2))[:spec.dim])
-    closed = pair_box_prob(spec, Q, R, method="closed_form")
-    assert pair_box_prob(spec, Q, R) == closed
-    assert _pair_query(spec, Q, R)[0] == closed
+    want = oracle_factorized_query(spec, Q, R)
+    assert _pair_query(spec, Q, R) == _pair_query(spec, Q, R, "closed_form") == want
+    assert pair_box_prob(spec, Q, R) == want[0]
 
 
-def test_factorized_query_budget_counts_cells():
-    # dim x n cells: the weight column of each coordinate
-    spec, box = lhs_spec(1000, 2), AnchoredBox((F(1, 3), F(2, 5)))
-    for query in (lambda b: pair_box_prob(spec, box, box, budget=b),
-                  lambda b: pair_marginal_prob(spec, box, 1, budget=b),
-                  lambda b: _pair_query(spec, box, box, budget=b)):
-        with pytest.raises(mod.BudgetExceededError, match="2000 cells"):
-            query(1999)
-        query(2000)
+# a prime near 10^18 (full_rsj needs a prime n)
+PRIME = 10**18 + 3
+
+
+def test_factorized_query_costs_o_of_dim(monkeypatch):
+    # one weight per anchor: at budget 1, n = 10^30 and n near 10^18 are
+    # answered in well under 1 MB, marginals by the same route; no law or
+    # weight column is built, and nothing is contracted
+    def unbuilt(*args):
+        raise AssertionError("the factorized query contracted a law")
+
+    monkeypatch.setattr(mod, "_contract", unbuilt)
+    cases = [(lhs_spec(10**30, 3), AnchoredBox((F(1, 3), F(2, 7), F(10**29 + 1, 10**30))),
+              AnchoredBox((F(1, 3), F(5, 11), F(1, 2)))),
+             (full_rsj(PRIME, 2), AnchoredBox((F(1, 2), F(1, 3))),
+              AnchoredBox((F(7, PRIME), F(1, 3))))]
+    for spec, Q, R in cases:
+        tracemalloc.start()
+        try:
+            triple = _pair_query(spec, Q, R, budget=1)
+            queries = (pair_box_prob(spec, Q, R, budget=1), pair_marginal_prob(spec, Q, 0, budget=1),
+                       pair_marginal_prob(spec, R, 1, budget=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert triple == queries == oracle_factorized_query(spec, Q, R)
+        assert peak < 2**20, peak
 
 
 @pytest.mark.parametrize("side", [-1, 2])
@@ -1258,8 +1321,10 @@ def _query_cases(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(case=_query_cases())
 def test_query_routes_agree(case):
-    # auto and enumeration give one triple, closed_form the same wherever it
-    # is defined; a torus shift has the box volumes as marginals
+    # auto and enumeration give one triple, and closed_form the same on every
+    # factorized law: the Fraction closed forms for jitter and midpoints, and
+    # for cell corners enumeration alone; a torus shift has the box volumes
+    # as marginals
     spec, Q, R = case
     if spec.kind == RSJ and spec.shift == "continuous_torus":
         if spec.jitter:
@@ -1278,8 +1343,10 @@ def test_query_routes_agree(case):
     assert _pair_query(spec, Q, R, "enumeration") == auto
     assert (pair_box_prob(spec, Q, R), pair_marginal_prob(spec, Q, 0),
             pair_marginal_prob(spec, R, 1)) == auto
-    if mod._is_factorized(spec) and _position_model(spec) != "corner":
+    if mod._is_factorized(spec):
         assert _pair_query(spec, Q, R, "closed_form") == auto
+        if _position_model(spec) != "corner":
+            assert auto == oracle_factorized_query(spec, Q, R)
     else:
         with pytest.raises(UnsupportedSchemeError):
             _pair_query(spec, Q, R, "closed_form")
