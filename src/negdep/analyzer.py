@@ -572,11 +572,19 @@ class DependenceReport:
     def from_witnesses(cls, spec: SchemeSpec, grid_resolution: int, witnesses) -> "DependenceReport":
         """The report of a k/grid_resolution scan that found these witnesses.
 
-        Witnesses come in any order; the report lists them by decreasing
-        excess, ties broken by decreasing anchors.
+        Witnesses come in any order (the test oracles and the certificate
+        pass theirs here); the report lists them by decreasing excess, ties
+        broken by decreasing anchors.  _scan ranks its own witnesses in this
+        order on integers (excess over its common denominator, then box
+        index) and builds each box and each distinct probability once.
         """
         witnesses = sorted(witnesses, key=lambda w: (w[2] - w[3], w[0].anchor, w[1].anchor),
                            reverse=True)
+        return cls._ranked(spec, grid_resolution, witnesses)
+
+    @classmethod
+    def _ranked(cls, spec: SchemeSpec, grid_resolution: int, witnesses) -> "DependenceReport":
+        """The report of witnesses already in report order (see from_witnesses)."""
         worst = witnesses[0][2] - witnesses[0][3] if witnesses else Fraction(0)
         grid = {
             "resolution": grid_resolution,
@@ -704,6 +712,11 @@ def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, csv_out=None,
     and no csv_out, the per-factor certificate runs; if it holds there
     are no witnesses.  Otherwise every box pair is expanded once, and the
     witnesses, and the CSV rows if wanted, are read from the same blocks.
+    The witnesses are ranked on integers: by the excess joint - product over
+    the scan's common denominator, ties broken by box index, which is anchor
+    order (coordinate 0 most significant, anchors k/M increasing in k); this
+    is from_witnesses' order.  Each witness box is then built once from the
+    grid anchors, and each distinct probability is one Fraction.
 
     Each stage's budget is checked before it runs, the first before the M
     anchors are built.  The contraction costs
@@ -737,24 +750,37 @@ def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, csv_out=None,
         _charge(work + _power(m, 2 * dim, budget, "grid scan", "multiply-adds"), budget,
                 "grid scan", "multiply-adds")
 
-    def box(k):
-        return AnchoredBox(tuple(anchors[k // m ** (dim - 1 - i) % m] for i in range(dim)))
-
     den, blocks = _expand(contracted)
     if csv_out is not None:
         labels = [";".join(q) for q in product([format_rational(a) for a in anchors], repeat=dim)]
         csv_out.write("Q,R,joint,product,violation\n")
-    witnesses = []
+    found = []  # (joint - product, Q index, R index, joint, product), numerators over den
     for start, joint, indep in blocks:
         bad = joint > indep
-        witnesses += [(box(start + int(q)), box(int(r)),
-                       Fraction(int(joint[q, r]), den), Fraction(int(indep[q, r]), den))
-                      for q, r in zip(*np.nonzero(bad))]
+        qs, rs = np.nonzero(bad)
+        js, ps = joint[qs, rs], indep[qs, rs]
+        found += zip((js - ps).tolist(), (qs + start).tolist(), rs.tolist(), js.tolist(), ps.tolist())
         if csv_out is not None:
             cols = [_fraction_strings(joint, den), _fraction_strings(indep, den), bad.tolist()]
             csv_out.write("".join(f"{q},{r},{j},{p},{v}\n" for q, *row in zip(labels[start:], *cols)
                                   for r, j, p, v in zip(labels, *row)))
-    return DependenceReport.from_witnesses(spec, grid_resolution, witnesses)
+    # every entry is over den, and box index order is anchor order, so this
+    # is from_witnesses' order
+    found.sort(reverse=True)
+    boxes, probs = {}, {}
+
+    def box(k):
+        if k not in boxes:
+            boxes[k] = AnchoredBox(tuple(anchors[k // m ** (dim - 1 - i) % m] for i in range(dim)))
+        return boxes[k]
+
+    def prob(v):
+        if v not in probs:
+            probs[v] = Fraction(v, den)
+        return probs[v]
+
+    return DependenceReport._ranked(spec, grid_resolution,
+                                    [(box(q), box(r), prob(j), prob(p)) for _, q, r, j, p in found])
 
 
 def _fraction_strings(table, den: int) -> list:

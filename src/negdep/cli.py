@@ -29,7 +29,9 @@ from .analyzer import (
     BudgetExceededError,
     HypothesisViolatedError,
     UnsupportedSchemeError,
+    _is_factorized,
     _pair_query,
+    _power,
     _scan,
     copula_equality_check,
     coordinate_independence_check,
@@ -239,6 +241,10 @@ def _cmd_analyze(args, argv, t0) -> int:
 
         gen = _parse_generator(args.generator) if args.generator is not None else (1,) * dim
         fg_spec = SchemeSpec("rsj_lattice", n, dim, generator=gen)
+        if not _is_factorized(fg_spec):
+            # the query enumerates the law, whose budget (_pair_counts) refuses
+            # a large dim; refuse it before the 2 dim anchors are built
+            _power(n, dim, budget, "enumeration", "terms")
         Q = AnchoredBox((Fraction(n - 2, n),) * dim)
         R = AnchoredBox((Fraction(n - 1, n),) * dim)
         joint, marg_q, marg_r = _pair_query(fg_spec, Q, R, budget=budget)

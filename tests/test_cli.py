@@ -315,6 +315,19 @@ class TestAnalyze:
         assert code == 3 and out == ""
         assert err.startswith("error: ") and "at least 2^100 terms" in err
 
+    def test_ablation_large_dim_refused_before_boxes(self, capsys, monkeypatch):
+        # the enumerated fixed-generator law refuses the dim before its
+        # 2 dim box anchors are built and validated
+        def unbuilt(anchor):
+            raise AssertionError("boxes built before the budget refused")
+
+        monkeypatch.setattr(cli, "AnchoredBox", unbuilt)
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "analyze", "ablation", "--n", "5", "--dim", "2000000")
+        assert time.perf_counter() - t0 < 2
+        assert code == 3 and out == ""
+        assert err == "error: enumeration too large: at least 2^2000000 terms exceeds budget 100000000\n"
+
     def test_ablation_needs_prime_n(self, capsys):
         for n in ("1", "4"):
             code, out, err = run(capsys, "analyze", "ablation", "--n", n, "--dim", "2")

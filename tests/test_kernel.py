@@ -759,6 +759,40 @@ def test_block_size_does_not_change_results(monkeypatch):
     assert not whole[0][0].ok
 
 
+# tie-heavy scans: over five witnesses per distinct excess
+TIES = [(SchemeSpec(RSJ, 7, 2, generator=(1, 1)), 14), (SchemeSpec(RSJ, 5, 2, shift="none"), 20)]
+
+
+@pytest.mark.parametrize("limit", [mod._INT64_SAFE_LIMIT, 1], ids=["int64", "python-int"])
+def test_scan_ranking_matches_fraction_sort(limit, monkeypatch):
+    # _scan ranks integer numerators and box indices; from_witnesses sorts
+    # Fraction excesses and anchors, from any order
+    monkeypatch.setattr(mod, "_INT64_SAFE_LIMIT", limit)
+    for spec, m in TIES:
+        report = nuod_scan(spec, m)
+        witnesses = list(report.witnesses)
+        assert len({j - p for _, _, j, p in witnesses}) * 5 < len(witnesses)
+        random.Random(m).shuffle(witnesses)
+        assert report == DependenceReport.from_witnesses(spec, m, witnesses)
+
+
+def test_scan_builds_each_witness_box_once(monkeypatch):
+    built = []
+
+    class CountingBox(AnchoredBox):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append(self.anchor)
+
+    monkeypatch.setattr(mod, "AnchoredBox", CountingBox)
+    report = nuod_scan(*TIES[0])
+    boxes = [box for w in report.witnesses for box in w[:2]]
+    assert len(built) == len(set(built)) == len({box.anchor for box in boxes}) < len(boxes)
+    # a box, and a probability, shared by two witnesses is one object
+    for values in (boxes, [v for w in report.witnesses for v in w[2:]]):
+        assert len({id(v) for v in values}) == len(set(values))
+
+
 # -- the pairs table in bulk ---------------------------------------------------
 
 
