@@ -132,12 +132,16 @@ def criterion_no_shift_mass() -> CriterionResult:
 
 
 def criterion_fixed_distance_conditional() -> CriterionResult:
-    """Shift-only randomization: conditional probability exactly 1."""
+    """Shift-only randomization: conditional probability exactly 1; for the
+    lattices also as the torus class sum of a box query on the probe's boxes."""
     for n in (5, 7):
         spec = SchemeSpec("rsj_lattice", n, 2, shift="continuous_torus", jitter=False)
-        value = shift_only_conditional(spec, Fraction(1, 2 * n))
-        if value != 1:
-            return CriterionResult(False, f"lattice N={n}: conditional {value} != 1")
+        eps = Fraction(1, 2 * n)
+        joint, _, m_r = _pair_query(spec, AnchoredBox((0, eps / 2)), AnchoredBox((0, 1 - eps / 2)))
+        for route, value in (("conditional", shift_only_conditional(spec, eps)),
+                             ("class sum", joint / m_r)):
+            if value != 1:
+                return CriterionResult(False, f"lattice N={n}: {route} {value} != 1")
     value = shift_only_conditional(patterson_spec(5, 2), Fraction(1, 10))
     if value != 1:
         return CriterionResult(False, f"patterson: conditional {value} != 1")

@@ -14,15 +14,17 @@ On top of those sit:
   * the structural checks that separate the shifted-lattice scheme from
     Latin hypercube sampling (copula equality, coordinate independence,
     triple containment counts, over the n - 1 candidate lattices), and
-  * the ablation probes (missing shift, in closed form; shift-only
-    with fixed distances; fixed generator).
+  * the ablation probes (missing shift, and shift-only with fixed
+    distances, each in closed form once its premise is checked; fixed
+    generator).
 
 Jitter is never discretized: a cell pair contributes its count times
 the exact overlap fraction of each anchored interval with each cell.  A
-continuous torus shift is integrated exactly as integer arc overlaps on a
-common grid 1/D per coordinate.
+box query under a continuous torus shift is integrated exactly as integer
+arc overlaps on a common grid 1/D per coordinate.
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -92,21 +94,25 @@ def _power(base: int, k: int, budget: int, what: str, unit: str) -> int:
     return base**k
 
 
+def _exact(values, what: str) -> tuple:
+    """values as Fractions, from Fractions, ints or decimal strings of any length.
+
+    "0.3" is 3/10.  Binary floats are rejected: they never enter the exact path.
+    """
+    if any(isinstance(v, (float, np.floating)) for v in values):
+        raise TypeError(f"{what} must be exact, not binary floats")
+    with any_digits():
+        return tuple(Fraction(v) for v in values)
+
+
 @dataclass(frozen=True)
 class AnchoredBox:
-    """Box [anchor, 1) per coordinate; anchor coordinates in [0,1).
-
-    Coordinates are exact: Fractions, ints or decimal strings of any length
-    ("0.3" is 3/10).  Binary floats are rejected: they never enter the exact path.
-    """
+    """Box [anchor, 1) per coordinate; anchor coordinates in [0,1), exact (_exact)."""
 
     anchor: tuple
 
     def __post_init__(self):
-        if any(isinstance(a, (float, np.floating)) for a in self.anchor):
-            raise TypeError("anchor coordinates must be exact, not binary floats")
-        with any_digits():
-            anc = tuple(Fraction(a) for a in self.anchor)
+        anc = _exact(self.anchor, "anchor coordinates")
         if any(not 0 <= a < 1 for a in anc):
             raise ValueError("anchor coordinates must lie in [0, 1)")
         object.__setattr__(self, "anchor", anc)
@@ -136,7 +142,7 @@ def stratified_pair_box_prob(q, r, n: int) -> Fraction:
 
     Always <= (1-q)(1-r), with equality exactly when q = 0 or r = 0.
     """
-    q, r = Fraction(q), Fraction(r)
+    q, r = _exact((q, r), "anchors")
     if not (0 <= q < 1 and 0 <= r < 1):
         raise ValueError("anchors must lie in [0, 1)")
     if n < 2:
@@ -165,14 +171,7 @@ def _position_model(spec: SchemeSpec) -> str:
 
 
 def _generators(spec: SchemeSpec) -> list:
-    """The generator values of each coordinate of a lattice spec.
-
-    Midpoint (patterson) sampling counts as the generator-1 lattice: its
-    distinct midpoints differ by every nonzero k/n equally often, and a
-    torus shift sees only the difference of a pair.
-    """
-    if spec.kind == "patterson":
-        return [np.ones(1, dtype=np.int64)] * spec.dim
+    """The generator values of each coordinate of a lattice spec."""
     if spec.generator == "random":
         return [np.arange(1, spec.n, dtype=np.int64)] * spec.dim
     return [np.array([g], dtype=np.int64) for g in spec.generator]
@@ -417,25 +416,24 @@ def _torus_overlaps(n: int, q: Fraction, r: Fraction, D: int, dtype) -> np.ndarr
             + np.maximum(end - D - qD, 0))
 
 
-def _continuous_shift_box_prob(spec: SchemeSpec, coords, anchors1, anchors2, budget) -> Fraction:
-    """The jitterless lattice under a uniform torus shift, summed over b - a.
+def _continuous_shift_box_prob(spec: SchemeSpec, anchors1, anchors2, budget) -> Fraction:
+    """The joint of a box query on the jitterless lattice under a uniform torus shift.
 
     The measure of shifts putting x1 in [q, 1) and x2 in [r, 1) does not
     change when x1 and x2 move together, so an index pair (a, b) enters
     through delta = b - a (mod n) only, at x1 = 0 and x2 = gamma delta / n;
-    each delta in 1..n-1 stands for n ordered pairs.  Coordinates coords
-    carry the anchors; any other is a factor 1.  With G_i the generator
+    each delta in 1..n-1 stands for n ordered pairs.  With G_i the generator
     values of coordinate i (_generators), ov_i its integer overlaps on the
     grid 1/D_i (_torus_overlaps) and S_i[delta] = sum over G_i of
     ov_i[gamma delta mod n], the joint is sum_delta prod_i S_i[delta] over
     (n - 1) prod_i |G_i| D_i.  The budget counts the summed terms,
-    sum_i |G_i| (n - 1), and is charged before G_i is built.
+    dim |G| (n - 1), and is charged before G_i is built.  Only box queries
+    (_pair_query) sum classes: the fixed-distance probe is a closed form.
     """
     n = spec.n
-    _charge(len(coords) * _generator_count(spec) * (n - 1), budget,
+    _charge(spec.dim * _generator_count(spec) * (n - 1), budget,
             "continuous-shift integration", "terms")
-    gens = _generators(spec)
-    gammas = [gens[i] for i in coords]
+    gammas = _generators(spec)
     Ds = [lcm(n, q.denominator, r.denominator) for q, r in zip(anchors1, anchors2)]
     den = (n - 1) * prod(len(g) * D for g, D in zip(gammas, Ds))
     dtype = _int_dtype(den)
@@ -507,7 +505,7 @@ def _pair_query(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox, method: str = 
         if method != "auto":
             raise UnsupportedSchemeError(
                 f"method {method!r} needs a cell law; a continuous torus shift has none")
-        joint = _continuous_shift_box_prob(spec, range(spec.dim), Q.anchor, R.anchor, budget)
+        joint = _continuous_shift_box_prob(spec, Q.anchor, R.anchor, budget)
         return joint, Q.volume(), R.volume()
     pos, factorized = _position_model(spec), _is_factorized(spec)
     if method == "closed_form" and not factorized:
@@ -935,8 +933,8 @@ def triple_distinguisher(n: int, dim: int, a, b, budget=DEFAULT_BUDGET) -> tuple
         raise ValueError("needs a prime n >= 5")
     if dim < 2:
         raise ValueError("needs dim >= 2")
-    a = tuple(int(v) for v in a)
-    b = tuple(int(v) for v in b)
+    a = tuple(operator.index(v) for v in a)
+    b = tuple(operator.index(v) for v in b)
     if len(a) != dim or len(b) != dim:
         raise ValueError("cell vectors must have length dim")
     if any(not 0 <= v < n for v in a + b):
@@ -995,24 +993,27 @@ def no_shift_mass(n: int, dim: int) -> Fraction:
 
 def shift_only_conditional(spec: SchemeSpec, epsilon, dim_index: int = None,
                            budget=DEFAULT_BUDGET) -> Fraction:
-    """Exact P(p1 in Q | p2 in R) for the fixed-distance probe.
+    """Exact P(p1 in Q | p2 in R) for the fixed-distance probe: 1, once its premise holds.
 
     Q = [0,1)^(d-1) x [eps/2, 1) and R = [0,1)^(d-1) x [1-eps/2, 1) in the
     probed coordinate.  Supported: the jitterless lattice with a continuous
     torus shift, and midpoint (patterson) sampling with the same continuous
     shift applied (without a shift its conditioning event has probability
-    zero because the marginal is discrete).  The joint is the integer
-    class sum of _continuous_shift_box_prob on the probed coordinate.  The
-    premise that all pair distances in the probed coordinate exceed
-    epsilon is verified on the integer differences e = gamma (b - a) mod n
-    of every generator value and index difference (with x1 = 0, since a
-    common shift moves no distance): min(e, n - e) den(eps) <= num(eps) n
-    is a violation, raised with the witness positions (0, e/n) of the
-    first one.  The budget counts |generators| x (n - 1) terms.
-    Under the premise the conditional is 1, strictly above the box volume
-    1 - eps/2, so the scheme cannot be pairwise negatively dependent.
+    zero because the marginal is discrete).  The premise, every pair
+    distance in the probed coordinate above epsilon, is checked on the
+    integer differences e = gamma (b - a) mod n of every generator value
+    and index difference (x1 = 0: a common shift moves no distance; distinct
+    midpoints differ by every nonzero k/n, so patterson is generator 1):
+    min(e, n - e) den(eps) <= num(eps) n is a violation, raised with the
+    witness positions (0, e/n) of the first one.  The budget counts
+    |generators| x (n - 1) terms, charged before the generators are built.
+    If p2 lies in [1 - eps/2, 1) at torus distance above eps from p1, then
+    p1 lies in (eps/2, 1 - eps), inside [eps/2, 1); Q's other coordinates
+    are [0, 1) and P(p2 in R) = eps/2 > 0 under the uniform shift.  So the
+    conditional is 1, above the box volume 1 - eps/2, and the scheme
+    cannot be pairwise negatively dependent.
     """
-    eps = Fraction(epsilon)
+    (eps,) = _exact((epsilon,), "epsilon")
     if not 0 < eps <= Fraction(1, 2):
         raise ValueError("epsilon must lie in (0, 1/2]")
     if spec.kind == "rsj_lattice":
@@ -1028,12 +1029,8 @@ def shift_only_conditional(spec: SchemeSpec, epsilon, dim_index: int = None,
     n = spec.n
     if n < 2:
         raise ValueError("a distinct pair needs n >= 2")
-
-    q = eps / 2
-    # the other coordinates' anchors are 0, a factor 1 each, so the probed
-    # coordinate alone carries P(p1 in Q, p2 in R)
-    joint = _continuous_shift_box_prob(spec, [i], [q], [1 - q], budget)
-    gammas = _generators(spec)[i]
+    _charge(_generator_count(spec) * (n - 1), budget, "fixed-distance premise", "terms")
+    gammas = np.ones(1, dtype=np.int64) if spec.kind == "patterson" else _generators(spec)[i]
     # distance min(e, n - e) / n <= eps, for e = gamma delta mod n, gamma
     # outer and delta inner; on integers m <= eps n iff m <= floor(eps n)
     e = gammas[:, None] * np.arange(1, n, dtype=np.int64) % n
@@ -1044,30 +1041,34 @@ def shift_only_conditional(spec: SchemeSpec, epsilon, dim_index: int = None,
             f"pair distance {format_rational(Fraction(min(e, n - e), n))} <= epsilon "
             f"{format_rational(eps)} at positions (0/1, {format_rational(Fraction(e, n))})"
         )
-    return joint / q  # P(p2 in R) = eps / 2 under the uniform torus shift
+    return Fraction(1)
 
 
 # -- serialization ------------------------------------------------------------------
 
 
-def _box_strings(box: AnchoredBox) -> list:
-    return [format_rational(a) for a in box.anchor]
-
-
 def report_to_json_dict(report: DependenceReport) -> dict:
+    """The report with every rational as a "num/den" string.
+
+    A scan's witnesses share their box and probability objects (_scan), so
+    each distinct object is formatted once, keyed by identity; every witness
+    still gets anchor lists of its own.
+    """
     from .schemes import spec_to_dict
 
+    text = {}
+    for witness in report.witnesses:
+        for x in witness:
+            if id(x) not in text:
+                text[id(x)] = ([format_rational(a) for a in x.anchor] if isinstance(x, AnchoredBox)
+                               else format_rational(x))
     return {
         "scheme": spec_to_dict(report.spec),
         "grid": report.grid,
         "worst_violation": format_rational(report.worst_violation),
         "violations": [
-            {
-                "Q": _box_strings(Q),
-                "R": _box_strings(R),
-                "joint": format_rational(joint),
-                "product": format_rational(prodv),
-            }
+            {"Q": text[id(Q)][:], "R": text[id(R)][:], "joint": text[id(joint)],
+             "product": text[id(prodv)]}
             for Q, R, joint, prodv in report.witnesses
         ],
     }

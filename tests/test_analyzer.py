@@ -12,7 +12,9 @@ from negdep.analyzer import (
     _pair_counts,
     pair_box_prob,
     pair_marginal_prob,
+    shift_only_conditional,
     stratified_pair_box_prob,
+    triple_distinguisher,
 )
 from negdep.schemes import SchemeSpec, full_rsj, lhs_spec, patterson_spec
 from test_kernel import PairLaw, discrete_pair_pmf, patterson_marginal_factor, patterson_pair_factor
@@ -314,3 +316,21 @@ def test_anchored_box_rejects_binary_floats():
             AnchoredBox((F(1, 4), bad))
     # exact coordinates keep working: decimal strings are read exactly
     assert AnchoredBox((F(3, 10), 0, "0.3", "1/3")).anchor == (F(3, 10), 0, F(3, 10), F(1, 3))
+
+
+def test_exact_entry_points_reject_binary_floats():
+    # epsilon, stratified anchors and cell indices are exact like box anchors:
+    # a float is refused, not read as its binary value or truncated
+    torus = SchemeSpec("rsj_lattice", 5, 2, shift="continuous_torus", jitter=False)
+    with pytest.raises(TypeError, match="binary float"):
+        shift_only_conditional(torus, 0.2)
+    with pytest.raises(TypeError, match="binary float"):
+        stratified_pair_box_prob(0.3, 0.7, 5)
+    with pytest.raises(TypeError, match="binary float"):
+        stratified_pair_box_prob(F(3, 10), np.float64(0.7), 5)
+    with pytest.raises(TypeError):
+        triple_distinguisher(5, 2, (0, 0), (1.9, 2.2))
+    # exact inputs keep working, decimal strings and numpy integers included
+    assert shift_only_conditional(torus, "0.1") == 1
+    assert stratified_pair_box_prob("0.3", "7/10", 5) == F(3, 16)
+    assert triple_distinguisher(5, 2, (0, 0), np.array([1, 2])) == (1, 6)

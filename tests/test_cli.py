@@ -49,6 +49,11 @@ class TestGenerate:
         assert code == 2
         assert "degenerate" in err
 
+    def test_size_cap_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "generate", "--scheme", "lhs", "--n", "513", "--seed", "0")
+        assert code == 2 and out == ""
+        assert "capped at 512" in err
+
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "generate", "--scheme", "lhs", "--n", "4",
                            "--dim", "3", "--seed", "2", "--format", "json")
@@ -203,7 +208,7 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", "ablation", "--n", "10000019", "--dim", "2")
         assert time.perf_counter() - t0 < 1
         assert code == 3 and out == ""
-        assert f"continuous-shift integration too large: {10000018 ** 2} terms" in err
+        assert f"fixed-distance premise too large: {10000018 ** 2} terms" in err
 
     def test_copula(self, capsys):
         code, out, _ = run(capsys, "analyze", "copula", "--scheme", "rsj",

@@ -12,7 +12,9 @@ The oracle functions below are the analyzer's earlier, direct forms:
     circle geometry it was built on (torus_dist, CircularInterval,
     circular_overlap, _shifted_pair_overlap: Fraction arcs on the circle);
   * the Fraction cell weights behind the integer weight tables;
-  * the fixed-distance probe over every (generator, a, b) configuration;
+  * the fixed-distance probe over every (generator, a, b) configuration,
+    a torus-arc sum that checks the probe's closed form 1, as the no-shift
+    enumeration checks the mass 1/n;
   * the closed-form per-coordinate scan tables, one Fraction per anchor pair;
   * the patterson closed forms (the midpoint count, the pair and marginal
     factors), which with stratified_pair_box_prob check the integer step
@@ -70,6 +72,7 @@ from negdep.analyzer import (
     nuod_scan,
     pair_box_prob,
     pair_marginal_prob,
+    report_to_json_dict,
     shift_only_conditional,
     stratified_pair_box_prob,
     triple_distinguisher,
@@ -82,6 +85,7 @@ from negdep.schemes import (
     full_rsj,
     lhs_spec,
     patterson_spec,
+    spec_to_dict,
     stratified_spec,
 )
 
@@ -793,6 +797,27 @@ def test_scan_builds_each_witness_box_once(monkeypatch):
         assert len({id(v) for v in values}) == len(set(values))
 
 
+def test_report_json_formats_each_object_once(monkeypatch):
+    report = nuod_scan(*TIES[0])
+    want = {"scheme": spec_to_dict(report.spec), "grid": report.grid,
+            "worst_violation": format_rational(report.worst_violation),
+            "violations": [{"Q": [format_rational(a) for a in Q.anchor],
+                            "R": [format_rational(a) for a in R.anchor],
+                            "joint": format_rational(joint), "product": format_rational(prodv)}
+                           for Q, R, joint, prodv in report.witnesses]}
+    calls = []
+    monkeypatch.setattr(mod, "format_rational", lambda x: calls.append(x) or format_rational(x))
+    got = report_to_json_dict(report)
+    assert got == want
+    # once per anchor of each distinct box, per distinct probability, and the worst
+    boxes = {id(box) for w in report.witnesses for box in w[:2]}
+    probs = {id(v) for w in report.witnesses for v in w[2:]}
+    assert len(calls) == report.spec.dim * len(boxes) + len(probs) + 1 < len(report.witnesses)
+    # shared strings, but every witness has lists of its own
+    lists = [v[k] for v in got["violations"] for k in ("Q", "R")]
+    assert len({id(v) for v in lists}) == len(lists)
+
+
 # -- the pairs table in bulk ---------------------------------------------------
 
 
@@ -1478,6 +1503,25 @@ def test_probe_budget_counts_generator_differences():
         with pytest.raises(mod.BudgetExceededError, match=f"{work} terms"):
             shift_only_conditional(spec, F(1, 100), budget=work - 1)
         shift_only_conditional(spec, F(1, 100), budget=work)
+
+
+def test_probe_runs_no_class_sum(monkeypatch):
+    # under its premise the conditional is 1 in closed form: no torus class
+    # sum runs, and a violation keeps its message
+    def unsummed(*args):
+        raise AssertionError("the fixed-distance probe summed torus classes")
+
+    monkeypatch.setattr(mod, "_continuous_shift_box_prob", unsummed)
+    for spec in PROBED + [patterson_spec(n, 2) for n in (2, 5, 6)]:
+        n = spec.n
+        for i in range(spec.dim):
+            # every pair distance is at least 1/n, above 1/(2n) and not above 1/n
+            assert shift_only_conditional(spec, F(1, 2 * n), dim_index=i) == 1
+            with pytest.raises(HypothesisViolatedError) as exc:
+                shift_only_conditional(spec, F(1, n), dim_index=i)
+            want = (oracle_probe(spec, F(1, n), i) if spec.kind == RSJ else
+                    f"pair distance 1/{n} <= epsilon 1/{n} at positions (0/1, 1/{n})")
+            assert str(exc.value) == want
 
 
 # -- triple containment and no-shift mass, counted per coordinate ------------

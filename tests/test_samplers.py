@@ -1,4 +1,5 @@
 import hashlib
+import json
 from fractions import Fraction as F
 from itertools import product
 from math import sqrt
@@ -416,6 +417,54 @@ def test_json_import_revalidates():
     corrupted = text.replace('"nums": [', '"nums": [[0, 0], ', 1)
     with pytest.raises(ValueError):
         point_set_from_json(corrupted)
+
+
+def _edited_json(spec, edit):
+    payload = json.loads(point_set_to_json(generate(spec, 5)))
+    edit(payload)
+    return json.dumps(payload)
+
+
+def _repeat_first_stratum(payload):
+    payload["nums"][1][0] = payload["nums"][0][0]
+
+
+def _move_off_grid(payload):
+    payload["nums"][0][0] += 1
+
+
+def _coarser_bits(payload):
+    payload["frac_bits"] = 52
+
+
+@pytest.mark.parametrize("spec,edit,message", [
+    (lhs_spec(4, 2), _repeat_first_stratum, "latin property"),
+    (stratified_spec(4), _repeat_first_stratum, "stratification"),
+    (SchemeSpec("rsj_lattice", 5, 2, shift="grid", jitter=False), _move_off_grid, "off-grid"),
+    (lhs_spec(4, 2), _coarser_bits, "resolution"),
+], ids=["lhs", "stratified", "jitterless-grid", "frac-bits"])
+def test_json_import_checks_the_structure(spec, edit, message):
+    # shape and range are right; the scheme's own structure is not
+    with pytest.raises(ValueError, match=message):
+        point_set_from_json(_edited_json(spec, edit))
+
+
+def test_csv_import_checks_range_and_shape():
+    text = point_set_to_csv(generate(lhs_spec(4, 2), 5))
+    header, rows = text.splitlines()[:2], text.splitlines()[2:]
+    for bad in ("1.0", "-0.25"):
+        with pytest.raises(ValueError, match="outside"):
+            point_set_from_csv("\n".join(header + [f"0.5,{bad}"] + rows[1:]))
+    with pytest.raises(ValueError, match="row count"):
+        point_set_from_csv("\n".join(header + rows[1:]))
+    with pytest.raises(ValueError, match="column count"):
+        point_set_from_csv("\n".join(header + [row.split(",")[0] for row in rows]))
+
+
+def test_generate_refuses_past_the_size_cap():
+    assert generate(lhs_spec(MAX_N, 1), 0).n == MAX_N
+    with pytest.raises(ValueError, match=f"capped at {MAX_N}"):
+        generate(lhs_spec(MAX_N + 1, 1), 0)
 
 
 def test_point_set_rejects_out_of_range():
