@@ -9,6 +9,7 @@ tests/test_acceptance.py parametrizes over this registry, and the CLI
 
 import time
 from fractions import Fraction
+from itertools import product
 from math import factorial, sqrt
 from typing import NamedTuple
 
@@ -28,7 +29,7 @@ from .analyzer import (
     triple_distinguisher,
 )
 from .rng import FRAC_BITS, RngStream
-from .samplers import _unit_floats, replicate
+from .samplers import _unit_floats, replicate, rsj_cell_matrix
 from .schemes import SchemeSpec, full_rsj, lhs_spec, patterson_spec, stratified_spec
 from .variance import integrand_library, variance_compare
 
@@ -108,16 +109,31 @@ def criterion_copula_and_independence() -> CriterionResult:
     return CriterionResult(True, "copula discrepancy 0 and factorization exact on {3,5}x{2,3}")
 
 
+def _lattices_holding(n: int, d: int, a: tuple, b: tuple) -> int:
+    """Distinct point sets of the shifted lattice, over every generator in
+    {1..n-1}^d and grid shift in Z_n^d, that hold both cell vectors."""
+    seen = set()
+    for g in product(range(1, n), repeat=d):
+        for s in product(range(n), repeat=d):
+            cells = frozenset(map(tuple, rsj_cell_matrix(g, s, n).tolist()))
+            if a in cells and b in cells:
+                seen.add(cells)
+    return len(seen)
+
+
 def criterion_triple_counts() -> CriterionResult:
     """Exactly one shifted lattice and [(N-2)!]^(d-1) latin grids contain a
     given coordinatewise-distinct pair of cell vectors."""
     cases = [(5, 2, (0, 0), (1, 2)), (5, 3, (0, 0, 0), (1, 2, 3)), (7, 2, (0, 0), (1, 2))]
     for n, d, a, b in cases:
         lat, lhsc = triple_distinguisher(n, d, a, b)
+        lattices = _lattices_holding(n, d, a, b)
         want = factorial(n - 2) ** (d - 1)
-        if lat != 1 or lhsc != want:
-            return CriterionResult(False, f"N={n}, d={d}: got ({lat}, {lhsc}), want (1, {want})")
-    return CriterionResult(True, "counts (1, 6), (1, 36), (1, 120) as constructed")
+        if (lat, lattices, lhsc) != (1, 1, want):
+            return CriterionResult(False, f"N={n}, d={d}: got ({lat}, {lhsc}), {lattices} "
+                                          f"lattices by enumeration, want (1, {want})")
+    return CriterionResult(True, "counts (1, 6), (1, 36), (1, 120); one lattice among every "
+                                 "(generator, shift)")
 
 
 def criterion_no_shift_mass() -> CriterionResult:
@@ -250,8 +266,13 @@ CRITERIA = [
 
 def run_acceptance(ids=None, echo=print) -> bool:
     """Run the selected criteria (all by default); one line per criterion,
-    ending with its wall seconds."""
-    wanted = set(ids) if ids else None
+    ending with its wall seconds.  Ids are stripped; an id that names no
+    criterion raises ValueError before any criterion runs."""
+    wanted = {cid.strip() for cid in ids} if ids else None
+    known = [cid for cid, _, _ in CRITERIA]
+    unknown = sorted((wanted or set()).difference(known))
+    if unknown:
+        raise ValueError(f"unknown criteria {', '.join(map(repr, unknown))}; known: {', '.join(known)}")
     all_ok = True
     for cid, name, fn in CRITERIA:
         if wanted is not None and cid not in wanted:

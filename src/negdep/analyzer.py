@@ -13,7 +13,8 @@ On top of those sit:
     contraction of the law's count factors with integer cell weights),
   * the structural checks that separate the shifted-lattice scheme from
     Latin hypercube sampling (copula equality, coordinate independence,
-    triple containment counts, over the n - 1 candidate lattices), and
+    triple containment counts: one lattice, by a uniqueness argument, and
+    (n - 2)!^(dim - 1) latin grids, each in closed form), and
   * the ablation probes (missing shift, and shift-only with fixed
     distances, each in closed form once its premise is checked; fixed
     generator).
@@ -921,12 +922,23 @@ def triple_distinguisher(n: int, dim: int, a, b, budget=DEFAULT_BUDGET) -> tuple
 
     Returns (lattice_count, lhs_count): the number of distinct shifted
     lattices containing both a and b, and of distinct latin grids
-    containing both, (n-2)!^(dim-1).  Requires a, b to differ in every
-    coordinate.  A lattice {g m + s} holding a is {a + g k : k in Z_n}, so
-    it holds b iff g delta = b - a (mod n) for some delta in 1..n-1: the
-    candidates are g = (b - a) delta^-1, n - 1 lattices of n cells each.
-    Each lattice's cells are sorted and the distinct rows counted.  The
-    budget counts the (n - 1) n dim cell entries built, charged before the
+    containing both.  Requires a, b to differ in every coordinate.
+
+    There is exactly one such lattice.  A lattice {g m + s} holding a is
+    {a + g k : k in Z_n}; it holds b iff g delta = b - a (mod n) for some
+    delta != 0, so g = (b - a) delta^-1.  As k -> delta^-1 k permutes Z_n
+    (n prime), every such lattice is {a + (b - a) j : j in Z_n}, and its
+    generator b - a is nonzero in every coordinate.
+
+    A latin grid is keyed by its first coordinate: one permutation per
+    further coordinate maps first cell to cell.  Holding a and b fixes two
+    distinct values of each at two distinct places, which leaves (n - 2)!
+    permutations per coordinate, (n - 2)!^(dim - 1) grids.
+
+    The budget counts the limb products of that count's decimal form, the
+    costliest step: int-to-decimal conversion is quadratic in the 30-bit
+    limbs, and (dim - 1) (n - 2) bitlen(n - 2) bounds its bit length
+    (bitlen(xy) <= bitlen(x) + bitlen(y)).  It is charged before the
     primality test.
     """
     if n < 5:
@@ -941,33 +953,11 @@ def triple_distinguisher(n: int, dim: int, a, b, budget=DEFAULT_BUDGET) -> tuple
         raise ValueError("cell indices must lie in [0, n)")
     if any(x == y for x, y in zip(a, b)):
         raise ValueError("cell vectors share a coordinate cell; they must differ everywhere")
-    _charge((n - 1) * n * dim, budget, "lattice construction", "cell entries")
+    bits = (dim - 1) * (n - 2) * (n - 2).bit_length()
+    _charge(((bits + 29) // 30) ** 2, budget, "latin count", "limb products")
     if not is_prime(n):
         raise ValueError("needs a prime n >= 5")
-
-    # g k < n^2 is formed in int32 while that fits, and cells < n are held
-    # in int16 while 2n does
-    wide = np.int32 if n * n < 2**31 else np.int64
-    narrow = np.int16 if 2 * n < 2**15 else wide
-    a, b = np.array(a, dtype=wide), np.array(b, dtype=wide)
-    inv = np.array([pow(delta, -1, n) for delta in range(1, n)], dtype=wide)
-    gens = (b - a) % n * inv[:, None] % n
-    # cells[l, k]: point a + g_l k of lattice l, one row of dim cells
-    cells = gens[:, None, :] * np.arange(n, dtype=wide)[:, None]
-    cells += a
-    cells %= n
-    cells = cells.astype(narrow)
-    order = np.lexsort(cells.transpose(2, 0, 1)[::-1], axis=-1)
-    rows = np.take_along_axis(cells, order[:, :, None], axis=1).reshape(n - 1, n * dim)
-    del cells, order
-    # rows of one dtype and length are equal iff their bytes are
-    lattice_count = len({row.tobytes() for row in rows})
-
-    # latin grids keyed by the first coordinate: the grid is determined by
-    # one permutation per further coordinate mapping first-cell -> cell;
-    # containing a and b fixes two distinct values of each, at two distinct
-    # places, which leaves (n - 2)! permutations per coordinate
-    return lattice_count, factorial(n - 2) ** (dim - 1)
+    return 1, factorial(n - 2) ** (dim - 1)
 
 
 # -- ablation probes --------------------------------------------------------------

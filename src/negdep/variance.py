@@ -394,8 +394,8 @@ def run_variance_batch(config: dict) -> list:
     "schemes" (spec dicts; each is run at every size, which sets its
     "n"/"dim" and overrides any the dict carries),
     "integrands" (names).  Returns VarianceResult objects in a stable order.
-    Every size is checked against the point-set caps (MAX_N, MAX_COORDINATES)
-    before any job runs.
+    Every size is checked against the point-set caps (MAX_N, MAX_COORDINATES),
+    and every scheme and integrand is built, before any job runs.
     """
     seed = _as_int(config.get("seed", 0), "seed")
     replications = _as_int(config["replications"], "replications")
@@ -408,19 +408,16 @@ def run_variance_batch(config: dict) -> list:
             raise ValueError(f"sizes entries must be [n, dim] pairs, got {size!r}")
         sizes.append(tuple(_as_int(v, "sizes") for v in size))
         _check_size(*sizes[-1])
-    results = []
-    job = 0
-    root = RngStream(seed)
     for stub in config["schemes"]:
         if not isinstance(stub, dict):
             raise ValueError(f"schemes entries must be spec objects, got {stub!r}")
-        for (n, dim) in sizes:
-            spec = spec_from_dict({**stub, "n": n, "dim": dim})
-            for name in config["integrands"]:
-                f = get_integrand(name, dim)
-                results.append(variance_compare(f, spec, replications, root.split(job)))
-                job += 1
-    return results
+    per_size = [[get_integrand(name, dim) for name in config["integrands"]] for (_, dim) in sizes]
+    cells = [(spec_from_dict({**stub, "n": n, "dim": dim}), fs)
+             for stub in config["schemes"] for (n, dim), fs in zip(sizes, per_size)]
+    jobs = [(f, spec) for spec, fs in cells for f in fs]
+    root = RngStream(seed)
+    return [variance_compare(f, spec, replications, root.split(job))
+            for job, (f, spec) in enumerate(jobs)]
 
 
 def load_batch_config(text: str) -> dict:

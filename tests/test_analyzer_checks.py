@@ -181,12 +181,14 @@ class TestTripleDistinguisher:
             triple_distinguisher(9, 2, (0, 0), (1, 1))
 
     def test_budget_refusal_names_work_and_budget(self):
-        # (n - 1) n dim = 84 cell entries of the candidate lattices at (7, 2)
-        with pytest.raises(BudgetExceededError, match="84 cell entries exceeds budget 83"):
-            triple_distinguisher(7, 2, (0, 0), (1, 2), budget=83)
-        assert triple_distinguisher(7, 2, (0, 0), (1, 2), budget=84) == (1, 120)
-        # charged before n is tested or any of the 10^36 cell entries built
-        with pytest.raises(BudgetExceededError, match="cell entries"):
+        # the latin count at (1009, 4) has at most 30210 bits: 1007^2 limb
+        # products to print
+        a, b = (0, 0, 0, 0), (1, 2, 3, 4)
+        with pytest.raises(BudgetExceededError, match="1014049 limb products exceeds budget 1014048"):
+            triple_distinguisher(1009, 4, a, b, budget=1014048)
+        assert triple_distinguisher(1009, 4, a, b, budget=1014049)[0] == 1
+        # charged before n is tested or its factorial formed
+        with pytest.raises(BudgetExceededError, match="latin count too large"):
             triple_distinguisher(10**18 + 3, 2, (0, 0), (1, 2))
 
     def test_factored_counting_path_agrees(self):

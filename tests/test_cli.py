@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -279,13 +280,24 @@ class TestAnalyze:
         assert code == 2
 
     def test_triple_budget_refuses_before_primality(self, capsys):
-        # the cell entries are charged before n is tested or any lattice built
+        # the latin count's limb products are charged before n is tested
+        # or its factorial formed
         t0 = time.perf_counter()
         code, out, err = run(capsys, "analyze", "triple", "--n", "1000000000000000003",
                              "--dim", "2", "--a", "0,0", "--b", "1,2")
         assert time.perf_counter() - t0 < 1
         assert code == 3 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1 and "cell entries" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "latin count too large" in err and "limb products" in err
+
+    def test_triple_refuses_a_latin_count_too_long_to_print(self, capsys):
+        # 6^199999 has 516 990 bits: printing it alone takes about half a second
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "analyze", "triple", "--n", "5", "--dim", "200000",
+                             "--a", ",".join(["0"] * 200000), "--b", ",".join(["1"] * 200000))
+        assert time.perf_counter() - t0 < 1
+        assert code == 3 and out == ""
+        assert err.startswith("error: latin count too large: 1600000000 limb products")
 
     def test_ablation(self, capsys):
         code, out, _ = run(capsys, "analyze", "ablation", "--n", "5", "--dim", "2")
@@ -376,6 +388,18 @@ class TestVariance:
                            "--replications", "200", "--seed", "4")
         assert code == 2
         assert "library provides" in err
+
+    @pytest.mark.parametrize("biased_capable, code", [(False, 1), (True, 0)])
+    def test_exit_one_when_a_uniform_scheme_does_not_dominate(self, capsys, monkeypatch,
+                                                              biased_capable, code):
+        # a scheme that can be biased is not held to the Monte Carlo baseline
+        real = cli.variance_compare
+        monkeypatch.setattr(cli, "variance_compare", lambda *args: dataclasses.replace(
+            real(*args), dominates=False, biased_capable=biased_capable))
+        got, out, _ = run(capsys, "variance", "--scheme", "lhs", "--n", "5", "--dim", "2",
+                          "--integrand", "additive", "--replications", "100")
+        assert got == code
+        assert json.loads(out)["results"][0]["dominates"] is False
 
     def test_missing_spec_usage_error(self, capsys):
         code, _, err = run(capsys, "variance", "--replications", "100")
@@ -526,6 +550,18 @@ class TestReproduce:
     def test_usage_error_exit_two(self, capsys):
         assert main(["analyze"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("criteria", ["99", "2,99"])
+    def test_unknown_criterion_is_a_usage_error(self, capsys, criteria):
+        # nothing runs, the known criterion of "2,99" included
+        code, out, err = run(capsys, "reproduce-paper", "--criteria", criteria)
+        assert (code, out) == (2, "")
+        assert err == "error: unknown criteria '99'; known: 1, 2, 3, 4, 5, 6, 7, 8, 9, 10\n"
+
+    def test_criterion_ids_are_stripped(self, capsys):
+        code, out, _ = run(capsys, "reproduce-paper", "--criteria", "2, 6")
+        assert code == 0
+        assert [line.split()[2] for line in out.splitlines()] == ["2", "6"]
 
     def test_lines_end_with_wall_seconds(self, capsys):
         code, out, _ = run(capsys, "reproduce-paper", "--criteria", "2,6")

@@ -21,8 +21,9 @@ The oracle functions below are the analyzer's earlier, direct forms:
     route of the factorized queries;
   * the cell-pair law as a Fraction pmf dict (discrete_pair_pmf, PairLaw);
   * the triple-containment lattice count, one frozenset per lattice of
-    every (generator, shift);
-  * the triple-containment latin count, over every tuple of permutations;
+    every (generator, shift), the reference for the closed count 1;
+  * the triple-containment latin count, over every tuple of permutations,
+    the reference for the closed form (n - 2)!^(dim - 1);
   * the no-shift first-cell mass, over every (generator, point index);
   * the rows of every box pair, one Fraction each (scan_pairs_rows);
   * the pairs table written row by row, format_rational and csv.writer per
@@ -41,7 +42,7 @@ import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
-from math import gcd, lcm, prod
+from math import factorial, gcd, lcm, prod
 
 import numpy as np
 import pytest
@@ -1576,29 +1577,36 @@ def test_triple_latin_count_matches_permutation_oracle(n, dim, a, b):
     assert triple_distinguisher(n, dim, a, b)[1] == oracle_latin_count(n, dim, a, b)
 
 
-def test_triple_budget_counts_lattices_only():
-    # the (n - 1) n dim = 84 cell entries of the n - 1 candidate lattices at
-    # (7, 2); the latin count is (n - 2)!^(dim - 1) and enumerates nothing,
-    # so neither the 7! = 5040 permutations of a coordinate nor the
-    # (n - 1)^dim n^dim = 1764 (generator, shift) pairs count
-    with pytest.raises(mod.BudgetExceededError, match="84 cell entries exceeds budget 83"):
-        triple_distinguisher(7, 2, (0, 0), (1, 2), budget=83)
-    assert triple_distinguisher(7, 2, (0, 0), (1, 2), budget=84) == (1, 120)
+def test_triple_budget_counts_latin_limb_products():
+    # the latin count 1007!^3 at (1009, 4) has at most 3 * 1007 * 10 = 30210
+    # bits, 1007 limbs of 30 bits, so its decimal form costs 1007^2 limb
+    # products; the one lattice and the (n - 2)! permutations per
+    # coordinate are not counted
+    a, b = (0, 0, 0, 0), (1, 2, 3, 4)
+    with pytest.raises(mod.BudgetExceededError,
+                       match="latin count too large: 1014049 limb products exceeds budget 1014048"):
+        triple_distinguisher(1009, 4, a, b, budget=1014048)
+    assert triple_distinguisher(1009, 4, a, b, budget=1014049) == (1, factorial(1007) ** 3)
 
 
-def test_triple_lattices_are_held_in_narrow_dtypes():
-    # g k in int32 and the cells, sort keys and sorted rows in int16: at
-    # most 9 traced bytes per cell entry of the n - 1 candidate lattices
-    n, dim = 1009, 4
+def test_triple_builds_no_lattice():
+    # one lattice by the uniqueness argument and the latin count in closed
+    # form: nothing the size of n (n - 1) dim = 4.07e6 cells is allocated
     triple_distinguisher(11, 2, (0, 0), (1, 2))
     tracemalloc.start()
     try:
-        count = triple_distinguisher(n, dim, (0,) * dim, (1, 2, 3, 4))[0]
+        count = triple_distinguisher(1009, 4, (0, 0, 0, 0), (1, 2, 3, 4))[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert count == 1
-    assert peak <= 9 * (n - 1) * n * dim
+    assert peak < 100_000
+
+
+def test_triple_refuses_a_latin_count_too_long_to_print():
+    # (5, 200000): 6^199999 has 516 990 bits, bounded by 1.6e9 limb products
+    with pytest.raises(mod.BudgetExceededError, match="1600000000 limb products"):
+        triple_distinguisher(5, 200000, (0,) * 200000, (1,) * 200000)
 
 
 def oracle_no_shift_mass(n, dim):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import negdep.samplers as samplers_module
+from negdep import variance
 from negdep.analyzer import AnchoredBox, pair_box_prob, pair_marginal_prob
 from negdep.rng import RngStream
 from negdep.samplers import _unit_floats, replicate
@@ -64,6 +65,14 @@ class TestIntegrandLibrary:
         lying = type(f)(
             name="lying", arity=2, evaluator=f.evaluator,
             monotone_flags=("decreasing", "decreasing"),
+        )
+        assert not verify_monotone_flags(lying, RngStream(1), probes=200)
+
+    def test_monotone_verification_catches_a_false_increasing_claim(self):
+        f = additive_integrand(2)
+        lying = type(f)(
+            name="lying", arity=2, evaluator=lambda u: -u.sum(1),
+            monotone_flags=("increasing", "increasing"),
         )
         assert not verify_monotone_flags(lying, RngStream(1), probes=200)
 
@@ -160,6 +169,19 @@ class TestVarianceCompare:
         assert res.biased_capable
         assert res.bias is not None and abs(res.bias - 0.16) < 0.01
 
+    def test_variance_above_the_baseline_does_not_dominate(self):
+        # a baseline of half the estimate: the 3-standard-error slack would
+        # cover it only at a relative standard error of 1/3 or more
+        f = additive_integrand(2)
+        first = variance_compare(f, full_rsj(5, 2), 1000, RngStream(7))
+        half = type(f)(name="half", arity=2, evaluator=f.evaluator,
+                       monotone_flags=f.monotone_flags, exact_mean=f.exact_mean,
+                       exact_variance=F(first.est_variance) * 5 / 2)
+        res = variance_compare(half, full_rsj(5, 2), 1000, RngStream(7))
+        assert res.est_variance == first.est_variance
+        assert res.variance_stderr / res.est_variance < 1 / 3
+        assert not res.dominates
+
     def test_estimated_mc_baseline_when_no_exact_variance(self):
         f = additive_integrand(2)
         bare = type(f)(name="bare", arity=2, evaluator=f.evaluator,
@@ -225,6 +247,22 @@ def test_batch_sizes_override_stub_n_and_dim():
     want = [variance_compare(additive_integrand(2), lhs_spec(5, 2), 100, root.split(0)),
             variance_compare(additive_integrand(1), lhs_spec(3, 1), 100, root.split(1))]
     assert results == want
+
+
+@pytest.mark.parametrize("bad", ["integrand", "scheme"])
+def test_batch_builds_every_scheme_and_integrand_before_its_first_study(monkeypatch, bad):
+    calls = []
+    monkeypatch.setattr(variance, "variance_compare", lambda *args: calls.append(args))
+    cfg = {"seed": 1, "replications": 100, "sizes": [[5, 2], [7, 3]],
+           "schemes": [{"kind": "lhs"}, {"kind": "rsj_lattice"}],
+           "integrands": ["additive", "product"]}
+    if bad == "integrand":
+        cfg["integrands"].append("no_such")
+    else:
+        cfg["schemes"].append({"kind": "rsj_lattice", "jitter": "sometimes"})
+    with pytest.raises(ValueError, match="no_such" if bad == "integrand" else "jitter"):
+        run_variance_batch(cfg)
+    assert calls == []
 
 
 def test_reduction_order_insensitive():
