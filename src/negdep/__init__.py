@@ -21,15 +21,11 @@ from .schemes import (
 from .samplers import (
     PointSet,
     generate,
-    lhs,
-    patterson,
     point_set_from_csv,
     point_set_from_json,
     point_set_to_csv,
     point_set_to_json,
-    rank1_lattice_points,
     rsj_rank1,
-    stratified_1d,
 )
 from .analyzer import (
     AnchoredBox,

@@ -165,22 +165,23 @@ def criterion_fixed_distance_conditional() -> CriterionResult:
 
 
 def criterion_stratified_closed_form_oracle() -> CriterionResult:
-    """Closed form equals the enumerated cell-pair law's box probability on
-    the 1/(4N) grid and never exceeds (1-q)(1-r)."""
+    """Closed form equals the box probability of the enumerated cell-pair
+    law and of the route pairprob takes (method "auto") on the 1/(4N) grid,
+    and never exceeds (1-q)(1-r)."""
     for n in range(2, 9):
         spec = stratified_spec(n)
         for kq in range(4 * n):
             for kr in range(4 * n):
                 q, r = Fraction(kq, 4 * n), Fraction(kr, 4 * n)
                 closed = stratified_pair_box_prob(q, r, n)
-                enumerated = pair_box_prob(spec, AnchoredBox((q,)), AnchoredBox((r,)),
-                                           method="enumeration")
-                if closed != enumerated:
-                    return CriterionResult(False, f"mismatch at N={n}, q={q}, r={r}")
+                Q, R = AnchoredBox((q,)), AnchoredBox((r,))
+                for method in ("enumeration", "auto"):
+                    if closed != pair_box_prob(spec, Q, R, method=method):
+                        return CriterionResult(False, f"{method} mismatch at N={n}, q={q}, r={r}")
                 if closed > (1 - q) * (1 - r):
                     return CriterionResult(False, f"bound fails at N={n}, q={q}, r={r}")
     return CriterionResult(
-        True, "closed form == enumeration and <= (1-q)(1-r) on all 1/(4N) grids, N=2..8")
+        True, "closed form == enumeration == auto and <= (1-q)(1-r) on all 1/(4N) grids, N=2..8")
 
 
 def criterion_variance_domination() -> CriterionResult:

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exact import any_digits, format_rational, is_prime
+from .exact import any_digits, format_rational, is_prime, parse_rational
 from .schemes import SchemeSpec, full_rsj, lhs_spec
 
 __all__ = [
@@ -95,25 +95,14 @@ def _power(base: int, k: int, budget: int, what: str, unit: str) -> int:
     return base**k
 
 
-def _exact(values, what: str) -> tuple:
-    """values as Fractions, from Fractions, ints or decimal strings of any length.
-
-    "0.3" is 3/10.  Binary floats are rejected: they never enter the exact path.
-    """
-    if any(isinstance(v, (float, np.floating)) for v in values):
-        raise TypeError(f"{what} must be exact, not binary floats")
-    with any_digits():
-        return tuple(Fraction(v) for v in values)
-
-
 @dataclass(frozen=True)
 class AnchoredBox:
-    """Box [anchor, 1) per coordinate; anchor coordinates in [0,1), exact (_exact)."""
+    """Box [anchor, 1) per coordinate; anchor coordinates in [0,1), exact (parse_rational)."""
 
     anchor: tuple
 
     def __post_init__(self):
-        anc = _exact(self.anchor, "anchor coordinates")
+        anc = tuple(map(parse_rational, self.anchor))
         if any(not 0 <= a < 1 for a in anc):
             raise ValueError("anchor coordinates must lie in [0, 1)")
         object.__setattr__(self, "anchor", anc)
@@ -143,7 +132,7 @@ def stratified_pair_box_prob(q, r, n: int) -> Fraction:
 
     Always <= (1-q)(1-r), with equality exactly when q = 0 or r = 0.
     """
-    q, r = _exact((q, r), "anchors")
+    q, r, n = parse_rational(q), parse_rational(r), operator.index(n)
     if not (0 <= q < 1 and 0 <= r < 1):
         raise ValueError("anchors must lie in [0, 1)")
     if n < 2:
@@ -272,11 +261,6 @@ def _sized_spec(n: int, dim: int, spec: SchemeSpec) -> SchemeSpec:
     if (spec.n, spec.dim) != (n, dim):
         raise ValueError("spec size does not match (n, dim)")
     return spec
-
-
-def _law_counts(n: int, dim: int, spec: SchemeSpec, budget, gather: bool = True):
-    """_pair_counts of _sized_spec(n, dim, spec)."""
-    return _pair_counts(_sized_spec(n, dim, spec), budget, gather)
 
 
 # -- the integer kernel ------------------------------------------------------------
@@ -599,13 +583,6 @@ def _grid_anchors(grid_resolution: int) -> list:
     return [Fraction(k, grid_resolution) for k in range(grid_resolution)]
 
 
-def _factor_dims(spec: SchemeSpec, factors) -> list:
-    """k_f of each count factor of the law (see _count_factors), before it is built."""
-    if factors is not None:
-        return [k for _, _, k in factors]
-    return [1] * spec.dim if _is_factorized(spec) else [spec.dim]
-
-
 def _reduce(contracted) -> list:
     """The scan's (A_f, P_f B_f total_f, p1_f, p2_f, den_f) of each _contract factor.
 
@@ -732,7 +709,10 @@ def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, csv_out=None,
     """
     if grid_resolution < 1:
         raise ValueError("grid resolution must be positive")
-    m, dim, dims = grid_resolution, spec.dim, _factor_dims(spec, factors)
+    m, dim = grid_resolution, spec.dim
+    # k_f of each count factor (see _count_factors), before the law is built
+    dims = ([k for _, _, k in factors] if factors is not None
+            else [1] * dim if _is_factorized(spec) else [dim])
     certify = len(dims) > 1 and csv_out is None
     _power(spec.n, max(dims), budget, "grid scan", "multiply-adds")
     work = sum((spec.n * m) ** k * (spec.n**k + m**k) for k in dims)
@@ -745,7 +725,7 @@ def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, csv_out=None,
     contracted = _reduce(_contract(factors, tables, tables))
     if certify:
         if _certified(contracted):
-            return DependenceReport.from_witnesses(spec, grid_resolution, [])
+            return DependenceReport._ranked(spec, grid_resolution, [])
         _charge(work + _power(m, 2 * dim, budget, "grid scan", "multiply-adds"), budget,
                 "grid scan", "multiply-adds")
 
@@ -823,8 +803,8 @@ def copula_equality_check(n: int, dim: int, spec: SchemeSpec = None,
     """
     spec = _sized_spec(n, dim, spec)
     gather = not _shift_invariant(spec)
-    counts_a, t_a = _law_counts(n, dim, spec, budget, gather)
-    counts_b, t_b = _law_counts(n, dim, lhs_spec(n, dim), budget, gather)
+    counts_a, t_a = _pair_counts(spec, budget, gather)
+    counts_b, t_b = _pair_counts(lhs_spec(n, dim), budget, gather)
     dtype = _int_dtype(t_a * t_b)
     # both count arrays are private to this call: scale and subtract in place
     diff = counts_a.astype(dtype, copy=False)
@@ -874,7 +854,7 @@ def coordinate_independence_check(n: int, dim: int, spec: SchemeSpec = None,
     """
     spec = _sized_spec(n, dim, spec)
     gather = not _shift_invariant(spec)
-    X, _ = _law_counts(n, dim, spec, budget, gather)
+    X, _ = _pair_counts(spec, budget, gather)
     if gather:
         axes = [ax for i in range(dim) for ax in (i, dim + i)]
         X = X.reshape((n,) * (2 * dim)).transpose(axes).reshape((n * n,) * dim)
@@ -981,16 +961,16 @@ def no_shift_mass(n: int, dim: int) -> Fraction:
     return Fraction(1, n)
 
 
-def shift_only_conditional(spec: SchemeSpec, epsilon, dim_index: int = None,
-                           budget=DEFAULT_BUDGET) -> Fraction:
+def shift_only_conditional(spec: SchemeSpec, epsilon, budget=DEFAULT_BUDGET) -> Fraction:
     """Exact P(p1 in Q | p2 in R) for the fixed-distance probe: 1, once its premise holds.
 
     Q = [0,1)^(d-1) x [eps/2, 1) and R = [0,1)^(d-1) x [1-eps/2, 1) in the
-    probed coordinate.  Supported: the jitterless lattice with a continuous
-    torus shift, and midpoint (patterson) sampling with the same continuous
-    shift applied (without a shift its conditioning event has probability
-    zero because the marginal is discrete).  The premise, every pair
-    distance in the probed coordinate above epsilon, is checked on the
+    last coordinate (to probe another, move its generator last).  Supported:
+    the jitterless lattice with a continuous torus shift, and midpoint
+    (patterson) sampling with the same continuous shift applied (without a
+    shift its conditioning event has probability zero because the marginal
+    is discrete).  The premise, every pair
+    distance in the last coordinate above epsilon, is checked on the
     integer differences e = gamma (b - a) mod n of every generator value
     and index difference (x1 = 0: a common shift moves no distance; distinct
     midpoints differ by every nonzero k/n, so patterson is generator 1):
@@ -1003,7 +983,7 @@ def shift_only_conditional(spec: SchemeSpec, epsilon, dim_index: int = None,
     conditional is 1, above the box volume 1 - eps/2, and the scheme
     cannot be pairwise negatively dependent.
     """
-    (eps,) = _exact((epsilon,), "epsilon")
+    eps = parse_rational(epsilon)
     if not 0 < eps <= Fraction(1, 2):
         raise ValueError("epsilon must lie in (0, 1/2]")
     if spec.kind == "rsj_lattice":
@@ -1013,14 +993,11 @@ def shift_only_conditional(spec: SchemeSpec, epsilon, dim_index: int = None,
             )
     elif spec.kind != "patterson":
         raise UnsupportedSchemeError(f"fixed-distance probe undefined for {spec.kind!r}")
-    i = spec.dim - 1 if dim_index is None else dim_index
-    if not 0 <= i < spec.dim:
-        raise ValueError("dim_index out of range")
     n = spec.n
     if n < 2:
         raise ValueError("a distinct pair needs n >= 2")
     _charge(_generator_count(spec) * (n - 1), budget, "fixed-distance premise", "terms")
-    gammas = np.ones(1, dtype=np.int64) if spec.kind == "patterson" else _generators(spec)[i]
+    gammas = np.ones(1, dtype=np.int64) if spec.kind == "patterson" else _generators(spec)[-1]
     # distance min(e, n - e) / n <= eps, for e = gamma delta mod n, gamma
     # outer and delta inner; on integers m <= eps n iff m <= floor(eps n)
     e = gammas[:, None] * np.arange(1, n, dtype=np.int64) % n

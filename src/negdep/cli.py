@@ -449,7 +449,7 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             return _cmd_analyze(args, argv, t0)
         if args.command == "variance":
-            if not args.config and not (args.scheme and args.n):
+            if not args.config and (args.scheme is None or args.n is None):
                 print("error: provide --config or --scheme/--n", file=sys.stderr)
                 return EXIT_USAGE
             return _cmd_variance(args, argv, t0)

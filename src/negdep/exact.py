@@ -7,7 +7,9 @@ enter the exact path; they only appear in sampler exports and in the
 variance lab.
 """
 
+import numbers
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 __all__ = [
@@ -57,24 +59,31 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "num/den", integer, or decimal strings into an exact rational.
+def parse_rational(value) -> Fraction:
+    """value as an exact rational: the one reader of every exact input.
 
-    Decimal strings are read exactly ("0.6" -> 3/5), with any number of
-    digits; binary floats are rejected so they can never leak into the
-    exact path.  A zero denominator ("1/0") raises ValueError, like any
-    other malformed text.
+    Takes anything numbers.Rational (Fraction, int, numpy integers), a
+    decimal.Decimal, or a "num/den", integer or decimal string, read
+    exactly with any number of digits ("0.6" -> 3/5).  Binary floats,
+    numpy floats included, raise TypeError so they can never leak into the
+    exact path, and so does any other type.  A zero denominator ("1/0"),
+    malformed text and a non-finite Decimal raise ValueError.
     """
-    if isinstance(text, float):
-        raise TypeError("refusing to parse a binary float into the exact path")
-    if isinstance(text, (Fraction, int)):
-        return Fraction(text)
-    text = text.strip()
-    try:
-        with any_digits():
-            return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, str):
+        try:
+            with any_digits():
+                return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
+    if isinstance(value, (numbers.Rational, Decimal)):
+        try:
+            return Fraction(value)
+        except OverflowError:  # an infinite Decimal; a NaN raises ValueError itself
+            raise ValueError(f"{value!r} is not a finite rational") from None
+    raise TypeError(f"refusing {value!r} in the exact path: it takes rationals, Decimals and "
+                    "strings, never a binary float")
 
 
 class any_digits:

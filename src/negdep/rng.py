@@ -190,9 +190,6 @@ class RngStream:
             if r < bound:
                 return r
 
-    def integers(self, bound: int, count: int) -> list:
-        return [self.integer(bound) for _ in range(count)]
-
     def permutation(self, n: int) -> list:
         """Uniform permutation of range(n) by Fisher-Yates (downward).
 

@@ -1,5 +1,9 @@
 """Point-set generation for every supported scheme.
 
+``generate(spec, seed)`` is the one public way to draw a point set: it
+dispatches on the spec's kind to ``rsj_rank1`` (the lattice) or to one
+latin sampler (stratified, lhs and patterson).
+
 Coordinates are held exactly: each coordinate is an integer numerator over
 the common denominator n * 2**53, i.e. cell index times 2**53 plus a 53-bit
 in-cell offset.  The rational view is exact; the float view is a derived
@@ -22,7 +26,7 @@ import json
 
 import numpy as np
 
-from .exact import Rational, is_prime
+from .exact import Rational
 from .rng import FRAC_BITS, RngStream
 from .schemes import SchemeSpec, spec_from_dict, spec_to_dict
 
@@ -32,10 +36,6 @@ __all__ = [
     "PointSet",
     "generate",
     "replicate",
-    "stratified_1d",
-    "lhs",
-    "patterson",
-    "rank1_lattice_points",
     "rsj_rank1",
     "rsj_cell_matrix",
     "point_set_to_csv",
@@ -168,43 +168,6 @@ def _latin(spec: SchemeSpec, rng: RngStream) -> PointSet:
     else:
         offsets = 1 << (FRAC_BITS - 1)  # exact midpoint 1/2
     return PointSet((cells << FRAC_BITS) + offsets, spec, rng.seed)
-
-
-def stratified_1d(n: int, rng: RngStream) -> PointSet:
-    """Simple stratified sample: one uniform point in each stratum
-    [(j-1)/n, j/n), delivered in uniformly permuted stratum order."""
-    return _latin(SchemeSpec("stratified1d", n, 1), rng)
-
-
-def lhs(n: int, dim: int, rng: RngStream) -> PointSet:
-    """Latin hypercube sample: independent stratum permutations per
-    coordinate, one uniform offset per point and coordinate."""
-    return _latin(SchemeSpec("lhs", n, dim), rng)
-
-
-def patterson(n: int, dim: int, rng: RngStream) -> PointSet:
-    """Lattice sampling in the Latin style: stratum permutations per
-    coordinate with every point pinned to its cell midpoint (k - 1/2)/n."""
-    return _latin(SchemeSpec("patterson", n, dim), rng)
-
-
-def rank1_lattice_points(g, n: int) -> PointSet:
-    """The rank-1 lattice {0, g, 2g, ...} mod 1 in index order.
-
-    g is a vector of field integers in {1,..,n-1} (the unit-interval
-    generator is g/n).  This is the deterministic building block; sampling
-    entry points additionally randomize and permute.
-    """
-    g = tuple(int(v) for v in g)
-    _check_size(n, len(g))
-    if not is_prime(n):
-        raise ValueError(f"N must be prime for a rank-1 lattice (got {n})")
-    if any(not 1 <= v < n for v in g):
-        raise ValueError("degenerate generator: coordinates must be nonzero mod N")
-    spec = SchemeSpec("rsj_lattice", n, len(g), generator=g, shift="none", jitter=False)
-    idx = np.arange(n, dtype=np.int64).reshape(n, 1)
-    cells = (idx * np.array(g, dtype=np.int64)) % n
-    return PointSet(cells << FRAC_BITS, spec, 0)
 
 
 def rsj_cell_matrix(g, shift_cells, n: int) -> np.ndarray:

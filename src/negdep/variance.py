@@ -183,20 +183,19 @@ def integrand_library(dim: int) -> list:
     ]
 
 
-def get_integrand(name: str, dim: int, **params) -> Integrand:
+def get_integrand(name: str, dim: int) -> Integrand:
     if name == "additive":
         return additive_integrand(dim)
     if name == "product":
         return product_integrand(dim)
     if name == "box_indicator":
-        anchor = params.get("anchor", (_DEFAULT_BOX_ANCHOR,) * dim)
-        return box_indicator_integrand(anchor)
+        return box_indicator_integrand((_DEFAULT_BOX_ANCHOR,) * dim)
     if name == "origin_box":
-        return origin_box_integrand(dim, params.get("edge", Fraction(1, 2)))
+        return origin_box_integrand(dim, Fraction(1, 2))
     if name == "smooth_monotone":
-        return smooth_monotone_integrand(dim, params.get("alpha", Fraction(1)))
+        return smooth_monotone_integrand(dim)
     if name == "constant":
-        return constant_integrand(dim, params.get("value", Fraction(1)))
+        return constant_integrand(dim)
     known = "additive, product, box_indicator, origin_box, smooth_monotone, constant"
     raise ValueError(f"unknown integrand {name!r}; library provides: {known}")
 

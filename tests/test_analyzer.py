@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction as F
 from itertools import product
 
@@ -8,7 +9,6 @@ from negdep.analyzer import (
     AnchoredBox,
     BudgetExceededError,
     UnsupportedSchemeError,
-    _law_counts,
     _pair_counts,
     pair_box_prob,
     pair_marginal_prob,
@@ -142,7 +142,7 @@ class TestDiscretePairPmf:
     def test_continuous_shift_has_no_cell_law(self):
         spec = SchemeSpec("rsj_lattice", 5, 2, shift="continuous_torus", jitter=False)
         with pytest.raises(UnsupportedSchemeError):
-            _law_counts(5, 2, spec, 10**8)
+            _pair_counts(spec)
 
     def test_pmf_validation(self):
         law = discrete_pair_pmf(3, 1)
@@ -316,6 +316,32 @@ def test_anchored_box_rejects_binary_floats():
             AnchoredBox((F(1, 4), bad))
     # exact coordinates keep working: decimal strings are read exactly
     assert AnchoredBox((F(3, 10), 0, "0.3", "1/3")).anchor == (F(3, 10), 0, F(3, 10), F(1, 3))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: AnchoredBox(("1/0",)),
+    lambda: AnchoredBox((F(1, 2), " 3/0 ")),
+    lambda: shift_only_conditional(
+        SchemeSpec("rsj_lattice", 5, 2, shift="continuous_torus", jitter=False), "1/0"),
+    lambda: stratified_pair_box_prob("1/0", 0, 5),
+    lambda: stratified_pair_box_prob(0, "0/0", 5),
+], ids=["box", "box-second", "epsilon", "stratified-q", "stratified-r"])
+def test_exact_entry_points_zero_denominator_is_a_value_error(call):
+    with pytest.raises(ValueError, match="zero denominator"):
+        call()
+
+
+def test_exact_entry_points_read_numpy_integers_and_decimals():
+    assert AnchoredBox((np.int64(0), Decimal("0.25"))).anchor == (0, F(1, 4))
+    assert stratified_pair_box_prob(np.int64(0), Decimal("0.5"), np.int64(4)) == F(1, 2)
+
+
+def test_stratified_strata_count_is_an_integer():
+    # a float n would let a float out of the exact path
+    with pytest.raises(TypeError):
+        stratified_pair_box_prob(F(1, 3), F(1, 2), 2.5)
+    with pytest.raises(TypeError):
+        stratified_pair_box_prob(F(1, 3), F(1, 2), np.float64(3))
 
 
 def test_exact_entry_points_reject_binary_floats():

@@ -267,9 +267,3 @@ class TestShiftOnlyConditional:
         # one midpoint has no distinct partner; patterson_spec(1, d) divided by zero
         with pytest.raises(ValueError, match="n >= 2"):
             shift_only_conditional(patterson_spec(1, 2), F(1, 2))
-
-    def test_probed_coordinate_selectable(self):
-        spec = SchemeSpec("rsj_lattice", 5, 3, shift="continuous_torus", jitter=False)
-        assert shift_only_conditional(spec, F(1, 10), dim_index=0) == 1
-        with pytest.raises(ValueError):
-            shift_only_conditional(spec, F(1, 10), dim_index=3)

@@ -405,6 +405,12 @@ class TestVariance:
         code, _, err = run(capsys, "variance", "--replications", "100")
         assert code == 2
 
+    def test_zero_points_named_as_such(self, capsys):
+        # --n 0 is given: the run reaches the size check, not the missing-spec message
+        code, out, err = run(capsys, "variance", "--scheme", "lhs", "--n", "0", "--dim", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: n must be at least 1\n"
+
     def test_zero_replications_rejected(self, tmp_path, capsys):
         # a given flag is set, 0 included, inline and over a config's count
         cfg_path = tmp_path / "batch.json"

@@ -1,4 +1,5 @@
 import sys
+from decimal import Decimal
 from fractions import Fraction as F
 from math import isqrt
 
@@ -66,6 +67,24 @@ def test_parse_rational_past_the_digit_limit():
 def test_parse_rational_zero_denominator_is_a_value_error(text):
     with pytest.raises(ValueError, match="zero denominator"):
         parse_rational(text)
+
+
+def test_parse_rational_reads_every_exact_type():
+    # numbers.Rational (numpy integers included) and Decimal, read exactly
+    assert parse_rational(np.int64(3)) == 3 and type(parse_rational(np.int64(3))) is F
+    assert parse_rational(np.uint8(7)) == 7
+    assert parse_rational(Decimal("0.1")) == F(1, 10)
+    assert parse_rational(F(2, 6)) == F(1, 3) and parse_rational(True) == 1
+    for bad in (Decimal("NaN"), Decimal("-Infinity")):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
+
+
+@pytest.mark.parametrize("bad", [np.float64(0.5), np.float32(0.5), np.float16(0.5),
+                                 None, b"1/2", [1, 2], 1j])
+def test_parse_rational_refuses_binary_floats_and_other_types(bad):
+    with pytest.raises(TypeError):
+        parse_rational(bad)
 
 
 def test_format_rational():

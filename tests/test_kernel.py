@@ -39,7 +39,7 @@ import csv
 import io
 import random
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
 from math import factorial, gcd, lcm, prod
@@ -184,14 +184,14 @@ class PairLaw:
 
 
 def discrete_pair_pmf(n, dim, spec=None, budget=10**8):
-    """The cell-pair law of _law_counts as a Fraction pmf dict.
+    """The cell-pair law of _pair_counts as a Fraction pmf dict.
 
     The support goes in order of the per-coordinate codes z1 * n + z2,
     coordinate 0 least significant: the order in which
     coordinate_independence_check reads its witness.
     """
     spec = spec if spec is not None else full_rsj(n, dim)
-    P, total = mod._law_counts(n, dim, spec, budget)  # looked up per call: tests patch it
+    P, total = mod._pair_counts(spec, budget)  # looked up per call: tests patch it
     i1, i2 = np.nonzero(P)
     cellv = np.array(list(product(range(n), repeat=dim)), dtype=np.int64)
     codes = (cellv[i1] * n + cellv[i2]) @ (np.int64(n * n) ** np.arange(dim, dtype=np.int64))
@@ -1111,7 +1111,7 @@ def test_independence_witness_on_a_later_subset(monkeypatch):
     # pair in support order, (2, 1), is not its smallest code.  The law of
     # a spec without a shift is read on the dense route
     n, pairs = 3, [((2, 1), (0, 1)), ((0, 1), (1, 2)), ((1, 0), (2, 0))]
-    monkeypatch.setattr(mod, "_law_counts", lambda *args, **kwargs: _xor_counts(n, pairs))
+    monkeypatch.setattr(mod, "_pair_counts", lambda *args, **kwargs: _xor_counts(n, pairs))
     spec = SchemeSpec(RSJ, n, 3, shift="none")
     rep = coordinate_independence_check(n, 3, spec)
     ok, witness = oracle_independence(spec)
@@ -1142,11 +1142,11 @@ def test_independence_witness_on_a_later_subset_of_the_difference_row(monkeypatc
     dense = row[tuple(((cellv[None, :, :] - cellv[:, None, :]) % n).transpose(2, 0, 1))]
     calls = []
 
-    def law(n_, dim, spec, budget, gather=True):
+    def law(spec, budget, gather=True):
         calls.append(gather)
         return (dense if gather else row), total
 
-    monkeypatch.setattr(mod, "_law_counts", law)
+    monkeypatch.setattr(mod, "_pair_counts", law)
     rep = coordinate_independence_check(n, 3)
     assert calls == [False]
     ok, witness = oracle_independence(full_rsj(n, 3))
@@ -1458,9 +1458,17 @@ def oracle_probe(spec, eps, i):
     return joint / (len(configs) * (1 - r))
 
 
+def _last(spec, i):
+    """spec with coordinate i's generator moved last, where the probe looks."""
+    if spec.kind != RSJ or spec.generator == "random":
+        return spec
+    g = list(spec.generator)
+    return replace(spec, generator=tuple(g[:i] + g[i + 1:] + [g[i]]))
+
+
 def _probe(spec, eps, i):
     try:
-        return shift_only_conditional(spec, eps, dim_index=i)
+        return shift_only_conditional(_last(spec, i), eps)
     except HypothesisViolatedError as exc:
         return str(exc)
 
@@ -1517,9 +1525,9 @@ def test_probe_runs_no_class_sum(monkeypatch):
         n = spec.n
         for i in range(spec.dim):
             # every pair distance is at least 1/n, above 1/(2n) and not above 1/n
-            assert shift_only_conditional(spec, F(1, 2 * n), dim_index=i) == 1
+            assert shift_only_conditional(_last(spec, i), F(1, 2 * n)) == 1
             with pytest.raises(HypothesisViolatedError) as exc:
-                shift_only_conditional(spec, F(1, n), dim_index=i)
+                shift_only_conditional(_last(spec, i), F(1, n))
             want = (oracle_probe(spec, F(1, n), i) if spec.kind == RSJ else
                     f"pair distance 1/{n} <= epsilon 1/{n} at positions (0/1, 1/{n})")
             assert str(exc.value) == want

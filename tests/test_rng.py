@@ -144,18 +144,14 @@ def _draw(r, name, arg):
         return getattr(r, name)()
     if name in ("integer", "permutation"):
         return getattr(r, name)(arg)
-    if name == "integers":
-        return r.integers(*arg)
     return getattr(r, name)(arg).tolist()  # u64_array, bits53_array, uniform01
 
 
 def _random_draw(rnd):
-    name = rnd.choice(["u64", "bits53", "integer", "integers", "permutation",
+    name = rnd.choice(["u64", "bits53", "integer", "permutation",
                        "u64_array", "bits53_array", "uniform01"])
     if name == "integer":
         return name, rnd.choice([1, 2, 3, 7, 31, 1000, 2**63 + 5, 2**64])
-    if name == "integers":
-        return name, (rnd.randint(1, 40), rnd.randint(0, 5))
     if name == "permutation":
         return name, rnd.choice([0, 1, 2, 3, 5, 31, 64])
     return name, rnd.randint(0, 40)

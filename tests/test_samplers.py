@@ -15,36 +15,32 @@ from negdep.samplers import (
     PointSet,
     _draw_words,
     generate,
-    lhs,
-    patterson,
     point_set_from_csv,
     point_set_from_json,
     point_set_to_csv,
     point_set_to_json,
-    rank1_lattice_points,
     replicate,
     rsj_cell_matrix,
     rsj_rank1,
-    stratified_1d,
 )
 from negdep.schemes import SchemeSpec, full_rsj, lhs_spec, patterson_spec, stratified_spec
 
 
 def test_stratified_one_point_per_stratum():
-    ps = stratified_1d(4, RngStream(1))
+    ps = generate(stratified_spec(4), RngStream(1))
     vals = sorted(ps.floats()[:, 0])
     for j, v in enumerate(vals):
         assert j / 4 <= v < (j + 1) / 4
 
 
 def test_stratified_single_point():
-    ps = stratified_1d(1, RngStream(2))
+    ps = generate(stratified_spec(1), RngStream(2))
     assert 0 <= ps.floats()[0, 0] < 1
 
 
 def test_stratified_rejects_zero():
     with pytest.raises(ValueError):
-        stratified_1d(0, RngStream(0))
+        generate(stratified_spec(0), RngStream(0))
 
 
 def test_stratified_marginal_uniform():
@@ -69,7 +65,7 @@ def test_replicate_equals_generate_per_substream(spec):
 
 
 def test_lhs_latin_property():
-    ps = lhs(5, 3, RngStream(3))
+    ps = generate(lhs_spec(5, 3), RngStream(3))
     cells = ps.cells()
     for i in range(3):
         assert sorted(cells[:, i].tolist()) == list(range(5))
@@ -77,7 +73,7 @@ def test_lhs_latin_property():
 
 def test_lhs_dim1_is_a_stratified_sample():
     # with one coordinate the latin construction is simple stratification
-    ps = lhs(6, 1, RngStream(44))
+    ps = generate(lhs_spec(6, 1), RngStream(44))
     vals = sorted(ps.floats()[:, 0])
     for j, v in enumerate(vals):
         assert j / 6 <= v < (j + 1) / 6
@@ -86,7 +82,7 @@ def test_lhs_dim1_is_a_stratified_sample():
 @given(n=st.integers(1, 16), dim=st.integers(1, 4), seed=st.integers(0, 2**32))
 @settings(max_examples=60, deadline=None)
 def test_lhs_latin_property_random(n, dim, seed):
-    cells = lhs(n, dim, RngStream(seed)).cells()
+    cells = generate(lhs_spec(n, dim), RngStream(seed)).cells()
     for i in range(dim):
         assert sorted(cells[:, i].tolist()) == list(range(n))
 
@@ -111,9 +107,9 @@ def test_lhs_cell_pair_frequencies():
 
 
 def test_patterson_midpoints():
-    ps = patterson(2, 1, RngStream(4))
+    ps = generate(patterson_spec(2, 1), RngStream(4))
     assert set(ps.floats()[:, 0]) == {0.25, 0.75}
-    ps = patterson(5, 2, RngStream(5))
+    ps = generate(patterson_spec(5, 2), RngStream(5))
     mids = {(2 * k + 1) / 10 for k in range(5)}
     assert set(ps.floats().ravel()) <= mids
     for i in range(2):
@@ -121,7 +117,7 @@ def test_patterson_midpoints():
 
 
 def test_patterson_pair_distance_at_least_1_over_n():
-    ps = patterson(5, 2, RngStream(6))
+    ps = generate(patterson_spec(5, 2), RngStream(6))
     r = ps.rationals()
     for j in range(5):
         for k in range(5):
@@ -133,11 +129,11 @@ def test_patterson_pair_distance_at_least_1_over_n():
 
 
 def test_rank1_lattice_structure():
-    ps = rank1_lattice_points((1, 1), 5)
-    assert np.array_equal(ps.cells(), [[k, k] for k in range(5)])
-    assert all(v == 0 for v in ps.nums[0])  # first point is the origin
+    cells = rsj_cell_matrix((1, 1), (0, 0), 5)
+    assert np.array_equal(cells, [[k, k] for k in range(5)])
+    assert all(v == 0 for v in cells[0])  # first point is the origin
     # closed under mod-1 addition: a cyclic subgroup of the torus
-    pts = {tuple(row) for row in ps.cells().tolist()}
+    pts = {tuple(row) for row in cells.tolist()}
     for a in pts:
         for b in pts:
             assert tuple((x + y) % 5 for x, y in zip(a, b)) in pts
@@ -145,8 +141,7 @@ def test_rank1_lattice_structure():
 
 def test_rank1_lattice_differences_regenerate():
     # difference of any two distinct points generates the same lattice
-    ps = rank1_lattice_points((2, 3), 5)
-    pts = [tuple(row) for row in ps.cells().tolist()]
+    pts = [tuple(row) for row in rsj_cell_matrix((2, 3), (0, 0), 5).tolist()]
     base = set(pts)
     for j in range(5):
         for k in range(5):
@@ -155,13 +150,6 @@ def test_rank1_lattice_differences_regenerate():
             d = tuple((a - b) % 5 for a, b in zip(pts[j], pts[k]))
             regen = {tuple((m * x) % 5 for x in d) for m in range(5)}
             assert regen == base
-
-
-def test_rank1_lattice_rejects_degenerate():
-    with pytest.raises(ValueError, match="degenerate"):
-        rank1_lattice_points((0, 1), 5)
-    with pytest.raises(ValueError, match="prime"):
-        rank1_lattice_points((1, 1), 6)
 
 
 def test_rsj_grid_structure_jitter_off():
@@ -329,13 +317,13 @@ def test_generate_reserves_only_a_stream_it_makes(spec, monkeypatch):
 
 
 def test_latin_entry_points_match_generate():
+    # a given stream draws what an integer seed draws, for every latin kind
     for seed in (0, 5, 2**40 + 7):
-        assert stratified_1d(9, RngStream(seed)) == generate(stratified_spec(9), seed)
-        assert lhs(9, 3, RngStream(seed)) == generate(lhs_spec(9, 3), seed)
-        assert patterson(9, 3, RngStream(seed)) == generate(patterson_spec(9, 3), seed)
-        # one-coordinate lhs draws what stratified_1d draws
-        assert np.array_equal(lhs(9, 1, RngStream(seed)).nums,
-                              stratified_1d(9, RngStream(seed)).nums)
+        for spec in (stratified_spec(9), lhs_spec(9, 3), patterson_spec(9, 3)):
+            assert generate(spec, RngStream(seed)) == generate(spec, seed)
+        # one-coordinate lhs draws what stratified sampling draws
+        assert np.array_equal(generate(lhs_spec(9, 1), seed).nums,
+                              generate(stratified_spec(9), seed).nums)
 
 
 def test_rsj_discrete_skeleton_matches_pair_law():
