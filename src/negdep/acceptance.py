@@ -265,7 +265,7 @@ CRITERIA = [
 ]
 
 
-def run_acceptance(ids=None, echo=print) -> bool:
+def run_acceptance(ids=None) -> bool:
     """Run the selected criteria (all by default); one line per criterion,
     ending with its wall seconds.  Ids are stripped; an id that names no
     criterion raises ValueError before any criterion runs."""
@@ -282,6 +282,6 @@ def run_acceptance(ids=None, echo=print) -> bool:
         result = fn()
         elapsed = time.perf_counter() - t0
         status = "PASS" if result.passed else "FAIL"
-        echo(f"{status} criterion {cid} ({name}): {result.detail} [{elapsed:.3f} s]")
+        print(f"{status} criterion {cid} ({name}): {result.detail} [{elapsed:.3f} s]")
         all_ok = all_ok and result.passed
     return all_ok

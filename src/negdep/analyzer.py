@@ -28,7 +28,7 @@ arc overlaps on a common grid 1/D per coordinate.
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import factorial, floor, gcd, lcm, prod
 from typing import NamedTuple
 
@@ -555,11 +555,12 @@ class DependenceReport:
     def from_witnesses(cls, spec: SchemeSpec, grid_resolution: int, witnesses) -> "DependenceReport":
         """The report of a k/grid_resolution scan that found these witnesses.
 
-        Witnesses come in any order (the test oracles and the certificate
-        pass theirs here); the report lists them by decreasing excess, ties
-        broken by decreasing anchors.  _scan ranks its own witnesses in this
-        order on integers (excess over its common denominator, then box
-        index) and builds each box and each distinct probability once.
+        Witnesses come in any order (the test oracles pass theirs here);
+        the report lists them by decreasing excess, ties broken by
+        decreasing anchors.  _scan ranks its own witnesses in this order on
+        integers (excess over its common denominator, then box index),
+        builds each box and each distinct probability once, and passes them
+        to _ranked directly.
         """
         witnesses = sorted(witnesses, key=lambda w: (w[2] - w[3], w[0].anchor, w[1].anchor),
                            reverse=True)
@@ -670,7 +671,8 @@ def nuod_scan(spec: SchemeSpec, grid_resolution: int, budget=DEFAULT_BUDGET) -> 
     entries, so checking each factor's M^k_f x M^k_f tables certifies every
     box pair, and the report has no witnesses.  Only if some factor fails
     are all M^(2 dim) box pairs expanded and compared; a one-factor law is
-    expanded directly.  The budget is that of _scan.
+    expanded directly.  The budget is that of _scan, d (n M (1 + M) + M^2)
+    for the d unbuilt 1 - I factors of a factorized law.
 
     A continuous-torus-shift spec has no cell law and is not scanned; the
     fixed-distance probe (shift_only_conditional) covers that ablation.
@@ -694,12 +696,13 @@ def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, csv_out=None,
     is from_witnesses' order.  Each witness box is then built once from the
     grid anchors, and each distinct probability is one Fraction.
 
-    Each stage's budget is checked before it runs, the first before the M
-    anchors are built.  The contraction costs
-    sum_f c_f B_f (c_f + B_f) multiply-adds (c_f = n^k_f cell vectors,
-    B_f = M^k_f boxes); the certificate adds sum_f B_f^2 comparisons and
-    the expansion one per box pair, M^(2 dim), on top of the certificate
-    when that ran and failed.
+    Each stage's budget is checked before it runs, the first before the law
+    and the M anchors are built.  The contraction of factor f (c_f = n^k_f
+    cell vectors, B_f = M^k_f boxes) costs c_f B_f (c_f + B_f) multiply-adds
+    for a built P_f, and c_f B_f (1 + B_f) for a 1 - I factor (P_f None),
+    which _apply_factor applies in c_f B_f; the certificate adds sum_f B_f^2
+    comparisons and the expansion one per box pair, M^(2 dim), on top of the
+    certificate when that ran and failed.
 
     csv_out is a text stream.  It receives nothing if the scan is refused;
     otherwise the header, then one write per block of box pairs, so the
@@ -710,13 +713,14 @@ def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, csv_out=None,
     if grid_resolution < 1:
         raise ValueError("grid resolution must be positive")
     m, dim = grid_resolution, spec.dim
-    # k_f of each count factor (see _count_factors), before the law is built
-    dims = ([k for _, _, k in factors] if factors is not None
-            else [1] * dim if _is_factorized(spec) else [dim])
-    certify = len(dims) > 1 and csv_out is None
-    _power(spec.n, max(dims), budget, "grid scan", "multiply-adds")
-    work = sum((spec.n * m) ** k * (spec.n**k + m**k) for k in dims)
-    work += (sum(m ** (2 * k) for k in dims) if certify
+    # (k_f, whether P_f is built) of each count factor (see _count_factors),
+    # before the law is built
+    shapes = ([(k, P is not None) for P, _, k in factors] if factors is not None
+              else [(1, False)] * dim if _is_factorized(spec) else [(dim, True)])
+    certify = len(shapes) > 1 and csv_out is None
+    _power(spec.n, max(k for k, _ in shapes), budget, "grid scan", "multiply-adds")
+    work = sum((spec.n * m) ** k * ((spec.n**k if built else 1) + m**k) for k, built in shapes)
+    work += (sum(m ** (2 * k) for k, _ in shapes) if certify
              else _power(m, 2 * dim, budget, "grid scan", "multiply-adds"))
     _charge(work, budget, "grid scan", "multiply-adds")
     anchors = _grid_anchors(m)
@@ -832,11 +836,14 @@ def coordinate_independence_check(n: int, dim: int, spec: SchemeSpec = None,
     For each I subset of {0..dim-1} and every assignment of cell pairs on I,
     the joint marginal over I must equal the product of single-coordinate
     marginals: on the integer counts C by per-coordinate cell pair code
-    z1 * n + z2, C_I total^(|I|-1) == prod of the c_i.  Exact; returns the
-    first failing assignment as witness, with subsets in combinations order
-    and each coordinate's cell pairs in order of first appearance in the
-    support of C (the nonzero cell-pair codes in Fortran order, coordinate
-    0 least significant).
+    z1 * n + z2, C_I total^(|I|-1) == prod of the c_i.  If the full set
+    factorizes, every subset does (summing out a coordinate of a product
+    leaves a product), so a passing check makes that one comparison.  Only
+    after it fails are the subsets searched, in combinations order, and
+    the first failing assignment returned as witness, each coordinate's
+    cell pairs in order of first appearance in the support of C (the
+    nonzero cell-pair codes in Fortran order, coordinate 0 least
+    significant).
 
     A shift-invariant law (a grid shift, or a latin kind) is checked on its
     difference row F alone (_pair_counts ungathered, n^dim entries): C is
@@ -865,36 +872,42 @@ def coordinate_independence_check(n: int, dim: int, spec: SchemeSpec = None,
     S = int(X.sum())
     X = X.astype(_int_dtype(S**dim), copy=False)
     singles = [X.sum(axis=tuple(j for j in range(dim) if j != i)) for i in range(dim)]
-    # compared on every code: off a coordinate's support both sides are 0
-    for size in range(2, dim + 1):
-        for idx in combinations(range(dim), size):
-            joint = X if size == dim else X.sum(axis=tuple(j for j in range(dim) if j not in idx))
-            expected = singles[idx[0]]
-            for i in idx[1:]:
-                expected = np.multiply.outer(expected, singles[i])
-            scaled = joint * S ** (size - 1)
-            if np.array_equal(scaled, expected):
-                continue
-            # the witness: the support of X in Fortran order (coordinate 0
-            # least significant), each coordinate's codes in order of first
-            # appearance there
-            support = np.flatnonzero(X.ravel(order="F"))
-            orders = []
-            for i in idx:
-                values, first = np.unique(support // base**i % base, return_index=True)
-                orders.append(values[np.argsort(first)])
-            cells = np.ix_(*orders)
-            bad = scaled[cells] != expected[cells]
-            at = np.unravel_index(np.argmax(bad), bad.shape)
-            codes = tuple(int(o[k]) for o, k in zip(orders, at))
-            return IndependenceReport(False, {
-                "subset": idx,
-                "cells": tuple(divmod(c, n) for c in codes),
-                "joint": Fraction(int(joint[codes]), weight**size * S),
-                "product": prod(Fraction(int(singles[i][c]), weight * S)
-                                for i, c in zip(idx, codes)),
-            })
-    return IndependenceReport(True)
+
+    def compare(idx):
+        # compared on every code: off a coordinate's support both sides are 0
+        size = len(idx)
+        joint = X if size == dim else X.sum(axis=tuple(j for j in range(dim) if j not in idx))
+        expected = singles[idx[0]]
+        for i in idx[1:]:
+            expected = np.multiply.outer(expected, singles[i])
+        scaled = joint * S ** (size - 1)
+        return np.array_equal(scaled, expected), joint, scaled, expected
+
+    # a law that factorizes over all coordinates factorizes over every subset
+    if compare(tuple(range(dim)))[0]:
+        return IndependenceReport(True)
+    # so the full set fails, and some subset fails first in combinations order
+    for idx in chain.from_iterable(combinations(range(dim), k) for k in range(2, dim + 1)):
+        equal, joint, scaled, expected = compare(idx)
+        if not equal:
+            break
+    # the witness: the support of X in Fortran order (coordinate 0 least
+    # significant), each coordinate's codes in order of first appearance there
+    support = np.flatnonzero(X.ravel(order="F"))
+    orders = []
+    for i in idx:
+        values, first = np.unique(support // base**i % base, return_index=True)
+        orders.append(values[np.argsort(first)])
+    cells = np.ix_(*orders)
+    bad = scaled[cells] != expected[cells]
+    at = np.unravel_index(np.argmax(bad), bad.shape)
+    codes = tuple(int(o[k]) for o, k in zip(orders, at))
+    return IndependenceReport(False, {
+        "subset": idx,
+        "cells": tuple(divmod(c, n) for c in codes),
+        "joint": Fraction(int(joint[codes]), weight ** len(idx) * S),
+        "product": prod(Fraction(int(singles[i][c]), weight * S) for i, c in zip(idx, codes)),
+    })
 
 
 def triple_distinguisher(n: int, dim: int, a, b, budget=DEFAULT_BUDGET) -> tuple:

@@ -108,9 +108,13 @@ class _FileOnFirstWrite:
             self.fh.close()
 
 
-def _write_with_manifest(path: str, data: str, argv, seed, t0, extra=None) -> None:
+def _write(path: str, text: str, argv, seed, t0, extra=None) -> None:
+    """text to the file at path and its manifest, or to stdout when path is empty."""
+    if not path:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(data)
+        fh.write(text)
     _write_manifest(path, argv, seed, t0, extra)
 
 
@@ -130,14 +134,9 @@ def _write_manifest(path: str, argv, seed, t0, extra=None) -> None:
         json.dump(manifest, fh, sort_keys=True, indent=1)
 
 
-def _emit(args, payload: dict, argv, seed, t0) -> None:
+def _json_text(payload: dict) -> str:
     with any_digits():  # exact counts of any size
-        text = json.dumps(payload, sort_keys=True, indent=1)
-    out = getattr(args, "out", None)
-    if out:
-        _write_with_manifest(out, text + "\n", argv, seed, t0)
-    else:
-        print(text)
+        return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
 # -- generate ------------------------------------------------------------------
@@ -149,41 +148,41 @@ def _cmd_generate(args, argv, t0) -> int:
     spec = _spec_from_args(args)
     ps = generate(spec, args.seed)
     data = point_set_to_csv(ps) if args.format == "csv" else point_set_to_json(ps) + "\n"
-    if args.out:
-        _write_with_manifest(args.out, data, argv, args.seed, t0,
-                             extra={"scheme": spec_to_dict(spec)})
-    else:
-        sys.stdout.write(data)
+    _write(args.out, data, argv, args.seed, t0, extra={"scheme": spec_to_dict(spec)})
     return EXIT_OK
 
 
 # -- analyze -------------------------------------------------------------------
 
 
+def _box_query(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox, budget: int) -> tuple:
+    """The Q, R, joint, product and violation fields of a box query, and its joint and product."""
+    joint, marg_q, marg_r = _pair_query(spec, Q, R, budget=budget)
+    prodv = marg_q * marg_r
+    fields = {
+        "Q": [format_rational(a) for a in Q.anchor],
+        "R": [format_rational(a) for a in R.anchor],
+        "joint": format_rational(joint),
+        "product": format_rational(prodv),
+        "violation": joint > prodv,
+    }
+    return fields, joint, prodv
+
+
 def _cmd_analyze(args, argv, t0) -> int:
     budget = args.budget
     sub = args.analysis
+    code = EXIT_OK
 
     if sub == "pairprob":
         spec = _spec_from_args(args)
         Q = _parse_anchor(args.Q, spec.dim)
         R = _parse_anchor(args.R, spec.dim)
-        joint, marg_q, marg_r = _pair_query(spec, Q, R, budget=budget)
-        prodv = marg_q * marg_r
-        payload = {
-            "scheme": spec_to_dict(spec),
-            "Q": [format_rational(a) for a in Q.anchor],
-            "R": [format_rational(a) for a in R.anchor],
-            "joint": format_rational(joint),
-            "joint_decimal": float(joint),
-            "product": format_rational(prodv),
-            "product_decimal": float(prodv),
-            "violation": joint > prodv,
-        }
-        _emit(args, payload, argv, None, t0)
-        return EXIT_OK
+        fields, joint, prodv = _box_query(spec, Q, R, budget)
+        payload = {"scheme": spec_to_dict(spec), **fields,
+                   "joint_decimal": float(joint), "product_decimal": float(prodv)}
 
-    if sub == "nuod":
+    elif sub == "nuod":
         spec = _spec_from_args(args)
         if args.pairs_csv:
             # the rows go to the file block by block; the manifest follows them
@@ -192,10 +191,10 @@ def _cmd_analyze(args, argv, t0) -> int:
             _write_manifest(args.pairs_csv, argv, None, t0)
         else:
             report = _scan(spec, args.grid, budget)
-        _emit(args, report_to_json_dict(report), argv, None, t0)
-        return EXIT_OK if report.ok else EXIT_VIOLATION
+        payload = report_to_json_dict(report)
+        code = EXIT_OK if report.ok else EXIT_VIOLATION
 
-    if sub == "copula":
+    elif sub == "copula":
         spec = _spec_from_args(args)
         cc = copula_equality_check(args.n, args.dim, spec=spec, budget=budget)
         payload = {
@@ -203,10 +202,8 @@ def _cmd_analyze(args, argv, t0) -> int:
             "equal": cc.equal,
             "max_discrepancy": format_rational(cc.max_discrepancy),
         }
-        _emit(args, payload, argv, None, t0)
-        return EXIT_OK
 
-    if sub == "independence":
+    elif sub == "independence":
         spec = _spec_from_args(args)
         rep = coordinate_independence_check(args.n, args.dim, spec=spec, budget=budget)
         payload = {"scheme": spec_to_dict(spec), "independent": rep.ok}
@@ -217,19 +214,15 @@ def _cmd_analyze(args, argv, t0) -> int:
                 "joint": format_rational(rep.witness["joint"]),
                 "product": format_rational(rep.witness["product"]),
             }
-        _emit(args, payload, argv, None, t0)
-        return EXIT_OK
 
-    if sub == "triple":
+    elif sub == "triple":
         a = tuple(int(v) for v in args.a.split(","))
         b = tuple(int(v) for v in args.b.split(","))
         lat, lhsc = triple_distinguisher(args.n, args.dim, a, b, budget=budget)
         payload = {"n": args.n, "dim": args.dim, "a": list(a), "b": list(b),
                    "lattice": lat, "lhs": lhsc}
-        _emit(args, payload, argv, None, t0)
-        return EXIT_OK
 
-    if sub == "ablation":
+    elif sub == "ablation":
         n, dim = args.n, args.dim
         eps_val = parse_rational(args.epsilon) if args.epsilon is not None else Fraction(1, 2 * n)
         mass = no_shift_mass(n, dim)
@@ -247,8 +240,7 @@ def _cmd_analyze(args, argv, t0) -> int:
             _power(n, dim, budget, "enumeration", "terms")
         Q = AnchoredBox((Fraction(n - 2, n),) * dim)
         R = AnchoredBox((Fraction(n - 1, n),) * dim)
-        joint, marg_q, marg_r = _pair_query(fg_spec, Q, R, budget=budget)
-        prodv = marg_q * marg_r
+        fixed_generator, _, _ = _box_query(fg_spec, Q, R, budget)
 
         # formatted only now: 1/n^dim has dim log10(n) digits, and the
         # query above refuses a large dim first
@@ -268,19 +260,13 @@ def _cmd_analyze(args, argv, t0) -> int:
                 "box_volume": format_rational(lam_q),
                 "negatively_dependent": cond <= lam_q,
             },
-            "fixed_generator": {
-                "generator": spec_to_dict(fg_spec)["generator"],
-                "Q": [format_rational(a) for a in Q.anchor],
-                "R": [format_rational(a) for a in R.anchor],
-                "joint": format_rational(joint),
-                "product": format_rational(prodv),
-                "violation": joint > prodv,
-            },
+            "fixed_generator": {"generator": spec_to_dict(fg_spec)["generator"], **fixed_generator},
         }
-        _emit(args, payload, argv, None, t0)
-        return EXIT_OK
 
-    raise ValueError(f"unknown analysis {sub!r}")
+    else:
+        raise ValueError(f"unknown analysis {sub!r}")
+    _write(args.out, _json_text(payload), argv, None, t0)
+    return code
 
 
 # -- variance ------------------------------------------------------------------
@@ -314,14 +300,11 @@ def _cmd_variance(args, argv, t0) -> int:
         seed = 0 if args.seed is None else args.seed
         results = [variance_compare(f, spec, reps, RngStream(seed))]
 
-    payload = {"results": [result_to_json_dict(r) for r in results]}
     if args.out_csv:
-        _write_with_manifest(args.out_csv, _results_to_csv(results), argv, seed, t0)
-    if args.out_json:
-        _write_with_manifest(args.out_json, json.dumps(payload, sort_keys=True, indent=1) + "\n",
-                             argv, seed, t0)
-    if not args.out_csv and not args.out_json:
-        print(json.dumps(payload, sort_keys=True, indent=1))
+        _write(args.out_csv, _results_to_csv(results), argv, seed, t0)
+    if args.out_json or not args.out_csv:  # the JSON goes to stdout when neither file is named
+        _write(args.out_json, _json_text({"results": [result_to_json_dict(r) for r in results]}),
+               argv, seed, t0)
     failed = [r for r in results if not r.dominates and not r.biased_capable]
     return EXIT_VIOLATION if failed else EXIT_OK
 

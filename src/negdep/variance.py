@@ -170,34 +170,30 @@ def constant_integrand(dim: int, value=Fraction(1)) -> Integrand:
     )
 
 
-_DEFAULT_BOX_ANCHOR = Fraction(3, 10)
+# get_integrand's library at a given arity, keyed by the name each integrand
+# carries, in the order the unknown-name error lists them
+_INTEGRANDS = {make(1).name: make for make in (
+    additive_integrand,
+    product_integrand,
+    lambda dim: box_indicator_integrand((Fraction(3, 10),) * dim),
+    lambda dim: origin_box_integrand(dim, Fraction(1, 2)),
+    smooth_monotone_integrand,
+    constant_integrand,
+)}
 
 
 def integrand_library(dim: int) -> list:
-    """The standard coordinate-monotone battery at the given arity."""
-    return [
-        additive_integrand(dim),
-        product_integrand(dim),
-        box_indicator_integrand((_DEFAULT_BOX_ANCHOR,) * dim),
-        smooth_monotone_integrand(dim),
-    ]
+    """The standard battery at the given arity: the library's integrands increasing in every coordinate."""
+    return [f for f in (make(dim) for make in _INTEGRANDS.values())
+            if all(flag == "increasing" for flag in f.monotone_flags)]
 
 
 def get_integrand(name: str, dim: int) -> Integrand:
-    if name == "additive":
-        return additive_integrand(dim)
-    if name == "product":
-        return product_integrand(dim)
-    if name == "box_indicator":
-        return box_indicator_integrand((_DEFAULT_BOX_ANCHOR,) * dim)
-    if name == "origin_box":
-        return origin_box_integrand(dim, Fraction(1, 2))
-    if name == "smooth_monotone":
-        return smooth_monotone_integrand(dim)
-    if name == "constant":
-        return constant_integrand(dim)
-    known = "additive, product, box_indicator, origin_box, smooth_monotone, constant"
-    raise ValueError(f"unknown integrand {name!r}; library provides: {known}")
+    """The library's integrand of that name at the given arity; any other name raises ValueError."""
+    make = _INTEGRANDS.get(name) if isinstance(name, str) else None
+    if make is None:
+        raise ValueError(f"unknown integrand {name!r}; library provides: {', '.join(_INTEGRANDS)}")
+    return make(dim)
 
 
 def verify_monotone_flags(f: Integrand, rng: RngStream, probes: int = 1000) -> bool:

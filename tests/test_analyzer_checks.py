@@ -66,11 +66,21 @@ class TestNuodScan:
         assert a.witnesses == b.witnesses and a.worst_violation == b.worst_violation
 
     def test_grid_budget(self):
-        # the per-coordinate certificate: 3 x (7 * 14 * (7 + 14) + 14^2)
-        work = 3 * (7 * 14 * 21 + 14**2)
+        # the per-coordinate certificate: 3 x (7 * 14 * (1 + 14) + 14^2), each
+        # 1 - I factor applied unbuilt in 7 * 14
+        work = 3 * (7 * 14 * 15 + 14**2)
         with pytest.raises(BudgetExceededError, match=f"{work} multiply-adds"):
             nuod_scan(full_rsj(7, 3), 14, budget=work - 1)
         assert nuod_scan(full_rsj(7, 3), 14, budget=work).ok
+
+    def test_unbuilt_factors_charged_as_applied(self):
+        # a 1 - I factor is applied in c_f B_f, not multiplied as a c_f x c_f
+        # matrix: 2 x 20000 * 2 * (1 + 2) plus 2 x 2^2 comparisons
+        spec = lhs_spec(20000, 2)
+        with pytest.raises(BudgetExceededError, match="240008 multiply-adds"):
+            nuod_scan(spec, 2, budget=240007)
+        rep = nuod_scan(spec, 2)
+        assert rep.ok and rep.witnesses == () and not rep.grid["certifies_all_boxes"]
 
     def test_report_json(self):
         spec = SchemeSpec("rsj_lattice", 5, 2, generator=(1, 1))

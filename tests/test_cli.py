@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -544,6 +545,20 @@ def test_oversized_point_sets_refused_before_any_work(tmp_path, capsys, monkeypa
     assert time.perf_counter() - t0 < 1
     assert (code, out) == (2, "")
     assert err.startswith("error: n * dim = ") and err.count("\n") == 1, err
+
+
+def test_readme_cli_lines_exit_zero(tmp_path, monkeypatch, capsys):
+    # every negdep line of README's CLI block, from an empty directory, but
+    # reproduce-paper and --config, which other tests run
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line.split("#")[0])[1:] for line in block.splitlines()
+             if line.startswith("negdep ") and "reproduce-paper" not in line and "--config" not in line]
+    assert len(lines) == 9
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
 
 
 class TestReproduce:

@@ -41,7 +41,7 @@ import random
 import tracemalloc
 from dataclasses import dataclass, replace
 from fractions import Fraction as F
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 from math import factorial, gcd, lcm, prod
 
 import numpy as np
@@ -580,15 +580,15 @@ def test_budget_refuses_before_the_anchors_are_built(monkeypatch):
 
 
 def test_budget_counts_factorized_work():
-    # one factor per coordinate: nuod_scan contracts and compares each,
-    # 2 x (3 * 6 * (3 + 6) + 6^2); the pairs table contracts them and
-    # expands all 6^4 box pairs, 2 x 3 * 6 * (3 + 6) + 6^4
+    # one unbuilt 1 - I factor per coordinate: nuod_scan contracts and
+    # compares each, 2 x (3 * 6 * (1 + 6) + 6^2); the pairs table contracts
+    # them and expands all 6^4 box pairs, 2 x 3 * 6 * (1 + 6) + 6^4
     spec, m = lhs_spec(3, 2), 6
-    work = 2 * (3 * 6 * 9 + 36)
+    work = 2 * (3 * 6 * 7 + 36)
     with pytest.raises(mod.BudgetExceededError, match=f"{work} multiply-adds"):
         nuod_scan(spec, m, budget=work - 1)
     assert nuod_scan(spec, m, budget=work).ok
-    work = 2 * 3 * 6 * 9 + 6**4
+    work = 2 * 3 * 6 * 7 + 6**4
     with pytest.raises(mod.BudgetExceededError, match=f"{work} multiply-adds"):
         scan_csv(spec, m, work - 1)
     assert scan_csv(spec, m, work)[1].count("\n") == 1 + 6**4
@@ -874,7 +874,7 @@ def test_pairs_csv_python_int_path_and_blocks(monkeypatch):
 
 def test_pairs_csv_budget_matches_rows():
     spec, m = lhs_spec(3, 2), 6
-    work = 2 * (3 * 6 * 9) + 6**4
+    work = 2 * (3 * 6 * 7) + 6**4
     with pytest.raises(mod.BudgetExceededError, match=f"{work} multiply-adds"):
         scan_csv(spec, m, work - 1)
     assert_same_pairs_csv(scan_csv(spec, m, work), oracle_pairs_csv(spec, m))
@@ -1153,6 +1153,35 @@ def test_independence_witness_on_a_later_subset_of_the_difference_row(monkeypatc
     assert not ok and witness["subset"] == (0, 1, 2) and witness["cells"][0] == (0, 2)
     assert (rep.ok, rep.witness) == (ok, witness)
     assert repr(rep.witness) == repr(witness)
+
+
+@pytest.mark.parametrize("spec", [lhs_spec(3, 6), full_rsj(3, 6), lhs_spec(2, 16)],
+                         ids=["lhs(3,6)", "rsj(3,6)", "lhs(2,16)"])
+def test_passing_independence_check_makes_one_comparison(monkeypatch, spec):
+    # a law that factorizes over all coordinates factorizes over every
+    # subset: one comparison, where a search of every subset of two or more
+    # coordinates makes 57 at d = 6 and 65519 at d = 16
+    calls = []
+    equal = np.array_equal
+    monkeypatch.setattr(mod.np, "array_equal", lambda a, b: calls.append(1) or equal(a, b))
+    assert coordinate_independence_check(spec.n, spec.dim, spec).ok
+    assert len(calls) == 1
+
+
+# every lattice law with n <= 7 and d <= 4 under a grid shift or none, with
+# the random generator or one of the first six fixed generators of its size
+SMALL_LATTICES = [SchemeSpec(RSJ, n, d, generator=g, shift=shift)
+                  for n in (2, 3, 5, 7) for d in (1, 2, 3, 4)
+                  for g in ["random", *islice(product(range(1, n), repeat=d), 6)]
+                  for shift in ("grid", "none")]
+
+
+def test_failing_lattice_laws_fail_first_at_coordinates_zero_and_one():
+    # why the subset search after a failed full comparison needs no budget
+    # of its own: on these laws it stops at its first subset
+    subsets = [rep.witness["subset"] for spec in SMALL_LATTICES
+               if not (rep := coordinate_independence_check(spec.n, spec.dim, spec)).ok]
+    assert len(subsets) == 119 and set(subsets) == {(0, 1)}
 
 
 def test_law_build_and_structural_check_memory_peaks():
