@@ -16,13 +16,18 @@ On top of those sit:
     triple containment counts: one lattice, by a uniqueness argument, and
     (n - 2)!^(dim - 1) latin grids, each in closed form), and
   * the ablation probes (missing shift, and shift-only with fixed
-    distances, each in closed form once its premise is checked; fixed
-    generator).
+    distances, each in closed form: the latter's premise is
+    floor(eps n) == 0; fixed generator).
 
-Jitter is never discretized: a cell pair contributes its count times
-the exact overlap fraction of each anchored interval with each cell.  A
-box query under a continuous torus shift is integrated exactly as integer
-arc overlaps on a common grid 1/D per coordinate.
+Each spec's route (cell-weight position, continuous torus shift, shift
+invariance, factorization, random generator) is decided once, by _law,
+which every exact entry point reads before it charges any budget: a spec
+that has no such law is refused at every size.  Jitter is never
+discretized: a cell pair contributes its count times the exact overlap
+fraction of each anchored interval with each cell.  A box query under a
+continuous torus shift is integrated exactly as integer arc overlaps on a
+common grid 1/D per coordinate, a block of lags at a time; a random
+generator makes each coordinate one class.
 """
 
 import operator
@@ -152,30 +157,40 @@ def stratified_pair_box_prob(q, r, n: int) -> Fraction:
 # -- the discrete pair law ----------------------------------------------------
 
 
-def _position_model(spec: SchemeSpec) -> str:
-    if spec.kind == "patterson":
-        return "midpoint"
-    if spec.kind == "rsj_lattice" and not spec.jitter:
-        return "corner"
-    return "jitter"
+class _Law(NamedTuple):
+    """How a spec's randomization enters its pair law; see _law."""
+
+    position: str  # the cell weights: "jitter", "corner" or "midpoint"
+    torus: bool  # a continuous torus shift: no cell law
+    shift_invariant: bool  # the cell-pair law is a function of z2 - z1
+    factorized: bool  # one ordered distinct cells factor per coordinate
+    random: bool  # a random generator: every value 1..n-1 in every coordinate
 
 
-def _generators(spec: SchemeSpec) -> list:
-    """The generator values of each coordinate of a lattice spec."""
-    if spec.generator == "random":
-        return [np.arange(1, spec.n, dtype=np.int64)] * spec.dim
-    return [np.array([g], dtype=np.int64) for g in spec.generator]
+def _law(spec: SchemeSpec, cells: bool = False) -> _Law:
+    """The route of spec's exact pair law, decided once, before any budget is charged.
 
-
-def _generator_count(spec: SchemeSpec) -> int:
-    """|G|, the number of generator values of each coordinate, without building them."""
-    return spec.n - 1 if spec.kind == "rsj_lattice" and spec.generator == "random" else 1
-
-
-def _shift_invariant(spec: SchemeSpec) -> bool:
-    """Whether the cell-pair law is a function of z2 - z1: a latin kind, or a lattice under a grid shift."""
-    return spec.kind in ("stratified1d", "lhs", "patterson") or (
-        spec.kind == "rsj_lattice" and spec.shift == "grid")
+    Every exact entry point reads this first; nothing else maps kind,
+    shift, generator and jitter to a route.  The latin kinds carry
+    SchemeSpec's recorded flags (random generator, grid shift, jitter) and
+    read as that lattice.  A random generator under a grid shift, jitter
+    on or off, is factorized: given the index pair (a, b), gamma (b - a)
+    is uniform over the nonzero residues and the shift over all of them,
+    so each coordinate's cell pair is uniform over ordered distinct pairs,
+    independently of the others and of (a, b).  Refused: n < 2
+    (ValueError); a continuous torus shift with jitter, or with cells True,
+    for a route that needs a cell law (UnsupportedSchemeError).
+    """
+    if spec.n < 2:
+        raise ValueError("a distinct pair needs n >= 2")
+    torus = spec.shift == "continuous_torus"
+    if torus and cells:
+        raise UnsupportedSchemeError("the discrete cell law is undefined for a continuous torus shift")
+    if torus and spec.jitter:
+        raise UnsupportedSchemeError("continuous torus shift combined with jitter is not analyzed")
+    position = "midpoint" if spec.kind == "patterson" else "jitter" if spec.jitter else "corner"
+    shift_invariant, random = spec.shift == "grid", spec.generator == "random"
+    return _Law(position, torus, shift_invariant, shift_invariant and random, random)
 
 
 def _pair_counts(spec: SchemeSpec, budget=DEFAULT_BUDGET, gather: bool = True):
@@ -201,40 +216,29 @@ def _pair_counts(spec: SchemeSpec, budget=DEFAULT_BUDGET, gather: bool = True):
     permutation of F, so the gcd is taken on F, and P is gathered from the
     reduced F in one pass.
 
-    With gather False a shift-invariant law (_shift_invariant: a latin
-    kind, or a grid shift) is returned as F itself, shape (n,) * dim with
-    coordinate i on axis i and P[z1, z2] = F[z2 - z1]
-    (total is still the sum of P, n^dim times the sum of F); a law without
-    a shift is P either way.  The budget counts the codes, classes x
-    prod_i |G_i| (_generator_count, n - 1 for the latin kinds), plus the
-    entries returned, n^(2 dim) for P and n^dim for F, before any generator
-    array is built.
+    With gather False a shift-invariant law (a latin kind, or a grid
+    shift) is returned as F itself, shape (n,) * dim with coordinate i on
+    axis i and P[z1, z2] = F[z2 - z1] (total is still the sum of P, n^dim
+    times the sum of F); a law without a shift is P either way.  The
+    budget counts the codes, classes x prod_i |G_i| (n - 1 values for a
+    random generator and the latin kinds, one for a fixed generator), plus
+    the entries returned, n^(2 dim) for P and n^dim for F, before any
+    generator array is built.  A continuous torus shift is refused first.
     """
-    n, dim = spec.n, spec.dim
-    if n < 2:
-        raise ValueError("a distinct pair needs n >= 2")
+    law = _law(spec, cells=True)
+    n, dim, shifted = spec.n, spec.dim, law.shift_invariant
     cells = _power(n, dim, budget, "enumeration", "terms")
-    latin = spec.kind in ("stratified1d", "lhs", "patterson")
-    if spec.kind == "rsj_lattice":
-        if spec.shift == "continuous_torus":
-            raise UnsupportedSchemeError(
-                "the discrete cell law is undefined for a continuous torus shift"
-            )
-        classes = n - 1 if spec.shift == "grid" else n * (n - 1)
-        values = _generator_count(spec)
-    elif latin:
-        classes, values = 1, n - 1
-    else:
-        raise UnsupportedSchemeError(f"no discrete pair law for kind {spec.kind!r}")
-    shifted = _shift_invariant(spec)
-    entries = cells * cells if gather or not shifted else cells
+    # the class set: one latin class, n - 1 lattice ones under a shift, n (n - 1) without
+    classes = 1 if spec.kind != "rsj_lattice" else n - 1 if shifted else n * (n - 1)
+    values, entries = n - 1 if law.random else 1, cells * cells if gather or not shifted else cells
     _charge(classes * values**dim + entries, budget, "enumeration", "terms")
     if shifted:
-        b = np.arange(1, 2 if latin else n)
+        b = np.arange(1, classes + 1)
     else:
         a, b = np.nonzero(1 - np.eye(n, dtype=np.int64))
+    gammas = [np.arange(1, n)] * dim if law.random else [np.array([g]) for g in spec.generator]
     codes = np.zeros((len(b), 1), dtype=np.int64)
-    for i, g in enumerate([np.arange(1, n)] * dim if latin else _generators(spec)):
+    for i, g in enumerate(gammas):
         place = n ** (dim - 1 - i)
         entry = g * b[:, None] % n * place
         if not shifted:  # under a shift a = 0: the code is the difference
@@ -321,34 +325,17 @@ def _weight_table(anchors, n: int, position: str, cells=None):
 # -- joint box probabilities ---------------------------------------------------
 
 
-def _is_factorized(spec: SchemeSpec) -> bool:
-    """Whether the cell-pair law is one ordered distinct cells factor per coordinate.
-
-    True for stratified, lhs, patterson and a random-generator lattice
-    under a grid shift, jitter on or off: given the index pair (a, b),
-    gamma (b - a) is uniform over the nonzero residues and the shift over
-    all of them, so each coordinate's cell pair is uniform over ordered
-    distinct pairs, independently of the others and of (a, b).
-    """
-    if spec.kind == "rsj_lattice":
-        return spec.generator == "random" and spec.shift == "grid"
-    return spec.kind in ("stratified1d", "lhs", "patterson")
-
-
 def _count_factors(spec: SchemeSpec, budget: int) -> list:
     """The cell-pair law as count factors (P_f, total_f, k_f), over k_f coordinates each.
 
-    The scan reads the law through these.  Stratified, lhs, patterson and
-    the random-generator lattice under a grid shift, jittered or not (see
-    _is_factorized), have one ordered distinct cells factor per coordinate,
-    1 - I over n (n - 1), given as P_f = None: _apply_factor applies it in
-    O(n) without building it, within the scan's own budget.  The position
-    model (jitter, corner, midpoint) enters through the cell weights only.
-    Any other law is the one _pair_counts factor over every coordinate.
+    The scan reads the law through these.  A factorized law (_law) has
+    one ordered distinct cells factor per coordinate, 1 - I over
+    n (n - 1), given as P_f = None: _apply_factor applies it in O(n)
+    without building it, within the scan's own budget.  The position model
+    enters through the cell weights only.  Any other law is the one
+    _pair_counts factor over every coordinate.
     """
-    if spec.n < 2:
-        raise ValueError("a distinct pair needs n >= 2")
-    if _is_factorized(spec):
+    if _law(spec, cells=True).factorized:
         return [(None, spec.n * (spec.n - 1), 1)] * spec.dim
     return [(*_pair_counts(spec, budget), spec.dim)]
 
@@ -387,56 +374,61 @@ def _contract(factors, tables_a, tables_b):
         i += k
 
 
-def _torus_overlaps(n: int, q: Fraction, r: Fraction, D: int, dtype) -> np.ndarray:
-    """ov[e] = D x the measure of shifts u with u in [q, 1) and e/n + u in [r, 1) (mod 1).
+def _torus_overlaps(e, n: int, q: Fraction, r: Fraction, D: int) -> np.ndarray:
+    """ov[k] = D x the measure of shifts u with u in [q, 1) and e[k]/n + u in [r, 1) (mod 1).
 
     On the 1/D grid (n, and the denominators of q and r, divide D) the
     first event is [qD, D) and the second the arc of length D - rD from
     (rD - eD/n) mod D, which wraps past D into [0, end - D) when end > D.
+    The lags e are in a dtype that holds 2 D.
     """
     qD, rD = q.numerator * (D // q.denominator), r.numerator * (D // r.denominator)
-    start = (rD - np.arange(n, dtype=dtype) * (D // n)) % D
+    start = (rD - e * (D // n)) % D
     end = start + (D - rD)
     return (np.maximum(np.minimum(end, D) - np.maximum(start, qD), 0)
             + np.maximum(end - D - qD, 0))
 
 
-def _continuous_shift_box_prob(spec: SchemeSpec, anchors1, anchors2, budget) -> Fraction:
+def _torus_joint(n: int, coords) -> Fraction:
+    """sum_delta prod over coords (gamma, q, r, D) of ov[gamma delta mod n], over (n - 1) prod D.
+
+    delta runs over 1..n-1, one block of _BLOCK lags at a time, so memory
+    does not grow with n: overlaps and products are int64 while 2 n D and
+    prod D allow, and only the products are lifted to python ints to be summed.
+    """
+    Ds = [D for *_, D in coords]
+    lag_dtype, dtype = _int_dtype(2 * n * max(Ds)), _int_dtype(prod(Ds))
+    total = 0
+    for first in range(1, n, _BLOCK):
+        delta = np.arange(first, min(first + _BLOCK, n), dtype=lag_dtype)
+        terms = np.ones(len(delta), dtype=dtype)
+        for g, q, r, D in coords:
+            terms = terms * _torus_overlaps(g * delta % n, n, q, r, D)
+        total += sum(terms.tolist())
+    return Fraction(total, (n - 1) * prod(Ds))
+
+
+def _continuous_shift_box_prob(spec: SchemeSpec, random: bool, anchors1, anchors2,
+                               budget) -> Fraction:
     """The joint of a box query on the jitterless lattice under a uniform torus shift.
 
     The measure of shifts putting x1 in [q, 1) and x2 in [r, 1) does not
     change when x1 and x2 move together, so an index pair (a, b) enters
     through delta = b - a (mod n) only, at x1 = 0 and x2 = gamma delta / n;
-    each delta in 1..n-1 stands for n ordered pairs.  With G_i the generator
-    values of coordinate i (_generators), ov_i its integer overlaps on the
-    grid 1/D_i (_torus_overlaps) and S_i[delta] = sum over G_i of
-    ov_i[gamma delta mod n], the joint is sum_delta prod_i S_i[delta] over
-    (n - 1) prod_i |G_i| D_i.  The budget counts the summed terms,
-    dim |G| (n - 1), and is charged before G_i is built.  Only box queries
-    (_pair_query) sum classes: the fixed-distance probe is a closed form.
+    each delta in 1..n-1 stands for n ordered pairs.  With ov_i the integer
+    overlaps of coordinate i on the grid 1/D_i (_torus_overlaps), a fixed
+    generator's joint is sum_delta prod_i ov_i[gamma_i delta mod n] over
+    (n - 1) prod_i D_i (_torus_joint).  For a prime n, gamma delta runs
+    over every nonzero residue for every delta, so a random generator is
+    one class, prod_i sum_{e != 0} ov_i[e] / ((n - 1) D_i), with no
+    generator array.  The budget counts the summed terms, dim (n - 1).
     """
     n = spec.n
-    _charge(spec.dim * _generator_count(spec) * (n - 1), budget,
-            "continuous-shift integration", "terms")
-    gammas = _generators(spec)
-    Ds = [lcm(n, q.denominator, r.denominator) for q, r in zip(anchors1, anchors2)]
-    den = (n - 1) * prod(len(g) * D for g, D in zip(gammas, Ds))
-    dtype = _int_dtype(den)
-    delta = np.arange(1, n, dtype=np.int64)[:, None]
-    per_delta = np.ones(n - 1, dtype=dtype)
-    for g, q, r, D in zip(gammas, anchors1, anchors2, Ds):
-        per_delta = per_delta * _torus_overlaps(n, q, r, D, dtype)[g * delta % n].sum(axis=1)
-    return Fraction(int(per_delta.sum()), den)
-
-
-def _is_torus(spec: SchemeSpec) -> bool:
-    """Whether spec has a continuous torus shift; with jitter too it is unsupported."""
-    if spec.kind == "rsj_lattice" and spec.shift == "continuous_torus":
-        if spec.jitter:
-            raise UnsupportedSchemeError(
-                "continuous torus shift combined with jitter is not analyzed")
-        return True
-    return False
+    _charge(spec.dim * (n - 1), budget, "continuous-shift integration", "terms")
+    gammas = (1,) * spec.dim if random else spec.generator
+    coords = [(g, q, r, lcm(n, q.denominator, r.denominator))
+              for g, q, r in zip(gammas, anchors1, anchors2)]
+    return prod(_torus_joint(n, f) for f in ([[c] for c in coords] if random else [coords]))
 
 
 def _step_terms(n: int, position: str, Q: AnchoredBox, R: AnchoredBox) -> list:
@@ -470,12 +462,13 @@ def _pair_query(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox, method: str = 
                 budget=DEFAULT_BUDGET) -> tuple:
     """(P(p1 in Q, p2 in R), P(p1 in Q), P(p2 in R)): every box query, its route picked here.
 
-    A factorized law (_is_factorized, corner weights included) is answered
-    in closed form on integers, O(1) per coordinate with no budget
-    (_step_terms), by method "auto" and "closed_form" alike; any other law
-    refuses "closed_form".  The rest, and "enumeration" always, contract the
-    one _pair_counts factor (the 1 x 1 case of _contract).  A continuous
-    torus shift (jitterless) has no cell law: "auto" sums its classes
+    The route is read from _law once the arguments are checked.  A
+    factorized law (corner weights included) is answered in closed form on
+    integers, O(1) per coordinate with no budget (_step_terms), by method
+    "auto" and "closed_form" alike; any other law refuses "closed_form".
+    The rest, and "enumeration" always, contract the one _pair_counts
+    factor (the 1 x 1 case of _contract).  A continuous torus shift
+    (jitterless) has no cell law: "auto" sums its classes
     (_continuous_shift_box_prob), with the box volumes as marginals, and
     the other methods are unsupported.  An unknown method raises ValueError.
     """
@@ -483,26 +476,23 @@ def _pair_query(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox, method: str = 
         raise ValueError(f"unknown method {method!r}")
     if Q.dim != spec.dim or R.dim != spec.dim:
         raise ValueError("box dimension does not match the scheme")
-    n = spec.n
-    if n < 2:
-        raise ValueError("a pair probability needs n >= 2")
-    if _is_torus(spec):
+    law, n = _law(spec), spec.n
+    if law.torus:
         if method != "auto":
             raise UnsupportedSchemeError(
                 f"method {method!r} needs a cell law; a continuous torus shift has none")
-        joint = _continuous_shift_box_prob(spec, Q.anchor, R.anchor, budget)
+        joint = _continuous_shift_box_prob(spec, law.random, Q.anchor, R.anchor, budget)
         return joint, Q.volume(), R.volume()
-    pos, factorized = _position_model(spec), _is_factorized(spec)
-    if method == "closed_form" and not factorized:
+    if method == "closed_form" and not law.factorized:
         raise UnsupportedSchemeError("no closed form for this spec; use enumeration")
-    if factorized and method != "enumeration":
-        terms = _step_terms(n, pos, Q, R)
+    if law.factorized and method != "enumeration":
+        terms = _step_terms(n, law.position, Q, R)
     else:
         # the law first: its budget refuses a large dim before d tables are built
         factors = [(*_pair_counts(spec, budget), spec.dim)]
-        tables_a = [_weight_table([q], n, pos) for q in Q.anchor]
+        tables_a = [_weight_table([q], n, law.position) for q in Q.anchor]
         # pair_marginal_prob passes its one box as both Q and R
-        tables_b = tables_a if R is Q else [_weight_table([r], n, pos) for r in R.anchor]
+        tables_b = tables_a if R is Q else [_weight_table([r], n, law.position) for r in R.anchor]
         terms = [(A[:, 0] @ PB[:, 0], p1[0], p2[0], total * den_a * den_b, total * den_a, total * den_b)
                  for A, PB, p1, p2, total, den_a, den_b in _contract(factors, tables_a, tables_b)]
     return tuple(Fraction(prod(int(t[j]) for t in terms), prod(t[j + 3] for t in terms))
@@ -524,7 +514,7 @@ def pair_marginal_prob(spec: SchemeSpec, box: AnchoredBox, side: int = 0,
     """Exact P(p_side in box) under the pair law of the scheme, side 0 or 1."""
     if side not in (0, 1):
         raise ValueError(f"side must be 0 or 1, not {side!r}")
-    if box.dim == spec.dim and _is_torus(spec):
+    if box.dim == spec.dim and _law(spec).torus:
         # a uniform torus shift makes each coordinate uniform
         return box.volume()
     return _pair_query(spec, box, box, budget=budget)[1 + side]
@@ -575,7 +565,7 @@ class DependenceReport:
             "anchors": f"k/{grid_resolution} for 0 <= k < {grid_resolution}",
             "boxes_per_side": grid_resolution**spec.dim,
             "pairs": grid_resolution ** (2 * spec.dim),
-            "certifies_all_boxes": _is_factorized(spec) and grid_resolution % spec.n == 0,
+            "certifies_all_boxes": _law(spec).factorized and grid_resolution % spec.n == 0,
         }
         return cls(spec=spec, grid=grid, worst_violation=worst, witnesses=tuple(witnesses))
 
@@ -674,8 +664,8 @@ def nuod_scan(spec: SchemeSpec, grid_resolution: int, budget=DEFAULT_BUDGET) -> 
     expanded directly.  The budget is that of _scan, d (n M (1 + M) + M^2)
     for the d unbuilt 1 - I factors of a factorized law.
 
-    A continuous-torus-shift spec has no cell law and is not scanned; the
-    fixed-distance probe (shift_only_conditional) covers that ablation.
+    A continuous-torus-shift spec has no cell law and is refused at every
+    size; the fixed-distance probe (shift_only_conditional) covers it.
     """
     return _scan(spec, grid_resolution, budget)
 
@@ -696,13 +686,15 @@ def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, csv_out=None,
     is from_witnesses' order.  Each witness box is then built once from the
     grid anchors, and each distinct probability is one Fraction.
 
-    Each stage's budget is checked before it runs, the first before the law
-    and the M anchors are built.  The contraction of factor f (c_f = n^k_f
-    cell vectors, B_f = M^k_f boxes) costs c_f B_f (c_f + B_f) multiply-adds
-    for a built P_f, and c_f B_f (1 + B_f) for a 1 - I factor (P_f None),
-    which _apply_factor applies in c_f B_f; the certificate adds sum_f B_f^2
-    comparisons and the expansion one per box pair, M^(2 dim), on top of the
-    certificate when that ran and failed.
+    The law's route (_law) is read before any budget, so a continuous torus
+    shift is refused at every size.  Each stage's budget is checked before
+    it runs, the first before the law and the M anchors are built.  The
+    contraction of factor f (c_f = n^k_f cell vectors, B_f = M^k_f boxes)
+    costs c_f B_f (c_f + B_f) multiply-adds for a built P_f, and
+    c_f B_f (1 + B_f) for a 1 - I factor (P_f None), which _apply_factor
+    applies in c_f B_f; the certificate adds sum_f B_f^2 comparisons and
+    the expansion one per box pair, M^(2 dim), on top of the certificate
+    when that ran and failed.
 
     csv_out is a text stream.  It receives nothing if the scan is refused;
     otherwise the header, then one write per block of box pairs, so the
@@ -712,11 +704,11 @@ def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, csv_out=None,
     """
     if grid_resolution < 1:
         raise ValueError("grid resolution must be positive")
-    m, dim = grid_resolution, spec.dim
+    law, m, dim = _law(spec, cells=True), grid_resolution, spec.dim
     # (k_f, whether P_f is built) of each count factor (see _count_factors),
     # before the law is built
     shapes = ([(k, P is not None) for P, _, k in factors] if factors is not None
-              else [(1, False)] * dim if _is_factorized(spec) else [(dim, True)])
+              else [(1, False)] * dim if law.factorized else [(dim, True)])
     certify = len(shapes) > 1 and csv_out is None
     _power(spec.n, max(k for k, _ in shapes), budget, "grid scan", "multiply-adds")
     work = sum((spec.n * m) ** k * ((spec.n**k if built else 1) + m**k) for k, built in shapes)
@@ -725,7 +717,7 @@ def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, csv_out=None,
     _charge(work, budget, "grid scan", "multiply-adds")
     anchors = _grid_anchors(m)
     factors = _count_factors(spec, budget) if factors is None else factors
-    tables = [_weight_table(anchors, spec.n, _position_model(spec))] * dim
+    tables = [_weight_table(anchors, spec.n, law.position)] * dim
     contracted = _reduce(_contract(factors, tables, tables))
     if certify:
         if _certified(contracted):
@@ -806,7 +798,7 @@ def copula_equality_check(n: int, dim: int, spec: SchemeSpec = None,
     charged to the budget on its own: its codes plus the entries returned.
     """
     spec = _sized_spec(n, dim, spec)
-    gather = not _shift_invariant(spec)
+    gather = not _law(spec, cells=True).shift_invariant
     counts_a, t_a = _pair_counts(spec, budget, gather)
     counts_b, t_b = _pair_counts(lhs_spec(n, dim), budget, gather)
     dtype = _int_dtype(t_a * t_b)
@@ -860,7 +852,7 @@ def coordinate_independence_check(n: int, dim: int, spec: SchemeSpec = None,
     counts the codes plus the entries built (_pair_counts).
     """
     spec = _sized_spec(n, dim, spec)
-    gather = not _shift_invariant(spec)
+    gather = not _law(spec, cells=True).shift_invariant
     X, _ = _pair_counts(spec, budget, gather)
     if gather:
         axes = [ax for i in range(dim) for ax in (i, dim + i)]
@@ -982,14 +974,18 @@ def shift_only_conditional(spec: SchemeSpec, epsilon, budget=DEFAULT_BUDGET) -> 
     the jitterless lattice with a continuous torus shift, and midpoint
     (patterson) sampling with the same continuous shift applied (without a
     shift its conditioning event has probability zero because the marginal
-    is discrete).  The premise, every pair
-    distance in the last coordinate above epsilon, is checked on the
-    integer differences e = gamma (b - a) mod n of every generator value
-    and index difference (x1 = 0: a common shift moves no distance; distinct
-    midpoints differ by every nonzero k/n, so patterson is generator 1):
-    min(e, n - e) den(eps) <= num(eps) n is a violation, raised with the
-    witness positions (0, e/n) of the first one.  The budget counts
-    |generators| x (n - 1) terms, charged before the generators are built.
+    is discrete).  The premise is every pair distance in the last
+    coordinate above epsilon.  The distances are min(e, n - e) / n over the
+    differences e = gamma delta mod n of every generator value and index
+    difference (x1 = 0: a common shift moves no distance; distinct
+    midpoints differ by every nonzero k/n, so patterson reads as a random
+    generator, _law).  For a prime n, and for patterson's gamma 1, gamma
+    delta runs over every nonzero residue, so the least distance is 1/n
+    and the premise is floor(eps n) == 0: decided in O(1), with no budget.
+    A violation is raised with the witness positions (0, e/n) of the first
+    delta at which the coordinate's first generator value (1 for a random
+    generator) violates, a search of its n - 1 differences charged before
+    they are built.
     If p2 lies in [1 - eps/2, 1) at torus distance above eps from p1, then
     p1 lies in (eps/2, 1 - eps), inside [eps/2, 1); Q's other coordinates
     are [0, 1) and P(p2 in R) = eps/2 > 0 under the uniform shift.  So the
@@ -999,29 +995,22 @@ def shift_only_conditional(spec: SchemeSpec, epsilon, budget=DEFAULT_BUDGET) -> 
     eps = parse_rational(epsilon)
     if not 0 < eps <= Fraction(1, 2):
         raise ValueError("epsilon must lie in (0, 1/2]")
-    if spec.kind == "rsj_lattice":
-        if spec.shift != "continuous_torus" or spec.jitter:
-            raise UnsupportedSchemeError(
-                "fixed-distance probe needs a jitterless continuous-torus shift"
-            )
-    elif spec.kind != "patterson":
+    if spec.kind == "rsj_lattice" and (spec.shift != "continuous_torus" or spec.jitter):
+        raise UnsupportedSchemeError("fixed-distance probe needs a jitterless continuous-torus shift")
+    if spec.kind not in ("rsj_lattice", "patterson"):
         raise UnsupportedSchemeError(f"fixed-distance probe undefined for {spec.kind!r}")
-    n = spec.n
-    if n < 2:
-        raise ValueError("a distinct pair needs n >= 2")
-    _charge(_generator_count(spec) * (n - 1), budget, "fixed-distance premise", "terms")
-    gammas = np.ones(1, dtype=np.int64) if spec.kind == "patterson" else _generators(spec)[-1]
-    # distance min(e, n - e) / n <= eps, for e = gamma delta mod n, gamma
-    # outer and delta inner; on integers m <= eps n iff m <= floor(eps n)
-    e = gammas[:, None] * np.arange(1, n, dtype=np.int64) % n
-    bad = np.minimum(e, n - e).ravel() <= eps.numerator * n // eps.denominator
-    if bad.any():
-        e = int(e.flat[np.argmax(bad)])
-        raise HypothesisViolatedError(
-            f"pair distance {format_rational(Fraction(min(e, n - e), n))} <= epsilon "
-            f"{format_rational(eps)} at positions (0/1, {format_rational(Fraction(e, n))})"
-        )
-    return Fraction(1)
+    law, n = _law(spec), spec.n
+    # distance min(e, n - e) / n <= eps; on integers m <= eps n iff m <= floor(eps n)
+    floor_eps_n = eps.numerator * n // eps.denominator
+    if floor_eps_n == 0:
+        return Fraction(1)
+    _charge(n - 1, budget, "fixed-distance premise", "terms")
+    e = (1 if law.random else spec.generator[-1]) * np.arange(1, n, dtype=np.int64) % n
+    e = int(e[np.argmax(np.minimum(e, n - e) <= floor_eps_n)])
+    raise HypothesisViolatedError(
+        f"pair distance {format_rational(Fraction(min(e, n - e), n))} <= epsilon "
+        f"{format_rational(eps)} at positions (0/1, {format_rational(Fraction(e, n))})"
+    )
 
 
 # -- serialization ------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .analyzer import (
     BudgetExceededError,
     HypothesisViolatedError,
     UnsupportedSchemeError,
-    _is_factorized,
+    _law,
     _pair_query,
     _power,
     _scan,
@@ -41,7 +41,7 @@ from .analyzer import (
     triple_distinguisher,
 )
 from .exact import any_digits, format_rational, parse_rational
-from .schemes import SchemeSpec, _as_int, patterson_spec, spec_to_dict
+from .schemes import SchemeSpec, patterson_spec, spec_to_dict
 from .variance import (
     get_integrand,
     load_batch_config,
@@ -234,7 +234,7 @@ def _cmd_analyze(args, argv, t0) -> int:
 
         gen = _parse_generator(args.generator) if args.generator is not None else (1,) * dim
         fg_spec = SchemeSpec("rsj_lattice", n, dim, generator=gen)
-        if not _is_factorized(fg_spec):
+        if not _law(fg_spec).factorized:
             # the query enumerates the law, whose budget (_pair_counts) refuses
             # a large dim; refuse it before the 2 dim anchors are built
             _power(n, dim, budget, "enumeration", "terms")
@@ -290,8 +290,8 @@ def _cmd_variance(args, argv, t0) -> int:
             cfg["replications"] = args.replications
         if args.seed is not None:
             cfg["seed"] = args.seed
-        seed = _as_int(cfg.get("seed", 0), "seed")
-        results = run_variance_batch(cfg)
+        results = run_variance_batch(cfg)  # checks every key, the seed an integer
+        seed = cfg.get("seed", 0)
     else:
         spec = _spec_from_args(args)
         _check_size(spec.n, spec.dim)

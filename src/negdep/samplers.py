@@ -120,9 +120,11 @@ def _unit_floats(nums: np.ndarray, n: int) -> np.ndarray:
 
 
 def _check_size(n: int, dim: int) -> None:
-    """Refuse a point set of more than MAX_N points or MAX_COORDINATES coordinates."""
+    """Refuse n or dim below 1, more than MAX_N points or more than MAX_COORDINATES coordinates."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
     if n > MAX_N:
         raise ValueError(f"n is capped at {MAX_N} (exact int64 coordinate encoding)")
     if n * dim > MAX_COORDINATES:
@@ -242,8 +244,9 @@ def generate(spec: SchemeSpec, seed: "int | RngStream") -> PointSet:
 
 
 # Replications are split and mixed about this many words at a time: large
-# enough to amortise the numpy calls, small enough that a block's Python
-# word lists and float export stay well under a megabyte.
+# enough to amortise the numpy calls, small enough that a block's mixed
+# words (each stream's memoryview window) and float export stay well under
+# a megabyte.
 _BLOCK_WORDS = 1 << 14
 
 

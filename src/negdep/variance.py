@@ -63,8 +63,15 @@ class Integrand:
         return np.asarray(self.evaluator(pts), dtype=np.float64)
 
 
+def _check_arity(dim: int) -> None:
+    """Refuse an integrand dimension below 1 (ValueError)."""
+    if dim < 1:
+        raise ValueError(f"integrand dimension must be at least 1, got {dim!r}")
+
+
 def additive_integrand(dim: int) -> Integrand:
     """Sum of coordinates; mean d/2, variance d/12."""
+    _check_arity(dim)
     return Integrand(
         name="additive",
         arity=dim,
@@ -77,6 +84,7 @@ def additive_integrand(dim: int) -> Integrand:
 
 def product_integrand(dim: int) -> Integrand:
     """Product of coordinates; mean (1/2)^d, variance (1/3)^d - (1/4)^d."""
+    _check_arity(dim)
     return Integrand(
         name="product",
         arity=dim,
@@ -88,8 +96,11 @@ def product_integrand(dim: int) -> Integrand:
 
 
 def box_indicator_integrand(anchor) -> Integrand:
-    """Indicator of the anchored box [anchor, 1); Bernoulli moments."""
+    """Indicator of the anchored box [anchor, 1), anchors in [0, 1); Bernoulli moments."""
     anc = tuple(Fraction(a) for a in anchor)
+    _check_arity(len(anc))
+    if any(not 0 <= a < 1 for a in anc):
+        raise ValueError("box anchors must lie in [0, 1)")
     lam = Fraction(1)
     for a in anc:
         lam *= 1 - a
@@ -114,6 +125,7 @@ def origin_box_integrand(dim: int, edge) -> Integrand:
     Useful for exhibiting bias of constructions that are not marginally
     uniform: its true mean is edge^dim.
     """
+    _check_arity(dim)
     e = Fraction(edge)
     if not 0 < e <= 1:
         raise ValueError("edge must lie in (0, 1]")
@@ -139,6 +151,7 @@ def smooth_monotone_integrand(dim: int, alpha=Fraction(1)) -> Integrand:
     Each factor is positive and increasing; mean 1, variance
     (1 + alpha^2/12)^d - 1.
     """
+    _check_arity(dim)
     a = Fraction(alpha)
     if not 0 < a < 2:
         raise ValueError("alpha must lie in (0, 2)")
@@ -158,6 +171,7 @@ def smooth_monotone_integrand(dim: int, alpha=Fraction(1)) -> Integrand:
 
 
 def constant_integrand(dim: int, value=Fraction(1)) -> Integrand:
+    _check_arity(dim)
     c = Fraction(value)
     cf = float(c)
     return Integrand(
@@ -389,9 +403,14 @@ def run_variance_batch(config: dict) -> list:
     "schemes" (spec dicts; each is run at every size, which sets its
     "n"/"dim" and overrides any the dict carries),
     "integrands" (names).  Returns VarianceResult objects in a stable order.
-    Every size is checked against the point-set caps (MAX_N, MAX_COORDINATES),
-    and every scheme and integrand is built, before any job runs.
+    This is the config's one validator: every key but "seed" is required,
+    every size is checked (n and dim at least 1, the point-set caps MAX_N
+    and MAX_COORDINATES), and every scheme and integrand is built, before
+    any job runs; each refusal is one ValueError.
     """
+    for key in ("replications", "sizes", "schemes", "integrands"):
+        if key not in config:
+            raise ValueError(f"batch config missing key {key!r}")
     seed = _as_int(config.get("seed", 0), "seed")
     replications = _as_int(config["replications"], "replications")
     for key in ("sizes", "schemes", "integrands"):
@@ -416,10 +435,8 @@ def run_variance_batch(config: dict) -> list:
 
 
 def load_batch_config(text: str) -> dict:
+    """The JSON object in text; run_variance_batch checks its keys and values."""
     cfg = json.loads(text)
     if not isinstance(cfg, dict):
         raise ValueError(f"batch config must be a JSON object, got {cfg!r}")
-    for key in ("replications", "sizes", "schemes", "integrands"):
-        if key not in cfg:
-            raise ValueError(f"batch config missing key {key!r}")
     return cfg

@@ -199,18 +199,40 @@ class TestAnalyze:
         assert code == 3 and out == ""
         assert err.startswith("error: ") and f"at least 2^{dim} " in err
 
-    def test_ablation_torus_budget_refuses_before_generators(self, capsys, monkeypatch):
-        # the fixed-distance probe charges (n - 1)^2 terms from the spec
-        # before the n - 1 generator values are built
-        def unbuilt(spec):
-            raise AssertionError("generators built before the budget was charged")
-
-        monkeypatch.setattr(analyzer, "_generators", unbuilt)
+    def test_ablation_torus_budget_refuses_before_generators(self, capsys):
+        # the fixed-distance probe decides its premise floor(eps n) == 0 with
+        # no budget and no generator array, so the budget refuses the
+        # fixed-generator query's law, before it is built
         t0 = time.perf_counter()
         code, out, err = run(capsys, "analyze", "ablation", "--n", "10000019", "--dim", "2")
         assert time.perf_counter() - t0 < 1
         assert code == 3 and out == ""
-        assert f"fixed-distance premise too large: {10000018 ** 2} terms" in err
+        assert err == (f"error: enumeration too large: {10000018 + 10000019 ** 4} terms "
+                       f"exceeds budget {analyzer.DEFAULT_BUDGET}\n")
+
+    @pytest.mark.parametrize("jitter", ["off", "on"])
+    @pytest.mark.parametrize("n,dim", [("5", "2"), ("5", "30"), ("101", "3")])
+    @pytest.mark.parametrize("argv", [("nuod", "--grid", "10"), ("copula",), ("independence",)],
+                             ids=["nuod", "copula", "independence"])
+    def test_torus_cell_law_is_refused_at_every_size(self, capsys, argv, n, dim, jitter):
+        # a torus shift has no cell law: the spec's law is read before any
+        # budget, so no size turns the usage error into a budget refusal
+        code, out, err = run(capsys, "analyze", argv[0], "--scheme", "rsj", "--n", n, "--dim", dim,
+                             "--shift", "torus", "--jitter", jitter, *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == "error: the discrete cell law is undefined for a continuous torus shift\n"
+
+    @pytest.mark.parametrize("generator,joint", [
+        ("random", "4000022140040834025095/21000117600219450136458"),
+        ("3,5", "952718659690961191347/5000028000052250032490"),
+    ], ids=["random", "fixed"])
+    def test_torus_query_at_ten_million_points(self, capsys, generator, joint):
+        # d (n - 1) terms either way, a block of lags at a time; the joints
+        # were checked by a plain python loop over delta
+        code, out, _ = run(capsys, "analyze", "pairprob", "--scheme", "rsj", "--n", "10000019",
+                           "--dim", "2", "--shift", "torus", "--jitter", "off",
+                           "--generator", generator, "--Q", "1/3,1/5", "--R", "2/7,1/2")
+        assert code == 0 and json.loads(out)["joint"] == joint
 
     def test_copula(self, capsys):
         code, out, _ = run(capsys, "analyze", "copula", "--scheme", "rsj",
@@ -512,6 +534,10 @@ class TestVariance:
         ({"schemes": [{"shift": "none"}]}, "kind"),
         ({"schemes": [{"kind": "rsj_lattice", "generator": [1.5, 2.9]}]}, "generator"),
         ({"schemes": [{"kind": "rsj_lattice", "jitter": "yes"}]}, "jitter"),
+        # a size's dim is checked before any integrand is built: product at
+        # dim -1 once raised a TypeError, exit 1
+        *(({"sizes": [[5, dim]], "integrands": [name]}, "dim")
+          for dim in (0, -1) for name in variance._INTEGRANDS),
     ])
     def test_malformed_config_is_a_usage_error(self, tmp_path, capsys, change, key):
         # refused with one line naming the key, never truncated or a traceback

@@ -62,8 +62,8 @@ from negdep.analyzer import (
     _expand,
     _grid_anchors,
     _pair_counts,
+    _law,
     _pair_query,
-    _position_model,
     _reduce,
     _scan,
     _weight_table,
@@ -143,7 +143,7 @@ def oracle_factorized_query(spec, Q, R):
     prod patterson_marginal_factor for midpoints, the box volumes for the
     jittered kinds.  Cell corners have no closed form here.
     """
-    assert mod._is_factorized(spec) and _position_model(spec) != "corner"
+    assert _law(spec).factorized and _law(spec).position != "corner"
     n = spec.n
     if spec.kind == "patterson":
         pair = patterson_pair_factor
@@ -201,7 +201,7 @@ def discrete_pair_pmf(n, dim, spec=None, budget=10**8):
         (cellv[a], cellv[b]): F(int(P[a, b]), total)
         for a, b in zip(i1[order].tolist(), i2[order].tolist())
     }
-    law = PairLaw(spec=spec, n=n, dim=dim, pmf=pmf, position=_position_model(spec))
+    law = PairLaw(spec=spec, n=n, dim=dim, pmf=pmf, position=_law(spec).position)
     law.validate()
     return law
 
@@ -426,7 +426,7 @@ def test_grid_off_multiples_of_n_misses_violations():
 def scan_contract(spec, anchors, factors=None):
     """_scan's reduced contraction of the law's count factors (or factors) with grid weights."""
     factors = _count_factors(spec, 10**8) if factors is None else factors
-    tables = [_weight_table(anchors, spec.n, _position_model(spec))] * spec.dim
+    tables = [_weight_table(anchors, spec.n, _law(spec).position)] * spec.dim
     return _reduce(_contract(factors, tables, tables))
 
 
@@ -984,13 +984,17 @@ def test_pair_counts_budget_counts_terms():
 
 
 @pytest.mark.parametrize("shift", ["grid", "none"])
-def test_pair_counts_refuses_before_building_generators(monkeypatch, shift):
-    def unbuilt(spec):
-        raise AssertionError("generator values built before the budget check")
-
-    monkeypatch.setattr(mod, "_generators", unbuilt)
-    with pytest.raises(mod.BudgetExceededError, match="enumeration too large"):
-        _pair_counts(SchemeSpec(RSJ, 10000019, 2, shift=shift))
+def test_pair_counts_refuses_before_building_generators(shift):
+    # the budget is charged before the (n - 1)-entry generator array (80 MB
+    # at n = 10000019) is built: the refusal allocates almost nothing
+    tracemalloc.start()
+    try:
+        with pytest.raises(mod.BudgetExceededError, match="enumeration too large"):
+            _pair_counts(SchemeSpec(RSJ, 10000019, 2, shift=shift))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 # -- structural checks on the integer counts ----------------------------------
@@ -1301,13 +1305,37 @@ def test_torus_route_matches_index_pair_loop(spec):
 
 
 def test_torus_budget_counts_summed_terms():
-    # dim x |generators| x (n - 1)
+    # dim x (n - 1) for either generator: a random one sums each coordinate's
+    # n - 1 lags once, as one class
     box = AnchoredBox((F(1, 3), F(2, 5)))
-    for gen, work in (("random", 2 * 4 * 4), ((1, 3), 2 * 1 * 4)):
+    for gen in ("random", (1, 3)):
         spec = SchemeSpec(RSJ, 5, 2, generator=gen, shift="continuous_torus", jitter=False)
-        with pytest.raises(mod.BudgetExceededError, match=f"{work} terms"):
-            pair_box_prob(spec, box, box, budget=work - 1)
-        pair_box_prob(spec, box, box, budget=work)
+        with pytest.raises(mod.BudgetExceededError, match=f"{2 * 4} terms"):
+            pair_box_prob(spec, box, box, budget=2 * 4 - 1)
+        assert pair_box_prob(spec, box, box, budget=2 * 4) == oracle_torus_box_prob(spec, box, box)
+
+
+# n = 1000003 at these anchors puts the denominator past 2^62, where the
+# class sum once held n-entry object arrays.  The fixed joint comes from a
+# plain python loop over delta, the random one from each coordinate's sum
+# over its nonzero lags, looped the same way
+BIG_TORUS = [((3, 5), F(13338084251131636573, 70000560001470001260)),
+             ("random", F(4000037400130400200800115, 21000210000777001260000756))]
+
+
+@pytest.mark.parametrize("gen,joint", BIG_TORUS, ids=["fixed", "random"])
+def test_torus_class_sum_runs_in_bounded_memory(gen, joint):
+    # one block of lags at a time, int64 overlaps, python ints for the products only
+    spec = SchemeSpec(RSJ, 1000003, 2, generator=gen, shift="continuous_torus", jitter=False)
+    Q, R = AnchoredBox((F(1, 3), F(1, 5))), AnchoredBox((F(2, 7), F(1, 2)))
+    tracemalloc.start()
+    try:
+        got = pair_box_prob(spec, Q, R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == joint
+    assert peak < 2**22, peak
 
 
 LARGE = [lhs_spec(100003, 2), full_rsj(100003, 2), patterson_spec(100003, 2),
@@ -1359,19 +1387,26 @@ def test_marginal_side_must_be_zero_or_one(side):
         pair_marginal_prob(lhs_spec(3, 2), AnchoredBox((F(1, 3), F(1, 2))), side)
 
 
-def test_torus_budget_is_charged_before_the_generators(monkeypatch):
-    # sum_i |G_i| (n - 1) terms come from the spec alone: a random generator
-    # at n = 10000019 is refused before its (n - 1)-entry array is built
-    def unbuilt(spec):
-        raise AssertionError("generators built before the budget was charged")
-
-    monkeypatch.setattr(mod, "_generators", unbuilt)
-    spec = SchemeSpec(RSJ, 10000019, 2, shift="continuous_torus", jitter=False)
-    box = AnchoredBox((F(1, 3), F(2, 5)))
-    with pytest.raises(mod.BudgetExceededError, match=f"{2 * (10000018 ** 2)} terms"):
-        _pair_query(spec, box, box)
-    with pytest.raises(mod.BudgetExceededError, match=f"{10000018 ** 2} terms"):
-        shift_only_conditional(spec, F(1, 100))
+def test_torus_budget_is_charged_before_the_generators():
+    # a random generator builds no generator array: at n = 1000003 its
+    # dim (n - 1) terms are refused one below the budget having allocated
+    # almost nothing, and answered at it as the product of the
+    # one-coordinate queries (in one dimension every generator is generator 1)
+    n = 1000003
+    spec = SchemeSpec(RSJ, n, 2, shift="continuous_torus", jitter=False)
+    Q, R = AnchoredBox((F(1, 3), F(2, 5))), AnchoredBox((F(5, 7), F(1, 2)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(mod.BudgetExceededError, match=f"{2 * (n - 1)} terms"):
+            _pair_query(spec, Q, R, budget=2 * (n - 1) - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16, peak
+    line = SchemeSpec(RSJ, n, 1, generator=(1,), shift="continuous_torus", jitter=False)
+    want = prod(pair_box_prob(line, AnchoredBox((q,)), AnchoredBox((r,)))
+                for q, r in zip(Q.anchor, R.anchor))
+    assert _pair_query(spec, Q, R, budget=2 * (n - 1)) == (want, Q.volume(), R.volume())
 
 
 @pytest.mark.parametrize("spec", [full_rsj(5, 10**4), lhs_spec(2, 10**6),
@@ -1432,13 +1467,62 @@ def test_query_routes_agree(case):
     assert _pair_query(spec, Q, R, "enumeration") == auto
     assert (pair_box_prob(spec, Q, R), pair_marginal_prob(spec, Q, 0),
             pair_marginal_prob(spec, R, 1)) == auto
-    if mod._is_factorized(spec):
+    if _law(spec).factorized:
         assert _pair_query(spec, Q, R, "closed_form") == auto
-        if _position_model(spec) != "corner":
+        if _law(spec).position != "corner":
             assert auto == oracle_factorized_query(spec, Q, R)
     else:
         with pytest.raises(UnsupportedSchemeError):
             _pair_query(spec, Q, R, "closed_form")
+
+
+# -- one law decision per spec ------------------------------------------------
+
+
+def _old_law(spec):
+    """(position, torus, shift_invariant, factorized, random) as the per-route predicates gave them."""
+    latin = spec.kind in ("stratified1d", "lhs", "patterson")
+    position = ("midpoint" if spec.kind == "patterson" else
+                "corner" if spec.kind == RSJ and not spec.jitter else "jitter")
+    torus = spec.kind == RSJ and spec.shift == "continuous_torus"
+    shift_invariant = latin or (spec.kind == RSJ and spec.shift == "grid")
+    # a random generator has n - 1 values per coordinate, as the latin kinds do
+    random = latin or spec.generator == "random"
+    factorized = latin or (spec.generator == "random" and spec.shift == "grid")
+    return position, torus, shift_invariant, factorized, random
+
+
+@pytest.mark.parametrize("kind,shift,gen,jitter",
+                         list(product(KINDS, SHIFTS, ("random", "fixed"), (True, False))))
+def test_law_matches_the_route_predicates(kind, shift, gen, jitter):
+    dim = 1 if kind == "stratified1d" else 2
+    spec = SchemeSpec(kind, 5, dim, generator="random" if gen == "random" else (1, 2)[:dim],
+                      shift=shift, jitter=jitter)
+    old = _old_law(spec)
+    if old[1] and spec.jitter:
+        with pytest.raises(UnsupportedSchemeError, match="combined with jitter"):
+            _law(spec)
+    else:
+        assert tuple(_law(spec)) == old
+    if old[1]:
+        # a route that needs a cell law refuses a torus shift, jitter or not
+        with pytest.raises(UnsupportedSchemeError, match="cell law is undefined"):
+            _law(spec, cells=True)
+    else:
+        assert _law(spec, cells=True) == _law(spec)
+
+
+@pytest.mark.parametrize("spec", [lhs_spec(1, 2), patterson_spec(1, 2)], ids=["lhs", "patterson"])
+def test_one_point_has_no_pair_at_any_budget(spec):
+    # n = 1 is refused by _law before any budget is charged, on every route
+    box = AnchoredBox((F(0), F(1, 2)))
+    calls = [lambda: _pair_query(spec, box, box, budget=0), lambda: pair_marginal_prob(spec, box),
+             lambda: _scan(spec, 2, 0), lambda: _pair_counts(spec, budget=0),
+             lambda: copula_equality_check(1, 2, spec, budget=0),
+             lambda: coordinate_independence_check(1, 2, spec, budget=0)]
+    for call in calls:
+        with pytest.raises(ValueError, match="a distinct pair needs n >= 2"):
+            call()
 
 
 # -- one law per query ------------------------------------------------------
@@ -1536,11 +1620,18 @@ def test_patterson_probe_matches_midpoint_oracle(n):
 
 
 def test_probe_budget_counts_generator_differences():
-    # |generators of the probed coordinate| x (n - 1) terms
-    for spec, work in ((PROBED[4], 6 * 6), (PROBED[5], 1 * 6), (patterson_spec(6, 2), 1 * 5)):
-        with pytest.raises(mod.BudgetExceededError, match=f"{work} terms"):
-            shift_only_conditional(spec, F(1, 100), budget=work - 1)
-        shift_only_conditional(spec, F(1, 100), budget=work)
+    # the premise floor(eps n) == 0 is decided with no budget; only a
+    # violation searches the n - 1 differences of the probed coordinate's
+    # first generator value, a random generator included
+    for spec in (PROBED[4], PROBED[5], patterson_spec(6, 2)):
+        n = spec.n
+        assert shift_only_conditional(spec, F(1, 2 * n), budget=0) == 1
+        with pytest.raises(mod.BudgetExceededError, match=f" {n - 1} terms"):
+            shift_only_conditional(spec, F(1, n), budget=n - 2)
+        with pytest.raises(HypothesisViolatedError):
+            shift_only_conditional(spec, F(1, n), budget=n - 1)
+    big = SchemeSpec(RSJ, 10000019, 2, shift="continuous_torus", jitter=False)
+    assert shift_only_conditional(big, F(1, 2 * big.n), budget=0) == 1
 
 
 def test_probe_runs_no_class_sum(monkeypatch):

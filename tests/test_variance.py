@@ -21,6 +21,7 @@ from negdep.variance import (
     constant_integrand,
     get_integrand,
     integrand_library,
+    load_batch_config,
     mc_estimate,
     origin_box_integrand,
     product_integrand,
@@ -83,6 +84,23 @@ class TestIntegrandLibrary:
     def test_alpha_range_enforced(self):
         with pytest.raises(ValueError):
             smooth_monotone_integrand(2, F(2))
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_every_constructor_refuses_dim_below_one(self, dim):
+        # product_integrand(-1) once divided by 2**-1 into a float TypeError
+        makers = [additive_integrand, product_integrand, smooth_monotone_integrand,
+                  constant_integrand, lambda d: origin_box_integrand(d, F(1, 2)),
+                  lambda d: box_indicator_integrand((F(1, 2),) * d)]
+        makers += [lambda d, name=name: get_integrand(name, d) for name in variance._INTEGRANDS]
+        for make in makers:
+            with pytest.raises(ValueError, match="at least 1"):
+                make(dim)
+
+    @pytest.mark.parametrize("anchor", [(F(3, 2), F(1, 2)), (F(-1, 2),), (F(1),)])
+    def test_box_anchors_lie_in_the_unit_interval(self, anchor):
+        # an anchor outside [0, 1) gave a negative variance: (3/2, 1/2) read -5/16
+        with pytest.raises(ValueError, match="0, 1"):
+            box_indicator_integrand(anchor)
 
 
 class TestMcEstimate:
@@ -263,6 +281,20 @@ def test_batch_builds_every_scheme_and_integrand_before_its_first_study(monkeypa
     with pytest.raises(ValueError, match="no_such" if bad == "integrand" else "jitter"):
         run_variance_batch(cfg)
     assert calls == []
+
+
+@pytest.mark.parametrize("key", ["replications", "sizes", "schemes", "integrands"])
+def test_batch_names_a_missing_key(key):
+    # run_variance_batch is the one validator: a library call gets the
+    # ValueError the CLI gets, not a KeyError; load_batch_config reads JSON only
+    cfg = {"seed": 1, "replications": 100, "sizes": [[5, 2]], "schemes": [{"kind": "lhs"}],
+           "integrands": ["additive"]}
+    del cfg[key]
+    with pytest.raises(ValueError, match=f"missing key '{key}'"):
+        run_variance_batch(cfg)
+    assert load_batch_config('{"sizes": 3}') == {"sizes": 3}
+    with pytest.raises(ValueError, match="JSON object"):
+        load_batch_config("[1]")
 
 
 def test_reduction_order_insensitive():
