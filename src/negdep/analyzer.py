@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exact import any_digits, format_rational, is_prime, parse_rational
-from .schemes import SchemeSpec, full_rsj, lhs_spec
+from .schemes import SchemeSpec, full_rsj, lhs_spec, spec_to_dict
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -727,7 +727,8 @@ def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, csv_out=None,
 
     den, blocks = _expand(contracted)
     if csv_out is not None:
-        labels = [";".join(q) for q in product([format_rational(a) for a in anchors], repeat=dim)]
+        labels = np.array([";".join(q) + "," for q in product([format_rational(a) for a in anchors],
+                                                             repeat=dim)], dtype=object)
         csv_out.write("Q,R,joint,product,violation\n")
     found = []  # (joint - product, Q index, R index, joint, product), numerators over den
     for start, joint, indep in blocks:
@@ -736,9 +737,7 @@ def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, csv_out=None,
         js, ps = joint[qs, rs], indep[qs, rs]
         found += zip((js - ps).tolist(), (qs + start).tolist(), rs.tolist(), js.tolist(), ps.tolist())
         if csv_out is not None:
-            cols = [_fraction_strings(joint, den), _fraction_strings(indep, den), bad.tolist()]
-            csv_out.write("".join(f"{q},{r},{j},{p},{v}\n" for q, *row in zip(labels[start:], *cols)
-                                  for r, j, p, v in zip(labels, *row)))
+            csv_out.write(_csv_block(labels[start:start + len(joint)], labels, joint, indep, den))
     # every entry is over den, and box index order is anchor order, so this
     # is from_witnesses' order
     found.sort(reverse=True)
@@ -758,18 +757,20 @@ def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, csv_out=None,
                                     [(box(q), box(r), prob(j), prob(p)) for _, q, r, j, p in found])
 
 
-def _fraction_strings(table, den: int) -> list:
-    """The rows of table / den as reduced "num/den" strings, one format per distinct value.
+def _csv_block(q_labels, r_labels, joint, indep, den: int) -> str:
+    """The pairs-CSV rows of one block of box pairs, labels being object arrays of "label,".
 
-    A scan table holds few distinct values (the product table is an outer
-    product), so this formats far fewer strings than it returns.
+    Each distinct joint is formatted once, as "num/den,", and each distinct
+    product once with each violation, as "num/den,True\n" and "num/den,False\n".
     """
-    values, inverse = np.unique(table.ravel(), return_inverse=True)
-    g = np.gcd(values, den)
+    (js, j), (ps, p) = (np.unique(t.ravel(), return_inverse=True) for t in (joint, indep))
     with any_digits():
-        text = np.array([f"{a}/{b}" for a, b in zip((values // g).tolist(), (den // g).tolist())],
-                        dtype=object)
-    return text[inverse.reshape(table.shape)].tolist()
+        jt, pt = ([f"{a}/{b}," for a, b in zip((v // g).tolist(), (den // g).tolist())]
+                  for v, g in ((js, np.gcd(js, den)), (ps, np.gcd(ps, den))))
+    tails = np.array([t + v for t in pt for v in ("False\n", "True\n")], dtype=object)
+    cells = np.array(jt, dtype=object)[j], tails[2 * p + (joint > indep).ravel()]
+    pieces = np.broadcast_arrays(q_labels[:, None], r_labels, *(c.reshape(joint.shape) for c in cells))
+    return "".join(np.stack(pieces, axis=-1).ravel().tolist())
 
 
 # -- structural separations -----------------------------------------------------
@@ -1023,21 +1024,13 @@ def report_to_json_dict(report: DependenceReport) -> dict:
     each distinct object is formatted once, keyed by identity; every witness
     still gets anchor lists of its own.
     """
-    from .schemes import spec_to_dict
-
-    text = {}
-    for witness in report.witnesses:
-        for x in witness:
-            if id(x) not in text:
-                text[id(x)] = ([format_rational(a) for a in x.anchor] if isinstance(x, AnchoredBox)
-                               else format_rational(x))
+    distinct = {id(x): x for x in chain.from_iterable(report.witnesses)}
+    text = {k: [format_rational(a) for a in x.anchor] if isinstance(x, AnchoredBox)
+            else format_rational(x) for k, x in distinct.items()}
     return {
         "scheme": spec_to_dict(report.spec),
         "grid": report.grid,
         "worst_violation": format_rational(report.worst_violation),
-        "violations": [
-            {"Q": text[id(Q)][:], "R": text[id(R)][:], "joint": text[id(joint)],
-             "product": text[id(prodv)]}
-            for Q, R, joint, prodv in report.witnesses
-        ],
+        "violations": [{"Q": text[id(Q)][:], "R": text[id(R)][:], "joint": text[id(joint)],
+                        "product": text[id(prodv)]} for Q, R, joint, prodv in report.witnesses],
     }

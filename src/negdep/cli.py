@@ -15,9 +15,12 @@ arguments produce byte-identical data files.
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import io
+import itertools
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -131,12 +134,41 @@ def _write_manifest(path: str, argv, seed, t0, extra=None) -> None:
     if extra:
         manifest.update(extra)
     with open(path + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
+        fh.write(json.dumps(manifest, sort_keys=True, indent=1))
+
+
+def _check_outputs(args) -> None:
+    """Refuse an output that is a directory or in a missing one, and a file written twice:
+    the outputs, their manifests and the --config input must be distinct files."""
+    config = vars(args).get("config")
+    files = {os.path.realpath(config): f"the input {config}"} if config else {}
+    for path in filter(None, map(vars(args).get, ("out", "pairs_csv", "out_csv", "out_json"))):
+        real = os.path.realpath(path)
+        if os.path.isdir(real) or not os.path.isdir(os.path.dirname(real)):
+            raise ValueError(f"cannot write {path}: it is a directory, or its directory is missing")
+        manifest = os.path.realpath(path + ".manifest.json")
+        for f, what in ((real, path), (manifest, f"the manifest of {path}")):
+            if f in files:
+                raise ValueError(f"{what} and {files[f]} are the same file")
+            files[f] = what
 
 
 def _json_text(payload: dict) -> str:
     with any_digits():  # exact counts of any size
         return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+def _report_text(report) -> str:
+    """The bytes of _json_text(report_to_json_dict(report)), each witness from one % template."""
+    text = _json_text(report_to_json_dict(dataclasses.replace(report, witnesses=())))
+    enc = json.encoder.encode_basestring_ascii
+    distinct = {id(x): x for x in itertools.chain.from_iterable(report.witnesses)}
+    leaves = {k: "[\n    " + ",\n    ".join(enc(format_rational(a)) for a in x.anchor) + "\n   ]"
+              if isinstance(x, AnchoredBox) else enc(format_rational(x)) for k, x in distinct.items()}
+    item = '  {\n   "Q": %s,\n   "R": %s,\n   "joint": %s,\n   "product": %s\n  }'
+    rows = ",\n".join([item % (leaves[id(Q)], leaves[id(R)], leaves[id(joint)], leaves[id(prodv)])
+                       for Q, R, joint, prodv in report.witnesses])
+    return text.replace('\n "violations": []', f'\n "violations": [\n{rows}\n ]', 1) if rows else text
 
 
 # -- generate ------------------------------------------------------------------
@@ -172,7 +204,6 @@ def _box_query(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox, budget: int) ->
 def _cmd_analyze(args, argv, t0) -> int:
     budget = args.budget
     sub = args.analysis
-    code = EXIT_OK
 
     if sub == "pairprob":
         spec = _spec_from_args(args)
@@ -191,8 +222,8 @@ def _cmd_analyze(args, argv, t0) -> int:
             _write_manifest(args.pairs_csv, argv, None, t0)
         else:
             report = _scan(spec, args.grid, budget)
-        payload = report_to_json_dict(report)
-        code = EXIT_OK if report.ok else EXIT_VIOLATION
+        _write(args.out, _report_text(report), argv, None, t0)
+        return EXIT_OK if report.ok else EXIT_VIOLATION
 
     elif sub == "copula":
         spec = _spec_from_args(args)
@@ -266,7 +297,7 @@ def _cmd_analyze(args, argv, t0) -> int:
     else:
         raise ValueError(f"unknown analysis {sub!r}")
     _write(args.out, _json_text(payload), argv, None, t0)
-    return code
+    return EXIT_OK
 
 
 # -- variance ------------------------------------------------------------------
@@ -427,6 +458,7 @@ def main(argv=None) -> int:
 
     t0 = time.perf_counter()
     try:
+        _check_outputs(args)
         if args.command == "generate":
             return _cmd_generate(args, argv, t0)
         if args.command == "analyze":

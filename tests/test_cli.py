@@ -19,7 +19,7 @@ import negdep
 from negdep import __version__, analyzer, cli, rng, variance
 from negdep.cli import build_parser, main
 from negdep.samplers import point_set_from_csv, point_set_from_json
-from negdep.schemes import KINDS, SHIFTS, spec_from_dict
+from negdep.schemes import KINDS, SHIFTS, SchemeSpec, spec_from_dict
 
 
 def run(capsys, *argv):
@@ -643,6 +643,102 @@ class TestFileErrors:
         assert list(tmp_path.iterdir()) == []
 
 
+_WRITERS = {"scan": ["analyze", "nuod", "--scheme", "lhs", "--n", "3", "--dim", "2", "--grid", "3"],
+            "variance": ["variance", "--config", "CONFIG"],
+            "generate": ["generate", "--scheme", "lhs", "--n", "3", "--seed", "1"]}
+_CLASHES = [
+    ("scan", ["--pairs-csv", "x", "--out", "x"], "x and x are the same file"),
+    ("scan", ["--pairs-csv", "x", "--out", "sub/../x"], "are the same file"),
+    ("scan", ["--pairs-csv", "x", "--out", "link"], "are the same file"),
+    ("scan", ["--pairs-csv", "x", "--out", "x.manifest.json"], "the manifest of x"),
+    ("scan", ["--out", "x", "--pairs-csv", "x.manifest.json"], "the manifest of x"),
+    ("scan", ["--out", "missing/x"], "its directory is missing"),
+    ("scan", ["--pairs-csv", "sub"], "it is a directory"),
+    ("variance", ["--out-json", "CONFIG"], "the input"),
+    ("variance", ["--out-csv", "sub/../batch.json"], "the input"),
+    ("variance", ["--out-csv", "x", "--out-json", "x"], "x and x are the same file"),
+    ("variance", ["--out-csv", "out"], "the manifest of out and the input out.manifest.json"),
+    ("variance", ["--out-json", "missing/x"], "its directory is missing"),
+    ("generate", ["--out", "missing/x"], "its directory is missing"),
+    ("generate", ["--out", "sub"], "it is a directory"),
+]
+
+
+@pytest.mark.parametrize("command,flags,message", _CLASHES,
+                         ids=[f"{c}-{'-'.join(f)}" for c, f, _ in _CLASHES])
+def test_clashing_outputs_refused_before_any_work(tmp_path, capsys, monkeypatch, command, flags,
+                                                  message):
+    # exit 2 with one error line, before the scan, batch or draw, and no file written
+    def untouched(*args, **kwargs):
+        raise AssertionError("work started before the output check")
+
+    for target, name in ((cli, "_scan"), (cli, "run_variance_batch"), (rng, "_words")):
+        monkeypatch.setattr(target, name, untouched)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link").symlink_to("x")
+    config = "out.manifest.json" if "out" in flags else "batch.json"
+    (tmp_path / config).write_text('{"seed": 1}')
+    before = sorted(tmp_path.rglob("*"))
+    argv = [config if a == "CONFIG" else a for a in _WRITERS[command] + flags]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.count("\n") == 1, err
+    assert err.startswith("error: ") and message in err, err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / config).read_text() == '{"seed": 1}'
+
+
+# -- the nuod report writer -----------------------------------------------------
+
+
+def _dumped(report) -> str:
+    return cli._json_text(analyzer.report_to_json_dict(report))
+
+
+@pytest.mark.parametrize("spec,m,witnesses", [
+    (SchemeSpec("lhs", 4, 2), 4, "none"),
+    (SchemeSpec("rsj_lattice", 5, 2, generator=(1, 1)), 5, "many"),
+    (SchemeSpec("rsj_lattice", 7, 2, generator=(1, 1)), 14, "tied"),
+    (SchemeSpec("rsj_lattice", 5, 1, generator=(1,), shift="none"), 5, "none"),
+    (SchemeSpec("rsj_lattice", 3, 3, generator=(1, 1, 1)), 3, "many"),
+], ids=["none", "rsj5", "rsj7-tied", "dim1", "dim3"])
+def test_report_text_matches_json_dumps(spec, m, witnesses):
+    report = analyzer.nuod_scan(spec, m)
+    excesses = [w[2] - w[3] for w in report.witnesses]
+    assert {"none": not excesses, "many": len(excesses) > 1,
+            "tied": len(set(excesses)) < len(excesses)}[witnesses]
+    assert cli._report_text(report) == _dumped(report)
+
+
+def test_report_text_of_built_reports():
+    # three tied witnesses at dim 1, one witness with 5000 digits past the
+    # interpreter's default limit, which is back in place after the call
+    boxes = [analyzer.AnchoredBox((F(k, 4),)) for k in range(3)]
+    report = analyzer.DependenceReport.from_witnesses(
+        SchemeSpec("lhs", 3, 1), 4, [(boxes[k], boxes[2 - k], F(1, 2), F(1, 3)) for k in range(3)])
+    assert cli._report_text(report) == _dumped(report)
+    big = F(10**4999 + 1, 3 * 10**4999)
+    spec = SchemeSpec("lhs", 3, 2)
+    Q, R = analyzer.AnchoredBox((F(1, 3), big)), analyzer.AnchoredBox((F(2, 3), F(0)))
+    report = analyzer.DependenceReport.from_witnesses(spec, 3, [(Q, R, big, big / 2)])
+    outer = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        text = cli._report_text(report)
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(outer)
+    assert text == _dumped(report) and "\"1" + "0" * 4998 + "1/3" in text
+
+
+def test_report_written_to_file_and_stdout_alike(tmp_path, capsys):
+    report = analyzer.nuod_scan(SchemeSpec("rsj_lattice", 5, 2, generator=(1, 1)), 5)
+    code, out, _ = run(capsys, *NUOD)
+    assert code == 1 and out == _dumped(report)
+    assert run(capsys, *NUOD, "--out", str(tmp_path / "r.json"))[:2] == (1, "")
+    assert (tmp_path / "r.json").read_text(encoding="utf-8") == out
+
+
 class TestParserReuse:
     def test_built_once(self, capsys, monkeypatch):
         builds = []
@@ -863,3 +959,19 @@ def test_malformed_argv_exits_two_without_traceback(capsys, command, data):
     assert (code, out) == (want, ""), (argv, err)
     assert "error: " in err and "Traceback" not in err, (argv, err)
     assert time.perf_counter() - t0 < 2, argv
+
+
+_BOXES = st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.tuples(*[_UNIT] * d).map(analyzer.AnchoredBox), min_size=1, max_size=4))
+_PROBS = st.lists(st.fractions(0, 1, max_denominator=10**30), min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(boxes=_BOXES, probs=_PROBS, picks=st.lists(st.tuples(*[st.integers(0, 3)] * 4), max_size=8))
+def test_report_text_matches_json_dumps_generated(boxes, probs, picks):
+    # witnesses that share, repeat and tie boxes and probabilities
+    spec = SchemeSpec("lhs", 3, boxes[0].dim)
+    witnesses = [(boxes[q % len(boxes)], boxes[r % len(boxes)], probs[j % len(probs)],
+                  probs[p % len(probs)]) for q, r, j, p in picks]
+    report = analyzer.DependenceReport.from_witnesses(spec, 3, witnesses)
+    assert cli._report_text(report) == _dumped(report)
