@@ -47,7 +47,5 @@ from .variance import (
     Integrand,
     VarianceResult,
     integrand_library,
-    mc_estimate,
-    rqmc_estimate,
     variance_compare,
 )

@@ -10,7 +10,7 @@ tests/test_acceptance.py parametrizes over this registry, and the CLI
 import time
 from fractions import Fraction
 from itertools import product
-from math import factorial, sqrt
+from math import factorial, lcm, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -47,18 +47,22 @@ class CriterionResult(NamedTuple):
 def criterion_discrete_pair_pmf_uniform() -> CriterionResult:
     """Exhaustive cell-pair law is the constant 1/(N(N-1))^d; under 60 s.
 
-    Checked on the integer counts: (N(N-1))^d equal nonzero entries, each
-    the total divided by (N(N-1))^d.
+    The fully randomized lattice's law is built as the equal mixture of the
+    (N-1)^d fixed-generator grid-shift laws, each enumerated over its N - 1
+    index differences, not by the one class _pair_counts reads it as.  On
+    the difference rows F_g (P[z1, z2] = F_g[z2 - z1] / t_g), the mixture
+    sum_g F_g L / t_g over (N-1)^d L, L = lcm of the t_g, must be L / N^d
+    at every difference nonzero in all coordinates and 0 elsewhere.
     """
     t0 = time.perf_counter()
     for n in (3, 5, 7):
         for d in (1, 2, 3):
-            P, total = _pair_counts(full_rsj(n, d))
-            support = P[P != 0]
-            size = (n * (n - 1)) ** d
-            if len(support) != size:
-                return CriterionResult(False, f"support size off at N={n}, d={d}")
-            if (support != support[0]).any() or total != int(support[0]) * size:
+            laws = [_pair_counts(SchemeSpec("rsj_lattice", n, d, generator=g), gather=False)
+                    for g in product(range(1, n), repeat=d)]
+            L = lcm(*(t for _, t in laws))
+            mixture = sum(F * (L // t) for F, t in laws)
+            distinct = (np.indices((n,) * d) != 0).all(axis=0)
+            if not np.array_equal(mixture * n**d, distinct * L):
                 return CriterionResult(False, f"non-uniform pmf at N={n}, d={d}")
     elapsed = time.perf_counter() - t0
     if elapsed >= 60:

@@ -177,7 +177,8 @@ def _law(spec: SchemeSpec, cells: bool = False) -> _Law:
     on or off, is factorized: given the index pair (a, b), gamma (b - a)
     is uniform over the nonzero residues and the shift over all of them,
     so each coordinate's cell pair is uniform over ordered distinct pairs,
-    independently of the others and of (a, b).  Refused: n < 2
+    independently of the others and of (a, b): the law of lhs, which
+    _pair_counts enumerates as one class.  Refused: n < 2
     (ValueError); a continuous torus shift with jitter, or with cells True,
     for a route that needs a cell law (UnsupportedSchemeError).
     """
@@ -208,13 +209,15 @@ def _pair_counts(spec: SchemeSpec, budget=DEFAULT_BUDGET, gather: bool = True):
     Under a grid shift P[z1, z2] depends on z2 - z1 only, and a class is
     (0, delta), delta = 1..n-1, standing for the n pairs with b - a = delta:
     coordinate i's code is the difference gamma delta mod n, and the
-    bincount is the difference row F.  lhs, stratified and patterson are
-    one class (0, 1) whose coordinates take every value 1..n-1 (composite
-    n too).  Without a shift every ordered pair (a, b) is a class, coded by
-    its cells (gamma a, gamma b) in P's layout.  Counts and total are
-    divided by their common gcd; under a shift every row of P is a
-    permutation of F, so the gcd is taken on F, and P is gathered from the
-    reduced F in one pass.
+    bincount is the difference row F.  A factorized law (_law) is the one
+    class (0, 1) whose coordinates take every value 1..n-1: under a random
+    generator and a prime n, gamma delta runs over the nonzero residues as
+    gamma does, so every class has the codes of (0, 1); the latin kinds
+    are that class for composite n too.  Without a shift every ordered
+    pair (a, b) is a class, coded by its cells (gamma a, gamma b) in P's
+    layout.  Counts and total are divided by their common gcd; under a
+    shift every row of P is a permutation of F, so the gcd is taken on F,
+    and P is gathered from the reduced F in one pass.
 
     With gather False a shift-invariant law (a latin kind, or a grid
     shift) is returned as F itself, shape (n,) * dim with coordinate i on
@@ -228,8 +231,8 @@ def _pair_counts(spec: SchemeSpec, budget=DEFAULT_BUDGET, gather: bool = True):
     law = _law(spec, cells=True)
     n, dim, shifted = spec.n, spec.dim, law.shift_invariant
     cells = _power(n, dim, budget, "enumeration", "terms")
-    # the class set: one latin class, n - 1 lattice ones under a shift, n (n - 1) without
-    classes = 1 if spec.kind != "rsj_lattice" else n - 1 if shifted else n * (n - 1)
+    # the class set: one if factorized, n - 1 differences under a shift, n (n - 1) pairs without
+    classes = 1 if law.factorized else n - 1 if shifted else n * (n - 1)
     values, entries = n - 1 if law.random else 1, cells * cells if gather or not shifted else cells
     _charge(classes * values**dim + entries, budget, "enumeration", "terms")
     if shifted:
@@ -542,23 +545,12 @@ class DependenceReport:
         return self.worst_violation == 0
 
     @classmethod
-    def from_witnesses(cls, spec: SchemeSpec, grid_resolution: int, witnesses) -> "DependenceReport":
-        """The report of a k/grid_resolution scan that found these witnesses.
-
-        Witnesses come in any order (the test oracles pass theirs here);
-        the report lists them by decreasing excess, ties broken by
-        decreasing anchors.  _scan ranks its own witnesses in this order on
-        integers (excess over its common denominator, then box index),
-        builds each box and each distinct probability once, and passes them
-        to _ranked directly.
-        """
-        witnesses = sorted(witnesses, key=lambda w: (w[2] - w[3], w[0].anchor, w[1].anchor),
-                           reverse=True)
-        return cls._ranked(spec, grid_resolution, witnesses)
-
-    @classmethod
     def _ranked(cls, spec: SchemeSpec, grid_resolution: int, witnesses) -> "DependenceReport":
-        """The report of witnesses already in report order (see from_witnesses)."""
+        """The report of a k/grid_resolution scan whose witnesses are in report order.
+
+        That order is decreasing excess joint - product, ties broken by
+        decreasing anchors (Q's, then R's).
+        """
         worst = witnesses[0][2] - witnesses[0][3] if witnesses else Fraction(0)
         grid = {
             "resolution": grid_resolution,
@@ -683,8 +675,8 @@ def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, csv_out=None,
     The witnesses are ranked on integers: by the excess joint - product over
     the scan's common denominator, ties broken by box index, which is anchor
     order (coordinate 0 most significant, anchors k/M increasing in k); this
-    is from_witnesses' order.  Each witness box is then built once from the
-    grid anchors, and each distinct probability is one Fraction.
+    is the report order (_ranked).  Each witness box is then built once
+    from the grid anchors, and each distinct probability is one Fraction.
 
     The law's route (_law) is read before any budget, so a continuous torus
     shift is refused at every size.  Each stage's budget is checked before
@@ -739,7 +731,7 @@ def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, csv_out=None,
         if csv_out is not None:
             csv_out.write(_csv_block(labels[start:start + len(joint)], labels, joint, indep, den))
     # every entry is over den, and box index order is anchor order, so this
-    # is from_witnesses' order
+    # is the report order
     found.sort(reverse=True)
     boxes, probs = {}, {}
 
@@ -1018,19 +1010,13 @@ def shift_only_conditional(spec: SchemeSpec, epsilon, budget=DEFAULT_BUDGET) -> 
 
 
 def report_to_json_dict(report: DependenceReport) -> dict:
-    """The report with every rational as a "num/den" string.
-
-    A scan's witnesses share their box and probability objects (_scan), so
-    each distinct object is formatted once, keyed by identity; every witness
-    still gets anchor lists of its own.
-    """
-    distinct = {id(x): x for x in chain.from_iterable(report.witnesses)}
-    text = {k: [format_rational(a) for a in x.anchor] if isinstance(x, AnchoredBox)
-            else format_rational(x) for k, x in distinct.items()}
+    """The report with every rational as a "num/den" string."""
     return {
         "scheme": spec_to_dict(report.spec),
         "grid": report.grid,
         "worst_violation": format_rational(report.worst_violation),
-        "violations": [{"Q": text[id(Q)][:], "R": text[id(R)][:], "joint": text[id(joint)],
-                        "product": text[id(prodv)]} for Q, R, joint, prodv in report.witnesses],
+        "violations": [{"Q": [format_rational(a) for a in Q.anchor],
+                        "R": [format_rational(a) for a in R.anchor],
+                        "joint": format_rational(joint), "product": format_rational(prodv)}
+                       for Q, R, joint, prodv in report.witnesses],
     }

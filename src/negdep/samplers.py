@@ -14,10 +14,11 @@ permutation(s), then jitters in point order (coordinates within a point).
 The samplers only draw; they do not size their streams.  ``generate``
 reserves the words a point set will likely draw (``_draw_words``: two per
 rejection-sampled integer, jitters exactly) on a stream it makes from an
-integer seed, so that point set is normally mixed in one numpy block, and
-``replicate`` draws the point sets of many substreams, whose words
-``RngStream.split_block`` mixes a block of substreams at a time.  Neither
-changes a draw.
+integer seed, so that point set is normally mixed in one numpy block.
+``replicate`` yields ``generate(spec, rng.split(k))`` for k < replications;
+it keeps the blocking policy (``_stream_blocks``: how many substreams
+``RngStream.split_block`` mixes at a time) out of its callers, and the
+variance lab draws through the same blocks.  Neither changes a draw.
 """
 
 import csv
@@ -28,7 +29,7 @@ import numpy as np
 
 from .exact import Rational
 from .rng import FRAC_BITS, RngStream
-from .schemes import SchemeSpec, spec_from_dict, spec_to_dict
+from .schemes import SchemeSpec, _as_int, spec_from_dict, spec_to_dict
 
 __all__ = [
     "MAX_N",
@@ -321,11 +322,19 @@ def _validate_structure(ps: PointSet) -> None:
 
 
 def point_set_from_json(text: str) -> PointSet:
+    """The point set of point_set_to_json's text; every malformed payload raises ValueError."""
     payload = json.loads(text)
+    if not isinstance(payload, dict) or not {"spec", "nums", "seed"} <= payload.keys():
+        raise ValueError("point set must be a JSON object with keys spec, nums and seed")
     if payload.get("frac_bits") != FRAC_BITS:
         raise ValueError("unsupported coordinate resolution")
     spec = spec_from_dict(payload["spec"])
-    ps = PointSet(np.array(payload["nums"], dtype=np.int64), spec, payload["seed"])
+    nums = np.array(payload["nums"])
+    # JSON integers within int64 read as a signed integer dtype; floats, bools,
+    # strings and integers past int64 do not (int64 would truncate or overflow)
+    if nums.dtype.kind != "i":
+        raise ValueError("nums must be rows of integer coordinate numerators below 2**63")
+    ps = PointSet(nums, spec, _as_int(payload["seed"], "seed"))
     _validate_structure(ps)
     return ps
 

@@ -28,9 +28,6 @@ __all__ = [
     "smooth_monotone_integrand",
     "integrand_library",
     "get_integrand",
-    "verify_monotone_flags",
-    "mc_estimate",
-    "rqmc_estimate",
     "VarianceResult",
     "variance_compare",
     "result_to_json_dict",
@@ -210,52 +207,6 @@ def get_integrand(name: str, dim: int) -> Integrand:
     return make(dim)
 
 
-def verify_monotone_flags(f: Integrand, rng: RngStream, probes: int = 1000) -> bool:
-    """Spot-check the declared monotonicity by coordinate perturbations.
-
-    For each probe, one coordinate is pushed toward its monotone direction
-    and the function value must not move the wrong way.
-    """
-    d = f.arity
-    for _ in range(probes):
-        u = rng.uniform01(d)
-        i = rng.integer(d)
-        flag = f.monotone_flags[i]
-        if flag == "none":
-            continue
-        v = u.copy()
-        room = 1.0 - u[i]
-        v[i] = u[i] + (0.5 + 0.5 * rng.uniform01(1)[0]) * room * 0.999
-        base = f(u.reshape(1, d))[0]
-        moved = f(v.reshape(1, d))[0]
-        if flag == "increasing" and moved < base - 1e-12:
-            return False
-        if flag == "decreasing" and moved > base + 1e-12:
-            return False
-    return True
-
-
-def mc_estimate(f: Integrand, n: int, rng: RngStream) -> float:
-    """Equal-weight average of f over n iid uniform points."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    pts = rng.uniform01(n * f.arity).reshape(n, f.arity)
-    return float(f(pts).mean())
-
-
-def rqmc_estimate(f: Integrand, spec: SchemeSpec, rng: RngStream) -> float:
-    """Equal-weight average of f over one randomization of the scheme.
-
-    Unbiased for the integral whenever the scheme is marginally uniform;
-    ablations that are not (e.g. shift "none") are still evaluated, and
-    callers should surface the biased-capable flag from the comparison.
-    """
-    if f.arity != spec.dim:
-        raise ValueError("integrand arity does not match scheme dim")
-    ps = generate(spec, rng)
-    return float(f(ps.floats()).mean())
-
-
 def _means(f: Integrand, n: int, pts: np.ndarray) -> np.ndarray:
     # equal-weight average of f over each run of n rows: one integrand call
     return f(pts).reshape(-1, n).mean(axis=1)
@@ -263,8 +214,8 @@ def _means(f: Integrand, n: int, pts: np.ndarray) -> np.ndarray:
 
 def _rqmc_estimates(f: Integrand, spec: SchemeSpec, replications: int,
                     rng: RngStream) -> np.ndarray:
-    """rqmc_estimate(f, spec, rng.split(k)) for k < replications, bit for
-    bit, drawn and reduced a block of replications at a time."""
+    """f(generate(spec, rng.split(k)).floats()).mean() for k < replications,
+    bit for bit, drawn and reduced a block of replications at a time."""
     n = spec.n
     return np.concatenate([
         _means(f, n, _unit_floats(np.concatenate([generate(spec, s).nums for s in block]), n))
@@ -273,8 +224,8 @@ def _rqmc_estimates(f: Integrand, spec: SchemeSpec, replications: int,
 
 
 def _mc_estimates(f: Integrand, n: int, replications: int, rng: RngStream) -> np.ndarray:
-    """mc_estimate(f, n, rng.split(2**32 + k)) for k < replications, bit
-    for bit, a block at a time."""
+    """f(s.uniform01(n * f.arity).reshape(n, f.arity)).mean() on s = rng.split(2**32 + k)
+    for k < replications, bit for bit, a block at a time."""
     width = n * f.arity
     return np.concatenate([
         _means(f, n, np.concatenate([s.uniform01(width) for s in block]).reshape(-1, f.arity))
@@ -310,8 +261,8 @@ def variance_compare(f: Integrand, spec: SchemeSpec, replications: int,
     rng.split(k), so each replication is reproducible on its own.  The
     substreams are split and mixed in blocks of about 2**14 words, and each
     block's points go through one float export and one integrand call; every
-    estimate equals rqmc_estimate(f, spec, rng.split(k)) bit for bit, so the
-    output does not depend on the blocking.
+    estimate equals the mean of f over generate(spec, rng.split(k)).floats()
+    bit for bit, so the output does not depend on the blocking.
     The MC baseline is Var(f)/n exactly when the integrand's variance is
     known, otherwise it is estimated from a matching number of MC
     replications on substreams offset by 2**32 (blocked the same way).  The domination flag allows

@@ -20,6 +20,7 @@ from negdep import __version__, analyzer, cli, rng, variance
 from negdep.cli import build_parser, main
 from negdep.samplers import point_set_from_csv, point_set_from_json
 from negdep.schemes import KINDS, SHIFTS, SchemeSpec, spec_from_dict
+from test_kernel import report_from_witnesses
 
 
 def run(capsys, *argv):
@@ -237,6 +238,14 @@ class TestAnalyze:
     def test_copula(self, capsys):
         code, out, _ = run(capsys, "analyze", "copula", "--scheme", "rsj",
                            "--n", "3", "--dim", "2")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["equal"] is True and payload["max_discrepancy"] == "0/1"
+
+    def test_copula_of_the_full_lattice_at_101_cubed(self, capsys):
+        # the random-generator lattice is one class: 2 030 301 terms per law
+        code, out, _ = run(capsys, "analyze", "copula", "--scheme", "rsj",
+                           "--n", "101", "--dim", "3")
         assert code == 0
         payload = json.loads(out)
         assert payload["equal"] is True and payload["max_discrepancy"] == "0/1"
@@ -714,13 +723,13 @@ def test_report_text_of_built_reports():
     # three tied witnesses at dim 1, one witness with 5000 digits past the
     # interpreter's default limit, which is back in place after the call
     boxes = [analyzer.AnchoredBox((F(k, 4),)) for k in range(3)]
-    report = analyzer.DependenceReport.from_witnesses(
+    report = report_from_witnesses(
         SchemeSpec("lhs", 3, 1), 4, [(boxes[k], boxes[2 - k], F(1, 2), F(1, 3)) for k in range(3)])
     assert cli._report_text(report) == _dumped(report)
     big = F(10**4999 + 1, 3 * 10**4999)
     spec = SchemeSpec("lhs", 3, 2)
     Q, R = analyzer.AnchoredBox((F(1, 3), big)), analyzer.AnchoredBox((F(2, 3), F(0)))
-    report = analyzer.DependenceReport.from_witnesses(spec, 3, [(Q, R, big, big / 2)])
+    report = report_from_witnesses(spec, 3, [(Q, R, big, big / 2)])
     outer = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
@@ -973,5 +982,5 @@ def test_report_text_matches_json_dumps_generated(boxes, probs, picks):
     spec = SchemeSpec("lhs", 3, boxes[0].dim)
     witnesses = [(boxes[q % len(boxes)], boxes[r % len(boxes)], probs[j % len(probs)],
                   probs[p % len(probs)]) for q, r, j, p in picks]
-    report = analyzer.DependenceReport.from_witnesses(spec, 3, witnesses)
+    report = report_from_witnesses(spec, 3, witnesses)
     assert cli._report_text(report) == _dumped(report)

@@ -27,7 +27,9 @@ The oracle functions below are the analyzer's earlier, direct forms:
   * the no-shift first-cell mass, over every (generator, point index);
   * the rows of every box pair, one Fraction each (scan_pairs_rows);
   * the pairs table written row by row, format_rational and csv.writer per
-    row of scan_pairs_rows.
+    row of scan_pairs_rows;
+  * the report of witnesses given in any order (report_from_witnesses),
+    ranked by sorting Fraction excesses and anchors.
 
 They stay here as the reference; results must match exactly, witness dicts
 included.  The scan's one-factor route is also pinned against its
@@ -594,6 +596,17 @@ def test_budget_counts_factorized_work():
     assert scan_csv(spec, m, work)[1].count("\n") == 1 + 6**4
 
 
+def report_from_witnesses(spec, m, witnesses):
+    """The report of a k/m scan that found these witnesses, given in any order.
+
+    Report order is decreasing excess, ties broken by decreasing anchors;
+    _scan ranks its own witnesses so on integers.
+    """
+    witnesses = sorted(witnesses, key=lambda w: (w[2] - w[3], w[0].anchor, w[1].anchor),
+                       reverse=True)
+    return DependenceReport._ranked(spec, m, witnesses)
+
+
 def expanded_report(spec, m, factors=None):
     """nuod_scan's report from the expansion over every box pair."""
     anchors = _grid_anchors(m)
@@ -601,7 +614,7 @@ def expanded_report(spec, m, factors=None):
     boxes = [AnchoredBox(a) for a in product(anchors, repeat=spec.dim)]
     witnesses = [(boxes[start + q], boxes[r], F(int(joint[q, r]), den), F(int(prodv[q, r]), den))
                  for start, joint, prodv in blocks for q, r in zip(*np.nonzero(joint > prodv))]
-    return DependenceReport.from_witnesses(spec, m, witnesses)
+    return report_from_witnesses(spec, m, witnesses)
 
 
 # the criterion-3 scans, then the factorized scans of the exact-scan benchmark
@@ -736,7 +749,7 @@ def test_queries_keep_the_sides_of_the_law(factors, monkeypatch):
                 witnesses.append((Q, R, j, m1 * m2))
     report, text = scan_csv(spec, m)
     assert text == "".join(rows)
-    assert report == DependenceReport.from_witnesses(spec, m, witnesses) == nuod_scan(spec, m)
+    assert report == report_from_witnesses(spec, m, witnesses) == nuod_scan(spec, m)
 
 
 def test_budget_counts_failing_certificate_expansion():
@@ -770,15 +783,15 @@ TIES = [(SchemeSpec(RSJ, 7, 2, generator=(1, 1)), 14), (SchemeSpec(RSJ, 5, 2, sh
 
 @pytest.mark.parametrize("limit", [mod._INT64_SAFE_LIMIT, 1], ids=["int64", "python-int"])
 def test_scan_ranking_matches_fraction_sort(limit, monkeypatch):
-    # _scan ranks integer numerators and box indices; from_witnesses sorts
-    # Fraction excesses and anchors, from any order
+    # _scan ranks integer numerators and box indices; report_from_witnesses
+    # sorts Fraction excesses and anchors, from any order
     monkeypatch.setattr(mod, "_INT64_SAFE_LIMIT", limit)
     for spec, m in TIES:
         report = nuod_scan(spec, m)
         witnesses = list(report.witnesses)
         assert len({j - p for _, _, j, p in witnesses}) * 5 < len(witnesses)
         random.Random(m).shuffle(witnesses)
-        assert report == DependenceReport.from_witnesses(spec, m, witnesses)
+        assert report == report_from_witnesses(spec, m, witnesses)
 
 
 def test_scan_builds_each_witness_box_once(monkeypatch):
@@ -798,7 +811,7 @@ def test_scan_builds_each_witness_box_once(monkeypatch):
         assert len({id(v) for v in values}) == len(set(values))
 
 
-def test_report_json_formats_each_object_once(monkeypatch):
+def test_report_json_formats_every_witness():
     report = nuod_scan(*TIES[0])
     want = {"scheme": spec_to_dict(report.spec), "grid": report.grid,
             "worst_violation": format_rational(report.worst_violation),
@@ -806,17 +819,7 @@ def test_report_json_formats_each_object_once(monkeypatch):
                             "R": [format_rational(a) for a in R.anchor],
                             "joint": format_rational(joint), "product": format_rational(prodv)}
                            for Q, R, joint, prodv in report.witnesses]}
-    calls = []
-    monkeypatch.setattr(mod, "format_rational", lambda x: calls.append(x) or format_rational(x))
-    got = report_to_json_dict(report)
-    assert got == want
-    # once per anchor of each distinct box, per distinct probability, and the worst
-    boxes = {id(box) for w in report.witnesses for box in w[:2]}
-    probs = {id(v) for w in report.witnesses for v in w[2:]}
-    assert len(calls) == report.spec.dim * len(boxes) + len(probs) + 1 < len(report.witnesses)
-    # shared strings, but every witness has lists of its own
-    lists = [v[k] for v in got["violations"] for k in ("Q", "R")]
-    assert len({id(v) for v in lists}) == len(lists)
+    assert report_to_json_dict(report) == want
 
 
 # -- the pairs table in bulk ---------------------------------------------------
@@ -834,7 +837,7 @@ def oracle_pairs_csv(spec, m):
                          format_rational(joint), format_rational(prodv), bad])
         if bad:
             witnesses.append((Q, R, joint, prodv))
-    return DependenceReport.from_witnesses(spec, m, witnesses), buf.getvalue()
+    return report_from_witnesses(spec, m, witnesses), buf.getvalue()
 
 
 # the criterion-3 scans with at most 1e5 box pairs, the pairs-CSV scans of the
@@ -971,8 +974,9 @@ def test_pair_counts_match_index_pair_enumerator(spec):
 def test_pair_counts_budget_counts_terms():
     # the enumerated codes, classes x prod |G_i|, plus the n^(2 dim) entries
     # of P: n - 1 difference classes under a grid shift, n (n - 1) ordered
-    # pairs without one, one class of (n - 1)^dim codes for the latin kinds
-    for spec, work in ((full_rsj(5, 2), 4 * 4**2 + 5**4),
+    # pairs without one, one class of (n - 1)^dim codes for a factorized law
+    # (the latin kinds, and a random generator under a grid shift)
+    for spec, work in ((full_rsj(5, 2), 4**2 + 5**4),
                        (SchemeSpec(RSJ, 5, 2, generator=(1, 2)), 4 + 5**4),
                        (SchemeSpec(RSJ, 5, 2, generator=(1, 2), shift="none"), 20 + 5**4),
                        (SchemeSpec(RSJ, 5, 2, shift="none"), 20 * 4**2 + 5**4),
@@ -981,6 +985,15 @@ def test_pair_counts_budget_counts_terms():
         with pytest.raises(mod.BudgetExceededError, match=f"{work} terms"):
             _pair_counts(spec, budget=work - 1)
         _pair_counts(spec, budget=work)
+
+
+@pytest.mark.parametrize("gather", [True, False])
+def test_random_generator_lattice_is_the_latin_class(gather):
+    # a random generator under a grid shift has lhs's law, enumerated as its one class
+    for n, dim in ((2, 1), (3, 2), (5, 3), (7, 2), (11, 2), (7, 3)):
+        counts, total = _pair_counts(full_rsj(n, dim), gather=gather)
+        lhs_counts, lhs_total = _pair_counts(lhs_spec(n, dim), gather=gather)
+        assert total == lhs_total and np.array_equal(counts, lhs_counts)
 
 
 @pytest.mark.parametrize("shift", ["grid", "none"])
@@ -1084,15 +1097,26 @@ def test_structural_checks_on_the_difference_row_at_scale():
 
 
 @pytest.mark.parametrize("spec,work", [
-    (full_rsj(5, 2), 4 * 4**2 + 5**2),  # the codes plus the 5^2 entries of F
+    (full_rsj(5, 2), 4**2 + 5**2),  # the one class's codes plus the 5^2 entries of F
     (SchemeSpec(RSJ, 5, 2, shift="none"), 20 * 4**2 + 5**4),  # plus the 5^4 of P
 ], ids=["grid", "none"])
 def test_structural_check_budgets(spec, work):
-    # each law is charged on its own; lhs's (4^2 codes) is the smaller here
+    # each law is charged on its own; lhs's is at most the lattice's here
     for check in (copula_equality_check, coordinate_independence_check):
         with pytest.raises(mod.BudgetExceededError, match=f"{work} terms exceeds budget {work - 1}"):
             check(5, 2, spec, budget=work - 1)
         check(5, 2, spec, budget=work)
+
+
+def test_structural_checks_on_the_full_lattice_at_101_cubed():
+    # one class of 100^3 codes plus the 101^3 entries of F, for the lattice
+    # and for lhs alike
+    assert 100**3 + 101**3 == 2030301
+    for check in (copula_equality_check, coordinate_independence_check):
+        with pytest.raises(mod.BudgetExceededError, match="2030301 terms exceeds budget 2030300"):
+            check(101, 3, budget=2030300)
+    assert copula_equality_check(101, 3) == (True, F(0))
+    assert coordinate_independence_check(101, 3).ok
 
 
 def _xor_counts(n, pairs):

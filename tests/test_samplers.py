@@ -408,9 +408,10 @@ def test_json_import_revalidates():
 
 
 def _edited_json(spec, edit):
+    # edit changes the payload in place, or returns the payload to write instead
     payload = json.loads(point_set_to_json(generate(spec, 5)))
-    edit(payload)
-    return json.dumps(payload)
+    edited = edit(payload)
+    return json.dumps(payload if edited is None else edited)
 
 
 def _repeat_first_stratum(payload):
@@ -425,14 +426,35 @@ def _coarser_bits(payload):
     payload["frac_bits"] = 52
 
 
+def _past_int64(payload):
+    payload["nums"][0][0] = 2**63
+
+
+def _fractional(payload):
+    payload["nums"][0][0] += 0.5
+
+
+def _without(key):
+    return lambda payload: {k: v for k, v in payload.items() if k != key}
+
+
 @pytest.mark.parametrize("spec,edit,message", [
     (lhs_spec(4, 2), _repeat_first_stratum, "latin property"),
     (stratified_spec(4), _repeat_first_stratum, "stratification"),
     (SchemeSpec("rsj_lattice", 5, 2, shift="grid", jitter=False), _move_off_grid, "off-grid"),
     (lhs_spec(4, 2), _coarser_bits, "resolution"),
-], ids=["lhs", "stratified", "jitterless-grid", "frac-bits"])
+    (lhs_spec(4, 2), lambda payload: [payload], "must be a JSON object"),
+    (lhs_spec(4, 2), _without("spec"), "with keys spec, nums and seed"),
+    (lhs_spec(4, 2), _without("nums"), "with keys spec, nums and seed"),
+    (lhs_spec(4, 2), _without("seed"), "with keys spec, nums and seed"),
+    (lhs_spec(4, 2), _past_int64, "nums must be rows"),
+    (lhs_spec(4, 2), _fractional, "nums must be rows"),
+], ids=["lhs", "stratified", "jitterless-grid", "frac-bits", "non-object", "no-spec", "no-nums",
+        "no-seed", "past-int64", "fractional"])
 def test_json_import_checks_the_structure(spec, edit, message):
-    # shape and range are right; the scheme's own structure is not
+    # every malformed payload is a ValueError: a payload that is not a point
+    # set object, and one whose shape and range are right but whose scheme's
+    # own structure is not
     with pytest.raises(ValueError, match=message):
         point_set_from_json(_edited_json(spec, edit))
 

@@ -9,9 +9,10 @@ import negdep.samplers as samplers_module
 from negdep import variance
 from negdep.analyzer import AnchoredBox, pair_box_prob, pair_marginal_prob
 from negdep.rng import RngStream
-from negdep.samplers import _unit_floats, replicate
+from negdep.samplers import _unit_floats, generate, replicate
 from negdep.schemes import SchemeSpec, full_rsj, lhs_spec, patterson_spec, stratified_spec
 from negdep.variance import (
+    Integrand,
     VarianceResult,
     _mc_estimates,
     _means,
@@ -22,15 +23,53 @@ from negdep.variance import (
     get_integrand,
     integrand_library,
     load_batch_config,
-    mc_estimate,
     origin_box_integrand,
     product_integrand,
-    rqmc_estimate,
     run_variance_batch,
     smooth_monotone_integrand,
     variance_compare,
-    verify_monotone_flags,
 )
+
+
+# -- oracles: the lab's blocked estimates and the declared monotone flags ---------
+
+
+def mc_estimate(f: Integrand, n: int, rng: RngStream) -> float:
+    """Equal-weight average of f over n iid uniform points."""
+    pts = rng.uniform01(n * f.arity).reshape(n, f.arity)
+    return float(f(pts).mean())
+
+
+def rqmc_estimate(f: Integrand, spec, rng: RngStream) -> float:
+    """Equal-weight average of f over one randomization of the scheme."""
+    if f.arity != spec.dim:
+        raise ValueError("integrand arity does not match scheme dim")
+    return float(f(generate(spec, rng).floats()).mean())
+
+
+def verify_monotone_flags(f: Integrand, rng: RngStream, probes: int = 1000) -> bool:
+    """Spot-check the declared monotonicity by coordinate perturbations.
+
+    For each probe, one coordinate is pushed toward its monotone direction
+    and the function value must not move the wrong way.
+    """
+    d = f.arity
+    for _ in range(probes):
+        u = rng.uniform01(d)
+        i = rng.integer(d)
+        flag = f.monotone_flags[i]
+        if flag == "none":
+            continue
+        v = u.copy()
+        room = 1.0 - u[i]
+        v[i] = u[i] + (0.5 + 0.5 * rng.uniform01(1)[0]) * room * 0.999
+        base = f(u.reshape(1, d))[0]
+        moved = f(v.reshape(1, d))[0]
+        if flag == "increasing" and moved < base - 1e-12:
+            return False
+        if flag == "decreasing" and moved > base + 1e-12:
+            return False
+    return True
 
 
 class TestIntegrandLibrary:
