@@ -25,7 +25,6 @@ from .samplers import (
     point_set_from_json,
     point_set_to_csv,
     point_set_to_json,
-    rsj_rank1,
 )
 from .analyzer import (
     AnchoredBox,

@@ -102,7 +102,9 @@ def criterion_nuod_certification() -> CriterionResult:
 
 
 def criterion_copula_and_independence() -> CriterionResult:
-    """Lattice and lhs share the exact pair copula; coordinates factorize."""
+    """Lattice and lhs share the exact pair copula and coordinates factorize;
+    a fixed generator (1, 2) fails both checks.  _pair_counts reads the full
+    lattice as lhs's one class; criterion 1 checks that law independently."""
     for n in (3, 5):
         for d in (2, 3):
             cc = copula_equality_check(n, d)
@@ -110,7 +112,14 @@ def criterion_copula_and_independence() -> CriterionResult:
                 return CriterionResult(False, f"copula mismatch at N={n}, d={d}: {cc.max_discrepancy}")
             if not coordinate_independence_check(n, d).ok:
                 return CriterionResult(False, f"independence fails at N={n}, d={d}")
-    return CriterionResult(True, "copula discrepancy 0 and factorization exact on {3,5}x{2,3}")
+    for n, want in ((3, Fraction(1, 36)), (5, Fraction(3, 400))):
+        spec = SchemeSpec("rsj_lattice", n, 2, generator=(1, 2))
+        cc = copula_equality_check(n, 2, spec)
+        if cc.equal or cc.max_discrepancy != want or coordinate_independence_check(n, 2, spec).ok:
+            return CriterionResult(False, f"generator (1,2), N={n}: copula {cc}, want discrepancy "
+                                          f"{want}, and independence must fail")
+    return CriterionResult(True, "copula discrepancy 0, factorization exact on {3,5}x{2,3}; g=(1,2) "
+                                 "fails both; criterion 1 checks the full lattice independently")
 
 
 def _lattices_holding(n: int, d: int, a: tuple, b: tuple) -> int:

@@ -9,8 +9,8 @@ On top of those sit:
   * the discrete cell-pair law as exact integer counts, summed over
     index-pair classes,
   * joint box probabilities for every supported scheme and ablation,
-  * a negative-dependence scanner over anchored-box grids (both are one
-    contraction of the law's count factors with integer cell weights),
+  * a negative-dependence scanner over anchored-box grids (a factorized
+    law in closed form, any other by one contraction with cell weights),
   * the structural checks that separate the shifted-lattice scheme from
     Latin hypercube sampling (copula equality, coordinate independence,
     triple containment counts: one lattice, by a uniqueness argument, and
@@ -272,13 +272,13 @@ def _sized_spec(n: int, dim: int, spec: SchemeSpec) -> SchemeSpec:
 
 # -- the integer kernel ------------------------------------------------------------
 #
-# Every query and every scan is one contraction (_contract) of each count
-# factor P_f of the law with integer cell weights: the joint table is
-# A_f^T P_f B_f and the marginals P_f.sum(1) A_f and P_f.sum(0) B_f, where
-# A_f[z, Q] = P(p1 in Q | cell vector z) * den_a is the Kronecker product
-# of one integer table per coordinate (B_f likewise for p2).  A box query
-# is the 1 x 1 case; a scan has one column per grid box, the same on both
-# sides, and alone reduces the tables (_reduce).  All arithmetic is on
+# A factorized law (_law) is one closed form (_step_terms), elementwise over
+# a box query's d coordinates, or over the scan grid as one M x M table that
+# every coordinate shares.  Any other law is one contraction (_contract) of
+# its _pair_counts factor P with integer cell weights: the joint A^T P B and
+# the marginals P.sum(1) A and P.sum(0) B, where A[z, Q] = P(p1 in Q | cell
+# vector z) * den_a is the Kronecker product of one table per coordinate (B
+# likewise for p2); a box query is the 1 x 1 case.  All arithmetic is on
 # integers over a known common denominator: int64 where it bounds every
 # entry below _INT64_SAFE_LIMIT, python ints otherwise.
 
@@ -301,80 +301,52 @@ def _kron(tables, dtype) -> np.ndarray:
     return out
 
 
-def _weight_table(anchors, n: int, position: str, cells=None):
-    """T[c, k] = P(x >= anchors[k] | cell c) * den as an integer array, and den.
+def _cell_weights(c, nt, den, position: str):
+    """P(x >= q | cell c) * den, elementwise in c's integer dtype, with nt = n q den.
 
-    With q = t / den, nt = n t and cell c = [c/n, (c+1)/n): jitter covers
-    clamp((c+1) den - nt, 0, den) of it, a corner c/n lies in [q, 1) iff
-    c den >= nt, a midpoint (2c+1)/(2n) iff (2c+1) den >= 2 nt.  Given
-    cells, T is the one row T[k] = the weight of anchors[k] at cell cells[k].
+    Of cell c = [c/n, (c+1)/n) jitter covers clamp((c+1) den - nt, 0, den); a
+    corner c/n lies in [q, 1) iff c den >= nt, a midpoint iff (2c+1) den >= 2 nt.
     """
+    if position == "jitter":
+        # np.minimum/np.maximum: np.clip's call overhead dominates at small n
+        return np.minimum(np.maximum((c + 1) * den - nt, 0), den)
+    if position == "corner":
+        inside = c * den >= nt
+    elif position == "midpoint":
+        inside = (2 * c + 1) * den >= 2 * nt
+    else:
+        raise ValueError(f"unknown position model {position!r}")
+    return inside.astype(c.dtype) * den
+
+
+def _weight_table(anchors, n: int, position: str):
+    """T[c, k] = P(x >= anchors[k] | cell c) * den as integers, and den, the anchors' lcm denominator."""
     den = lcm(*(a.denominator for a in anchors))
     dtype = _int_dtype(2 * (n + 1) * den)
     nts = np.array([n * a.numerator * (den // a.denominator) for a in anchors], dtype=dtype)
-    c = np.arange(n, dtype=dtype)[:, None] if cells is None else np.array(cells, dtype=dtype)
-    if position == "jitter":
-        # np.minimum/np.maximum: np.clip's call overhead dominates at small n
-        return np.minimum(np.maximum((c + 1) * den - nts, 0), den), den
-    if position == "corner":
-        inside = c * den >= nts
-    elif position == "midpoint":
-        inside = (2 * c + 1) * den >= 2 * nts
-    else:
-        raise ValueError(f"unknown position model {position!r}")
-    return inside.astype(dtype) * den, den
+    return _cell_weights(np.arange(n, dtype=dtype)[:, None], nts, den, position), den
 
 
 # -- joint box probabilities ---------------------------------------------------
 
 
-def _count_factors(spec: SchemeSpec, budget: int) -> list:
-    """The cell-pair law as count factors (P_f, total_f, k_f), over k_f coordinates each.
+def _contract(P, total: int, tables_a, tables_b) -> tuple:
+    """The count factor P, over total, contracted with both sides' cell weights.
 
-    The scan reads the law through these.  A factorized law (_law) has
-    one ordered distinct cells factor per coordinate, 1 - I over
-    n (n - 1), given as P_f = None: _apply_factor applies it in O(n)
-    without building it, within the scan's own budget.  The position model
-    enters through the cell weights only.  Any other law is the one
-    _pair_counts factor over every coordinate.
+    tables_a and tables_b hold p1's and p2's (table, den) of _weight_table per
+    coordinate; A and B are their Kronecker products over den_a and den_b (B
+    is A for one shared list).  Returns (A, P B, p1, p2, den_a, den_b) in the
+    dtype of total den_a den_b: the joint A^T P B over total den_a den_b,
+    p1 = P.sum(1) A over total den_a and p2 = P.sum(0) B over total den_b.
     """
-    if _law(spec, cells=True).factorized:
-        return [(None, spec.n * (spec.n - 1), 1)] * spec.dim
-    return [(*_pair_counts(spec, budget), spec.dim)]
-
-
-def _apply_factor(P, X) -> tuple:
-    """(P @ X, P.sum(axis=1)) for a count factor P and integer columns X.
-
-    P None is 1 - I: P @ X is X.sum(0) - X, and every row sums to c - 1.
-    """
-    if P is None:
-        return X.sum(axis=0) - X, np.full(len(X), len(X) - 1, dtype=X.dtype)
-    P = P.astype(X.dtype, copy=False)
-    return P @ X, P.sum(axis=1)
-
-
-def _contract(factors, tables_a, tables_b):
-    """Each count factor (P_f, total_f, k_f) contracted with both sides' cell weights.
-
-    tables_a and tables_b hold p1's and p2's (table, den) of _weight_table
-    per coordinate; A_f and B_f are their Kronecker products over factor
-    f's coordinates, over den_a and den_b (B_f is A_f for one shared list).
-    Yields one unreduced (A_f, P_f B_f, p1_f, p2_f, total_f, den_a, den_b)
-    per factor, in the dtype of total_f den_a den_b: the joint A_f^T P_f B_f
-    over total_f den_a den_b, p1_f = P_f.sum(1) A_f over total_f den_a and
-    p2_f = P_f.sum(0) B_f over total_f den_b.
-    """
-    i = 0
-    for P, total, k in factors:
-        (ta, da), (tb, db) = zip(*tables_a[i:i + k]), zip(*tables_b[i:i + k])
-        den_a, den_b = prod(da), prod(db)
-        dtype = _int_dtype(total * den_a * den_b)
-        A = _kron(ta, dtype)
-        B = A if tables_b is tables_a else _kron(tb, dtype)
-        PB, rows = _apply_factor(P, B)
-        yield A, PB, rows @ A, PB.sum(axis=0), total, den_a, den_b
-        i += k
+    (ta, da), (tb, db) = zip(*tables_a), zip(*tables_b)
+    den_a, den_b = prod(da), prod(db)
+    dtype = _int_dtype(total * den_a * den_b)
+    A = _kron(ta, dtype)
+    B = A if tables_b is tables_a else _kron(tb, dtype)
+    P = P.astype(dtype, copy=False)
+    PB = P @ B
+    return A, PB, P.sum(axis=1) @ A, PB.sum(axis=0), den_a, den_b
 
 
 def _torus_overlaps(e, n: int, q: Fraction, r: Fraction, D: int) -> np.ndarray:
@@ -434,31 +406,35 @@ def _continuous_shift_box_prob(spec: SchemeSpec, random: bool, anchors1, anchors
     return prod(_torus_joint(n, f) for f in ([[c] for c in coords] if random else [coords]))
 
 
-def _step_terms(n: int, position: str, Q: AnchoredBox, R: AnchoredBox) -> list:
-    """Per-coordinate (joint, p1, p2, den_joint, den_p1, den_p2) of a factorized law, O(1) each.
+def _step_terms(n: int, position: str, q, r) -> tuple:
+    """(joint, p1, p2, den_joint, den_p1, den_p2) of a factorized law's one coordinate, elementwise.
 
-    A one-anchor weight column (_weight_table) is a step for every position
-    model: 0 below the anchor's cell s = floor(n q), w at s, den above.  So
-    1 - I over n (n - 1) gives, with sum_a = w_a + (n - 1 - s_a) den_a, the
-    joint sum_a sum_b - sum_c a[c] b[c] (a diagonal nonzero from max(s_a, s_b)
-    up) over n (n - 1) den_a den_b, and p1 (n - 1) sum_a over n (n - 1) den_a.
+    q and r are p1's and p2's anchors as (numerators, denominators) that
+    broadcast: a box query's d coordinates, each over its own denominator, or
+    the k/M grid as a column and a row (the M x M joint, two marginal vectors).
+    A one-anchor weight column (_cell_weights) is a step: 0 below the anchor's
+    cell s = floor(n q), w at s, den above.  So 1 - I over n (n - 1), ordered
+    distinct cells, gives with sum_a = w_a + (n - 1 - s_a) den_a the joint
+    sum_a sum_b - sum_c a[c] b[c] (nonzero from max(s_a, s_b) up) over
+    n (n - 1) den_a den_b, and p1 (n - 1) sum_a over n (n - 1) den_a: O(1) per
+    element whatever n, int64 where _int_dtype allows, python ints beyond.
     """
-    def steps(box):
-        cells = [n * a.numerator // a.denominator for a in box.anchor]
-        weights, den = _weight_table(box.anchor, n, position, cells)
-        # each weight over its own anchor's denominator: the box's lcm would enter dim times
-        return [(s, w * a.denominator // den, a.denominator)
-                for s, w, a in zip(cells, weights.tolist(), box.anchor)]
+    (tq, dq), (tr, dr) = q, r
+    dtype = _int_dtype(2 * (n + 1) ** 2 * max(np.ravel(dq).tolist() + np.ravel(dr).tolist()) ** 2)
+    tq, dq, tr, dr = (np.asarray(v, dtype=dtype) for v in (tq, dq, tr, dr))
 
+    def step(t, den):
+        nt = n * t
+        s = nt // den
+        w = _cell_weights(s, nt, den, position)
+        return s, w, w + (n - 1 - s) * den
+
+    (s, w, sum_a), (t, v, sum_b) = step(tq, dq), step(tr, dr)
+    top = np.maximum(s, t)
+    diag = np.where(s == top, w, dq) * np.where(t == top, v, dr) + (n - 1 - top) * dq * dr
     total = n * (n - 1)
-    terms = []
-    for (s, w, da), (t, v, db) in zip(steps(Q), steps(R)):
-        top = max(s, t)
-        diag = (w if s == top else da) * (v if t == top else db) + (n - 1 - top) * da * db
-        sum_a, sum_b = w + (n - 1 - s) * da, v + (n - 1 - t) * db
-        terms.append((sum_a * sum_b - diag, (n - 1) * sum_a, (n - 1) * sum_b,
-                      total * da * db, total * da, total * db))
-    return terms
+    return (sum_a * sum_b - diag, (n - 1) * sum_a, (n - 1) * sum_b,
+            total * dq * dr, total * dq, total * dr)
 
 
 def _pair_query(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox, method: str = "auto",
@@ -489,17 +465,18 @@ def _pair_query(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox, method: str = 
     if method == "closed_form" and not law.factorized:
         raise UnsupportedSchemeError("no closed form for this spec; use enumeration")
     if law.factorized and method != "enumeration":
-        terms = _step_terms(n, law.position, Q, R)
+        sides = [([a.numerator for a in b.anchor], [a.denominator for a in b.anchor]) for b in (Q, R)]
+        terms = [v.tolist() for v in _step_terms(n, law.position, *sides)]
     else:
         # the law first: its budget refuses a large dim before d tables are built
-        factors = [(*_pair_counts(spec, budget), spec.dim)]
+        P, total = _pair_counts(spec, budget)
         tables_a = [_weight_table([q], n, law.position) for q in Q.anchor]
         # pair_marginal_prob passes its one box as both Q and R
         tables_b = tables_a if R is Q else [_weight_table([r], n, law.position) for r in R.anchor]
-        terms = [(A[:, 0] @ PB[:, 0], p1[0], p2[0], total * den_a * den_b, total * den_a, total * den_b)
-                 for A, PB, p1, p2, total, den_a, den_b in _contract(factors, tables_a, tables_b)]
-    return tuple(Fraction(prod(int(t[j]) for t in terms), prod(t[j + 3] for t in terms))
-                 for j in range(3))
+        A, PB, p1, p2, den_a, den_b = _contract(P, total, tables_a, tables_b)
+        terms = [[int(A[:, 0] @ PB[:, 0])], [int(p1[0])], [int(p2[0])],
+                 [total * den_a * den_b], [total * den_a], [total * den_b]]
+    return tuple(Fraction(prod(terms[j]), prod(terms[j + 3])) for j in range(3))
 
 
 def pair_box_prob(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox,
@@ -566,66 +543,74 @@ def _grid_anchors(grid_resolution: int) -> list:
     return [Fraction(k, grid_resolution) for k in range(grid_resolution)]
 
 
-def _reduce(contracted) -> list:
-    """The scan's (A_f, P_f B_f total_f, p1_f, p2_f, den_f) of each _contract factor.
+def _reduce(joint, total: int, p1, p2, den: int) -> tuple:
+    """(joint total, p1, p2, den) over their common divisor, split between the marginals.
 
-    Joint A_f^T (P_f B_f total_f) and product p1_f x p2_f share den_f =
-    total_f^2 den_a den_b, whose dtype the tables widen to first; all three
-    are then divided by their common divisor, split between the marginals.
+    joint total (or P B total, whose divisor divides A^T P B's) and p1 x p2
+    are over den, whose dtype the three widen to first.
     """
-    reduced = []
-    for A, PB, p1, p2, total, den_a, den_b in contracted:
-        scale = total * total * den_a * den_b
-        PB, p1, p2 = (v.astype(_int_dtype(scale), copy=False) for v in (PB, p1, p2))
-        PB = PB * total
-        g1, g2 = int(np.gcd.reduce(p1)), int(np.gcd.reduce(p2))
-        g = gcd(scale, int(np.gcd.reduce(PB, axis=None)), g1 * g2)
-        g1 = gcd(g, g1)
-        reduced.append((A, PB // g, p1 // g1, p2 // (g // g1), scale // g))
-    return reduced
-
-
-def _certified(contracted) -> bool:
-    """Whether each factor's joint table is at most its product table, entrywise.
-
-    A box pair's joint and product are the products of one entry of each
-    factor's tables, all nonnegative, so this certifies joint <= product
-    for every box pair with sum_f B_f^2 comparisons.
-    """
-    return all((A.T @ PA <= np.multiply.outer(p1, p2)).all() for A, PA, p1, p2, _ in contracted)
-
-
-def _expand(contracted):
-    """Joint and product numerators over all box pairs, from the contracted factors.
-
-    The tables over all box pairs are the Kronecker products of the
-    factors' tables.  Box index h B_last + t: h numbers the leading
-    factors' boxes, whose joint table is precomputed, and the last factor's
-    rows A[:, t]^T (P A) are contracted per block.
-
-    Returns (den, blocks): blocks yields (first Q index, joint, product)
-    with one row per Q box and one column per R box, boxes numbered
-    lexicographically; joint / den and product / den are the probabilities.
-    """
-    As, PAs, p1s, p2s, dens = zip(*contracted)
-    den = prod(dens)
     dtype = _int_dtype(den)
-    A, PA = As[-1].astype(dtype, copy=False), PAs[-1].astype(dtype, copy=False)
-    lead = _kron([a.T @ pa for a, pa in zip(As[:-1], PAs[:-1])], dtype)
-    p1 = _kron([v[None] for v in p1s], dtype)[0]
-    p2 = _kron([v[None] for v in p2s], dtype)[0]
+    joint, p1, p2 = (v.astype(dtype, copy=False) for v in (joint, p1, p2))
+    joint = joint * total
+    g1, g2 = int(np.gcd.reduce(p1)), int(np.gcd.reduce(p2))
+    g = gcd(den, int(np.gcd.reduce(joint, axis=None)), g1 * g2)
+    g1 = gcd(g, g1)
+    return joint // g, p1 // g1, p2 // (g // g1), den // g
+
+
+def _expand(joint_rows, p1, p2):
+    """Blocks (first Q index, joint, product), _BLOCK box pairs each, one row per Q box.
+
+    joint_rows(start, stop) gives Q boxes start..stop-1 against every R box;
+    p1 and p2 are every box's marginals, boxes numbered lexicographically.
+    """
     boxes = len(p1)
-    hs, ts = np.divmod(np.arange(boxes), A.shape[1])
+    step = max(1, _BLOCK // boxes)
+    for start in range(0, boxes, step):
+        stop = min(start + step, boxes)
+        yield start, joint_rows(start, stop), np.multiply.outer(p1[start:stop], p2)
 
-    def blocks():
-        step = max(1, _BLOCK // boxes)
-        for start in range(0, boxes, step):
-            stop = min(start + step, boxes)
-            h, t = hs[start:stop], ts[start:stop]
-            joint = lead[h][:, :, None] * (A[:, t].T @ PA)[:, None, :]
-            yield start, joint.reshape(stop - start, boxes), np.multiply.outer(p1[start:stop], p2)
 
-    return den, blocks()
+def _kron_tables(joint, p1, p2, den: int, dim: int) -> tuple:
+    """(den^dim, joint rows, p1, p2) for _expand: Kronecker powers of one coordinate's tables.
+
+    Box index h M + t: the leading coordinates' joint table (over h) is built
+    once, and the last coordinate's rows are read per block.
+    """
+    den = den**dim
+    dtype = _int_dtype(den)
+    hs, ts = np.divmod(np.arange(len(p1) ** dim), len(p1))
+    lead = _kron([joint] * (dim - 1), dtype)
+    joint = joint.astype(dtype, copy=False)
+    p1, p2 = (_kron([v[None]] * dim, dtype)[0] for v in (p1, p2))
+
+    def rows(start, stop):
+        h, t = hs[start:stop], ts[start:stop]
+        return (lead[h][:, :, None] * joint[t][:, None, :]).reshape(stop - start, len(hs))
+
+    return den, rows, p1, p2
+
+
+def _step_table(n: int, position: str, m: int) -> tuple:
+    """A factorized law's one-coordinate tables on the k/m grid, (joint, p1, p2, den), reduced.
+
+    _step_terms gives the joint over total m^2, total = n (n - 1), and the
+    marginals over total m, so joint total and p1 x p2 are over (total m)^2.
+    """
+    k, total = np.arange(m), n * (n - 1)
+    joint, p1, p2, *_ = _step_terms(n, position, (k[:, None], m), (k, m))
+    return _reduce(joint, total, p1[:, 0], p2, (total * m) ** 2)
+
+
+def _dense_tables(spec: SchemeSpec, position: str, m: int, budget) -> tuple:
+    """(den, joint rows A[:, Q]^T (P A), p1, p2) for _expand on the k/m grid, from _pair_counts."""
+    P, total = _pair_counts(spec, budget)
+    tables = [_weight_table(_grid_anchors(m), spec.n, position)] * spec.dim
+    A, PA, p1, p2, den_a, _ = _contract(P, total, tables, tables)
+    PA, p1, p2, den = _reduce(PA, total, p1, p2, (total * den_a) ** 2)
+    dtype = _int_dtype(den)
+    A, PA = A.astype(dtype, copy=False), PA.astype(dtype, copy=False)
+    return den, lambda start, stop: A[:, start:stop].T @ PA, p1, p2
 
 
 def nuod_scan(spec: SchemeSpec, grid_resolution: int, budget=DEFAULT_BUDGET) -> DependenceReport:
@@ -647,14 +632,13 @@ def nuod_scan(spec: SchemeSpec, grid_resolution: int, budget=DEFAULT_BUDGET) -> 
     certifies_all_boxes still claims this for factorized laws only.  A
     grid that is not a multiple of n can miss violations.
 
-    When the law has several count factors (stratified, lhs, patterson and
-    the random-generator lattice under a grid shift: one per coordinate),
-    joint and product of a box pair are products of nonnegative per-factor
-    entries, so checking each factor's M^k_f x M^k_f tables certifies every
-    box pair, and the report has no witnesses.  Only if some factor fails
-    are all M^(2 dim) box pairs expanded and compared; a one-factor law is
-    expanded directly.  The budget is that of _scan, d (n M (1 + M) + M^2)
-    for the d unbuilt 1 - I factors of a factorized law.
+    A factorized law (stratified, lhs, patterson, and the random-generator
+    lattice under a grid shift) gives each box pair a joint and a product
+    that are products of one nonnegative entry per coordinate of one M x M
+    table pair (_step_terms), so checking that table certifies every box
+    pair, with no witnesses; only if it fails are all M^(2 dim) box pairs
+    expanded.  Any other law is expanded directly.  The budget is _scan's:
+    2 M^2 + 2 M for a factorized law, whatever n.
 
     A continuous-torus-shift spec has no cell law and is refused at every
     size; the fixed-distance probe (shift_only_conditional) covers it.
@@ -662,31 +646,29 @@ def nuod_scan(spec: SchemeSpec, grid_resolution: int, budget=DEFAULT_BUDGET) -> 
     return _scan(spec, grid_resolution, budget)
 
 
-def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, csv_out=None,
-          factors=None) -> DependenceReport:
+def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, csv_out=None) -> DependenceReport:
     """The k/M grid scan; with csv_out, its pairs CSV is written there too.
 
-    The law's count factors (factors overrides _count_factors) are
-    contracted once with the grid's one weight table on every coordinate
-    and both sides, then reduced (_reduce).  With several factors
-    and no csv_out, the per-factor certificate runs; if it holds there
-    are no witnesses.  Otherwise every box pair is expanded once, and the
-    witnesses, and the CSV rows if wanted, are read from the same blocks.
-    The witnesses are ranked on integers: by the excess joint - product over
-    the scan's common denominator, ties broken by box index, which is anchor
-    order (coordinate 0 most significant, anchors k/M increasing in k); this
-    is the report order (_ranked).  Each witness box is then built once
-    from the grid anchors, and each distinct probability is one Fraction.
+    A factorized law (_law) evaluates _step_terms once over the grid
+    (_step_table), one table that every coordinate and both sides share;
+    without csv_out it is the certificate, and if it holds there are no
+    witnesses.  Any other law's _pair_counts factor is contracted with the
+    grid's weight table (_dense_tables).  Otherwise every box pair is
+    expanded once, _BLOCK at a time (_expand, over _kron_tables for a
+    factorized law), and the witnesses and the CSV rows are read from the
+    same blocks.  The witnesses are ranked on integers: by the excess
+    joint - product over the common denominator, ties broken by box index,
+    which is anchor order (coordinate 0 most significant); this is the
+    report order (_ranked).  Each witness box is built once from the grid
+    anchors, and each distinct probability is one Fraction.
 
     The law's route (_law) is read before any budget, so a continuous torus
     shift is refused at every size.  Each stage's budget is checked before
-    it runs, the first before the law and the M anchors are built.  The
-    contraction of factor f (c_f = n^k_f cell vectors, B_f = M^k_f boxes)
-    costs c_f B_f (c_f + B_f) multiply-adds for a built P_f, and
-    c_f B_f (1 + B_f) for a 1 - I factor (P_f None), which _apply_factor
-    applies in c_f B_f; the certificate adds sum_f B_f^2 comparisons and
-    the expansion one per box pair, M^(2 dim), on top of the certificate
-    when that ran and failed.
+    it runs, the first before the law and the M anchors are built.  A
+    factorized law charges its table's M^2 + 2 M entries and M^2
+    comparisons, none of which grows with n; a contraction (c = n^dim cell
+    vectors, B = M^dim boxes) costs c B (c + B) multiply-adds.  An
+    expansion adds M^(2 dim) comparisons, on top of a failed certificate.
 
     csv_out is a text stream.  It receives nothing if the scan is refused;
     otherwise the header, then one write per block of box pairs, so the
@@ -696,40 +678,41 @@ def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, csv_out=None,
     """
     if grid_resolution < 1:
         raise ValueError("grid resolution must be positive")
-    law, m, dim = _law(spec, cells=True), grid_resolution, spec.dim
-    # (k_f, whether P_f is built) of each count factor (see _count_factors),
-    # before the law is built
-    shapes = ([(k, P is not None) for P, _, k in factors] if factors is not None
-              else [(1, False)] * dim if law.factorized else [(dim, True)])
-    certify = len(shapes) > 1 and csv_out is None
-    _power(spec.n, max(k for k, _ in shapes), budget, "grid scan", "multiply-adds")
-    work = sum((spec.n * m) ** k * ((spec.n**k if built else 1) + m**k) for k, built in shapes)
-    work += (sum(m ** (2 * k) for k, _ in shapes) if certify
-             else _power(m, 2 * dim, budget, "grid scan", "multiply-adds"))
+    law, m, dim, n = _law(spec, cells=True), grid_resolution, spec.dim, spec.n
+    certify = law.factorized and csv_out is None
+    if law.factorized:
+        work = m * m + 2 * m
+    else:
+        cells = _power(n, dim, budget, "grid scan", "multiply-adds")
+        work = cells * m**dim * (cells + m**dim)
+    work += m * m if certify else _power(m, 2 * dim, budget, "grid scan", "multiply-adds")
     _charge(work, budget, "grid scan", "multiply-adds")
-    anchors = _grid_anchors(m)
-    factors = _count_factors(spec, budget) if factors is None else factors
-    tables = [_weight_table(anchors, spec.n, law.position)] * dim
-    contracted = _reduce(_contract(factors, tables, tables))
-    if certify:
-        if _certified(contracted):
-            return DependenceReport._ranked(spec, grid_resolution, [])
-        _charge(work + _power(m, 2 * dim, budget, "grid scan", "multiply-adds"), budget,
-                "grid scan", "multiply-adds")
+    if law.factorized:
+        table = _step_table(n, law.position, m)
+        if certify:
+            joint, p1, p2, _ = table
+            if (joint <= np.multiply.outer(p1, p2)).all():
+                return DependenceReport._ranked(spec, grid_resolution, [])
+            _charge(work + _power(m, 2 * dim, budget, "grid scan", "multiply-adds"), budget,
+                    "grid scan", "multiply-adds")
+        den, rows, p1, p2 = _kron_tables(*table, dim)
+    else:
+        den, rows, p1, p2 = _dense_tables(spec, law.position, m, budget)
+    anchors = _grid_anchors(m)  # after the certificate, which reads none
 
-    den, blocks = _expand(contracted)
     if csv_out is not None:
         labels = np.array([";".join(q) + "," for q in product([format_rational(a) for a in anchors],
                                                              repeat=dim)], dtype=object)
         csv_out.write("Q,R,joint,product,violation\n")
     found = []  # (joint - product, Q index, R index, joint, product), numerators over den
-    for start, joint, indep in blocks:
+    for start, joint, indep in _expand(rows, p1, p2):
         bad = joint > indep
         qs, rs = np.nonzero(bad)
         js, ps = joint[qs, rs], indep[qs, rs]
         found += zip((js - ps).tolist(), (qs + start).tolist(), rs.tolist(), js.tolist(), ps.tolist())
         if csv_out is not None:
-            csv_out.write(_csv_block(labels[start:start + len(joint)], labels, joint, indep, den))
+            stop = start + len(joint)
+            csv_out.write(_csv_block(labels[start:stop], labels, joint, bad, p1[start:stop], p2, den))
     # every entry is over den, and box index order is anchor order, so this
     # is the report order
     found.sort(reverse=True)
@@ -749,18 +732,23 @@ def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, csv_out=None,
                                     [(box(q), box(r), prob(j), prob(p)) for _, q, r, j, p in found])
 
 
-def _csv_block(q_labels, r_labels, joint, indep, den: int) -> str:
+def _csv_block(q_labels, r_labels, joint, bad, p1, p2, den: int) -> str:
     """The pairs-CSV rows of one block of box pairs, labels being object arrays of "label,".
 
-    Each distinct joint is formatted once, as "num/den,", and each distinct
-    product once with each violation, as "num/den,True\n" and "num/den,False\n".
+    The block's product table is the outer product of its Q boxes'
+    marginals p1 and every R box's p2, so the products are formed from the
+    two vectors' distinct values only.  Each distinct joint is formatted
+    once, as "num/den,", and each distinct product once with each
+    violation (bad), as "num/den,True\n" and "num/den,False\n".
     """
-    (js, j), (ps, p) = (np.unique(t.ravel(), return_inverse=True) for t in (joint, indep))
+    (js, j), (u1, i1), (u2, i2) = (np.unique(v.ravel(), return_inverse=True) for v in (joint, p1, p2))
+    ps, p = np.unique(np.multiply.outer(u1, u2).ravel(), return_inverse=True)
     with any_digits():
         jt, pt = ([f"{a}/{b}," for a, b in zip((v // g).tolist(), (den // g).tolist())]
                   for v, g in ((js, np.gcd(js, den)), (ps, np.gcd(ps, den))))
     tails = np.array([t + v for t in pt for v in ("False\n", "True\n")], dtype=object)
-    cells = np.array(jt, dtype=object)[j], tails[2 * p + (joint > indep).ravel()]
+    p = p[(i1[:, None] * len(u2) + i2).ravel()]
+    cells = np.array(jt, dtype=object)[j], tails[2 * p + bad.ravel()]
     pieces = np.broadcast_arrays(q_labels[:, None], r_labels, *(c.reshape(joint.shape) for c in cells))
     return "".join(np.stack(pieces, axis=-1).ravel().tolist())
 

@@ -37,7 +37,6 @@ __all__ = [
     "PointSet",
     "generate",
     "replicate",
-    "rsj_rank1",
     "rsj_cell_matrix",
     "point_set_to_csv",
     "point_set_to_json",
@@ -336,6 +335,9 @@ def point_set_from_json(text: str) -> PointSet:
         raise ValueError("nums must be rows of integer coordinate numerators below 2**63")
     ps = PointSet(nums, spec, _as_int(payload["seed"], "seed"))
     _validate_structure(ps)
+    # points must be exactly the float view of nums: a file whose floats say otherwise is refused
+    if payload.get("points") != ps.floats().tolist():
+        raise ValueError("points must be the float export of nums")
     return ps
 
 

@@ -25,10 +25,22 @@ def test_stratified_criterion_checks_the_auto_route(monkeypatch):
     step_terms = mod._step_terms
 
     def off_by_one(*args):
-        (joint, *rest), *others = step_terms(*args)
-        return [(joint + 1, *rest), *others]
+        joint, *rest = step_terms(*args)
+        return (joint + 1, *rest)
 
     monkeypatch.setattr(mod, "_step_terms", off_by_one)
     result = {cid: fn for cid, _, fn in CRITERIA}["8"]()
     assert not result.passed
     assert result.detail.startswith("auto mismatch at N=2")
+
+
+def test_copula_criterion_can_fail(monkeypatch):
+    # a copula check that always answers "equal" fails criterion 4 on its
+    # fixed-generator control
+    import negdep.acceptance as acceptance
+
+    monkeypatch.setattr(acceptance, "copula_equality_check",
+                        lambda *args, **kwargs: mod.CopulaCheck(True, 0))
+    result = {cid: fn for cid, _, fn in CRITERIA}["4"]()
+    assert not result.passed
+    assert result.detail.startswith("generator (1,2), N=3: copula CopulaCheck(equal=True")

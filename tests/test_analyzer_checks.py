@@ -66,21 +66,24 @@ class TestNuodScan:
         assert a.witnesses == b.witnesses and a.worst_violation == b.worst_violation
 
     def test_grid_budget(self):
-        # the per-coordinate certificate: 3 x (7 * 14 * (1 + 14) + 14^2), each
-        # 1 - I factor applied unbuilt in 7 * 14
-        work = 3 * (7 * 14 * 15 + 14**2)
+        # the certificate: one closed-form table, 14^2 + 2 x 14 entries, and
+        # its 14^2 comparisons
+        work = 2 * 14**2 + 2 * 14
         with pytest.raises(BudgetExceededError, match=f"{work} multiply-adds"):
             nuod_scan(full_rsj(7, 3), 14, budget=work - 1)
         assert nuod_scan(full_rsj(7, 3), 14, budget=work).ok
 
-    def test_unbuilt_factors_charged_as_applied(self):
-        # a 1 - I factor is applied in c_f B_f, not multiplied as a c_f x c_f
-        # matrix: 2 x 20000 * 2 * (1 + 2) plus 2 x 2^2 comparisons
-        spec = lhs_spec(20000, 2)
-        with pytest.raises(BudgetExceededError, match="240008 multiply-adds"):
-            nuod_scan(spec, 2, budget=240007)
-        rep = nuod_scan(spec, 2)
-        assert rep.ok and rep.witnesses == () and not rep.grid["certifies_all_boxes"]
+    def test_factorized_charge_does_not_grow_with_n(self):
+        # the closed-form table's M^2 + 2 M entries and M^2 comparisons,
+        # whatever n; d contractions with 1 - I would cost 2 x 20000 x 2 x 3
+        # and 4e31 multiply-adds
+        for n, m, work in ((20000, 2, 12), (10**30, 4, 40)):
+            spec = lhs_spec(n, 2)
+            with pytest.raises(BudgetExceededError, match=f"{work} multiply-adds"):
+                nuod_scan(spec, m, budget=work - 1)
+            rep = nuod_scan(spec, m)
+            assert rep == nuod_scan(spec, m, budget=work)
+            assert rep.ok and rep.witnesses == () and not rep.grid["certifies_all_boxes"]
 
     def test_report_json(self):
         spec = SchemeSpec("rsj_lattice", 5, 2, generator=(1, 1))

@@ -182,9 +182,10 @@ class TestAnalyze:
         assert len(json.loads(out)["violations"]) > 0
 
     def test_budget_exceeded_exit_three(self, capsys):
+        # the closed-form scan of rsj(7,3) at M = 14 costs 2 x 14^2 + 2 x 14 = 420
         code, _, err = run(capsys, "analyze", "nuod", "--scheme", "rsj",
                            "--n", "7", "--dim", "3", "--grid", "14",
-                           "--budget", "1000")
+                           "--budget", "419")
         assert code == 3
         assert "budget" in err
 

@@ -102,9 +102,9 @@ def test_rationals_past_the_digit_limit_are_formatted():
         text = format_rational(F(big, 3))
         assert sys.get_int_max_str_digits() == 4300
         joint = np.array([[1, 2], [2, 0]], dtype=object)
-        indep = np.array([[2, 0], [1, 0]], dtype=object)
+        p1, p2 = np.array([2, 1], dtype=object), np.array([1, 0], dtype=object)
         labels = np.array(["a,", "b,"], dtype=object), np.array(["c,", "d,"], dtype=object)
-        rows = _csv_block(*labels, joint, indep, 2 * big)
+        rows = _csv_block(*labels, joint, joint > np.multiply.outer(p1, p2), p1, p2, 2 * big)
         assert sys.get_int_max_str_digits() == 4300
     finally:
         sys.set_int_max_str_digits(outer)

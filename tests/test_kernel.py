@@ -32,8 +32,8 @@ The oracle functions below are the analyzer's earlier, direct forms:
     ranked by sorting Fraction excesses and anchors.
 
 They stay here as the reference; results must match exactly, witness dicts
-included.  The scan's one-factor route is also pinned against its
-per-coordinate factors, and nuod_scan's per-factor certificate against the
+included.  The scan's closed-form table is also pinned against the dense
+one-factor contraction of the law, and nuod_scan's certificate against the
 expansion over every box pair.
 """
 
@@ -58,16 +58,15 @@ from negdep.analyzer import (
     HypothesisViolatedError,
     IndependenceReport,
     UnsupportedSchemeError,
-    _certified,
-    _contract,
-    _count_factors,
+    _dense_tables,
     _expand,
     _grid_anchors,
+    _kron_tables,
     _pair_counts,
     _law,
     _pair_query,
-    _reduce,
     _scan,
+    _step_table,
     _weight_table,
     copula_equality_check,
     coordinate_independence_check,
@@ -425,11 +424,18 @@ def test_grid_off_multiples_of_n_misses_violations():
     assert fine.worst_violation == F(16, 7203)
 
 
-def scan_contract(spec, anchors, factors=None):
-    """_scan's reduced contraction of the law's count factors (or factors) with grid weights."""
-    factors = _count_factors(spec, 10**8) if factors is None else factors
-    tables = [_weight_table(anchors, spec.n, _law(spec).position)] * spec.dim
-    return _reduce(_contract(factors, tables, tables))
+def scan_blocks(spec, m, dense=False):
+    """(den, blocks) of _scan's expansion over every box pair of the k/m grid.
+
+    dense expands the one _pair_counts factor's contraction, the route of
+    the laws that do not factorize, whatever the spec.
+    """
+    law = _law(spec)
+    if law.factorized and not dense:
+        den, *tables = _kron_tables(*_step_table(spec.n, law.position, m), spec.dim)
+    else:
+        den, *tables = _dense_tables(spec, law.position, m, 10**8)
+    return den, _expand(*tables)
 
 
 def scan_pairs_rows(spec, m):
@@ -439,7 +445,7 @@ def scan_pairs_rows(spec, m):
     box order.
     """
     anchors = _grid_anchors(m)
-    den, blocks = _expand(scan_contract(spec, anchors))
+    den, blocks = scan_blocks(spec, m)
     boxes = [AnchoredBox(a) for a in product(anchors, repeat=spec.dim)]
     for start, joint, prodv in blocks:
         for Q, jrow, prow in zip(boxes[start:], joint.tolist(), prodv.tolist()):
@@ -471,22 +477,6 @@ def _table(tables):
         out += [(F(int(j), den), F(int(p), den))
                 for jrow, prow in zip(joint, prod) for j, p in zip(jrow, prow)]
     return out
-
-
-def one_factor(spec):
-    """The law as one count factor over every coordinate."""
-    return [(*_pair_counts(spec), spec.dim)]
-
-
-@pytest.mark.parametrize("spec,m", [(full_rsj(3, 2), 6), (lhs_spec(4, 2), 8), (full_rsj(3, 3), 3),
-                                    (patterson_spec(3, 2), 6), (stratified_spec(5), 10)])
-def test_enumerated_route_matches_closed_form(spec, m):
-    # one count factor over every coordinate against one per coordinate,
-    # over every box pair of the grid, joint and product alike
-    anchors = _grid_anchors(m)
-    enumerated = _expand(scan_contract(spec, anchors, one_factor(spec)))
-    assert _table(enumerated) == _table(_expand(scan_contract(spec, anchors)))
-    assert _scan(spec, m, 10**8, factors=one_factor(spec)).witnesses == ()
 
 
 def oracle_factor_tables(spec, anchors):
@@ -530,7 +520,7 @@ def test_one_coordinate_tables_match_closed_form(spec, m):
     anchors = _grid_anchors(m)
     jt, pt, den = oracle_factor_tables(spec, anchors)
     want = [(F(j, den), F(p, den)) for jrow, prow in zip(jt, pt) for j, p in zip(jrow, prow)]
-    assert _table(_expand(scan_contract(spec, anchors))) == want
+    assert _table(scan_blocks(spec, m)) == want
 
 
 @pytest.mark.parametrize("spec", [full_rsj(3, 2), lhs_spec(4, 2)])
@@ -582,15 +572,15 @@ def test_budget_refuses_before_the_anchors_are_built(monkeypatch):
 
 
 def test_budget_counts_factorized_work():
-    # one unbuilt 1 - I factor per coordinate: nuod_scan contracts and
-    # compares each, 2 x (3 * 6 * (1 + 6) + 6^2); the pairs table contracts
-    # them and expands all 6^4 box pairs, 2 x 3 * 6 * (1 + 6) + 6^4
+    # one closed-form table for every coordinate: nuod_scan evaluates its
+    # 6^2 + 2 x 6 entries and compares the 6^2 joints with their products;
+    # the pairs table evaluates it and expands all 6^4 box pairs
     spec, m = lhs_spec(3, 2), 6
-    work = 2 * (3 * 6 * 7 + 36)
+    work = 36 + 12 + 36
     with pytest.raises(mod.BudgetExceededError, match=f"{work} multiply-adds"):
         nuod_scan(spec, m, budget=work - 1)
     assert nuod_scan(spec, m, budget=work).ok
-    work = 2 * 3 * 6 * 7 + 6**4
+    work = 36 + 12 + 6**4
     with pytest.raises(mod.BudgetExceededError, match=f"{work} multiply-adds"):
         scan_csv(spec, m, work - 1)
     assert scan_csv(spec, m, work)[1].count("\n") == 1 + 6**4
@@ -607,10 +597,10 @@ def report_from_witnesses(spec, m, witnesses):
     return DependenceReport._ranked(spec, m, witnesses)
 
 
-def expanded_report(spec, m, factors=None):
-    """nuod_scan's report from the expansion over every box pair."""
+def expanded_report(spec, m, dense=False):
+    """nuod_scan's report from the expansion over every box pair (scan_blocks)."""
     anchors = _grid_anchors(m)
-    den, blocks = _expand(scan_contract(spec, anchors, factors))
+    den, blocks = scan_blocks(spec, m, dense)
     boxes = [AnchoredBox(a) for a in product(anchors, repeat=spec.dim)]
     witnesses = [(boxes[start + q], boxes[r], F(int(joint[q, r]), den), F(int(prodv[q, r]), den))
                  for start, joint, prodv in blocks for q, r in zip(*np.nonzero(joint > prodv))]
@@ -639,15 +629,15 @@ def test_certificate_reaches_past_the_expansion():
         assert rep.grid["pairs"] == m ** (2 * spec.dim)
 
 
-# a random generator under a grid shift, jitter off: one 1 - I factor per
-# coordinate, read through corner weights
+# a random generator under a grid shift, jitter off: ordered distinct cells
+# in each coordinate, read through corner weights
 JITTERLESS = [SchemeSpec(RSJ, 5, 2, jitter=False), SchemeSpec(RSJ, 7, 3, jitter=False)]
 
 
 @pytest.mark.parametrize("spec", JITTERLESS, ids=[_spec_id(s) for s in JITTERLESS])
 def test_jitterless_random_generator_law_is_factorized(spec):
     n = spec.n
-    assert mod._count_factors(spec, 10**8) == [(None, n * (n - 1), 1)] * spec.dim
+    assert _law(spec, cells=True).factorized
     rnd = random.Random(str(spec))
     boxes = [(AnchoredBox(_anchors(rnd, n, spec.dim)), AnchoredBox(_anchors(rnd, n, spec.dim)))
              for _ in range(4)]
@@ -666,55 +656,119 @@ def test_jitterless_random_generator_certificate(m):
     # corner weights are constant on each (j/n, (j+1)/n], so M % n == 0 certifies
     spec = JITTERLESS[0]
     rep = nuod_scan(spec, m)
-    assert rep == expanded_report(spec, m) == _scan(spec, m, 10**8, factors=one_factor(spec))
+    assert rep == expanded_report(spec, m) == expanded_report(spec, m, dense=True)
     assert rep.ok and rep.grid["certifies_all_boxes"] == (m % spec.n == 0)
 
 
-def _kron_factors(factors):
-    """The law of count factors as one factor over all their coordinates."""
-    P, total, k = np.ones((1, 1), dtype=np.int64), 1, 0
-    for P_f, total_f, k_f in factors:
-        P, total, k = np.kron(P, P_f), total * total_f, k + k_f
-    return [(P, total, k)]
+def dense_contraction(spec, m):
+    """The dense one-factor contraction over the k/m grid, built here: (A, P A, p1, p2, den_joint, den_marginal).
+
+    A is the Kronecker power of the grid's weight table over every
+    coordinate; box pair (Q, R) has joint A[:, Q]^T (P A)[:, R] / den_joint
+    and marginals p1[Q] / den_marginal and p2[R] / den_marginal.
+    """
+    P, total = _pair_counts(spec)
+    T, den = _weight_table(_grid_anchors(m), spec.n, _law(spec).position)
+    A = T
+    for _ in range(spec.dim - 1):
+        A = np.kron(A, T)
+    den_marginal = total * den**spec.dim
+    return A, P @ A, P.sum(axis=1) @ A, P.sum(axis=0) @ A, den_marginal * den**spec.dim, den_marginal
 
 
-# ordered distinct cells of one coordinate (negatively dependent), and both
-# points in the same cell (positively dependent: fails the certificate)
-DISTINCT = (1 - np.eye(3, dtype=np.int64), 6, 1)
-SAME = (np.eye(3, dtype=np.int64), 3, 1)
-FAILING = [(lhs_spec(3, 2), 6, [DISTINCT, SAME]), (lhs_spec(3, 2), 6, [SAME, DISTINCT]),
-           (lhs_spec(3, 3), 4, [DISTINCT, SAME, DISTINCT]),
-           (patterson_spec(3, 3), 3, [SAME, DISTINCT, DISTINCT])]
+def _same_rationals(a, den_a, b, den_b):
+    """Whether integer arrays a / den_a and b / den_b are equal entrywise, in int64."""
+    g = gcd(den_a, den_b)
+    assert den_a // g * den_b < 2**62
+    return np.array_equal(a * (den_b // g), b * (den_a // g))
 
 
-@pytest.mark.parametrize("spec,m,factors", FAILING, ids=[f"{s.kind}(3,{s.dim})-{i}"
-                                                          for i, (s, _, _) in enumerate(FAILING)])
-def test_failing_certificate_falls_back_to_expansion(spec, m, factors):
-    assert not _certified(scan_contract(spec, _grid_anchors(m), factors))
-    fallback = _scan(spec, m, 10**8, factors=factors)
-    one = _scan(spec, m, 10**8, factors=_kron_factors(factors))
-    assert fallback == expanded_report(spec, m, factors) == one
+# the scans of the earlier one-factor comparison, then every certified, one-coordinate and
+# jitterless scan
+CLOSED_FORM = [(full_rsj(3, 2), 6), (lhs_spec(4, 2), 8), (full_rsj(3, 3), 3),
+               (patterson_spec(3, 2), 6), (stratified_spec(5), 10)]
+CLOSED_FORM += CERTIFIED + ONE_COORDINATE + [(s, m) for s in JITTERLESS for m in (s.n, 2 * s.n + 1)]
+
+
+@pytest.mark.parametrize("spec,m", CLOSED_FORM)
+def test_enumerated_route_matches_closed_form(spec, m, monkeypatch):
+    # the closed-form table's expansion against the dense _pair_counts
+    # contraction, over every box pair, joint and product alike.  The dense
+    # rows are multiplied in float64 (BLAS): exact, as every partial sum is
+    # a nonnegative integer at most den_joint < 2^53
+    monkeypatch.setattr(mod, "_BLOCK", 1 << 20)
+    A, PA, p1, p2, den_joint, den_marginal = dense_contraction(spec, m)
+    assert den_joint < 2**53
+    A, PA = A.astype(np.float64), PA.astype(np.float64)
+    den, blocks = scan_blocks(spec, m)
+    for start, joint, prodv in blocks:
+        stop = start + len(joint)
+        dense = (A[:, start:stop].T @ PA).astype(np.int64)
+        assert _same_rationals(joint, den, dense, den_joint)
+        assert _same_rationals(prodv, den, np.multiply.outer(p1[start:stop], p2), den_marginal**2)
+
+
+# both points in one cell: positively dependent, so it fails the certificate
+def _same_cell(step_terms):
+    def terms(n, position, q, r):
+        # the diagonal sum_c a[c] b[c] over n den_a den_b is (n - 1) diag over
+        # 1 - I's denominators; the marginals are those of 1 - I
+        joint, p1, p2, *dens = step_terms(n, position, q, r)
+        return (p1 * p2 // (n - 1) - (n - 1) * joint, p1, p2, *dens)
+    return terms
+
+
+def same_cell_report(spec, m):
+    """The report of the k/m scan of the same-cell law, from Fraction weights."""
+    n, position = spec.n, _law(spec).position
+    anchors = _grid_anchors(m)
+    weights = [[_cell_weight(c, a, n, position) for c in range(n)] for a in anchors]
+    joint = [[sum(wq * wr for wq, wr in zip(weights[k], weights[l])) / n for l in range(m)]
+             for k in range(m)]
+    marginal = [sum(weights[k]) / n for k in range(m)]
+    witnesses = []
+    for qk in product(range(m), repeat=spec.dim):
+        for rk in product(range(m), repeat=spec.dim):
+            j = prod(joint[k][l] for k, l in zip(qk, rk))
+            p = prod(marginal[k] for k in qk) * prod(marginal[l] for l in rk)
+            if j > p:
+                witnesses.append((AnchoredBox(tuple(anchors[k] for k in qk)),
+                                  AnchoredBox(tuple(anchors[l] for l in rk)), j, p))
+    return report_from_witnesses(spec, m, witnesses)
+
+
+FAILING = [(lhs_spec(3, 2), 6), (lhs_spec(3, 2), 5), (lhs_spec(3, 3), 4), (patterson_spec(3, 3), 3)]
+
+
+@pytest.mark.parametrize("spec,m", FAILING, ids=[f"{s.kind}(3,{s.dim})-{i}"
+                                                 for i, (s, _) in enumerate(FAILING)])
+def test_failing_certificate_falls_back_to_expansion(spec, m, monkeypatch):
+    monkeypatch.setattr(mod, "_step_terms", _same_cell(mod._step_terms))
+    joint, p1, p2, _ = _step_table(spec.n, _law(spec).position, m)
+    assert not (joint <= np.multiply.outer(p1, p2)).all()
+    fallback = nuod_scan(spec, m)
+    assert fallback == expanded_report(spec, m) == same_cell_report(spec, m)
     assert fallback.witnesses
 
 
 # p1 in a lower cell than p2: an asymmetric count factor, so the two
 # marginals differ (the law of every scheme is exchangeable)
-LOWER = (np.triu(np.ones((3, 3), dtype=np.int64), 1), 3, 1)
+LOWER = np.triu(np.ones((3, 3), dtype=np.int64), 1)
+DISTINCT = 1 - np.eye(3, dtype=np.int64)
 
 
-@pytest.mark.parametrize("factors", [[LOWER, DISTINCT], [DISTINCT, LOWER], [LOWER, LOWER],
-                                     _kron_factors([LOWER, DISTINCT])],
+@pytest.mark.parametrize("P", [np.kron(LOWER, DISTINCT), np.kron(DISTINCT, LOWER),
+                               np.kron(LOWER, LOWER), np.kron(LOWER, DISTINCT).T],
+                         # the last: p1 in a higher first-coordinate cell
                          ids=["lower-distinct", "distinct-lower", "lower-lower", "one-factor"])
-def test_queries_keep_the_sides_of_the_law(factors, monkeypatch):
+def test_queries_keep_the_sides_of_the_law(P, monkeypatch):
     # joint and both marginals of an asymmetric law against Fraction sums:
-    # single box queries, which contract the law as one _pair_counts factor
-    # on a fixed-generator spec, then a scan's every box pair, report and
-    # pairs CSV, which read the count factors
-    spec, m = lhs_spec(3, 2), 4
-    monkeypatch.setattr(mod, "_count_factors", lambda spec, budget: factors)
-    [(P, total, _)] = _kron_factors(factors)
+    # single box queries, then a scan's every box pair, report and pairs
+    # CSV, each contracting the law as one _pair_counts factor on a
+    # fixed-generator spec
+    total = int(P.sum())
     monkeypatch.setattr(mod, "_pair_counts", lambda spec, budget: (P, total))
-    queried = SchemeSpec(RSJ, 3, 2, generator=(1, 2))
+    spec, m = SchemeSpec(RSJ, 3, 2, generator=(1, 2)), 4
     cells = list(product(range(3), repeat=2))
     law = [(z1, z2, F(int(P[i, j]), total))
            for i, z1 in enumerate(cells) for j, z2 in enumerate(cells) if P[i, j]]
@@ -732,9 +786,9 @@ def test_queries_keep_the_sides_of_the_law(factors, monkeypatch):
     for _ in range(6):
         Q, R = (AnchoredBox(_anchors(rnd, 3, 2)) for _ in range(2))
         j, m1, m2 = joint(Q, R), marginal(Q, 0), marginal(R, 1)
-        assert _pair_query(queried, Q, R) == (j, m1, m2)
-        assert pair_box_prob(queried, Q, R) == j
-        assert (pair_marginal_prob(queried, Q, 0), pair_marginal_prob(queried, R, 1)) == (m1, m2)
+        assert _pair_query(spec, Q, R) == (j, m1, m2)
+        assert pair_box_prob(spec, Q, R) == j
+        assert (pair_marginal_prob(spec, Q, 0), pair_marginal_prob(spec, R, 1)) == (m1, m2)
 
     boxes = [AnchoredBox(a) for a in product(_grid_anchors(m), repeat=2)]
     labels = [";".join(format_rational(a) for a in box.anchor) for box in boxes]
@@ -752,17 +806,18 @@ def test_queries_keep_the_sides_of_the_law(factors, monkeypatch):
     assert report == report_from_witnesses(spec, m, witnesses) == nuod_scan(spec, m)
 
 
-def test_budget_counts_failing_certificate_expansion():
-    # the contraction and factor comparisons, 2 x (3 * 6 * (3 + 6) + 6^2),
-    # are checked first; the expansion's 6^4 box pairs on top before it runs
-    spec, m, factors = FAILING[0]
-    work = 2 * (3 * 6 * 9 + 36)
+def test_budget_counts_failing_certificate_expansion(monkeypatch):
+    # the table and its comparisons, 6^2 + 2 x 6 + 6^2, are checked first;
+    # the expansion's 6^4 box pairs on top before it runs
+    monkeypatch.setattr(mod, "_step_terms", _same_cell(mod._step_terms))
+    spec, m = FAILING[0]
+    work = 36 + 12 + 36
     with pytest.raises(mod.BudgetExceededError, match=f"{work} multiply-adds"):
-        _scan(spec, m, work - 1, factors=factors)
+        nuod_scan(spec, m, budget=work - 1)
     work += 6**4
     with pytest.raises(mod.BudgetExceededError, match=f"{work} multiply-adds"):
-        _scan(spec, m, work - 1, factors=factors)
-    assert _scan(spec, m, work, factors=factors) == _scan(spec, m, 10**8, factors=factors)
+        nuod_scan(spec, m, budget=work - 1)
+    assert nuod_scan(spec, m, budget=work) == nuod_scan(spec, m)
 
 
 def test_block_size_does_not_change_results(monkeypatch):
@@ -867,7 +922,7 @@ def test_pairs_csv_python_int_path_and_blocks(monkeypatch):
     want = [oracle_pairs_csv(s, m) for s, m in cases]
     assert want[0][0].witnesses and want[3][0].witnesses
     monkeypatch.setattr(mod, "_INT64_SAFE_LIMIT", 1)
-    _, blocks = _expand(scan_contract(cases[0][0], _grid_anchors(10)))
+    _, blocks = scan_blocks(cases[0][0], 10)
     assert next(blocks)[1].dtype == object
     for block in (1 << 15, 7):
         monkeypatch.setattr(mod, "_BLOCK", block)
@@ -877,7 +932,7 @@ def test_pairs_csv_python_int_path_and_blocks(monkeypatch):
 
 def test_pairs_csv_budget_matches_rows():
     spec, m = lhs_spec(3, 2), 6
-    work = 2 * (3 * 6 * 7) + 6**4
+    work = 36 + 12 + 6**4
     with pytest.raises(mod.BudgetExceededError, match=f"{work} multiply-adds"):
         scan_csv(spec, m, work - 1)
     assert_same_pairs_csv(scan_csv(spec, m, work), oracle_pairs_csv(spec, m))
@@ -1441,8 +1496,9 @@ def test_huge_dim_is_refused_before_n_to_the_dim(spec):
     # length is refused before n^dim (thousands of digits) is formed
     with pytest.raises(mod.BudgetExceededError, match=f"at least 2\\^{spec.dim} terms"):
         _pair_counts(spec)
+    # the scan's expansion has at least 2^(2 dim) box pairs
     with pytest.raises(mod.BudgetExceededError, match="at least 2\\^"):
-        _scan(spec, 5, 10**8, factors=[(None, 20, spec.dim)])
+        scan_csv(spec, 5)
 
 
 # -- one route per query ----------------------------------------------------

@@ -434,6 +434,10 @@ def _fractional(payload):
     payload["nums"][0][0] += 0.5
 
 
+def _nudge_a_point(payload):
+    payload["points"][0][0] = float(np.nextafter(payload["points"][0][0], 1.0))
+
+
 def _without(key):
     return lambda payload: {k: v for k, v in payload.items() if k != key}
 
@@ -449,8 +453,10 @@ def _without(key):
     (lhs_spec(4, 2), _without("seed"), "with keys spec, nums and seed"),
     (lhs_spec(4, 2), _past_int64, "nums must be rows"),
     (lhs_spec(4, 2), _fractional, "nums must be rows"),
+    (lhs_spec(4, 2), _nudge_a_point, "points must be the float export"),
+    (lhs_spec(4, 2), _without("points"), "points must be the float export"),
 ], ids=["lhs", "stratified", "jitterless-grid", "frac-bits", "non-object", "no-spec", "no-nums",
-        "no-seed", "past-int64", "fractional"])
+        "no-seed", "past-int64", "fractional", "moved-point", "no-points"])
 def test_json_import_checks_the_structure(spec, edit, message):
     # every malformed payload is a ValueError: a payload that is not a point
     # set object, and one whose shape and range are right but whose scheme's
