@@ -10,7 +10,8 @@ On top of those sit:
     index-pair classes,
   * joint box probabilities for every supported scheme and ablation,
   * a negative-dependence scanner over anchored-box grids (a factorized
-    law in closed form, any other by one contraction with cell weights),
+    law in closed form, the lattice without a shift by index-pair classes,
+    any other by one contraction with cell weights),
   * the structural checks that separate the shifted-lattice scheme from
     Latin hypercube sampling (copula equality, coordinate independence,
     triple containment counts: one lattice, by a uniqueness argument, and
@@ -27,7 +28,9 @@ discretized: a cell pair contributes its count times the exact overlap
 fraction of each anchored interval with each cell.  A box query under a
 continuous torus shift is integrated exactly as integer arc overlaps on a
 common grid 1/D per coordinate, a block of lags at a time; a random
-generator makes each coordinate one class.
+generator makes each coordinate one class.  Without a shift, box queries
+and scans sum over classes of index pairs, reading the weight columns
+directly, never the n^(2 dim) cell-pair law.
 """
 
 import operator
@@ -219,6 +222,12 @@ def _pair_counts(spec: SchemeSpec, budget=DEFAULT_BUDGET, gather: bool = True):
     shift every row of P is a permutation of F, so the gcd is taken on F,
     and P is gathered from the reduced F in one pass.
 
+    Box queries (method "auto") and scans of a law without a shift do not
+    build P: they sum its index-pair classes over the weight columns
+    (_unshifted_terms, _unshifted_tables).  P still serves method
+    "enumeration", the copula and independence checks and the tests, a
+    second route to every unshifted quantity.
+
     With gather False a shift-invariant law (a latin kind, or a grid
     shift) is returned as F itself, shape (n,) * dim with coordinate i on
     axis i and P[z1, z2] = F[z2 - z1] (total is still the sum of P, n^dim
@@ -274,7 +283,9 @@ def _sized_spec(n: int, dim: int, spec: SchemeSpec) -> SchemeSpec:
 #
 # A factorized law (_law) is one closed form (_step_terms), elementwise over
 # a box query's d coordinates, or over the scan grid as one M x M table that
-# every coordinate shares.  Any other law is one contraction (_contract) of
+# every coordinate shares.  The lattice without a shift sums its index-pair
+# classes (_unshifted_terms, _unshifted_tables).  Any other law is one
+# contraction (_contract) of
 # its _pair_counts factor P with integer cell weights: the joint A^T P B and
 # the marginals P.sum(1) A and P.sum(0) B, where A[z, Q] = P(p1 in Q | cell
 # vector z) * den_a is the Kronecker product of one table per coordinate (B
@@ -437,6 +448,65 @@ def _step_terms(n: int, position: str, q, r) -> tuple:
             total * dq * dr, total * dq, total * dr)
 
 
+# -- the lattice without a shift, by index-pair classes -------------------------
+#
+# The index pair (a, b) is uniform over ordered distinct pairs, and coordinate
+# i puts point k in cell gamma_i k mod n.  A fixed generator gives each point
+# one product of weights, so the joint is a sum over a != b.  Under a random
+# generator and a prime n the coordinates are independent given (a, b), and
+# (a, b) enters through its class only: a = 0, b = 0, or the ratio
+# rho = b / a, rho = 2..n-1, each class standing for n - 1 pairs.
+
+
+def _ratio_cells(n: int, rhos) -> np.ndarray:
+    """rho c mod n for c = 1..n-1, one row per ratio rho: the cells of b when a is in cell c."""
+    return rhos[:, None] * np.arange(1, n) % n
+
+
+def _unshifted_terms(spec: SchemeSpec, law: _Law, Q: AnchoredBox, R: AnchoredBox, budget) -> list:
+    """_pair_query's six term lists (three numerators, three denominators) without a shift.
+
+    alpha[:, i] and beta[:, i] are coordinate i's weight columns of Q and R
+    (_cell_weights, each over its anchor's denominator; da, db their
+    products).  A fixed generator gives point k the weights
+    U[k] = prod_i alpha[g_i k mod n, i] and V[k] likewise, so the joint is
+    (sum U sum V - U.V) over n (n - 1) da db and the marginals sum U over
+    n da and sum V over n db: 2 dim n terms.  A random generator sums its
+    classes: with S^alpha_i = sum_{c != 0} alpha[c, i] and
+    C_i[rho] = sum_{c != 0} alpha[c, i] beta[rho c mod n, i], the joint is
+    prod_i alpha[0, i] S^beta_i + prod_i S^alpha_i beta[0, i]
+    + sum_rho prod_i C_i[rho] over n (n - 1)^dim da db, and p1 is
+    (n - 1)^(dim - 1) prod_i alpha[0, i] + prod_i S^alpha_i over
+    n (n - 1)^(dim - 1) da: dim n (n - 1) terms, a block of ratios at a time,
+    so memory does not grow with n.  The budget is charged before any
+    column is built.  Integers are int64 where n^dim da db allows, python
+    ints otherwise.
+    """
+    n, dim = spec.n, spec.dim
+    _charge(dim * n * (n - 1) if law.random else 2 * dim * n, budget, "class sum", "terms")
+    da, db = (prod(a.denominator for a in box.anchor) for box in (Q, R))
+    dtype = _int_dtype(n**dim * da * db)
+    c = np.arange(n, dtype=dtype)[:, None]
+    alpha, beta = (_cell_weights(c, np.array([n * a.numerator for a in box.anchor], dtype=dtype),
+                                 np.array([a.denominator for a in box.anchor], dtype=dtype),
+                                 law.position) for box in (Q, R))
+    if not law.random:
+        cells = np.arange(n)[:, None] * np.array(spec.generator) % n, np.arange(dim)
+        U, V = alpha[cells].prod(axis=1), beta[cells].prod(axis=1)
+        su, sv = int(U.sum()), int(V.sum())
+        return [[su * sv - int(U @ V)], [su], [sv], [n * (n - 1) * da * db], [n * da], [n * db]]
+    a0, b0, sa, sb = (prod(v.tolist()) for v in (alpha[0], beta[0], alpha[1:].sum(axis=0),
+                                                  beta[1:].sum(axis=0)))
+    ratios = 0
+    step = max(1, _BLOCK // (n * dim))
+    for first in range(2, n, step):
+        cells = _ratio_cells(n, np.arange(first, min(first + step, n)))
+        ratios += sum((alpha[1:] * beta[cells]).sum(axis=1).prod(axis=1).tolist())
+    scale = (n - 1) ** (dim - 1)
+    return [[a0 * sb + sa * b0 + ratios], [scale * a0 + sa], [scale * b0 + sb],
+            [n * (n - 1) * scale * da * db], [n * scale * da], [n * scale * db]]
+
+
 def _pair_query(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox, method: str = "auto",
                 budget=DEFAULT_BUDGET) -> tuple:
     """(P(p1 in Q, p2 in R), P(p1 in Q), P(p2 in R)): every box query, its route picked here.
@@ -445,6 +515,9 @@ def _pair_query(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox, method: str = 
     factorized law (corner weights included) is answered in closed form on
     integers, O(1) per coordinate with no budget (_step_terms), by method
     "auto" and "closed_form" alike; any other law refuses "closed_form".
+    Without a shift "auto" sums the index-pair classes over the 2 dim
+    weight columns (_unshifted_terms): 2 dim n terms for a fixed generator,
+    dim n (n - 1) for a random one, charged before anything is built.
     The rest, and "enumeration" always, contract the one _pair_counts
     factor (the 1 x 1 case of _contract).  A continuous torus shift
     (jitterless) has no cell law: "auto" sums its classes
@@ -467,6 +540,8 @@ def _pair_query(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox, method: str = 
     if law.factorized and method != "enumeration":
         sides = [([a.numerator for a in b.anchor], [a.denominator for a in b.anchor]) for b in (Q, R)]
         terms = [v.tolist() for v in _step_terms(n, law.position, *sides)]
+    elif not law.shift_invariant and method == "auto":
+        terms = _unshifted_terms(spec, law, Q, R, budget)
     else:
         # the law first: its budget refuses a large dim before d tables are built
         P, total = _pair_counts(spec, budget)
@@ -491,7 +566,11 @@ def pair_box_prob(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox,
 
 def pair_marginal_prob(spec: SchemeSpec, box: AnchoredBox, side: int = 0,
                        budget=DEFAULT_BUDGET) -> Fraction:
-    """Exact P(p_side in box) under the pair law of the scheme, side 0 or 1."""
+    """Exact P(p_side in box) under the pair law of the scheme, side 0 or 1.
+
+    The marginal of _pair_query's triple for (box, box), on its route and
+    budget; only a continuous torus shift answers with the box volume.
+    """
     if side not in (0, 1):
         raise ValueError(f"side must be 0 or 1, not {side!r}")
     if box.dim == spec.dim and _law(spec).torus:
@@ -571,24 +650,33 @@ def _expand(joint_rows, p1, p2):
         yield start, joint_rows(start, stop), np.multiply.outer(p1[start:stop], p2)
 
 
-def _kron_tables(joint, p1, p2, den: int, dim: int) -> tuple:
-    """(den^dim, joint rows, p1, p2) for _expand: Kronecker powers of one coordinate's tables.
+def _kron_rows(tables, dim: int, dtype):
+    """Joint rows for _expand: the sum of the M x M tables' dim-th Kronecker powers.
 
-    Box index h M + t: the leading coordinates' joint table (over h) is built
-    once, and the last coordinate's rows are read per block.
+    Box index h M + t: each table's leading coordinates' power (over h) is
+    built once, and the last coordinate's rows are read per block.
     """
-    den = den**dim
-    dtype = _int_dtype(den)
-    hs, ts = np.divmod(np.arange(len(p1) ** dim), len(p1))
-    lead = _kron([joint] * (dim - 1), dtype)
-    joint = joint.astype(dtype, copy=False)
-    p1, p2 = (_kron([v[None]] * dim, dtype)[0] for v in (p1, p2))
+    m = len(tables[0])
+    hs, ts = np.divmod(np.arange(m**dim), m)
+    tables = [t.astype(dtype, copy=False) for t in tables]
+    leads = [_kron([t] * (dim - 1), dtype) for t in tables]
 
     def rows(start, stop):
         h, t = hs[start:stop], ts[start:stop]
-        return (lead[h][:, :, None] * joint[t][:, None, :]).reshape(stop - start, len(hs))
+        out = leads[0][h][:, :, None] * tables[0][t][:, None, :]
+        for lead, table in zip(leads[1:], tables[1:]):
+            out += lead[h][:, :, None] * table[t][:, None, :]
+        return out.reshape(stop - start, len(hs))
 
-    return den, rows, p1, p2
+    return rows
+
+
+def _kron_tables(joint, p1, p2, den: int, dim: int) -> tuple:
+    """(den^dim, joint rows, p1, p2) for _expand: Kronecker powers of one coordinate's tables."""
+    den = den**dim
+    dtype = _int_dtype(den)
+    p1, p2 = (_kron([v[None]] * dim, dtype)[0] for v in (p1, p2))
+    return den, _kron_rows([joint], dim, dtype), p1, p2
 
 
 def _step_table(n: int, position: str, m: int) -> tuple:
@@ -611,6 +699,48 @@ def _dense_tables(spec: SchemeSpec, position: str, m: int, budget) -> tuple:
     dtype = _int_dtype(den)
     A, PA = A.astype(dtype, copy=False), PA.astype(dtype, copy=False)
     return den, lambda start, stop: A[:, start:stop].T @ PA, p1, p2
+
+
+def _unshifted_tables(spec: SchemeSpec, law: _Law, m: int) -> tuple:
+    """(den, joint rows, p1, p2) for _expand on the k/m grid, by _unshifted_terms' classes.
+
+    Every coordinate reads the grid's n x m weight table T over den_t (B = m^dim
+    boxes, D = den_t^dim).  A fixed generator's U is n x B, U[k] the
+    Kronecker product of the rows T[g_i k mod n]: the joint rows are
+    sum U[Q] sum U - U[:, Q]^T U over n (n - 1) D^2, and each marginal is
+    sum U over n D.  A random generator's classes are M x M tables whose
+    dim-th Kronecker powers sum to the joint over n (n - 1)^dim D^2:
+    outer(T[0], S), outer(S, T[0]) (a = 0 and b = 0, S the column sums of
+    T[1:]) and T[1:]^T T[rho c mod n] per ratio; each marginal is
+    (n - 1)^(dim - 1) T[0]^(x dim) + S^(x dim) over n (n - 1)^(dim - 1) D.
+    Joint and marginals are brought over their common denominator.
+    """
+    n, dim = spec.n, spec.dim
+    table, den_t = _weight_table(_grid_anchors(m), n, law.position)
+    D = den_t**dim
+    if not law.random:
+        den = n * n * (n - 1) * D * D
+        dtype = _int_dtype(den)
+        table, k = table.astype(dtype, copy=False), np.arange(n)
+        U = np.ones((n, 1), dtype=dtype)
+        for g in spec.generator:
+            U = (U[:, :, None] * table[g * k % n][:, None, :]).reshape(n, -1)
+        s = U.sum(axis=0)
+
+        def rows(start, stop):
+            return n * (np.multiply.outer(s[start:stop], s) - U[:, start:stop].T @ U)
+
+        return den, rows, (n - 1) * s, s
+    joint_den, p_den = n * (n - 1) ** dim * D * D, n * (n - 1) ** (dim - 1) * D
+    den = lcm(joint_den, p_den * p_den)
+    dtype = _int_dtype(den)
+    table = table.astype(dtype, copy=False)
+    first, rest = table[0], table[1:].sum(axis=0)
+    classes = [np.multiply.outer(first, rest), np.multiply.outer(rest, first),
+               *(table[1:].T @ table[_ratio_cells(n, np.arange(2, n))])]
+    rows, scale = _kron_rows(classes, dim, dtype), den // joint_den
+    p = (n - 1) ** (dim - 1) * _kron([first[None]] * dim, dtype)[0] + _kron([rest[None]] * dim, dtype)[0]
+    return den, lambda start, stop: scale * rows(start, stop), den // (p_den * p_den) * p, p
 
 
 def nuod_scan(spec: SchemeSpec, grid_resolution: int, budget=DEFAULT_BUDGET) -> DependenceReport:
@@ -637,8 +767,11 @@ def nuod_scan(spec: SchemeSpec, grid_resolution: int, budget=DEFAULT_BUDGET) -> 
     that are products of one nonnegative entry per coordinate of one M x M
     table pair (_step_terms), so checking that table certifies every box
     pair, with no witnesses; only if it fails are all M^(2 dim) box pairs
-    expanded.  Any other law is expanded directly.  The budget is _scan's:
-    2 M^2 + 2 M for a factorized law, whatever n.
+    expanded.  Any other law is expanded directly: the lattice without a
+    shift from its index-pair classes, the rest from its _pair_counts
+    factor.  The budget is _scan's: 2 M^2 + 2 M for a factorized law,
+    whatever n; without a shift, n B (1 + B) + B^2 for a fixed generator
+    and (n - 2)(n - 1) M^2 + (n + 1) B^2 for a random one (B = M^dim).
 
     A continuous-torus-shift spec has no cell law and is refused at every
     size; the fixed-distance probe (shift_only_conditional) covers it.
@@ -652,23 +785,28 @@ def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, csv_out=None) -> 
     A factorized law (_law) evaluates _step_terms once over the grid
     (_step_table), one table that every coordinate and both sides share;
     without csv_out it is the certificate, and if it holds there are no
-    witnesses.  Any other law's _pair_counts factor is contracted with the
-    grid's weight table (_dense_tables).  Otherwise every box pair is
-    expanded once, _BLOCK at a time (_expand, over _kron_tables for a
-    factorized law), and the witnesses and the CSV rows are read from the
-    same blocks.  The witnesses are ranked on integers: by the excess
-    joint - product over the common denominator, ties broken by box index,
-    which is anchor order (coordinate 0 most significant); this is the
-    report order (_ranked).  Each witness box is built once from the grid
+    witnesses.  The lattice without a shift reads its index-pair classes
+    off the grid's weight table (_unshifted_tables).  Any other law's
+    _pair_counts factor is contracted with that table (_dense_tables).
+    Otherwise every box pair is expanded once, _BLOCK at a time (_expand,
+    over _kron_tables for a factorized law), and the witnesses and the CSV
+    rows are read from the same blocks.  The witnesses are ranked on
+    integers: by the excess joint - product over the common denominator,
+    ties broken by box index, which is anchor order (coordinate 0 most
+    significant); this is the report order (_ranked).  Each witness box is built once from the grid
     anchors, and each distinct probability is one Fraction.
 
     The law's route (_law) is read before any budget, so a continuous torus
     shift is refused at every size.  Each stage's budget is checked before
     it runs, the first before the law and the M anchors are built.  A
     factorized law charges its table's M^2 + 2 M entries and M^2
-    comparisons, none of which grows with n; a contraction (c = n^dim cell
-    vectors, B = M^dim boxes) costs c B (c + B) multiply-adds.  An
-    expansion adds M^(2 dim) comparisons, on top of a failed certificate.
+    comparisons, none of which grows with n.  With B = M^dim boxes, the
+    lattice without a shift charges its class terms: a fixed generator
+    n B (1 + B), its n x B products U and their n B^2 products, a random
+    one (n - 2)(n - 1) M^2 for its ratio tables and n B^2 for its n
+    classes' Kronecker terms.  A contraction (c = n^dim cell vectors) costs
+    c B (c + B) multiply-adds.  An expansion adds M^(2 dim) comparisons,
+    on top of a failed certificate.
 
     csv_out is a text stream.  It receives nothing if the scan is refused;
     otherwise the header, then one write per block of box pairs, so the
@@ -682,6 +820,9 @@ def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, csv_out=None) -> 
     certify = law.factorized and csv_out is None
     if law.factorized:
         work = m * m + 2 * m
+    elif not law.shift_invariant:
+        boxes = _power(m, dim, budget, "grid scan", "multiply-adds")
+        work = (n - 2) * (n - 1) * m * m + n * boxes * boxes if law.random else n * boxes * (1 + boxes)
     else:
         cells = _power(n, dim, budget, "grid scan", "multiply-adds")
         work = cells * m**dim * (cells + m**dim)
@@ -696,6 +837,8 @@ def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, csv_out=None) -> 
             _charge(work + _power(m, 2 * dim, budget, "grid scan", "multiply-adds"), budget,
                     "grid scan", "multiply-adds")
         den, rows, p1, p2 = _kron_tables(*table, dim)
+    elif not law.shift_invariant:
+        den, rows, p1, p2 = _unshifted_tables(spec, law, m)
     else:
         den, rows, p1, p2 = _dense_tables(spec, law.position, m, budget)
     anchors = _grid_anchors(m)  # after the certificate, which reads none

@@ -36,12 +36,19 @@ _DEFAULT_SHIFT = "grid"
 _DEFAULT_JITTER = True
 
 
+def _integer(value) -> int:
+    """value as an int: ints and numpy integers pass; a bool, a float and the rest raise TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class SchemeSpec:
     """Description of one sampling scheme (or ablation) at size (n, dim).
 
     n, dim and the generator entries are integers (numpy integers are
-    stored as int; floats raise TypeError).
+    stored as int; bools and floats raise TypeError).
     generator: "random", or a tuple of field integers in {1,..,n-1}.
     shift: "grid" (uniform on the 1/n lattice), "continuous_torus"
            (uniform on [0,1)^d), or "none".
@@ -58,8 +65,8 @@ class SchemeSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}; expected one of {KINDS}")
-        object.__setattr__(self, "n", operator.index(self.n))
-        object.__setattr__(self, "dim", operator.index(self.dim))
+        object.__setattr__(self, "n", _integer(self.n))
+        object.__setattr__(self, "dim", _integer(self.dim))
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.dim < 1:
@@ -72,7 +79,7 @@ class SchemeSpec:
             if self.shift not in SHIFTS:
                 raise ValueError(f"unknown shift {self.shift!r}; expected one of {SHIFTS}")
             if not (isinstance(self.generator, str) and self.generator == "random"):
-                g = tuple(operator.index(v) for v in self.generator)
+                g = tuple(map(_integer, self.generator))
                 if len(g) != self.dim:
                     raise ValueError(f"generator length {len(g)} does not match dim {self.dim}")
                 if any(not 1 <= v < self.n for v in g):
@@ -154,12 +161,10 @@ def _as_int(value, key: str) -> int:
     bool, float, str and everything else raise ValueError naming key, so a
     5.7 is refused rather than truncated.
     """
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{key} must be an integer, got {value!r}")
+    try:
+        return _integer(value)
+    except TypeError:
+        raise ValueError(f"{key} must be an integer, got {value!r}") from None
 
 
 def spec_from_dict(d: dict) -> SchemeSpec:

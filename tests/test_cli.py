@@ -181,6 +181,21 @@ class TestAnalyze:
         assert code == 1
         assert len(json.loads(out)["violations"]) > 0
 
+    def test_unshifted_lattice_is_answered_at_scale(self, capsys):
+        # index-pair classes: the dense law refused both lines (exit 3), at
+        # 1071620150601 terms and 296351619 multiply-adds
+        code, out, _ = run(capsys, "analyze", "pairprob", "--scheme", "rsj", "--n", "101",
+                           "--dim", "3", "--shift", "none", "--Q", "1/3,1/3,1/3",
+                           "--R", "2/5,2/5,2/5")
+        assert code == 0
+        assert json.loads(out)["joint"] == "7530228817/113625000000"
+        code, out, _ = run(capsys, "analyze", "nuod", "--scheme", "rsj", "--n", "23",
+                           "--dim", "2", "--shift", "none", "--grid", "23")
+        assert code == 1  # the scan ran and found witnesses
+        payload = json.loads(out)
+        assert len(payload["violations"]) == 50806
+        assert payload["worst_violation"] == "39/23276"
+
     def test_budget_exceeded_exit_three(self, capsys):
         # the closed-form scan of rsj(7,3) at M = 14 costs 2 x 14^2 + 2 x 14 = 420
         code, _, err = run(capsys, "analyze", "nuod", "--scheme", "rsj",

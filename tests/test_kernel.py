@@ -192,7 +192,12 @@ def discrete_pair_pmf(n, dim, spec=None, budget=10**8):
     coordinate_independence_check reads its witness.
     """
     spec = spec if spec is not None else full_rsj(n, dim)
-    P, total = mod._pair_counts(spec, budget)  # looked up per call: tests patch it
+    return pair_law(spec, *mod._pair_counts(spec, budget))  # looked up per call: tests patch it
+
+
+def pair_law(spec, P, total):
+    """The cell-pair law of the counts P over total as a PairLaw, in discrete_pair_pmf's order."""
+    n, dim = spec.n, spec.dim
     i1, i2 = np.nonzero(P)
     cellv = np.array(list(product(range(n), repeat=dim)), dtype=np.int64)
     codes = (cellv[i1] * n + cellv[i2]) @ (np.int64(n * n) ** np.arange(dim, dtype=np.int64))
@@ -241,9 +246,9 @@ def oracle_marginal_prob(law, box, side):
     return total
 
 
-def oracle_scan(spec, m):
-    """(worst, witnesses) of the k/m grid scan, witnesses in report order."""
-    law = law_of(spec)
+def oracle_scan(spec, m, law=None):
+    """(worst, witnesses) of the k/m grid scan, witnesses in report order; law defaults to law_of(spec)."""
+    law = law if law is not None else law_of(spec)
     anchors = [F(k, m) for k in range(m)]
     n, pos, dim = law.n, law.position, spec.dim
     wtab = [[_cell_weight(c, a, n, pos) for a in anchors] for c in range(n)]
@@ -425,10 +430,13 @@ def test_grid_off_multiples_of_n_misses_violations():
 
 
 def scan_blocks(spec, m, dense=False):
-    """(den, blocks) of _scan's expansion over every box pair of the k/m grid.
+    """(den, blocks) of an expansion over every box pair of the k/m grid.
 
-    dense expands the one _pair_counts factor's contraction, the route of
-    the laws that do not factorize, whatever the spec.
+    A factorized law expands its closed-form table, as _scan does, unless
+    dense.  Every other law, and every law if dense, expands the one
+    _pair_counts factor's contraction: the route of the laws that do not
+    factorize under a shift, and the reference for the class route of the
+    lattice without one.
     """
     law = _law(spec)
     if law.factorized and not dense:
@@ -1065,6 +1073,201 @@ def test_pair_counts_refuses_before_building_generators(shift):
     assert peak < 2**20, peak
 
 
+# -- the lattice without a shift, by index-pair classes ---------------------
+
+
+def oracle_unshifted_query(spec, Q, R):
+    """(joint, P(p1 in Q), P(p2 in R)) without a shift, over every index pair and generator value.
+
+    Given the index pair (a, b) the coordinates are independent: coordinate
+    i contributes sum_gamma w(gamma a) w(gamma b) over its generator values,
+    with the Fraction cell weights as integers over each anchor's
+    denominator.  Every ordered pair a != b is summed, no class merged.
+    """
+    n, dim, position = spec.n, spec.dim, _law(spec).position
+    gammas = [range(1, n)] * dim if spec.generator == "random" else [[g] for g in spec.generator]
+    joint, p1, p2 = (np.ones((n, n), dtype=object), np.ones(n, dtype=object),
+                     np.ones(n, dtype=object))
+    for i, (q, r) in enumerate(zip(Q.anchor, R.anchor)):
+        # W[gamma, a]: the weight of cell gamma a mod n
+        wq, wr = ([int(_cell_weight(c, a, n, position) * a.denominator) for c in range(n)]
+                  for a in (q, r))
+        Wq, Wr = (np.array([[w[g * a % n] for a in range(n)] for g in gammas[i]], dtype=object)
+                  for w in (wq, wr))
+        joint, p1, p2 = joint * (Wq.T @ Wr), p1 * Wq.sum(axis=0), p2 * Wr.sum(axis=0)
+    dq, dr = (prod(a.denominator for a in box.anchor) for box in (Q, R))
+    count = prod(len(g) for g in gammas)
+    off_diagonal = int(joint.sum()) - int(np.trace(joint))
+    return (F(off_diagonal, n * (n - 1) * count * dq * dr), F(int(p1.sum()), n * count * dq),
+            F(int(p2.sum()), n * count * dr))
+
+
+UNSHIFTED = [replace(s, jitter=jitter) for s in LATTICE if s.kind == RSJ and s.shift == "none"
+             for jitter in (True, False)]
+
+
+@pytest.mark.parametrize("spec", UNSHIFTED, ids=[_spec_id(s) for s in UNSHIFTED])
+def test_unshifted_queries_match_enumeration_and_oracles(spec):
+    # the class route against the dense law, the law of the index-pair
+    # enumerator weighed one Fraction at a time, and every index pair and
+    # generator value; Q != R, and R is Q (the marginal queries' case)
+    law = pair_law(spec, *oracle_pair_counts(spec))
+    rnd = random.Random(_spec_id(spec))
+    for _ in range(2):
+        Q, R = (AnchoredBox(_anchors(rnd, spec.n, spec.dim)) for _ in range(2))
+        for R in (R, Q):
+            want = (oracle_box_prob(law, Q, R), oracle_marginal_prob(law, Q, 0),
+                    oracle_marginal_prob(law, R, 1))
+            assert _pair_query(spec, Q, R) == _pair_query(spec, Q, R, "enumeration") == want
+            assert oracle_unshifted_query(spec, Q, R) == want
+            assert (pair_box_prob(spec, Q, R), pair_marginal_prob(spec, Q, 0),
+                    pair_marginal_prob(spec, R, 1)) == want
+
+
+# fixed and random generators, jitter on and off, dim 1 to 3, a grid on
+# and off the multiples of n
+UNSHIFTED_SCANS = [(SchemeSpec(RSJ, 2, 3, shift="none"), 2),
+                   (SchemeSpec(RSJ, 3, 1, generator=(2,), shift="none"), 6),
+                   (SchemeSpec(RSJ, 3, 3, generator=(1, 2, 1), shift="none", jitter=False), 3),
+                   (SchemeSpec(RSJ, 5, 2, generator=(1, 2), shift="none", jitter=False), 5),
+                   (SchemeSpec(RSJ, 5, 2, shift="none", jitter=False), 10),
+                   (SchemeSpec(RSJ, 5, 2, shift="none"), 7),
+                   (SchemeSpec(RSJ, 7, 1, shift="none"), 7),
+                   (SchemeSpec(RSJ, 7, 2, generator=(1, 3), shift="none"), 7)]
+
+
+@pytest.mark.parametrize("spec,m", UNSHIFTED_SCANS,
+                         ids=[f"{_spec_id(s)}-M={m}" for s, m in UNSHIFTED_SCANS])
+def test_unshifted_scans_match_dense_route_and_oracles(spec, m):
+    # reports and pairs-CSV bytes against the dense contraction's rows, and
+    # the report against the Fraction scan of the index-pair enumerator's law
+    report = nuod_scan(spec, m)
+    assert report == expanded_report(spec, m, dense=True)
+    assert_same_pairs_csv(scan_csv(spec, m), oracle_pairs_csv(spec, m))
+    law = pair_law(spec, *oracle_pair_counts(spec))
+    worst, witnesses = oracle_scan(spec, m, law)
+    assert (report.worst_violation, list(report.witnesses)) == (worst, witnesses)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 11, 101])
+def test_unshifted_mass_off_the_first_cell(n):
+    # only point 0 sits in cell 0 of a coordinate, whatever the generator,
+    # and it sits there in every coordinate: [1/n, 1)^dim holds each point
+    # with probability (n - 1)/n, 1 - no_shift_mass, jitter on or off
+    for dim in (1, 2, 3):
+        gens = dict.fromkeys(["random", (1,) * dim, tuple(1 + (5 * i + 2) % (n - 1) for i in range(dim))])
+        for gen, jitter in product(gens, (True, False)):
+            spec = SchemeSpec(RSJ, n, dim, generator=gen, shift="none", jitter=jitter)
+            first = AnchoredBox((F(1, n),) * dim)
+            want = F(n - 1, n)
+            assert want == 1 - no_shift_mass(n, dim)
+            assert pair_marginal_prob(spec, first, 0) == pair_marginal_prob(spec, first, 1) == want
+            if n ** (2 * dim) <= 10**4:
+                assert _pair_query(spec, first, first, "enumeration")[1:] == (want, want)
+
+
+def test_unshifted_query_at_101_cubed():
+    # the dense law has 101^6 cells per side, 1.07e12 terms: refused; the
+    # class sum costs 3 x 101 x 100 terms and matches every index pair
+    spec = SchemeSpec(RSJ, 101, 3, shift="none")
+    Q, R = AnchoredBox((F(1, 3),) * 3), AnchoredBox((F(2, 5),) * 3)
+    want = (F(7530228817, 113625000000), F(10201, 33750), F(275427, 1250000))
+    assert _pair_query(spec, Q, R) == want == oracle_unshifted_query(spec, Q, R)
+    assert (pair_box_prob(spec, Q, R), pair_marginal_prob(spec, Q, 0),
+            pair_marginal_prob(spec, R, 1)) == want
+    with pytest.raises(mod.BudgetExceededError, match="enumeration too large"):
+        _pair_query(spec, Q, R, "enumeration")
+    fixed = SchemeSpec(RSJ, 101, 3, generator=(1, 2, 3), shift="none")
+    assert _pair_query(fixed, Q, R, budget=2 * 3 * 101) == oracle_unshifted_query(fixed, Q, R)
+
+
+def test_unshifted_scan_at_23_squared():
+    # the dense contraction costs 296 351 619 multiply-adds here, past the
+    # default budget; the classes cost 21 x 22 x 23^2 + 24 x 23^4
+    spec, m = SchemeSpec(RSJ, 23, 2, shift="none"), 23
+    with pytest.raises(mod.BudgetExceededError, match="6960582 multiply-adds"):
+        nuod_scan(spec, m, budget=6960581)
+    report = nuod_scan(spec, m)
+    assert len(report.witnesses) == 50806
+    assert report.worst_violation == F(39, 23276)
+    Q, R, *_ = report.witnesses[0]
+    assert (Q.anchor, R.anchor) == ((F(16, 23),) * 2, (F(8, 23),) * 2)
+    assert report == expanded_report(spec, m, dense=True)
+
+
+@pytest.mark.parametrize("spec,work", [
+    (SchemeSpec(RSJ, 5, 2, generator=(1, 2), shift="none"), 2 * 2 * 5),
+    (SchemeSpec(RSJ, 5, 2, shift="none"), 2 * 5 * 4),
+    (SchemeSpec(RSJ, 7, 3, shift="none", jitter=False), 3 * 7 * 6),
+], ids=["fixed", "random", "random-dim3"])
+def test_unshifted_query_budget_counts_class_terms(spec, work, monkeypatch):
+    # 2 dim n weights for a fixed generator, dim n (n - 1) for a random one,
+    # charged before any weight column is built
+    Q, R = AnchoredBox((F(1, 3),) * spec.dim), AnchoredBox((F(2, 5),) * spec.dim)
+    want = _pair_query(spec, Q, R)
+    assert _pair_query(spec, Q, R, budget=work) == want
+    for call in (lambda: _pair_query(spec, Q, R, budget=work - 1),
+                 lambda: pair_marginal_prob(spec, Q, 1, budget=work - 1)):
+        with pytest.raises(mod.BudgetExceededError, match=f"class sum too large: {work} terms"):
+            call()
+
+    def unbuilt(*args):
+        raise AssertionError("a weight column was built")
+
+    monkeypatch.setattr(mod, "_cell_weights", unbuilt)
+    with pytest.raises(mod.BudgetExceededError):
+        _pair_query(spec, Q, R, budget=work - 1)
+
+
+@pytest.mark.parametrize("spec,m,work", [
+    # n B (1 + B) + B^2, B = M^dim
+    (SchemeSpec(RSJ, 5, 2, generator=(1, 2), shift="none"), 5, 5 * 25 * 26 + 625),
+    (SchemeSpec(RSJ, 3, 3, generator=(1, 2, 1), shift="none", jitter=False), 2, 3 * 8 * 9 + 64),
+    # (n - 2)(n - 1) M^2 + n B^2 + B^2
+    (SchemeSpec(RSJ, 5, 2, shift="none"), 5, 3 * 4 * 25 + 5 * 625 + 625),
+    (SchemeSpec(RSJ, 7, 1, shift="none"), 14, 5 * 6 * 196 + 7 * 196 + 196),
+], ids=["fixed", "fixed-dim3", "random", "random-dim1"])
+def test_unshifted_scan_budget_counts_class_terms(spec, m, work):
+    # nuod_scan and the pairs CSV expand the same box pairs: one charge
+    for call in (lambda b: nuod_scan(spec, m, budget=b), lambda b: scan_csv(spec, m, b)[0]):
+        with pytest.raises(mod.BudgetExceededError, match=f"{work} multiply-adds"):
+            call(work - 1)
+        assert call(work) == nuod_scan(spec, m)
+
+
+def test_unshifted_class_sum_runs_in_bounded_memory(monkeypatch):
+    # a block of ratios at a time: at n = 2003 the whole ratio table would
+    # hold 2001 x 2002 x 2 weights (64 MB as int64); the blocks keep the
+    # traced peak far below that, and their size does not change the value
+    spec = SchemeSpec(RSJ, 2003, 2, shift="none")
+    Q, R = AnchoredBox((F(1, 3), F(5, 7))), AnchoredBox((F(2, 5), F(1, 2)))
+    tracemalloc.start()
+    try:
+        triple = _pair_query(spec, Q, R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22, peak
+    monkeypatch.setattr(mod, "_BLOCK", 1 << 20)
+    assert _pair_query(spec, Q, R) == triple
+    first = AnchoredBox((F(1, 2003),) * 2)
+    assert pair_marginal_prob(spec, first) == F(2002, 2003)
+
+
+@pytest.mark.parametrize("limit", [mod._INT64_SAFE_LIMIT, 1], ids=["int64", "python-int"])
+def test_unshifted_routes_in_python_ints(limit, monkeypatch):
+    # every class term and table in python ints gives the same values
+    queries = [(SchemeSpec(RSJ, 7, 2, generator=gen, shift="none", jitter=jitter),
+                AnchoredBox((F(2, 7), F(5, 21))), AnchoredBox((F(1, 2), F(3, 14))))
+               for gen in ("random", (1, 3)) for jitter in (True, False)]
+    want = [oracle_unshifted_query(*q) for q in queries]
+    scans = [(SchemeSpec(RSJ, 5, 2, shift="none"), 5), (SchemeSpec(RSJ, 5, 2, generator=(1, 2), shift="none"), 5)]
+    reports = [expanded_report(spec, m, dense=True) for spec, m in scans]
+    monkeypatch.setattr(mod, "_INT64_SAFE_LIMIT", limit)
+    assert [_pair_query(*q) for q in queries] == want
+    assert [nuod_scan(spec, m) for spec, m in scans] == reports
+
+
 # -- structural checks on the integer counts ----------------------------------
 
 
@@ -1609,7 +1812,8 @@ def test_one_point_has_no_pair_at_any_budget(spec):
 
 
 QUERY = [(SchemeSpec(RSJ, 5, 2, generator=(1, 1)), 1),
-         (SchemeSpec(RSJ, 5, 2, shift="none", jitter=False), 1),
+         (SchemeSpec(RSJ, 5, 2, shift="none", jitter=False), 0),
+         (SchemeSpec(RSJ, 5, 2, generator=(1, 2), shift="none"), 0),
          (full_rsj(5, 2), 0), (TORUS[2], 0)]
 
 

@@ -111,6 +111,20 @@ def test_non_integer_sizes_and_generators_are_refused():
         SchemeSpec("rsj_lattice", 5, 2, generator=(1, 2.0))
 
 
+@pytest.mark.parametrize("kind,n,dim,generator", [
+    ("lhs", True, 2, "random"),
+    ("lhs", 5, True, "random"),
+    ("rsj_lattice", 5, True, (1,)),
+    ("rsj_lattice", 5, 2, (True, 2)),
+    ("rsj_lattice", 5, 2, (1, False)),
+    ("rsj_lattice", 5, 2, (np.True_, 2)),
+], ids=["n", "dim", "rsj-dim", "generator", "generator-false", "numpy-bool"])
+def test_bool_sizes_and_generators_are_refused(kind, n, dim, generator):
+    # a bool is not stored as the integer 1 or 0, as spec_from_dict refuses it too
+    with pytest.raises(TypeError):
+        SchemeSpec(kind, n, dim, generator=generator)
+
+
 def test_spec_from_dict_accepts_json_integers():
     d = {"kind": "rsj_lattice", "n": 5, "dim": 2, "generator": [1, 3],
          "shift": "none", "jitter": "off"}
