@@ -29,7 +29,7 @@ from .analyzer import (
     triple_distinguisher,
 )
 from .rng import FRAC_BITS, RngStream
-from .samplers import _unit_floats, replicate, rsj_cell_matrix
+from .samplers import _replication_blocks, _unit_floats, rsj_cell_matrix
 from .schemes import SchemeSpec, full_rsj, lhs_spec, patterson_spec, stratified_spec
 from .variance import integrand_library, variance_compare
 
@@ -236,8 +236,9 @@ def criterion_sampling_scheme_property() -> CriterionResult:
     reps = 10**5
     qs = [Fraction(k, 10) for k in range(1, 10)]
     for spec, seed in ((full_rsj(n, d), 2001), (lhs_spec(n, d), 2002)):
-        # the first and last point of every draw, exported once
-        ends = np.array([ps.nums[[0, -1]] for ps in replicate(spec, RngStream(seed), reps)])
+        # the first and last point of every draw, read off the drawer's blocks
+        ends = np.concatenate([nums.reshape(-1, n, d)[:, [0, -1]]
+                               for nums in _replication_blocks(spec, RngStream(seed), reps)])
         first = _unit_floats(ends[:, 0], n)
         cells = ends >> FRAC_BITS
         first_cells = cells[:, 0, 0] * n + cells[:, 0, 1]

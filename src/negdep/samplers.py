@@ -17,13 +17,19 @@ rejection-sampled integer, jitters exactly) on a stream it makes from an
 integer seed, so that point set is normally mixed in one numpy block.
 ``replicate`` yields ``generate(spec, rng.split(k))`` for k < replications;
 it keeps the blocking policy (``_stream_blocks``: how many substreams
-``RngStream.split_block`` mixes at a time) out of its callers, and the
-variance lab draws through the same blocks.  Neither changes a draw.
+``RngStream.split_block`` mixes at a time) out of its callers.  The variance
+lab reads the same blocks through the block drawer (``_draw_block``), which
+returns a block's numerators stacked, row-identical to ``generate`` on each
+substream: every lattice stream makes its scalar draws in the pinned order,
+then the cell matrix, shift, jitter and wrap run once per block.  Latin
+kinds are still drawn by ``generate`` one stream at a time.  Neither
+changes a draw.
 """
 
 import csv
 import io
 import json
+import re
 
 import numpy as np
 
@@ -65,9 +71,7 @@ class PointSet:
         nums = np.asarray(nums, dtype=np.int64)
         if nums.ndim != 2 or nums.shape != (spec.n, spec.dim):
             raise ValueError(f"expected shape ({spec.n}, {spec.dim}), got {nums.shape}")
-        hi = spec.n * _FRAC_ONE
-        if nums.min(initial=0) < 0 or (nums.size and nums.max() >= hi):
-            raise ValueError("coordinate numerators outside [0, n * 2**53)")
+        _check_range(nums, spec.n)
         self.nums = nums
         self.spec = spec
         self.seed = int(seed)
@@ -110,6 +114,12 @@ class PointSet:
 
     def __repr__(self):
         return f"PointSet(n={self.n}, dim={self.dim}, kind={self.spec.kind!r}, seed={self.seed})"
+
+
+def _check_range(nums: np.ndarray, n: int) -> None:
+    """Refuse coordinate numerators outside [0, n * 2**53) (ValueError)."""
+    if nums.min(initial=0) < 0 or (nums.size and nums.max() >= n * _FRAC_ONE):
+        raise ValueError("coordinate numerators outside [0, n * 2**53)")
 
 
 def _unit_floats(nums: np.ndarray, n: int) -> np.ndarray:
@@ -184,6 +194,29 @@ def rsj_cell_matrix(g, shift_cells, n: int) -> np.ndarray:
     return (idx * g + s) % n
 
 
+def _lattice_draws(spec: SchemeSpec, rng: RngStream):
+    """The scalar draws of one lattice point set in the pinned order:
+    generator, shift, permutation.  Returns (g, shift cells, shift
+    fractions, perm) as lists; the fractions are 0 but on the torus."""
+    n, dim = spec.n, spec.dim
+    if spec.generator == "random":
+        g = [rng.integer(n - 1) + 1 for _ in range(dim)]
+    else:
+        g = list(spec.generator)
+    frac = [0] * dim
+    if spec.shift == "grid":
+        s = [rng.integer(n) for _ in range(dim)]
+    elif spec.shift == "continuous_torus":
+        # uniform on [0,1) per coordinate, drawn as cell part plus 53-bit part
+        s = []
+        for i in range(dim):
+            s.append(rng.integer(n))
+            frac[i] = rng.bits53()
+    else:
+        s = [0] * dim
+    return g, s, frac, rng.permutation(n)
+
+
 def rsj_rank1(spec: SchemeSpec, rng: RngStream) -> PointSet:
     """Randomized rank-1 lattice sample under the given spec.
 
@@ -197,30 +230,10 @@ def rsj_rank1(spec: SchemeSpec, rng: RngStream) -> PointSet:
         raise ValueError(f"rsj_rank1 needs an rsj_lattice spec, got {spec.kind!r}")
     n, dim = spec.n, spec.dim
     _check_size(n, dim)
-
-    if spec.generator == "random":
-        g = [rng.integer(n - 1) + 1 for _ in range(dim)]
-    else:
-        g = list(spec.generator)
-
-    shift_frac = np.zeros(dim, dtype=np.int64)
-    if spec.shift == "grid":
-        s = [rng.integer(n) for _ in range(dim)]
-    elif spec.shift == "continuous_torus":
-        # uniform on [0,1) per coordinate, drawn as cell part plus 53-bit part
-        s = []
-        for i in range(dim):
-            s.append(rng.integer(n))
-            shift_frac[i] = rng.bits53()
-    else:
-        s = [0] * dim
-
-    perm = np.array(rng.permutation(n), dtype=np.int64)
-    jit = _jitter_block(rng, n, dim) if spec.jitter else np.zeros((n, dim), dtype=np.int64)
-
-    base = rsj_cell_matrix(g, s, n)
-    cells = base[perm, :]
-    nums = ((cells << FRAC_BITS) + shift_frac + jit) % (n * _FRAC_ONE)
+    g, s, frac, perm = _lattice_draws(spec, rng)
+    jit = _jitter_block(rng, n, dim) if spec.jitter else 0
+    cells = rsj_cell_matrix(g, s, n)[perm, :]
+    nums = ((cells << FRAC_BITS) + np.array(frac, dtype=np.int64) + jit) % (n * _FRAC_ONE)
     return PointSet(nums, spec, rng.seed)
 
 
@@ -241,6 +254,37 @@ def generate(spec: SchemeSpec, seed: "int | RngStream") -> PointSet:
     if spec.kind == "rsj_lattice":
         return rsj_rank1(spec, rng)
     return _latin(spec, rng)
+
+
+def _draw_block(spec: SchemeSpec, streams) -> np.ndarray:
+    """The numerators of generate(spec, s) for s in streams, stacked: shape (R * n, dim).
+
+    Each lattice stream makes its scalar draws (_lattice_draws) and then
+    reads its n * dim jitter words from its window, or past its end; the
+    cell matrix, shift, jitter, wrap and range check then run once for the
+    whole block.  Latin kinds are drawn by generate one stream at a time.
+    """
+    if spec.kind != "rsj_lattice":
+        return np.concatenate([generate(spec, s).nums for s in streams])
+    n, dim = spec.n, spec.dim
+    _check_size(n, dim)
+    draws, jits = [], []
+    for rng in streams:
+        draws.append(_lattice_draws(spec, rng))
+        if spec.jitter:
+            jits.append(rng.u64_array(n * dim))
+    g, s, frac, perm = (np.array(v, dtype=np.int64) for v in zip(*draws))
+    reps = len(perm)
+    cells = (perm[:, :, None] * g[:, None, :] + s[:, None, :]) % n
+    nums = (cells << FRAC_BITS) + frac[:, None, :]
+    if jits:
+        # each stream's _jitter_block, shifted and cast once for the block
+        bits = np.concatenate(jits) >> np.uint64(64 - FRAC_BITS)
+        nums += bits.astype(np.int64).reshape(reps, n, dim)
+    nums %= n * _FRAC_ONE
+    nums = nums.reshape(reps * n, dim)
+    _check_range(nums, n)
+    return nums
 
 
 # Replications are split and mixed about this many words at a time: large
@@ -272,6 +316,13 @@ def replicate(spec: SchemeSpec, rng: RngStream, replications: int):
     for block in _stream_blocks(rng, replications, _draw_words(spec), spec.n * spec.dim):
         for stream in block:
             yield generate(spec, stream)
+
+
+def _replication_blocks(spec: SchemeSpec, rng: RngStream, replications: int):
+    """The numerators of generate(spec, rng.split(k)) for k < replications,
+    stacked a block of _stream_blocks at a time by _draw_block."""
+    for block in _stream_blocks(rng, replications, _draw_words(spec), spec.n * spec.dim):
+        yield _draw_block(spec, block)
 
 
 # -- export / import --------------------------------------------------------
@@ -341,6 +392,11 @@ def point_set_from_json(text: str) -> PointSet:
     return ps
 
 
+# one key=value of a header line: the value runs up to the next ", key=",
+# so a fixed generator's commas stay in it
+_HEADER_ITEM = re.compile(r"([^,=]+)=(.*?)(?=,[^,=]*=|$)")
+
+
 def point_set_from_csv(text: str):
     """Parse the float CSV export; returns (metadata dict, float array).
 
@@ -353,10 +409,8 @@ def point_set_from_csv(text: str):
         if not line.strip():
             continue
         if line.startswith("#"):
-            for part in line[1:].split(","):
-                if "=" in part:
-                    k, v = part.split("=", 1)
-                    meta[k.strip()] = v.strip()
+            for k, v in _HEADER_ITEM.findall(line[1:]):
+                meta[k.strip()] = v.strip()
             continue
         rows.append([float(v) for v in line.split(",")])
     pts = np.array(rows, dtype=np.float64)

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .rng import RngStream
-from .samplers import _check_size, _draw_words, _stream_blocks, _unit_floats, generate
+from .samplers import _check_size, _replication_blocks, _stream_blocks, _unit_floats
 from .schemes import SchemeSpec, _as_int, is_marginally_uniform, spec_from_dict, spec_to_dict
 
 __all__ = [
@@ -217,10 +217,8 @@ def _rqmc_estimates(f: Integrand, spec: SchemeSpec, replications: int,
     """f(generate(spec, rng.split(k)).floats()).mean() for k < replications,
     bit for bit, drawn and reduced a block of replications at a time."""
     n = spec.n
-    return np.concatenate([
-        _means(f, n, _unit_floats(np.concatenate([generate(spec, s).nums for s in block]), n))
-        for block in _stream_blocks(rng, replications, _draw_words(spec), n * spec.dim)
-    ])
+    return np.concatenate([_means(f, n, _unit_floats(nums, n))
+                           for nums in _replication_blocks(spec, rng, replications)])
 
 
 def _mc_estimates(f: Integrand, n: int, replications: int, rng: RngStream) -> np.ndarray:
@@ -257,12 +255,14 @@ def variance_compare(f: Integrand, spec: SchemeSpec, replications: int,
                      rng: RngStream) -> VarianceResult:
     """Estimate Var of the scheme quadrature from independent replications.
 
-    Replication k draws one point set through `generate` on the substream
+    Replication k draws the point set of `generate` on the substream
     rng.split(k), so each replication is reproducible on its own.  The
-    substreams are split and mixed in blocks of about 2**14 words, and each
-    block's points go through one float export and one integrand call; every
-    estimate equals the mean of f over generate(spec, rng.split(k)).floats()
-    bit for bit, so the output does not depend on the blocking.
+    substreams are split and mixed in blocks of about 2**14 words; the block
+    drawer (samplers._draw_block) draws a block of lattice point sets at once
+    (latin kinds one generate call each), and each block's points go through
+    one float export and one integrand call.  Every estimate equals the mean
+    of f over generate(spec, rng.split(k)).floats() bit for bit, so the output
+    does not depend on the blocking.
     The MC baseline is Var(f)/n exactly when the integrand's variance is
     known, otherwise it is estimated from a matching number of MC
     replications on substreams offset by 2**32 (blocked the same way).  The domination flag allows

@@ -13,6 +13,7 @@ from negdep.rng import RngStream
 from negdep.samplers import (
     MAX_N,
     PointSet,
+    _draw_block,
     _draw_words,
     generate,
     point_set_from_csv,
@@ -23,7 +24,7 @@ from negdep.samplers import (
     rsj_cell_matrix,
     rsj_rank1,
 )
-from negdep.schemes import SchemeSpec, full_rsj, lhs_spec, patterson_spec, stratified_spec
+from negdep.schemes import SHIFTS, SchemeSpec, full_rsj, lhs_spec, patterson_spec, stratified_spec
 
 
 def test_stratified_one_point_per_stratum():
@@ -316,6 +317,40 @@ def test_generate_reserves_only_a_stream_it_makes(spec, monkeypatch):
     assert calls == [_draw_words(spec)]
 
 
+def _drawer_specs():
+    for n in (2, 3, 5, 31):
+        yield stratified_spec(n)
+        for d in (1, 2, 4):
+            yield lhs_spec(n, d)
+            yield patterson_spec(n, d)
+            for g in ("random", tuple((1 + 2 * i) % (n - 1) + 1 for i in range(d))):
+                for shift in SHIFTS:
+                    for jitter in (True, False):
+                        yield SchemeSpec("rsj_lattice", n, d, generator=g, shift=shift,
+                                         jitter=jitter)
+
+
+@pytest.mark.parametrize("sized", [True, False], ids=["draw-words-windows", "one-word-windows"])
+def test_draw_block_equals_generate_per_substream(sized):
+    # each block row run and each stream's counter and next word are those
+    # of generate on its own split; one-word windows send every draw past
+    # the window's end
+    root = RngStream(77)
+    first, reps = 3, 6
+    for spec in _drawer_specs():
+        want = []
+        for k in range(first, first + reps):
+            s = root.split(k)
+            want.append((generate(spec, s).nums, s.counter, s.u64()))
+        streams = list(root.split_block(first, reps, _draw_words(spec) if sized else 1))
+        nums = _draw_block(spec, streams)
+        n = spec.n
+        assert nums.shape == (reps * n, spec.dim), spec
+        for k, (s, (rows, counter, word)) in enumerate(zip(streams, want)):
+            assert np.array_equal(nums[k * n:(k + 1) * n], rows), (spec, k)
+            assert (s.counter, s.u64()) == (counter, word), (spec, k)
+
+
 def test_latin_entry_points_match_generate():
     # a given stream draws what an integer seed draws, for every latin kind
     for seed in (0, 5, 2**40 + 7):
@@ -390,6 +425,15 @@ def test_csv_round_trip():
     meta, pts = point_set_from_csv(text)
     assert meta["scheme"] == "lhs" and int(meta["n"]) == 5
     assert np.allclose(pts, ps.floats())
+
+
+def test_csv_round_trip_keeps_a_fixed_generator():
+    # the generator's commas belong to its value, not to the header's list
+    ps = generate(SchemeSpec("rsj_lattice", 7, 3, generator=(1, 2, 3)), 5)
+    meta, pts = point_set_from_csv(point_set_to_csv(ps))
+    assert meta == {"scheme": "rsj_lattice", "n": "7", "dim": "3", "seed": "5",
+                    "generator": "1,2,3", "shift": "grid", "jitter": "on"}
+    assert np.array_equal(pts, ps.floats())
 
 
 def test_json_round_trip_exact():
