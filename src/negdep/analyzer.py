@@ -10,8 +10,7 @@ On top of those sit:
     index-pair classes,
   * joint box probabilities for every supported scheme and ablation,
   * a negative-dependence scanner over anchored-box grids (a factorized
-    law in closed form, the lattice without a shift by index-pair classes,
-    any other by one contraction with cell weights),
+    law in closed form, every other lattice law by its index-pair classes),
   * the structural checks that separate the shifted-lattice scheme from
     Latin hypercube sampling (copula equality, coordinate independence,
     triple containment counts: one lattice, by a uniqueness argument, and
@@ -28,9 +27,9 @@ discretized: a cell pair contributes its count times the exact overlap
 fraction of each anchored interval with each cell.  A box query under a
 continuous torus shift is integrated exactly as integer arc overlaps on a
 common grid 1/D per coordinate, a block of lags at a time; a random
-generator makes each coordinate one class.  Without a shift, box queries
-and scans sum over classes of index pairs, reading the weight columns
-directly, never the n^(2 dim) cell-pair law.
+generator makes each coordinate one class.  Box queries without a shift
+and every scan sum over classes of index pairs (under a grid shift, lags),
+reading the weight columns directly, never the n^(2 dim) cell-pair law.
 """
 
 import operator
@@ -222,11 +221,10 @@ def _pair_counts(spec: SchemeSpec, budget=DEFAULT_BUDGET, gather: bool = True):
     shift every row of P is a permutation of F, so the gcd is taken on F,
     and P is gathered from the reduced F in one pass.
 
-    Box queries (method "auto") and scans of a law without a shift do not
-    build P: they sum its index-pair classes over the weight columns
-    (_unshifted_terms, _unshifted_tables).  P still serves method
-    "enumeration", the copula and independence checks and the tests, a
-    second route to every unshifted quantity.
+    No scan builds P: scans sum index-pair classes (_class_tables), as do
+    box queries without a shift (_unshifted_terms).  P serves the other
+    box queries, method "enumeration", the copula and independence checks
+    and the tests, a second route to every class sum.
 
     With gather False a shift-invariant law (a latin kind, or a grid
     shift) is returned as F itself, shape (n,) * dim with coordinate i on
@@ -283,15 +281,15 @@ def _sized_spec(n: int, dim: int, spec: SchemeSpec) -> SchemeSpec:
 #
 # A factorized law (_law) is one closed form (_step_terms), elementwise over
 # a box query's d coordinates, or over the scan grid as one M x M table that
-# every coordinate shares.  The lattice without a shift sums its index-pair
-# classes (_unshifted_terms, _unshifted_tables).  Any other law is one
-# contraction (_contract) of
-# its _pair_counts factor P with integer cell weights: the joint A^T P B and
-# the marginals P.sum(1) A and P.sum(0) B, where A[z, Q] = P(p1 in Q | cell
-# vector z) * den_a is the Kronecker product of one table per coordinate (B
-# likewise for p2); a box query is the 1 x 1 case.  All arithmetic is on
-# integers over a known common denominator: int64 where it bounds every
-# entry below _INT64_SAFE_LIMIT, python ints otherwise.
+# every coordinate shares.  Every other scan sums index-pair classes read off
+# the grid's weight table (_class_tables), and so does a box query without a
+# shift (_unshifted_terms).  The other box queries contract (_contract) the
+# _pair_counts factor P with integer cell weights: the joint a^T P b and the
+# marginals P.sum(1) a and P.sum(0) b, where a[z] = P(p1 in Q | cell
+# vector z) * den_a is the Kronecker product of one column per coordinate
+# (b likewise for p2).  All arithmetic is on integers over a known common
+# denominator: int64 where it bounds every entry below _INT64_SAFE_LIMIT,
+# python ints otherwise.
 
 # box pairs per kernel block: bounds a scan's memory, and keeps a block's
 # arrays in cache (2^15 ran the factorized scans fastest among 2^13..2^17)
@@ -341,23 +339,24 @@ def _weight_table(anchors, n: int, position: str):
 # -- joint box probabilities ---------------------------------------------------
 
 
-def _contract(P, total: int, tables_a, tables_b) -> tuple:
-    """The count factor P, over total, contracted with both sides' cell weights.
+def _contract(P, total: int, tables_a, tables_b) -> list:
+    """_pair_query's six term lists: the count factor P, over total, contracted with one box per side.
 
-    tables_a and tables_b hold p1's and p2's (table, den) of _weight_table per
-    coordinate; A and B are their Kronecker products over den_a and den_b (B
-    is A for one shared list).  Returns (A, P B, p1, p2, den_a, den_b) in the
-    dtype of total den_a den_b: the joint A^T P B over total den_a den_b,
-    p1 = P.sum(1) A over total den_a and p2 = P.sum(0) B over total den_b.
+    tables_a and tables_b hold p1's and p2's one-column (table, den) of
+    _weight_table per coordinate; a and b are their Kronecker products over
+    den_a and den_b (b is a for one shared list), in the dtype of
+    total den_a den_b: the joint a^T P b over total den_a den_b,
+    p1 = P.sum(1) a over total den_a and p2 = P.sum(0) b over total den_b.
     """
     (ta, da), (tb, db) = zip(*tables_a), zip(*tables_b)
     den_a, den_b = prod(da), prod(db)
     dtype = _int_dtype(total * den_a * den_b)
-    A = _kron(ta, dtype)
-    B = A if tables_b is tables_a else _kron(tb, dtype)
+    a = _kron(ta, dtype)[:, 0]
+    b = a if tables_b is tables_a else _kron(tb, dtype)[:, 0]
     P = P.astype(dtype, copy=False)
-    PB = P @ B
-    return A, PB, P.sum(axis=1) @ A, PB.sum(axis=0), den_a, den_b
+    Pb = P @ b
+    return [[int(a @ Pb)], [int(P.sum(axis=1) @ a)], [int(Pb.sum())],
+            [total * den_a * den_b], [total * den_a], [total * den_b]]
 
 
 def _torus_overlaps(e, n: int, q: Fraction, r: Fraction, D: int) -> np.ndarray:
@@ -548,9 +547,7 @@ def _pair_query(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox, method: str = 
         tables_a = [_weight_table([q], n, law.position) for q in Q.anchor]
         # pair_marginal_prob passes its one box as both Q and R
         tables_b = tables_a if R is Q else [_weight_table([r], n, law.position) for r in R.anchor]
-        A, PB, p1, p2, den_a, den_b = _contract(P, total, tables_a, tables_b)
-        terms = [[int(A[:, 0] @ PB[:, 0])], [int(p1[0])], [int(p2[0])],
-                 [total * den_a * den_b], [total * den_a], [total * den_b]]
+        terms = _contract(P, total, tables_a, tables_b)
     return tuple(Fraction(prod(terms[j]), prod(terms[j + 3])) for j in range(3))
 
 
@@ -622,21 +619,6 @@ def _grid_anchors(grid_resolution: int) -> list:
     return [Fraction(k, grid_resolution) for k in range(grid_resolution)]
 
 
-def _reduce(joint, total: int, p1, p2, den: int) -> tuple:
-    """(joint total, p1, p2, den) over their common divisor, split between the marginals.
-
-    joint total (or P B total, whose divisor divides A^T P B's) and p1 x p2
-    are over den, whose dtype the three widen to first.
-    """
-    dtype = _int_dtype(den)
-    joint, p1, p2 = (v.astype(dtype, copy=False) for v in (joint, p1, p2))
-    joint = joint * total
-    g1, g2 = int(np.gcd.reduce(p1)), int(np.gcd.reduce(p2))
-    g = gcd(den, int(np.gcd.reduce(joint, axis=None)), g1 * g2)
-    g1 = gcd(g, g1)
-    return joint // g, p1 // g1, p2 // (g // g1), den // g
-
-
 def _expand(joint_rows, p1, p2):
     """Blocks (first Q index, joint, product), _BLOCK box pairs each, one row per Q box.
 
@@ -650,22 +632,24 @@ def _expand(joint_rows, p1, p2):
         yield start, joint_rows(start, stop), np.multiply.outer(p1[start:stop], p2)
 
 
-def _kron_rows(tables, dim: int, dtype):
-    """Joint rows for _expand: the sum of the M x M tables' dim-th Kronecker powers.
+def _kron_rows(classes, dtype):
+    """Joint rows for _expand: the sum over classes of the Kronecker product of a class's tables.
 
-    Box index h M + t: each table's leading coordinates' power (over h) is
-    built once, and the last coordinate's rows are read per block.
+    Each class holds one M x M table per coordinate, coordinate 0 most
+    significant.  Box index h M + t: each class's leading coordinates'
+    product (over h) is built once, and its last table's rows are read per
+    block.
     """
-    m = len(tables[0])
+    m, dim = len(classes[0][0]), len(classes[0])
     hs, ts = np.divmod(np.arange(m**dim), m)
-    tables = [t.astype(dtype, copy=False) for t in tables]
-    leads = [_kron([t] * (dim - 1), dtype) for t in tables]
+    leads = [(_kron(tables[:-1], dtype), np.asarray(tables[-1], dtype=dtype)) for tables in classes]
 
     def rows(start, stop):
         h, t = hs[start:stop], ts[start:stop]
-        out = leads[0][h][:, :, None] * tables[0][t][:, None, :]
-        for lead, table in zip(leads[1:], tables[1:]):
-            out += lead[h][:, :, None] * table[t][:, None, :]
+        (lead, last), *rest = leads
+        out = lead[h][:, :, None] * last[t][:, None, :]
+        for lead, last in rest:
+            out += lead[h][:, :, None] * last[t][:, None, :]
         return out.reshape(stop - start, len(hs))
 
     return rows
@@ -676,70 +660,86 @@ def _kron_tables(joint, p1, p2, den: int, dim: int) -> tuple:
     den = den**dim
     dtype = _int_dtype(den)
     p1, p2 = (_kron([v[None]] * dim, dtype)[0] for v in (p1, p2))
-    return den, _kron_rows([joint], dim, dtype), p1, p2
+    return den, _kron_rows([[joint] * dim], dtype), p1, p2
 
 
 def _step_table(n: int, position: str, m: int) -> tuple:
     """A factorized law's one-coordinate tables on the k/m grid, (joint, p1, p2, den), reduced.
 
     _step_terms gives the joint over total m^2, total = n (n - 1), and the
-    marginals over total m, so joint total and p1 x p2 are over (total m)^2.
+    marginals over total m, so joint total and p1 x p2 are over (total m)^2,
+    whose dtype the three widen to; they are divided by their common
+    divisor, split between the marginals.
     """
     k, total = np.arange(m), n * (n - 1)
-    joint, p1, p2, *_ = _step_terms(n, position, (k[:, None], m), (k, m))
-    return _reduce(joint, total, p1[:, 0], p2, (total * m) ** 2)
+    den = (total * m) ** 2
+    joint, p1, p2 = (v.astype(_int_dtype(den), copy=False)
+                     for v in _step_terms(n, position, (k[:, None], m), (k, m))[:3])
+    joint, p1 = joint * total, p1[:, 0]
+    g1, g2 = int(np.gcd.reduce(p1)), int(np.gcd.reduce(p2))
+    g = gcd(den, int(np.gcd.reduce(joint, axis=None)), g1 * g2)
+    g1 = gcd(g, g1)
+    return joint // g, p1 // g1, p2 // (g // g1), den // g
 
 
-def _dense_tables(spec: SchemeSpec, position: str, m: int, budget) -> tuple:
-    """(den, joint rows A[:, Q]^T (P A), p1, p2) for _expand on the k/m grid, from _pair_counts."""
-    P, total = _pair_counts(spec, budget)
-    tables = [_weight_table(_grid_anchors(m), spec.n, position)] * spec.dim
-    A, PA, p1, p2, den_a, _ = _contract(P, total, tables, tables)
-    PA, p1, p2, den = _reduce(PA, total, p1, p2, (total * den_a) ** 2)
-    dtype = _int_dtype(den)
-    A, PA = A.astype(dtype, copy=False), PA.astype(dtype, copy=False)
-    return den, lambda start, stop: A[:, start:stop].T @ PA, p1, p2
+def _lag_tables(table) -> list:
+    """L[e] = T^T T[(c + e) mod n] for e = 0..n-1: box k's weight at p1's cell c (rows), box l's at c + e."""
+    wrapped = np.concatenate([table, table])
+    return [table.T @ wrapped[e:e + len(table)] for e in range(len(table))]
 
 
-def _unshifted_tables(spec: SchemeSpec, law: _Law, m: int) -> tuple:
-    """(den, joint rows, p1, p2) for _expand on the k/m grid, by _unshifted_terms' classes.
+def _class_tables(spec: SchemeSpec, law: _Law, m: int) -> tuple:
+    """(den, joint rows, p1, p2) for _expand on the k/m grid, from a lattice law's index-pair classes.
 
     Every coordinate reads the grid's n x m weight table T over den_t (B = m^dim
-    boxes, D = den_t^dim).  A fixed generator's U is n x B, U[k] the
-    Kronecker product of the rows T[g_i k mod n]: the joint rows are
-    sum U[Q] sum U - U[:, Q]^T U over n (n - 1) D^2, and each marginal is
-    sum U over n D.  A random generator's classes are M x M tables whose
-    dim-th Kronecker powers sum to the joint over n (n - 1)^dim D^2:
+    boxes, D = den_t^dim), and p2's marginal p is p1's up to a factor.  Under
+    a grid shift (a fixed generator) put p1 at index 0 and p2 at delta =
+    1..n-1: p1's cell c is uniform and p2's is c + g_i delta, so coordinate i
+    reads the M x M lag table L[g_i delta mod n], L[e] = T^T T[(c + e) mod n]
+    (p1 on the rows).  The joint rows are sum_delta (x)_i L[g_i delta] over
+    (n - 1) n^dim D^2, and p is the dim-th Kronecker power of T's column
+    sums over n^dim D.  Without a shift, a fixed generator's U is n x B, U[k]
+    the Kronecker product of the rows T[g_i k mod n]: the joint rows are
+    sum U[Q] sum U - U[:, Q]^T U over n (n - 1) D^2, and p is sum U over
+    n D.  A random generator's classes are M x M tables whose dim-th
+    Kronecker powers sum to the joint over n (n - 1)^dim D^2:
     outer(T[0], S), outer(S, T[0]) (a = 0 and b = 0, S the column sums of
-    T[1:]) and T[1:]^T T[rho c mod n] per ratio; each marginal is
+    T[1:]) and T[1:]^T T[rho c mod n] per ratio; p is
     (n - 1)^(dim - 1) T[0]^(x dim) + S^(x dim) over n (n - 1)^(dim - 1) D.
     Joint and marginals are brought over their common denominator.
     """
     n, dim = spec.n, spec.dim
     table, den_t = _weight_table(_grid_anchors(m), n, law.position)
     D = den_t**dim
-    if not law.random:
-        den = n * n * (n - 1) * D * D
-        dtype = _int_dtype(den)
-        table, k = table.astype(dtype, copy=False), np.arange(n)
-        U = np.ones((n, 1), dtype=dtype)
-        for g in spec.generator:
-            U = (U[:, :, None] * table[g * k % n][:, None, :]).reshape(n, -1)
-        s = U.sum(axis=0)
-
-        def rows(start, stop):
-            return n * (np.multiply.outer(s[start:stop], s) - U[:, start:stop].T @ U)
-
-        return den, rows, (n - 1) * s, s
-    joint_den, p_den = n * (n - 1) ** dim * D * D, n * (n - 1) ** (dim - 1) * D
+    if law.shift_invariant:
+        joint_den, p_den = (n - 1) * n**dim * D * D, n**dim * D
+    elif law.random:
+        joint_den, p_den = n * (n - 1) ** dim * D * D, n * (n - 1) ** (dim - 1) * D
+    else:
+        joint_den, p_den = n * (n - 1) * D * D, n * D
     den = lcm(joint_den, p_den * p_den)
     dtype = _int_dtype(den)
     table = table.astype(dtype, copy=False)
-    first, rest = table[0], table[1:].sum(axis=0)
-    classes = [np.multiply.outer(first, rest), np.multiply.outer(rest, first),
-               *(table[1:].T @ table[_ratio_cells(n, np.arange(2, n))])]
-    rows, scale = _kron_rows(classes, dim, dtype), den // joint_den
-    p = (n - 1) ** (dim - 1) * _kron([first[None]] * dim, dtype)[0] + _kron([rest[None]] * dim, dtype)[0]
+    if law.shift_invariant:
+        lags = _lag_tables(table)
+        rows = _kron_rows([[lags[g * delta % n] for g in spec.generator] for delta in range(1, n)], dtype)
+        p = _kron([table.sum(axis=0)[None]] * dim, dtype)[0]
+    elif law.random:
+        first, rest = table[0], table[1:].sum(axis=0)
+        classes = [np.multiply.outer(first, rest), np.multiply.outer(rest, first),
+                   *(table[1:].T @ table[_ratio_cells(n, np.arange(2, n))])]
+        rows = _kron_rows([[t] * dim for t in classes], dtype)
+        p = (n - 1) ** (dim - 1) * _kron([first[None]] * dim, dtype)[0] + _kron([rest[None]] * dim, dtype)[0]
+    else:
+        k, U = np.arange(n), np.ones((n, 1), dtype=dtype)
+        for g in spec.generator:
+            U = (U[:, :, None] * table[g * k % n][:, None, :]).reshape(n, -1)
+        p = U.sum(axis=0)
+
+        def rows(start, stop):
+            return np.multiply.outer(p[start:stop], p) - U[:, start:stop].T @ U
+
+    scale = den // joint_den
     return den, lambda start, stop: scale * rows(start, stop), den // (p_den * p_den) * p, p
 
 
@@ -767,11 +767,12 @@ def nuod_scan(spec: SchemeSpec, grid_resolution: int, budget=DEFAULT_BUDGET) -> 
     that are products of one nonnegative entry per coordinate of one M x M
     table pair (_step_terms), so checking that table certifies every box
     pair, with no witnesses; only if it fails are all M^(2 dim) box pairs
-    expanded.  Any other law is expanded directly: the lattice without a
-    shift from its index-pair classes, the rest from its _pair_counts
-    factor.  The budget is _scan's: 2 M^2 + 2 M for a factorized law,
-    whatever n; without a shift, n B (1 + B) + B^2 for a fixed generator
-    and (n - 2)(n - 1) M^2 + (n + 1) B^2 for a random one (B = M^dim).
+    expanded.  Every other lattice law is expanded directly from its
+    index-pair classes: lags under a grid shift, index pairs or ratios
+    without one.  The budget is _scan's: 2 M^2 + 2 M for a factorized law,
+    whatever n; n^2 M^2 + n B^2 for a fixed generator under a grid shift;
+    without a shift, n B (1 + B) + B^2 for a fixed generator and
+    (n - 2)(n - 1) M^2 + (n + 1) B^2 for a random one (B = M^dim).
 
     A continuous-torus-shift spec has no cell law and is refused at every
     size; the fixed-distance probe (shift_only_conditional) covers it.
@@ -785,27 +786,27 @@ def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, csv_out=None) -> 
     A factorized law (_law) evaluates _step_terms once over the grid
     (_step_table), one table that every coordinate and both sides share;
     without csv_out it is the certificate, and if it holds there are no
-    witnesses.  The lattice without a shift reads its index-pair classes
-    off the grid's weight table (_unshifted_tables).  Any other law's
-    _pair_counts factor is contracted with that table (_dense_tables).
-    Otherwise every box pair is expanded once, _BLOCK at a time (_expand,
-    over _kron_tables for a factorized law), and the witnesses and the CSV
-    rows are read from the same blocks.  The witnesses are ranked on
-    integers: by the excess joint - product over the common denominator,
-    ties broken by box index, which is anchor order (coordinate 0 most
-    significant); this is the report order (_ranked).  Each witness box is built once from the grid
+    witnesses.  Every other law reads its index-pair classes off the
+    grid's weight table (_class_tables).  Otherwise every box pair is
+    expanded once, _BLOCK at a time (_expand, over _kron_tables for a
+    factorized law), and the witnesses and the CSV rows are read from the
+    same blocks.  The witnesses are ranked on integers: by the excess
+    joint - product over the common denominator, ties broken by box index,
+    which is anchor order (coordinate 0 most significant); this is the
+    report order (_ranked).  Each witness box is built once from the grid
     anchors, and each distinct probability is one Fraction.
 
     The law's route (_law) is read before any budget, so a continuous torus
     shift is refused at every size.  Each stage's budget is checked before
     it runs, the first before the law and the M anchors are built.  A
     factorized law charges its table's M^2 + 2 M entries and M^2
-    comparisons, none of which grows with n.  With B = M^dim boxes, the
-    lattice without a shift charges its class terms: a fixed generator
-    n B (1 + B), its n x B products U and their n B^2 products, a random
-    one (n - 2)(n - 1) M^2 for its ratio tables and n B^2 for its n
-    classes' Kronecker terms.  A contraction (c = n^dim cell vectors) costs
-    c B (c + B) multiply-adds.  An expansion adds M^(2 dim) comparisons,
+    comparisons, none of which grows with n.  With B = M^dim boxes, every
+    other law charges its class terms: a fixed generator under a grid
+    shift n^2 M^2 for its n lag tables and (n - 1) B^2 for its n - 1
+    classes' Kronecker terms; without a shift, a fixed generator
+    n B (1 + B), its n x B products U and their n B^2 products, and a
+    random one (n - 2)(n - 1) M^2 for its ratio tables and n B^2 for its
+    n classes' Kronecker terms.  An expansion adds M^(2 dim) comparisons,
     on top of a failed certificate.
 
     csv_out is a text stream.  It receives nothing if the scan is refused;
@@ -820,12 +821,11 @@ def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, csv_out=None) -> 
     certify = law.factorized and csv_out is None
     if law.factorized:
         work = m * m + 2 * m
-    elif not law.shift_invariant:
-        boxes = _power(m, dim, budget, "grid scan", "multiply-adds")
-        work = (n - 2) * (n - 1) * m * m + n * boxes * boxes if law.random else n * boxes * (1 + boxes)
     else:
-        cells = _power(n, dim, budget, "grid scan", "multiply-adds")
-        work = cells * m**dim * (cells + m**dim)
+        boxes = _power(m, dim, budget, "grid scan", "multiply-adds")
+        work = (n * n * m * m + (n - 1) * boxes * boxes if law.shift_invariant
+                else (n - 2) * (n - 1) * m * m + n * boxes * boxes if law.random
+                else n * boxes * (1 + boxes))
     work += m * m if certify else _power(m, 2 * dim, budget, "grid scan", "multiply-adds")
     _charge(work, budget, "grid scan", "multiply-adds")
     if law.factorized:
@@ -837,10 +837,8 @@ def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, csv_out=None) -> 
             _charge(work + _power(m, 2 * dim, budget, "grid scan", "multiply-adds"), budget,
                     "grid scan", "multiply-adds")
         den, rows, p1, p2 = _kron_tables(*table, dim)
-    elif not law.shift_invariant:
-        den, rows, p1, p2 = _unshifted_tables(spec, law, m)
     else:
-        den, rows, p1, p2 = _dense_tables(spec, law.position, m, budget)
+        den, rows, p1, p2 = _class_tables(spec, law, m)
     anchors = _grid_anchors(m)  # after the certificate, which reads none
 
     if csv_out is not None:

@@ -15,15 +15,13 @@ The samplers only draw; they do not size their streams.  ``generate``
 reserves the words a point set will likely draw (``_draw_words``: two per
 rejection-sampled integer, jitters exactly) on a stream it makes from an
 integer seed, so that point set is normally mixed in one numpy block.
-``replicate`` yields ``generate(spec, rng.split(k))`` for k < replications;
-it keeps the blocking policy (``_stream_blocks``: how many substreams
-``RngStream.split_block`` mixes at a time) out of its callers.  The variance
-lab reads the same blocks through the block drawer (``_draw_block``), which
-returns a block's numerators stacked, row-identical to ``generate`` on each
-substream: every lattice stream makes its scalar draws in the pinned order,
-then the cell matrix, shift, jitter and wrap run once per block.  Latin
-kinds are still drawn by ``generate`` one stream at a time.  Neither
-changes a draw.
+The variance lab reads its replications ``rng.split(k)`` a block of
+substreams at a time (``_stream_blocks``) through the block drawer
+(``_draw_block``), which returns a block's numerators stacked, row-identical
+to ``generate`` on each substream: every lattice stream makes its scalar
+draws in the pinned order, then the cell matrix, shift, jitter and wrap run
+once per block.  Latin kinds are still drawn by ``generate`` one stream at a
+time.  Neither changes a draw.
 """
 
 import csv
@@ -42,7 +40,6 @@ __all__ = [
     "MAX_COORDINATES",
     "PointSet",
     "generate",
-    "replicate",
     "rsj_cell_matrix",
     "point_set_to_csv",
     "point_set_to_json",
@@ -300,22 +297,13 @@ def _stream_blocks(rng: RngStream, replications: int, words: int, width: int,
     RngStream.split_block iterator per block.
 
     A block holds about _BLOCK_WORDS words (words pre-mixed per stream) and
-    about as many float cells (width exported per stream).
+    about as many float cells (width exported per stream).  This keeps the
+    blocking policy (how many substreams RngStream.split_block mixes at a
+    time) out of its callers; it changes no draw.
     """
     per_block = max(1, _BLOCK_WORDS // max(words, width, 1))
     for first in range(0, replications, per_block):
         yield rng.split_block(offset + first, min(per_block, replications - first), words)
-
-
-def replicate(spec: SchemeSpec, rng: RngStream, replications: int):
-    """Iterate over generate(spec, rng.split(k)) for k < replications.
-
-    The substreams are split and mixed in blocks, which changes no point
-    set: each is bit-identical to its own generate call.
-    """
-    for block in _stream_blocks(rng, replications, _draw_words(spec), spec.n * spec.dim):
-        for stream in block:
-            yield generate(spec, stream)
 
 
 def _replication_blocks(spec: SchemeSpec, rng: RngStream, replications: int):

@@ -84,7 +84,7 @@ class SchemeSpec:
                     raise ValueError(f"generator length {len(g)} does not match dim {self.dim}")
                 if any(not 1 <= v < self.n for v in g):
                     raise ValueError(
-                        "degenerate generator: coordinates must be nonzero mod N"
+                        f"degenerate generator: coordinates must lie in 1..N-1 = 1..{self.n - 1}, not {g}"
                     )
                 object.__setattr__(self, "generator", g)
             object.__setattr__(self, "jitter", bool(self.jitter))

@@ -32,9 +32,10 @@ The oracle functions below are the analyzer's earlier, direct forms:
     ranked by sorting Fraction excesses and anchors.
 
 They stay here as the reference; results must match exactly, witness dicts
-included.  The scan's closed-form table is also pinned against the dense
-one-factor contraction of the law, and nuod_scan's certificate against the
-expansion over every box pair.
+included.  Every scan route (the closed-form table, and the index-pair
+classes of every other law) is also pinned against the dense one-factor
+contraction of the law built here (dense_contraction), and nuod_scan's
+certificate against the expansion over every box pair.
 """
 
 import csv
@@ -52,16 +53,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import negdep.analyzer as mod
+from negdep import cli
 from negdep.analyzer import (
     AnchoredBox,
     DependenceReport,
     HypothesisViolatedError,
     IndependenceReport,
     UnsupportedSchemeError,
-    _dense_tables,
+    _class_tables,
     _expand,
     _grid_anchors,
     _kron_tables,
+    _lag_tables,
     _pair_counts,
     _law,
     _pair_query,
@@ -429,31 +432,36 @@ def test_grid_off_multiples_of_n_misses_violations():
     assert fine.worst_violation == F(16, 7203)
 
 
-def scan_blocks(spec, m, dense=False):
+def scan_blocks(spec, m, dense=False, counts=None):
     """(den, blocks) of an expansion over every box pair of the k/m grid.
 
-    A factorized law expands its closed-form table, as _scan does, unless
-    dense.  Every other law, and every law if dense, expands the one
-    _pair_counts factor's contraction: the route of the laws that do not
-    factorize under a shift, and the reference for the class route of the
-    lattice without one.
+    Without dense, _scan's own tables: a factorized law's closed-form
+    table, every other law's index-pair classes.  With dense, the dense
+    oracle: the contraction of the cell-pair law counts (P, total), by
+    default _pair_counts's, built here (dense_contraction).  Its rows are
+    multiplied in float64 (BLAS): exact, as every partial sum is a
+    nonnegative integer at most den_joint < 2^53.
     """
     law = _law(spec)
-    if law.factorized and not dense:
-        den, *tables = _kron_tables(*_step_table(spec.n, law.position, m), spec.dim)
-    else:
-        den, *tables = _dense_tables(spec, law.position, m, 10**8)
-    return den, _expand(*tables)
+    if not dense:
+        tables = (_kron_tables(*_step_table(spec.n, law.position, m), spec.dim) if law.factorized
+                  else _class_tables(spec, law, m))
+        return tables[0], _expand(*tables[1:])
+    A, PA, p1, p2, den_joint, den_marginal = dense_contraction(spec, m, counts)
+    den = den_marginal**2
+    assert den_joint < 2**53 and den < 2**62
+    A, PA, scale = A.astype(np.float64), PA.astype(np.float64), den // den_joint
+    return den, _expand(lambda start, stop: scale * (A[:, start:stop].T @ PA).astype(np.int64), p1, p2)
 
 
-def scan_pairs_rows(spec, m):
+def scan_pairs_rows(spec, m, dense=False, counts=None):
     """One (Q, R, joint, product, violation) row per box pair of the k/m grid.
 
-    Read one Fraction at a time from the expanded tables, in lexicographic
-    box order.
+    Read one Fraction at a time from the expanded tables (scan_blocks), in
+    lexicographic box order.
     """
     anchors = _grid_anchors(m)
-    den, blocks = scan_blocks(spec, m)
+    den, blocks = scan_blocks(spec, m, dense, counts)
     boxes = [AnchoredBox(a) for a in product(anchors, repeat=spec.dim)]
     for start, joint, prodv in blocks:
         for Q, jrow, prow in zip(boxes[start:], joint.tolist(), prodv.tolist()):
@@ -551,16 +559,24 @@ def test_enumeration_method_builds_the_law(monkeypatch):
     assert len(calls) == 1
 
 
-def test_budget_counts_kernel_work():
-    # per factor c B (c + B) multiply-adds, c cell vectors and B boxes, plus
-    # one comparison per box pair: one factor over both coordinates here
+def test_budget_counts_lag_classes(tmp_path, capsys):
+    # a fixed generator under a grid shift: n^2 M^2 for the n lag tables,
+    # (n - 1) B^2 for the n - 1 classes' Kronecker terms (B = M^dim boxes),
+    # and one comparison per box pair; a refused pairs CSV leaves no file
     spec, m = SchemeSpec(RSJ, 5, 2, generator=(1, 2)), 5
-    work = 5**4 * 5**2 + 5**2 * 5**4 + 5**4
-    with pytest.raises(mod.BudgetExceededError, match="multiply-adds"):
-        nuod_scan(spec, m, budget=work - 1)
-    with pytest.raises(mod.BudgetExceededError):
-        scan_csv(spec, m, work - 1)
-    assert nuod_scan(spec, m, budget=work).worst_violation == F(1, 625)
+    work = 5**2 * 5**2 + 4 * 5**4 + 5**4
+    for call in (lambda b: nuod_scan(spec, m, budget=b), lambda b: scan_csv(spec, m, b)[0]):
+        with pytest.raises(mod.BudgetExceededError, match=f"grid scan too large: {work} multiply-adds"):
+            call(work - 1)
+        assert call(work).worst_violation == F(1, 625)
+    pairs = tmp_path / "pairs.csv"
+    argv = ["analyze", "nuod", "--scheme", "rsj", "--n", "5", "--dim", "2", "--generator", "1,2",
+            "--grid", "5", "--pairs-csv", str(pairs)]
+    assert cli.main([*argv, "--budget", str(work - 1)]) == 3
+    assert f"{work} multiply-adds exceeds budget {work - 1}" in capsys.readouterr().err
+    assert not pairs.exists()
+    assert cli.main([*argv, "--budget", str(work)]) == 1
+    assert pairs.read_text(encoding="utf-8") == scan_csv(spec, m)[1]
 
 
 def test_budget_refuses_before_the_anchors_are_built(monkeypatch):
@@ -605,10 +621,10 @@ def report_from_witnesses(spec, m, witnesses):
     return DependenceReport._ranked(spec, m, witnesses)
 
 
-def expanded_report(spec, m, dense=False):
+def expanded_report(spec, m, dense=False, counts=None):
     """nuod_scan's report from the expansion over every box pair (scan_blocks)."""
     anchors = _grid_anchors(m)
-    den, blocks = scan_blocks(spec, m, dense)
+    den, blocks = scan_blocks(spec, m, dense, counts)
     boxes = [AnchoredBox(a) for a in product(anchors, repeat=spec.dim)]
     witnesses = [(boxes[start + q], boxes[r], F(int(joint[q, r]), den), F(int(prodv[q, r]), den))
                  for start, joint, prodv in blocks for q, r in zip(*np.nonzero(joint > prodv))]
@@ -668,14 +684,15 @@ def test_jitterless_random_generator_certificate(m):
     assert rep.ok and rep.grid["certifies_all_boxes"] == (m % spec.n == 0)
 
 
-def dense_contraction(spec, m):
+def dense_contraction(spec, m, counts=None):
     """The dense one-factor contraction over the k/m grid, built here: (A, P A, p1, p2, den_joint, den_marginal).
 
-    A is the Kronecker power of the grid's weight table over every
-    coordinate; box pair (Q, R) has joint A[:, Q]^T (P A)[:, R] / den_joint
-    and marginals p1[Q] / den_marginal and p2[R] / den_marginal.
+    counts is the cell-pair law (P, total), by default _pair_counts's.  A is
+    the Kronecker power of the grid's weight table over every coordinate;
+    box pair (Q, R) has joint A[:, Q]^T (P A)[:, R] / den_joint and
+    marginals p1[Q] / den_marginal and p2[R] / den_marginal.
     """
-    P, total = _pair_counts(spec)
+    P, total = counts if counts is not None else _pair_counts(spec)
     T, den = _weight_table(_grid_anchors(m), spec.n, _law(spec).position)
     A = T
     for _ in range(spec.dim - 1):
@@ -771,9 +788,10 @@ DISTINCT = 1 - np.eye(3, dtype=np.int64)
                          ids=["lower-distinct", "distinct-lower", "lower-lower", "one-factor"])
 def test_queries_keep_the_sides_of_the_law(P, monkeypatch):
     # joint and both marginals of an asymmetric law against Fraction sums:
-    # single box queries, then a scan's every box pair, report and pairs
-    # CSV, each contracting the law as one _pair_counts factor on a
-    # fixed-generator spec
+    # single box queries, which contract the law as one _pair_counts factor
+    # on a fixed-generator spec, then the dense scan oracle's every box
+    # pair, report and pairs CSV.  No scan reads _pair_counts: the lag
+    # tables keep the sides by their orientation, pinned last
     total = int(P.sum())
     monkeypatch.setattr(mod, "_pair_counts", lambda spec, budget: (P, total))
     spec, m = SchemeSpec(RSJ, 3, 2, generator=(1, 2)), 4
@@ -809,9 +827,17 @@ def test_queries_keep_the_sides_of_the_law(P, monkeypatch):
             rows.append(f"{q},{r},{format_rational(j)},{format_rational(m1 * m2)},{j > m1 * m2}\n")
             if j > m1 * m2:
                 witnesses.append((Q, R, j, m1 * m2))
-    report, text = scan_csv(spec, m)
+    report, text = oracle_pairs_csv(spec, m, dense=True, counts=(P, total))
     assert text == "".join(rows)
-    assert report == report_from_witnesses(spec, m, witnesses) == nuod_scan(spec, m)
+    assert report == report_from_witnesses(spec, m, witnesses) == expanded_report(spec, m, True, (P, total))
+
+    # L[e][k, l]: box k's weight at p1's cell c, box l's at p2's cell c + e
+    e, anchors = 1, _grid_anchors(m)
+    T, den = _weight_table(anchors, 3, "jitter")
+    lag = _lag_tables(T)[e].tolist()
+    assert lag == [[sum(_cell_weight(c, q, 3, "jitter") * _cell_weight((c + e) % 3, r, 3, "jitter")
+                        for c in range(3)) * den**2 for r in anchors] for q in anchors]
+    assert lag != np.transpose(lag).tolist()
 
 
 def test_budget_counts_failing_certificate_expansion(monkeypatch):
@@ -888,13 +914,13 @@ def test_report_json_formats_every_witness():
 # -- the pairs table in bulk ---------------------------------------------------
 
 
-def oracle_pairs_csv(spec, m):
+def oracle_pairs_csv(spec, m, dense=False, counts=None):
     """The report of the pairs table's witnesses, and the table as the CLI wrote it row by row."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["Q", "R", "joint", "product", "violation"])
     witnesses = []
-    for Q, R, joint, prodv, bad in scan_pairs_rows(spec, m):
+    for Q, R, joint, prodv, bad in scan_pairs_rows(spec, m, dense, counts):
         writer.writerow([";".join(format_rational(a) for a in Q.anchor),
                          ";".join(format_rational(a) for a in R.anchor),
                          format_rational(joint), format_rational(prodv), bad])
@@ -1266,6 +1292,61 @@ def test_unshifted_routes_in_python_ints(limit, monkeypatch):
     monkeypatch.setattr(mod, "_INT64_SAFE_LIMIT", limit)
     assert [_pair_query(*q) for q in queries] == want
     assert [nuod_scan(spec, m) for spec, m in scans] == reports
+
+
+# -- a fixed generator under a grid shift, by lag classes ---------------------
+
+# the fixed-generator grid-shift scans of the tests and of the exact-scan
+# benchmark, the exact-query benchmark's specs, and dim 1; jitter on and off,
+# at most 1e6 box pairs (rsj(7,3) at M = 15 would take 5 s)
+LAG_SPECS = [SchemeSpec(RSJ, n, len(g), generator=g, jitter=jitter)
+             for n, g in ((5, (2,)), (3, (1, 2)), (5, (1, 1)), (5, (1, 2)), (7, (1, 1)), (7, (1, 3)),
+                          (13, (1, 5)), (3, (1, 1, 1)), (3, (1, 2, 1)), (7, (1, 2, 3)))
+             for jitter in (True, False)]
+LAG_SCANS = [(spec, m) for spec in LAG_SPECS for m in dict.fromkeys((1, 5, spec.n, 2 * spec.n + 1))
+             if m ** (2 * spec.dim) <= 10**6]
+
+
+@pytest.mark.parametrize("spec,m", LAG_SCANS, ids=[f"{_spec_id(s)}-M={m}" for s, m in LAG_SCANS])
+def test_lag_scans_match_dense_oracle(spec, m):
+    # reports against the dense contraction's rows, and pairs-CSV bytes
+    # where the Fraction rows stay under 1e5
+    report = nuod_scan(spec, m)
+    assert report == expanded_report(spec, m, dense=True)
+    if m ** (2 * spec.dim) <= 10**5:
+        assert_same_pairs_csv(scan_csv(spec, m), oracle_pairs_csv(spec, m, dense=True))
+
+
+def test_lag_scan_builds_no_cell_pair_law(monkeypatch):
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the cell-pair law was built or contracted")
+
+    spec, m = SchemeSpec(RSJ, 7, 3, generator=(1, 2, 3)), 7
+    want = nuod_scan(spec, m), scan_csv(spec, m)
+    monkeypatch.setattr(mod, "_pair_counts", unbuilt)
+    monkeypatch.setattr(mod, "_contract", unbuilt)
+    assert (nuod_scan(spec, m), scan_csv(spec, m)) == want
+    assert not want[0].ok
+
+
+def test_fixed_generator_scan_past_the_dense_law():
+    # g = (1, 1), jitter on, M = n: the dense contraction was refused at
+    # n = 23 (296 351 619 multiply-adds); the lag classes cost
+    # n^2 M^2 + (n - 1) B^2 + B^2 = (n + 1) n^4, under the default budget up
+    # to n = 37
+    spec = SchemeSpec(RSJ, 23, 2, generator=(1, 1))
+    report = nuod_scan(spec, 23)
+    assert report.worst_violation == F(4115, 279841)
+    Q, R, *_ = report.witnesses[0]
+    assert (Q.anchor, R.anchor) == ((F(13, 23),) * 2, (F(11, 23),) * 2)
+    assert report == expanded_report(spec, 23, dense=True)
+    spec = SchemeSpec(RSJ, 31, 2, generator=(1, 1))
+    assert nuod_scan(spec, 31).worst_violation == F(44555, 2770563)
+    for n, budget in ((37, 38 * 37**4 - 1), (41, mod.DEFAULT_BUDGET)):
+        work = (n + 1) * n**4
+        assert (work <= mod.DEFAULT_BUDGET) == (n == 37)
+        with pytest.raises(mod.BudgetExceededError, match=f"{work} multiply-adds exceeds budget {budget}$"):
+            nuod_scan(SchemeSpec(RSJ, n, 2, generator=(1, 1)), n, budget=budget)
 
 
 # -- structural checks on the integer counts ----------------------------------

@@ -15,16 +15,28 @@ from negdep.samplers import (
     PointSet,
     _draw_block,
     _draw_words,
+    _stream_blocks,
     generate,
     point_set_from_csv,
     point_set_from_json,
     point_set_to_csv,
     point_set_to_json,
-    replicate,
     rsj_cell_matrix,
     rsj_rank1,
 )
 from negdep.schemes import SHIFTS, SchemeSpec, full_rsj, lhs_spec, patterson_spec, stratified_spec
+
+
+def replicate(spec, rng, replications):
+    """generate(spec, rng.split(k)) for k < replications, one point set at a time.
+
+    The oracle of the variance lab's block drawer: the substreams are split
+    and mixed by _stream_blocks, as the lab's are, and each point set is
+    bit-identical to its own generate call.
+    """
+    for block in _stream_blocks(rng, replications, _draw_words(spec), spec.n * spec.dim):
+        for stream in block:
+            yield generate(spec, stream)
 
 
 def test_stratified_one_point_per_stratum():

@@ -46,6 +46,9 @@ def test_degenerate_generator_rejected():
         SchemeSpec("rsj_lattice", 5, 2, generator=(0, 1))
     with pytest.raises(ValueError, match="degenerate"):
         SchemeSpec("rsj_lattice", 5, 2, generator=(1, 5))
+    # 6 is 1 mod 5, but the generator holds values in 1..N-1, not residues
+    with pytest.raises(ValueError, match=r"degenerate generator: coordinates must lie in 1\.\.N-1 = 1\.\.4, not \(6, 2\)"):
+        SchemeSpec("rsj_lattice", 5, 2, generator=(6, 2))
     with pytest.raises(ValueError):
         SchemeSpec("rsj_lattice", 5, 2, generator=(1, 2, 3))
 

@@ -9,7 +9,7 @@ import negdep.samplers as samplers_module
 from negdep import variance
 from negdep.analyzer import AnchoredBox, pair_box_prob, pair_marginal_prob
 from negdep.rng import RngStream
-from negdep.samplers import _unit_floats, generate, replicate
+from negdep.samplers import _unit_floats, generate
 from negdep.schemes import SchemeSpec, full_rsj, lhs_spec, patterson_spec, stratified_spec
 from negdep.variance import (
     Integrand,
@@ -29,6 +29,7 @@ from negdep.variance import (
     smooth_monotone_integrand,
     variance_compare,
 )
+from test_samplers import replicate
 
 
 # -- oracles: the lab's blocked estimates and the declared monotone flags ---------
