@@ -24,12 +24,12 @@ invariance, factorization, random generator) is decided once, by _law,
 which every exact entry point reads before it charges any budget: a spec
 that has no such law is refused at every size.  Jitter is never
 discretized: a cell pair contributes its count times the exact overlap
-fraction of each anchored interval with each cell.  A box query under a
-continuous torus shift is integrated exactly as integer arc overlaps on a
-common grid 1/D per coordinate, a block of lags at a time; a random
-generator makes each coordinate one class.  Box queries without a shift
-and every scan sum over classes of index pairs (under a grid shift, lags),
-reading the weight columns directly, never the n^(2 dim) cell-pair law.
+fraction of each anchored interval with each cell.  Every scan, every box
+query without a shift and every box query under a continuous torus shift
+sums index-pair classes through one kernel, _class_sum: per coordinate one
+table per class, read off the weight columns (under a torus shift, integer
+arc overlaps on a common grid 1/D), a block of classes at a time, never the
+n^(2 dim) cell-pair law.
 """
 
 import operator
@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exact import any_digits, format_rational, is_prime, parse_rational
-from .schemes import SchemeSpec, full_rsj, lhs_spec, spec_to_dict
+from .schemes import SchemeSpec, _integer, full_rsj, lhs_spec, spec_to_dict
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -221,10 +221,10 @@ def _pair_counts(spec: SchemeSpec, budget=DEFAULT_BUDGET, gather: bool = True):
     shift every row of P is a permutation of F, so the gcd is taken on F,
     and P is gathered from the reduced F in one pass.
 
-    No scan builds P: scans sum index-pair classes (_class_tables), as do
-    box queries without a shift (_unshifted_terms).  P serves the other
-    box queries, method "enumeration", the copula and independence checks
-    and the tests, a second route to every class sum.
+    No scan builds P: scans and box queries without a shift sum index-pair
+    classes (_class_terms).  P serves the other box queries, method
+    "enumeration", the copula and independence checks and the tests, a
+    second route to every class sum.
 
     With gather False a shift-invariant law (a latin kind, or a grid
     shift) is returned as F itself, shape (n,) * dim with coordinate i on
@@ -279,20 +279,20 @@ def _sized_spec(n: int, dim: int, spec: SchemeSpec) -> SchemeSpec:
 
 # -- the integer kernel ------------------------------------------------------------
 #
-# A factorized law (_law) is one closed form (_step_terms), elementwise over
-# a box query's d coordinates, or over the scan grid as one M x M table that
-# every coordinate shares.  Every other scan sums index-pair classes read off
-# the grid's weight table (_class_tables), and so does a box query without a
-# shift (_unshifted_terms).  The other box queries contract (_contract) the
+# One kernel, _class_sum, sums every class route, sum_k (x)_i X_i[k] with one
+# table per coordinate and class: the one class of a factorized scan (its
+# closed-form table, _step_table), the classes of every other scan and of the
+# box queries without a shift (_class_terms), and the lags of the box queries
+# under a torus shift.  The other box queries contract (_contract) the
 # _pair_counts factor P with integer cell weights: the joint a^T P b and the
-# marginals P.sum(1) a and P.sum(0) b, where a[z] = P(p1 in Q | cell
-# vector z) * den_a is the Kronecker product of one column per coordinate
-# (b likewise for p2).  All arithmetic is on integers over a known common
-# denominator: int64 where it bounds every entry below _INT64_SAFE_LIMIT,
-# python ints otherwise.
+# marginals P.sum(1) a and P.sum(0) b, where a[z] = P(p1 in Q | cell vector
+# z) * den_a is the Kronecker product of one column per coordinate (b likewise
+# for p2).  All arithmetic is on integers over a known common denominator:
+# int64 where it bounds every entry below _INT64_SAFE_LIMIT, python ints
+# otherwise.
 
-# box pairs per kernel block: bounds a scan's memory, and keeps a block's
-# arrays in cache (2^15 ran the factorized scans fastest among 2^13..2^17)
+# products per kernel block: bounds memory, and keeps a block's arrays in
+# cache (2^15 ran the factorized scans fastest among 2^13..2^17)
 _BLOCK = 1 << 15
 
 
@@ -301,13 +301,37 @@ def _int_dtype(bound: int):
     return np.int64 if bound < _INT64_SAFE_LIMIT else object
 
 
-def _kron(tables, dtype) -> np.ndarray:
-    """Kronecker product of the tables, first most significant; one table is not copied."""
-    tables = [np.asarray(t, dtype=dtype) for t in tables]
-    out = tables[0] if tables else np.ones((1, 1), dtype=dtype)
-    for t in tables[1:]:
-        out = (out[:, None, :, None] * t[None, :, None, :]).reshape(len(out) * len(t), -1)
+def _kron(vectors, dtype) -> np.ndarray:
+    """Kronecker product of the vectors in dtype, first most significant."""
+    out = np.asarray(vectors[0], dtype=dtype)
+    for v in vectors[1:]:
+        out = np.multiply.outer(out, np.asarray(v, dtype=dtype)).ravel()
     return out
+
+
+def _class_sum(stacks, classes: int, m: int, dim: int, dtype):
+    """rows(start, stop): sum_k (x)_i X_i[k] over the classes k, in dtype, for p1's boxes start..stop-1.
+
+    stacks(first, stop) gives classes first..stop-1 as one (stop - first,
+    m, m) array X_i per coordinate i, coordinate 0 most significant, in a
+    dtype that holds one class's product.  Box h reads row h_i of X_i (h_i
+    its i-th base-m digit) against every one of p2's m^dim boxes.  About
+    _BLOCK products go at a time, so memory does not grow with the classes.
+    """
+    digits = np.indices((m,) * dim).reshape(dim, -1)
+
+    def rows(start, stop):
+        out = np.zeros((stop - start, m**dim), dtype=dtype)
+        step = max(1, _BLOCK // out.size)
+        for first in range(0, classes, step):
+            xs = stacks(first, min(first + step, classes))
+            acc = xs[0][:, digits[0, start:stop]]
+            for x, h in zip(xs[1:], digits[1:, start:stop]):
+                acc = (acc[..., None] * x[:, h, None, :]).reshape(len(acc), stop - start, -1)
+            out += acc[0] if len(acc) == 1 else acc.sum(axis=0, dtype=dtype)
+        return out
+
+    return rows
 
 
 def _cell_weights(c, nt, den, position: str):
@@ -328,31 +352,38 @@ def _cell_weights(c, nt, den, position: str):
     return inside.astype(c.dtype) * den
 
 
-def _weight_table(anchors, n: int, position: str):
-    """T[c, k] = P(x >= anchors[k] | cell c) * den as integers, and den, the anchors' lcm denominator."""
-    den = lcm(*(a.denominator for a in anchors))
-    dtype = _int_dtype(2 * (n + 1) * den)
-    nts = np.array([n * a.numerator * (den // a.denominator) for a in anchors], dtype=dtype)
-    return _cell_weights(np.arange(n, dtype=dtype)[:, None], nts, den, position), den
+def _weight_table(anchors, n: int, position: str, own: bool = False):
+    """T[c, k] = P(x >= anchors[k] | cell c) * den as integers, and den, the anchors' lcm denominator.
+
+    With own, a box's weight columns: each over its own anchor's
+    denominator, listed in den, stacked as one n x 1 table per coordinate.
+    """
+    dens = [a.denominator for a in anchors]
+    den = dens if own else lcm(*dens)
+    dtype = _int_dtype(2 * (n + 1) * (max(den) if own else den))
+    nts = np.array([n * a.numerator * (1 if own else den // a.denominator) for a in anchors], dtype=dtype)
+    table = _cell_weights(np.arange(n, dtype=dtype)[:, None], nts, np.array(den, dtype=dtype), position)
+    return (table.T[:, :, None] if own else table), den
 
 
 # -- joint box probabilities ---------------------------------------------------
 
 
-def _contract(P, total: int, tables_a, tables_b) -> list:
+def _contract(P, total: int, side_a, side_b) -> list:
     """_pair_query's six term lists: the count factor P, over total, contracted with one box per side.
 
-    tables_a and tables_b hold p1's and p2's one-column (table, den) of
-    _weight_table per coordinate; a and b are their Kronecker products over
-    den_a and den_b (b is a for one shared list), in the dtype of
-    total den_a den_b: the joint a^T P b over total den_a den_b,
-    p1 = P.sum(1) a over total den_a and p2 = P.sum(0) b over total den_b.
+    side_a and side_b hold p1's and p2's n x 1 weight column per coordinate,
+    stacked, and their dens (_pair_query); a and b are the columns'
+    Kronecker products over den_a and den_b, the dens' products (b is a for
+    one shared side), in the dtype of total den_a den_b: the joint a^T P b
+    over total den_a den_b, p1 = P.sum(1) a over total den_a and
+    p2 = P.sum(0) b over total den_b.
     """
-    (ta, da), (tb, db) = zip(*tables_a), zip(*tables_b)
+    (ta, da), (tb, db) = side_a, side_b
     den_a, den_b = prod(da), prod(db)
     dtype = _int_dtype(total * den_a * den_b)
-    a = _kron(ta, dtype)[:, 0]
-    b = a if tables_b is tables_a else _kron(tb, dtype)[:, 0]
+    a = _kron(ta[:, :, 0], dtype)
+    b = a if side_b is side_a else _kron(tb[:, :, 0], dtype)
     P = P.astype(dtype, copy=False)
     Pb = P @ b
     return [[int(a @ Pb)], [int(P.sum(axis=1) @ a)], [int(Pb.sum())],
@@ -374,25 +405,6 @@ def _torus_overlaps(e, n: int, q: Fraction, r: Fraction, D: int) -> np.ndarray:
             + np.maximum(end - D - qD, 0))
 
 
-def _torus_joint(n: int, coords) -> Fraction:
-    """sum_delta prod over coords (gamma, q, r, D) of ov[gamma delta mod n], over (n - 1) prod D.
-
-    delta runs over 1..n-1, one block of _BLOCK lags at a time, so memory
-    does not grow with n: overlaps and products are int64 while 2 n D and
-    prod D allow, and only the products are lifted to python ints to be summed.
-    """
-    Ds = [D for *_, D in coords]
-    lag_dtype, dtype = _int_dtype(2 * n * max(Ds)), _int_dtype(prod(Ds))
-    total = 0
-    for first in range(1, n, _BLOCK):
-        delta = np.arange(first, min(first + _BLOCK, n), dtype=lag_dtype)
-        terms = np.ones(len(delta), dtype=dtype)
-        for g, q, r, D in coords:
-            terms = terms * _torus_overlaps(g * delta % n, n, q, r, D)
-        total += sum(terms.tolist())
-    return Fraction(total, (n - 1) * prod(Ds))
-
-
 def _continuous_shift_box_prob(spec: SchemeSpec, random: bool, anchors1, anchors2,
                                budget) -> Fraction:
     """The joint of a box query on the jitterless lattice under a uniform torus shift.
@@ -402,18 +414,32 @@ def _continuous_shift_box_prob(spec: SchemeSpec, random: bool, anchors1, anchors
     through delta = b - a (mod n) only, at x1 = 0 and x2 = gamma delta / n;
     each delta in 1..n-1 stands for n ordered pairs.  With ov_i the integer
     overlaps of coordinate i on the grid 1/D_i (_torus_overlaps), a fixed
-    generator's joint is sum_delta prod_i ov_i[gamma_i delta mod n] over
-    (n - 1) prod_i D_i (_torus_joint).  For a prime n, gamma delta runs
-    over every nonzero residue for every delta, so a random generator is
-    one class, prod_i sum_{e != 0} ov_i[e] / ((n - 1) D_i), with no
-    generator array.  The budget counts the summed terms, dim (n - 1).
+    generator's joint is the kernel's sum over the lags of the 1 x 1 tables
+    ov_i[gamma_i delta mod n], over (n - 1) prod_i D_i.  For a prime n,
+    gamma delta runs over every nonzero residue for every delta, so a
+    random generator is one class: dim one-coordinate sums over e != 0 of
+    ov_i[e], each over (n - 1) D_i, with no generator array.  Overlaps and
+    products are int64 while 2 n D and prod D allow, the sums while
+    (n - 1) prod D does.  The budget counts the summed terms, dim (n - 1).
     """
     n = spec.n
     _charge(spec.dim * (n - 1), budget, "continuous-shift integration", "terms")
     gammas = (1,) * spec.dim if random else spec.generator
     coords = [(g, q, r, lcm(n, q.denominator, r.denominator))
               for g, q, r in zip(gammas, anchors1, anchors2)]
-    return prod(_torus_joint(n, f) for f in ([[c] for c in coords] if random else [coords]))
+    joint = Fraction(1)
+    for group in ([[c] for c in coords] if random else [coords]):
+        den = prod(D for *_, D in group)
+        lags, dtype = _int_dtype(2 * n * max(D for *_, D in group)), _int_dtype(den)
+
+        def stacks(first, stop, group=group, lags=lags, dtype=dtype):
+            delta = np.arange(first + 1, stop + 1, dtype=lags)
+            return [_torus_overlaps(g * delta % n, n, q, r, D).astype(dtype, copy=False)[:, None, None]
+                    for g, q, r, D in group]
+
+        total = _class_sum(stacks, n - 1, 1, len(group), _int_dtype((n - 1) * den))(0, 1)
+        joint *= Fraction(int(total[0, 0]), (n - 1) * den)
+    return joint
 
 
 def _step_terms(n: int, position: str, q, r) -> tuple:
@@ -447,108 +473,166 @@ def _step_terms(n: int, position: str, q, r) -> tuple:
             total * dq * dr, total * dq, total * dr)
 
 
-# -- the lattice without a shift, by index-pair classes -------------------------
+# -- a lattice law by index-pair classes -----------------------------------------
 #
-# The index pair (a, b) is uniform over ordered distinct pairs, and coordinate
-# i puts point k in cell gamma_i k mod n.  A fixed generator gives each point
-# one product of weights, so the joint is a sum over a != b.  Under a random
-# generator and a prime n the coordinates are independent given (a, b), and
-# (a, b) enters through its class only: a = 0, b = 0, or the ratio
-# rho = b / a, rho = 2..n-1, each class standing for n - 1 pairs.
+# Given the index pair (a, b) of the two points, the generator and the shift
+# act on each coordinate independently.  Under a grid shift (a, b) enters
+# through delta = b - a only.  Without a shift (a, b) is uniform over ordered
+# distinct pairs and point k sits in cell gamma_i k mod n: a fixed generator
+# gives each point one product of weights, and under a random generator and a
+# prime n the coordinates are independent given (a, b), which enters through
+# its class only: a = 0, b = 0, or the ratio rho = b / a, rho = 2..n-1, each
+# class standing for n - 1 pairs.
 
 
-def _ratio_cells(n: int, rhos) -> np.ndarray:
-    """rho c mod n for c = 1..n-1, one row per ratio rho: the cells of b when a is in cell c."""
-    return rhos[:, None] * np.arange(1, n) % n
+def _lag_tables(a, b) -> np.ndarray:
+    """L[e] = A^T B[(c + e) mod n] for e = 0..n-1: box k's weight at p1's cell c (rows), box l's at c + e."""
+    n, step = len(b), max(1, _BLOCK // b.size)
+    return np.concatenate([a.T @ b[(np.arange(e, min(e + step, n))[:, None] + np.arange(n)) % n]
+                           for e in range(0, n, step)])
 
 
-def _unshifted_terms(spec: SchemeSpec, law: _Law, Q: AnchoredBox, R: AnchoredBox, budget) -> list:
-    """_pair_query's six term lists (three numerators, three denominators) without a shift.
+def _ratio_tables(a, b, n: int) -> np.ndarray:
+    """The n classes' tables without a shift under a random generator, (c, n, m, m) for c stacked pairs A, B.
 
-    alpha[:, i] and beta[:, i] are coordinate i's weight columns of Q and R
-    (_cell_weights, each over its anchor's denominator; da, db their
-    products).  A fixed generator gives point k the weights
-    U[k] = prod_i alpha[g_i k mod n, i] and V[k] likewise, so the joint is
-    (sum U sum V - U.V) over n (n - 1) da db and the marginals sum U over
-    n da and sum V over n db: 2 dim n terms.  A random generator sums its
-    classes: with S^alpha_i = sum_{c != 0} alpha[c, i] and
-    C_i[rho] = sum_{c != 0} alpha[c, i] beta[rho c mod n, i], the joint is
-    prod_i alpha[0, i] S^beta_i + prod_i S^alpha_i beta[0, i]
-    + sum_rho prod_i C_i[rho] over n (n - 1)^dim da db, and p1 is
-    (n - 1)^(dim - 1) prod_i alpha[0, i] + prod_i S^alpha_i over
-    n (n - 1)^(dim - 1) da: dim n (n - 1) terms, a block of ratios at a time,
-    so memory does not grow with n.  The budget is charged before any
-    column is built.  Integers are int64 where n^dim da db allows, python
-    ints otherwise.
+    a = 0 gives outer(A[0], S^B), b = 0 outer(S^A, B[0]) (S: the column
+    sums over the nonzero cells), and rho = 2..n-1 gives A[1:]^T B[rho c mod n]
+    (c = 1..n-1), a block of ratios at a time so memory does not grow as n^2.
     """
-    n, dim = spec.n, spec.dim
-    _charge(dim * n * (n - 1) if law.random else 2 * dim * n, budget, "class sum", "terms")
-    da, db = (prod(a.denominator for a in box.anchor) for box in (Q, R))
-    dtype = _int_dtype(n**dim * da * db)
-    c = np.arange(n, dtype=dtype)[:, None]
-    alpha, beta = (_cell_weights(c, np.array([n * a.numerator for a in box.anchor], dtype=dtype),
-                                 np.array([a.denominator for a in box.anchor], dtype=dtype),
-                                 law.position) for box in (Q, R))
-    if not law.random:
-        cells = np.arange(n)[:, None] * np.array(spec.generator) % n, np.arange(dim)
-        U, V = alpha[cells].prod(axis=1), beta[cells].prod(axis=1)
-        su, sv = int(U.sum()), int(V.sum())
-        return [[su * sv - int(U @ V)], [su], [sv], [n * (n - 1) * da * db], [n * da], [n * db]]
-    a0, b0, sa, sb = (prod(v.tolist()) for v in (alpha[0], beta[0], alpha[1:].sum(axis=0),
-                                                  beta[1:].sum(axis=0)))
-    ratios = 0
-    step = max(1, _BLOCK // (n * dim))
+    out = np.empty((len(a), n, a.shape[2], b.shape[2]), dtype=a.dtype)
+    out[:, 0] = a[:, 0, :, None] * b[:, 1:].sum(axis=1)[:, None, :]
+    out[:, 1] = a[:, 1:].sum(axis=1)[:, :, None] * b[:, 0, None, :]
+    step = max(1, _BLOCK // (len(a) * n * b.shape[2]))
     for first in range(2, n, step):
-        cells = _ratio_cells(n, np.arange(first, min(first + step, n)))
-        ratios += sum((alpha[1:] * beta[cells]).sum(axis=1).prod(axis=1).tolist())
-    scale = (n - 1) ** (dim - 1)
-    return [[a0 * sb + sa * b0 + ratios], [scale * a0 + sa], [scale * b0 + sb],
-            [n * (n - 1) * scale * da * db], [n * scale * da], [n * scale * db]]
+        rhos = np.arange(first, min(first + step, n))
+        out[:, rhos] = np.swapaxes(a[:, None, 1:], 2, 3) @ b[:, rhos[:, None] * np.arange(1, n) % n]
+    return out
+
+
+def _class_terms(spec: SchemeSpec, law: _Law, side_a, side_b, joint: bool = True) -> tuple:
+    """(joint rows, p1, p2, (den_joint, den_p1, den_p2)) of a lattice law's index-pair classes.
+
+    A side is (tables, dens): c stacked n x m weight tables, coordinate i
+    reading the (i mod c)-th over dens[i mod c] (A_i for p1, B_i for p2),
+    c = dim for a box's columns (m = 1) and c = 1 for a scan's grid table;
+    den_a and den_b are their products over the coordinates.  A box is one
+    column per coordinate, numbered lexicographically: rows(start, stop)
+    are the joint numerators of p1's boxes start..stop-1 against every box
+    of p2 (None with joint False), p1 and p2 every box's marginal
+    numerators, in the dtype of lcm(den_joint, den_p1 den_p2); one side
+    object for both is built once.  Under a grid shift (a fixed generator)
+    p1 sits at index 0 and p2 at delta = 1..n-1, p1's cell c uniform: the
+    joint is sum_delta (x)_i L_i[g_i delta mod n] (_lag_tables) over
+    (n - 1) n^dim den_a den_b, and p1 (x)_i (A_i's column sums) over
+    n^dim den_a.  Without a shift a random generator's n classes
+    (_ratio_tables) sum to the joint over n (n - 1)^dim den_a den_b, and p1
+    is (n - 1)^(dim - 1) (x)_i A_i[0] + (x)_i S_i over
+    n (n - 1)^(dim - 1) den_a, S_i the column sums of A_i[1:]; both joints
+    are the kernel's.  A fixed generator gives point k the weights
+    U[k] = (x)_i A_i[g_i k mod n], V[k] likewise: the joint rows are
+    sum U[Q] sum V - U[:, Q]^T V over n (n - 1) den_a den_b, and p1 is
+    sum U over n den_a.  p2 is p1's formula on the B_i, over den_b.
+    """
+    n, dim, (ta, da), (tb, db) = spec.n, spec.dim, side_a, side_b
+    c = len(ta)
+    reps = dim // c
+    c_joint, c_p = ((n - 1) * n**dim, n**dim) if law.shift_invariant else (
+        (n * (n - 1) ** dim, n * (n - 1) ** (dim - 1)) if law.random else (n * (n - 1), n))
+    den_a, den_b = prod(da) ** reps, prod(db) ** reps
+    dens = c_joint * den_a * den_b, c_p * den_a, c_p * den_b
+    dtype = _int_dtype(lcm(dens[0], dens[1] * dens[2]))
+    sides = [t.astype(dtype, copy=False) for t in ((ta,) if side_b is side_a else (ta, tb))]
+    if law.shift_invariant:  # (x)_i of one row per coordinate, row i mod c
+        ps = [_kron(list(t.sum(axis=1)) * reps, dtype) for t in sides]
+    elif law.random:
+        ps = [(n - 1) ** (dim - 1) * _kron(list(t[:, 0]) * reps, dtype)
+              + _kron(list(t[:, 1:].sum(axis=1)) * reps, dtype) for t in sides]
+    else:
+        points = []
+        for t in sides:
+            w = np.ones((n, 1), dtype=dtype)
+            for i, g in enumerate(spec.generator):
+                w = (w[:, :, None] * t[i % c][g * np.arange(n) % n][:, None, :]).reshape(n, -1)
+            points.append(w)
+        ps = [w.sum(axis=0) for w in points]
+    (ta, p1), (tb, p2) = (sides[0], ps[0]), (sides[-1], ps[-1])
+    if not joint:
+        return None, p1, p2, dens
+    if law.shift_invariant:
+        lags, classes = [_lag_tables(a, b) for a, b in zip(ta, tb)], n - 1
+        lag = [g * np.arange(1, n) % n for g in spec.generator]  # coordinate i's lag g_i delta
+
+        def stacks(first, stop):
+            return [lags[i % c][e[first:stop]] for i, e in enumerate(lag)]
+    elif law.random:
+        tables, classes = _ratio_tables(ta, tb, n), n
+
+        def stacks(first, stop):
+            return [tables[i % c, first:stop] for i in range(dim)]
+    else:
+        U, V = points[0], points[-1]
+
+        def rows(start, stop):
+            return np.multiply.outer(p1[start:stop], p2) - U[:, start:stop].T @ V
+
+        return rows, p1, p2, dens
+    return _class_sum(stacks, classes, ta.shape[2], dim, dtype), p1, p2, dens
 
 
 def _pair_query(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox, method: str = "auto",
-                budget=DEFAULT_BUDGET) -> tuple:
+                budget=DEFAULT_BUDGET, joint: bool = True) -> tuple:
     """(P(p1 in Q, p2 in R), P(p1 in Q), P(p2 in R)): every box query, its route picked here.
 
     The route is read from _law once the arguments are checked.  A
     factorized law (corner weights included) is answered in closed form on
     integers, O(1) per coordinate with no budget (_step_terms), by method
     "auto" and "closed_form" alike; any other law refuses "closed_form".
-    Without a shift "auto" sums the index-pair classes over the 2 dim
-    weight columns (_unshifted_terms): 2 dim n terms for a fixed generator,
-    dim n (n - 1) for a random one, charged before anything is built.
+    Without a shift "auto" sums the index-pair classes (_class_terms) of
+    one _weight_table column per coordinate and side: 2 dim n terms for a
+    fixed generator, dim n (n - 1) for a random one, and dim n for the
+    marginals alone (joint False), charged before any column is built.
     The rest, and "enumeration" always, contract the one _pair_counts
     factor (the 1 x 1 case of _contract).  A continuous torus shift
     (jitterless) has no cell law: "auto" sums its classes
     (_continuous_shift_box_prob), with the box volumes as marginals, and
-    the other methods are unsupported.  An unknown method raises ValueError.
+    the other methods are unsupported.  With joint False the joint reads
+    None.  An unknown method raises ValueError.
     """
     if method not in ("auto", "enumeration", "closed_form"):
         raise ValueError(f"unknown method {method!r}")
     if Q.dim != spec.dim or R.dim != spec.dim:
         raise ValueError("box dimension does not match the scheme")
-    law, n = _law(spec), spec.n
+    law, n, dim = _law(spec), spec.n, spec.dim
     if law.torus:
         if method != "auto":
             raise UnsupportedSchemeError(
                 f"method {method!r} needs a cell law; a continuous torus shift has none")
-        joint = _continuous_shift_box_prob(spec, law.random, Q.anchor, R.anchor, budget)
-        return joint, Q.volume(), R.volume()
+        value = _continuous_shift_box_prob(spec, law.random, Q.anchor, R.anchor, budget) if joint else None
+        return value, Q.volume(), R.volume()
     if method == "closed_form" and not law.factorized:
         raise UnsupportedSchemeError("no closed form for this spec; use enumeration")
     if law.factorized and method != "enumeration":
         sides = [([a.numerator for a in b.anchor], [a.denominator for a in b.anchor]) for b in (Q, R)]
         terms = [v.tolist() for v in _step_terms(n, law.position, *sides)]
-    elif not law.shift_invariant and method == "auto":
-        terms = _unshifted_terms(spec, law, Q, R, budget)
     else:
-        # the law first: its budget refuses a large dim before d tables are built
-        P, total = _pair_counts(spec, budget)
-        tables_a = [_weight_table([q], n, law.position) for q in Q.anchor]
+        classes = not law.shift_invariant and method == "auto"
+        if classes:
+            _charge((dim * n * (n - 1) if law.random else 2 * dim * n) if joint else dim * n,
+                    budget, "class sum", "terms")
+        else:
+            # the law first: its budget refuses a large dim before d tables are built
+            P, total = _pair_counts(spec, budget)
+        side_a = _weight_table(Q.anchor, n, law.position, own=True)
         # pair_marginal_prob passes its one box as both Q and R
-        tables_b = tables_a if R is Q else [_weight_table([r], n, law.position) for r in R.anchor]
-        terms = _contract(P, total, tables_a, tables_b)
-    return tuple(Fraction(prod(terms[j]), prod(terms[j + 3])) for j in range(3))
+        side_b = side_a if R is Q else _weight_table(R.anchor, n, law.position, own=True)
+        if classes:
+            rows, p1, p2, dens = _class_terms(spec, law, side_a, side_b, joint)
+            terms = [[int(rows(0, 1)[0, 0]) if joint else 0], [int(p1[0])], [int(p2[0])],
+                     *([d] for d in dens)]
+        else:
+            terms = _contract(P, total, side_a, side_b)
+    triple = tuple(Fraction(prod(terms[j]), prod(terms[j + 3])) for j in range(3))
+    return triple if joint else (None, *triple[1:])
 
 
 def pair_box_prob(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox,
@@ -563,17 +647,15 @@ def pair_box_prob(spec: SchemeSpec, Q: AnchoredBox, R: AnchoredBox,
 
 def pair_marginal_prob(spec: SchemeSpec, box: AnchoredBox, side: int = 0,
                        budget=DEFAULT_BUDGET) -> Fraction:
-    """Exact P(p_side in box) under the pair law of the scheme, side 0 or 1.
+    """Exact P(p_side in box) under the pair law of the scheme, side 0 or 1 (an int, not a bool).
 
-    The marginal of _pair_query's triple for (box, box), on its route and
-    budget; only a continuous torus shift answers with the box volume.
+    A marginal of _pair_query's triple for (box, box) without its joint, on
+    its route and budget (a continuous torus shift: the box volume).
     """
+    side = _integer(side)
     if side not in (0, 1):
         raise ValueError(f"side must be 0 or 1, not {side!r}")
-    if box.dim == spec.dim and _law(spec).torus:
-        # a uniform torus shift makes each coordinate uniform
-        return box.volume()
-    return _pair_query(spec, box, box, budget=budget)[1 + side]
+    return _pair_query(spec, box, box, budget=budget, joint=False)[1 + side]
 
 
 # -- negative-dependence scan ---------------------------------------------------
@@ -632,37 +714,6 @@ def _expand(joint_rows, p1, p2):
         yield start, joint_rows(start, stop), np.multiply.outer(p1[start:stop], p2)
 
 
-def _kron_rows(classes, dtype):
-    """Joint rows for _expand: the sum over classes of the Kronecker product of a class's tables.
-
-    Each class holds one M x M table per coordinate, coordinate 0 most
-    significant.  Box index h M + t: each class's leading coordinates'
-    product (over h) is built once, and its last table's rows are read per
-    block.
-    """
-    m, dim = len(classes[0][0]), len(classes[0])
-    hs, ts = np.divmod(np.arange(m**dim), m)
-    leads = [(_kron(tables[:-1], dtype), np.asarray(tables[-1], dtype=dtype)) for tables in classes]
-
-    def rows(start, stop):
-        h, t = hs[start:stop], ts[start:stop]
-        (lead, last), *rest = leads
-        out = lead[h][:, :, None] * last[t][:, None, :]
-        for lead, last in rest:
-            out += lead[h][:, :, None] * last[t][:, None, :]
-        return out.reshape(stop - start, len(hs))
-
-    return rows
-
-
-def _kron_tables(joint, p1, p2, den: int, dim: int) -> tuple:
-    """(den^dim, joint rows, p1, p2) for _expand: Kronecker powers of one coordinate's tables."""
-    den = den**dim
-    dtype = _int_dtype(den)
-    p1, p2 = (_kron([v[None]] * dim, dtype)[0] for v in (p1, p2))
-    return den, _kron_rows([[joint] * dim], dtype), p1, p2
-
-
 def _step_table(n: int, position: str, m: int) -> tuple:
     """A factorized law's one-coordinate tables on the k/m grid, (joint, p1, p2, den), reduced.
 
@@ -682,65 +733,26 @@ def _step_table(n: int, position: str, m: int) -> tuple:
     return joint // g, p1 // g1, p2 // (g // g1), den // g
 
 
-def _lag_tables(table) -> list:
-    """L[e] = T^T T[(c + e) mod n] for e = 0..n-1: box k's weight at p1's cell c (rows), box l's at c + e."""
-    wrapped = np.concatenate([table, table])
-    return [table.T @ wrapped[e:e + len(table)] for e in range(len(table))]
-
-
 def _class_tables(spec: SchemeSpec, law: _Law, m: int) -> tuple:
-    """(den, joint rows, p1, p2) for _expand on the k/m grid, from a lattice law's index-pair classes.
+    """(den, joint rows, p1, p2) for _expand on the k/m grid, p1 p2 and the joint over den.
 
-    Every coordinate reads the grid's n x m weight table T over den_t (B = m^dim
-    boxes, D = den_t^dim), and p2's marginal p is p1's up to a factor.  Under
-    a grid shift (a fixed generator) put p1 at index 0 and p2 at delta =
-    1..n-1: p1's cell c is uniform and p2's is c + g_i delta, so coordinate i
-    reads the M x M lag table L[g_i delta mod n], L[e] = T^T T[(c + e) mod n]
-    (p1 on the rows).  The joint rows are sum_delta (x)_i L[g_i delta] over
-    (n - 1) n^dim D^2, and p is the dim-th Kronecker power of T's column
-    sums over n^dim D.  Without a shift, a fixed generator's U is n x B, U[k]
-    the Kronecker product of the rows T[g_i k mod n]: the joint rows are
-    sum U[Q] sum U - U[:, Q]^T U over n (n - 1) D^2, and p is sum U over
-    n D.  A random generator's classes are M x M tables whose dim-th
-    Kronecker powers sum to the joint over n (n - 1)^dim D^2:
-    outer(T[0], S), outer(S, T[0]) (a = 0 and b = 0, S the column sums of
-    T[1:]) and T[1:]^T T[rho c mod n] per ratio; p is
-    (n - 1)^(dim - 1) T[0]^(x dim) + S^(x dim) over n (n - 1)^(dim - 1) D.
-    Joint and marginals are brought over their common denominator.
+    A factorized law is one class, its closed-form table (_step_table) in
+    every coordinate; every other law sums the classes of the grid's weight
+    table, which every coordinate and both sides share (_class_terms).
     """
     n, dim = spec.n, spec.dim
+    if law.factorized:
+        joint, p1, p2, den = _step_table(n, law.position, m)
+        dtype = _int_dtype(den**dim)
+        joint = joint.astype(dtype, copy=False)[None]
+        return (den**dim, _class_sum(lambda first, stop: [joint] * dim, 1, m, dim, dtype),
+                *(_kron([v] * dim, dtype) for v in (p1, p2)))
     table, den_t = _weight_table(_grid_anchors(m), n, law.position)
-    D = den_t**dim
-    if law.shift_invariant:
-        joint_den, p_den = (n - 1) * n**dim * D * D, n**dim * D
-    elif law.random:
-        joint_den, p_den = n * (n - 1) ** dim * D * D, n * (n - 1) ** (dim - 1) * D
-    else:
-        joint_den, p_den = n * (n - 1) * D * D, n * D
-    den = lcm(joint_den, p_den * p_den)
-    dtype = _int_dtype(den)
-    table = table.astype(dtype, copy=False)
-    if law.shift_invariant:
-        lags = _lag_tables(table)
-        rows = _kron_rows([[lags[g * delta % n] for g in spec.generator] for delta in range(1, n)], dtype)
-        p = _kron([table.sum(axis=0)[None]] * dim, dtype)[0]
-    elif law.random:
-        first, rest = table[0], table[1:].sum(axis=0)
-        classes = [np.multiply.outer(first, rest), np.multiply.outer(rest, first),
-                   *(table[1:].T @ table[_ratio_cells(n, np.arange(2, n))])]
-        rows = _kron_rows([[t] * dim for t in classes], dtype)
-        p = (n - 1) ** (dim - 1) * _kron([first[None]] * dim, dtype)[0] + _kron([rest[None]] * dim, dtype)[0]
-    else:
-        k, U = np.arange(n), np.ones((n, 1), dtype=dtype)
-        for g in spec.generator:
-            U = (U[:, :, None] * table[g * k % n][:, None, :]).reshape(n, -1)
-        p = U.sum(axis=0)
-
-        def rows(start, stop):
-            return np.multiply.outer(p[start:stop], p) - U[:, start:stop].T @ U
-
-    scale = den // joint_den
-    return den, lambda start, stop: scale * rows(start, stop), den // (p_den * p_den) * p, p
+    side = table[None], [den_t]
+    rows, p1, p2, (den_joint, den_p1, den_p2) = _class_terms(spec, law, side, side)
+    den = lcm(den_joint, den_p1 * den_p2)
+    scale = den // den_joint
+    return den, lambda start, stop: scale * rows(start, stop), den // (den_p1 * den_p2) * p1, p2
 
 
 def nuod_scan(spec: SchemeSpec, grid_resolution: int, budget=DEFAULT_BUDGET) -> DependenceReport:
@@ -786,11 +798,11 @@ def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, csv_out=None) -> 
     A factorized law (_law) evaluates _step_terms once over the grid
     (_step_table), one table that every coordinate and both sides share;
     without csv_out it is the certificate, and if it holds there are no
-    witnesses.  Every other law reads its index-pair classes off the
-    grid's weight table (_class_tables).  Otherwise every box pair is
-    expanded once, _BLOCK at a time (_expand, over _kron_tables for a
-    factorized law), and the witnesses and the CSV rows are read from the
-    same blocks.  The witnesses are ranked on integers: by the excess
+    witnesses (a failed one is rebuilt for the expansion).  Otherwise every
+    box pair is expanded once, _BLOCK at a time (_expand), from the one
+    class sum of _class_tables: the factorized table's one class, or the
+    index-pair classes read off the grid's weight table.  The witnesses
+    and the CSV rows are read from the same blocks.  The witnesses are ranked on integers: by the excess
     joint - product over the common denominator, ties broken by box index,
     which is anchor order (coordinate 0 most significant); this is the
     report order (_ranked).  Each witness box is built once from the grid
@@ -815,6 +827,7 @@ def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, csv_out=None) -> 
     violation, one row per box pair in lexicographic order: anchors as
     num/den joined by ';', probabilities as reduced num/den.
     """
+    grid_resolution = _integer(grid_resolution)
     if grid_resolution < 1:
         raise ValueError("grid resolution must be positive")
     law, m, dim, n = _law(spec, cells=True), grid_resolution, spec.dim, spec.n
@@ -828,17 +841,13 @@ def _scan(spec: SchemeSpec, grid_resolution: int, budget: int, csv_out=None) -> 
                 else n * boxes * (1 + boxes))
     work += m * m if certify else _power(m, 2 * dim, budget, "grid scan", "multiply-adds")
     _charge(work, budget, "grid scan", "multiply-adds")
-    if law.factorized:
-        table = _step_table(n, law.position, m)
-        if certify:
-            joint, p1, p2, _ = table
-            if (joint <= np.multiply.outer(p1, p2)).all():
-                return DependenceReport._ranked(spec, grid_resolution, [])
-            _charge(work + _power(m, 2 * dim, budget, "grid scan", "multiply-adds"), budget,
-                    "grid scan", "multiply-adds")
-        den, rows, p1, p2 = _kron_tables(*table, dim)
-    else:
-        den, rows, p1, p2 = _class_tables(spec, law, m)
+    if certify:
+        joint, p1, p2, _ = _step_table(n, law.position, m)
+        if (joint <= np.multiply.outer(p1, p2)).all():
+            return DependenceReport._ranked(spec, grid_resolution, [])
+        _charge(work + _power(m, 2 * dim, budget, "grid scan", "multiply-adds"), budget,
+                "grid scan", "multiply-adds")
+    den, rows, p1, p2 = _class_tables(spec, law, m)
     anchors = _grid_anchors(m)  # after the certificate, which reads none
 
     if csv_out is not None:

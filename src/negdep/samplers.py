@@ -1,8 +1,10 @@
 """Point-set generation for every supported scheme.
 
-``generate(spec, seed)`` is the one public way to draw a point set: it
-dispatches on the spec's kind to ``rsj_rank1`` (the lattice) or to one
-latin sampler (stratified, lhs and patterson).
+``generate(spec, seed)`` is the one public way to draw a point set, and
+one drawer, ``_draw_block``, draws every point set: generate's one stream
+and the variance lab's blocks of substreams alike.  It dispatches on the
+spec's kind to the lattice or to the latin sampler (stratified, lhs and
+patterson).
 
 Coordinates are held exactly: each coordinate is an integer numerator over
 the common denominator n * 2**53, i.e. cell index times 2**53 plus a 53-bit
@@ -16,12 +18,11 @@ reserves the words a point set will likely draw (``_draw_words``: two per
 rejection-sampled integer, jitters exactly) on a stream it makes from an
 integer seed, so that point set is normally mixed in one numpy block.
 The variance lab reads its replications ``rng.split(k)`` a block of
-substreams at a time (``_stream_blocks``) through the block drawer
-(``_draw_block``), which returns a block's numerators stacked, row-identical
-to ``generate`` on each substream: every lattice stream makes its scalar
-draws in the pinned order, then the cell matrix, shift, jitter and wrap run
-once per block.  Latin kinds are still drawn by ``generate`` one stream at a
-time.  Neither changes a draw.
+substreams at a time (``_stream_blocks``); the drawer returns a block's
+numerators stacked, row-identical to ``generate`` on each substream: every
+lattice stream makes its scalar draws in the pinned order, then the cell
+matrix, shift, jitter and wrap run once per block.  Latin kinds are drawn
+one stream at a time (``_latin``).  Neither changes a draw.
 """
 
 import csv
@@ -159,31 +160,27 @@ def _draw_words(spec: SchemeSpec) -> int:
     return dim * (gen_words + shift_words) + _perm_words(n) + jitter
 
 
-def _jitter_block(rng: RngStream, n: int, dim: int) -> np.ndarray:
-    # one call, point-major layout: point order, coordinates within a point
-    return rng.bits53_array(n * dim).astype(np.int64).reshape(n, dim)
-
-
-def _latin(spec: SchemeSpec, rng: RngStream) -> PointSet:
-    # stratified1d, lhs and patterson: one stratum permutation per
-    # coordinate, then iid jitter in the cell or the exact cell midpoint
+def _latin(spec: SchemeSpec, rng: RngStream) -> np.ndarray:
+    # the numerators of one stratified1d, lhs or patterson point set: one
+    # stratum permutation per coordinate, then iid jitter in the cell (one
+    # call, point-major: point order, coordinates within a point) or the
+    # exact cell midpoint
     n, dim = spec.n, spec.dim
-    _check_size(n, dim)
     cells = np.empty((n, dim), dtype=np.int64)
     for i in range(dim):
         cells[:, i] = rng.permutation(n)
     if spec.kind != "patterson":
-        offsets = _jitter_block(rng, n, dim)
+        offsets = rng.bits53_array(n * dim).astype(np.int64).reshape(n, dim)
     else:
         offsets = 1 << (FRAC_BITS - 1)  # exact midpoint 1/2
-    return PointSet((cells << FRAC_BITS) + offsets, spec, rng.seed)
+    return (cells << FRAC_BITS) + offsets
 
 
 def rsj_cell_matrix(g, shift_cells, n: int) -> np.ndarray:
     """Cell indices of the shifted lattice, row m = cells of point m.
 
-    Pure function of (generator, grid shift); used by the sampler and by
-    exhaustive structural tests.
+    Pure function of (generator, grid shift), the cells the drawer gives
+    point m before the permutation; used by exhaustive structural checks.
     """
     g = np.asarray(g, dtype=np.int64)
     s = np.asarray(shift_cells, dtype=np.int64)
@@ -214,26 +211,6 @@ def _lattice_draws(spec: SchemeSpec, rng: RngStream):
     return g, s, frac, rng.permutation(n)
 
 
-def rsj_rank1(spec: SchemeSpec, rng: RngStream) -> PointSet:
-    """Randomized rank-1 lattice sample under the given spec.
-
-    Full scheme: generator uniform on {1,..,n-1}^d, shift uniform on the
-    1/n grid, uniform point permutation, iid jitter on [0,1/n)^d.
-    Ablations: shift="none" drops the shift, shift="continuous_torus"
-    draws it uniform on [0,1)^d, jitter=False pins points to cell corners,
-    generator=fixed uses the given vector.
-    """
-    if spec.kind != "rsj_lattice":
-        raise ValueError(f"rsj_rank1 needs an rsj_lattice spec, got {spec.kind!r}")
-    n, dim = spec.n, spec.dim
-    _check_size(n, dim)
-    g, s, frac, perm = _lattice_draws(spec, rng)
-    jit = _jitter_block(rng, n, dim) if spec.jitter else 0
-    cells = rsj_cell_matrix(g, s, n)[perm, :]
-    nums = ((cells << FRAC_BITS) + np.array(frac, dtype=np.int64) + jit) % (n * _FRAC_ONE)
-    return PointSet(nums, spec, rng.seed)
-
-
 def generate(spec: SchemeSpec, seed: "int | RngStream") -> PointSet:
     """Generate the point set for (spec, seed); bit-identical on replay.
 
@@ -241,16 +218,20 @@ def generate(spec: SchemeSpec, seed: "int | RngStream") -> PointSet:
     generate(spec, s) equals generate(spec, RngStream(s)).  A stream made
     here from an integer seed first reserves the words the point set will
     likely draw (_draw_words); a given stream is drawn as it comes (the
-    streams of split_block are already sized).
+    streams of split_block are already sized).  The lattice is the
+    randomized rank-1 lattice: generator uniform on {1,..,n-1}^d, shift
+    uniform on the 1/n grid, uniform point permutation, iid jitter on
+    [0,1/n)^d; its ablations drop the shift (shift "none"), draw it uniform
+    on [0,1)^d ("continuous_torus"), pin points to cell corners (jitter
+    off) or fix the generator.  The point set is the one-stream block of
+    _draw_block.
     """
     if isinstance(seed, RngStream):
         rng = seed
     else:
         rng = RngStream(seed)
         rng.reserve(_draw_words(spec))
-    if spec.kind == "rsj_lattice":
-        return rsj_rank1(spec, rng)
-    return _latin(spec, rng)
+    return PointSet(_draw_block(spec, [rng]), spec, rng.seed)
 
 
 def _draw_block(spec: SchemeSpec, streams) -> np.ndarray:
@@ -258,29 +239,31 @@ def _draw_block(spec: SchemeSpec, streams) -> np.ndarray:
 
     Each lattice stream makes its scalar draws (_lattice_draws) and then
     reads its n * dim jitter words from its window, or past its end; the
-    cell matrix, shift, jitter, wrap and range check then run once for the
-    whole block.  Latin kinds are drawn by generate one stream at a time.
+    cell matrix, shift, jitter and wrap then run once for the whole block.
+    A latin kind draws each stream's point set in turn (_latin).  The size
+    is checked first; the range is checked once by each caller (PointSet,
+    _replication_blocks).
     """
-    if spec.kind != "rsj_lattice":
-        return np.concatenate([generate(spec, s).nums for s in streams])
     n, dim = spec.n, spec.dim
     _check_size(n, dim)
-    draws, jits = [], []
-    for rng in streams:
-        draws.append(_lattice_draws(spec, rng))
-        if spec.jitter:
-            jits.append(rng.u64_array(n * dim))
-    g, s, frac, perm = (np.array(v, dtype=np.int64) for v in zip(*draws))
-    reps = len(perm)
-    cells = (perm[:, :, None] * g[:, None, :] + s[:, None, :]) % n
-    nums = (cells << FRAC_BITS) + frac[:, None, :]
-    if jits:
-        # each stream's _jitter_block, shifted and cast once for the block
-        bits = np.concatenate(jits) >> np.uint64(64 - FRAC_BITS)
-        nums += bits.astype(np.int64).reshape(reps, n, dim)
-    nums %= n * _FRAC_ONE
-    nums = nums.reshape(reps * n, dim)
-    _check_range(nums, n)
+    if spec.kind != "rsj_lattice":
+        nums = np.concatenate([_latin(spec, rng) for rng in streams])
+    else:
+        draws, jits = [], []
+        for rng in streams:
+            draws.append(_lattice_draws(spec, rng))
+            if spec.jitter:
+                jits.append(rng.u64_array(n * dim))
+        g, s, frac, perm = (np.array(v, dtype=np.int64) for v in zip(*draws))
+        reps = len(perm)
+        cells = (perm[:, :, None] * g[:, None, :] + s[:, None, :]) % n
+        nums = (cells << FRAC_BITS) + frac[:, None, :]
+        if jits:
+            # each stream's 53-bit jitters (bits53_array), shifted and cast once for the block
+            bits = np.concatenate(jits) >> np.uint64(64 - FRAC_BITS)
+            nums += bits.astype(np.int64).reshape(reps, n, dim)
+        nums %= n * _FRAC_ONE
+        nums = nums.reshape(reps * n, dim)
     return nums
 
 
@@ -308,9 +291,12 @@ def _stream_blocks(rng: RngStream, replications: int, words: int, width: int,
 
 def _replication_blocks(spec: SchemeSpec, rng: RngStream, replications: int):
     """The numerators of generate(spec, rng.split(k)) for k < replications,
-    stacked a block of _stream_blocks at a time by _draw_block."""
+    stacked a block of _stream_blocks at a time by _draw_block, each block
+    range-checked."""
     for block in _stream_blocks(rng, replications, _draw_words(spec), spec.n * spec.dim):
-        yield _draw_block(spec, block)
+        nums = _draw_block(spec, block)
+        _check_range(nums, spec.n)
+        yield nums
 
 
 # -- export / import --------------------------------------------------------

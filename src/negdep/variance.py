@@ -259,7 +259,7 @@ def variance_compare(f: Integrand, spec: SchemeSpec, replications: int,
     rng.split(k), so each replication is reproducible on its own.  The
     substreams are split and mixed in blocks of about 2**14 words; the block
     drawer (samplers._draw_block) draws a block of lattice point sets at once
-    (latin kinds one generate call each), and each block's points go through
+    (latin kinds one point set at a time), and each block's points go through
     one float export and one integrand call.  Every estimate equals the mean
     of f over generate(spec, rng.split(k)).floats() bit for bit, so the output
     does not depend on the blocking.

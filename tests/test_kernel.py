@@ -63,7 +63,6 @@ from negdep.analyzer import (
     _class_tables,
     _expand,
     _grid_anchors,
-    _kron_tables,
     _lag_tables,
     _pair_counts,
     _law,
@@ -442,11 +441,9 @@ def scan_blocks(spec, m, dense=False, counts=None):
     multiplied in float64 (BLAS): exact, as every partial sum is a
     nonnegative integer at most den_joint < 2^53.
     """
-    law = _law(spec)
     if not dense:
-        tables = (_kron_tables(*_step_table(spec.n, law.position, m), spec.dim) if law.factorized
-                  else _class_tables(spec, law, m))
-        return tables[0], _expand(*tables[1:])
+        den, *tables = _class_tables(spec, _law(spec), m)
+        return den, _expand(*tables)
     A, PA, p1, p2, den_joint, den_marginal = dense_contraction(spec, m, counts)
     den = den_marginal**2
     assert den_joint < 2**53 and den < 2**62
@@ -834,7 +831,7 @@ def test_queries_keep_the_sides_of_the_law(P, monkeypatch):
     # L[e][k, l]: box k's weight at p1's cell c, box l's at p2's cell c + e
     e, anchors = 1, _grid_anchors(m)
     T, den = _weight_table(anchors, 3, "jitter")
-    lag = _lag_tables(T)[e].tolist()
+    lag = _lag_tables(T, T)[e].tolist()
     assert lag == [[sum(_cell_weight(c, q, 3, "jitter") * _cell_weight((c + e) % 3, r, 3, "jitter")
                         for c in range(3)) * den**2 for r in anchors] for q in anchors]
     assert lag != np.transpose(lag).tolist()
@@ -856,14 +853,29 @@ def test_budget_counts_failing_certificate_expansion(monkeypatch):
 
 def test_block_size_does_not_change_results(monkeypatch):
     # many small blocks, split inside a row group, and blocks spanning
-    # several groups of last-factor rows: the same reports and rows
+    # several groups of last-factor rows: the same reports and rows.  The
+    # shift-none scans and queries split their ratio tables and their class
+    # sums, the torus queries their lags
     cases = [(SchemeSpec(RSJ, 5, 2, generator=(1, 1)), 5), (full_rsj(3, 2), 6), (lhs_spec(3, 3), 3),
-             (lhs_spec(3, 3), 4), (patterson_spec(3, 2), 4)]
-    whole = [(nuod_scan(s, m), scan_csv(s, m, 10**8)) for s, m in cases]
+             (lhs_spec(3, 3), 4), (patterson_spec(3, 2), 4), (SchemeSpec(RSJ, 5, 2, shift="none"), 5),
+             (SchemeSpec(RSJ, 7, 1, shift="none"), 7), (SchemeSpec(RSJ, 3, 3, shift="none"), 2)]
+    Q, R = AnchoredBox((F(2, 13), F(5, 26))), AnchoredBox((F(7, 13), F(1, 2)))
+    queries = [SchemeSpec(RSJ, 13, 2, shift="none"), SchemeSpec(RSJ, 13, 2, shift="none", jitter=False),
+               SchemeSpec(RSJ, 13, 2, generator=(1, 5), shift="continuous_torus", jitter=False),
+               SchemeSpec(RSJ, 13, 2, shift="continuous_torus", jitter=False)]
+
+    def results():
+        return ([(nuod_scan(s, m), scan_csv(s, m, 10**8)) for s, m in cases],
+                [_pair_query(s, Q, R) for s in queries])
+
+    whole = results()
     for block in (7, 5 * 27):
         monkeypatch.setattr(mod, "_BLOCK", block)
-        assert [(nuod_scan(s, m), scan_csv(s, m, 10**8)) for s, m in cases] == whole
-    assert not whole[0][0].ok
+        assert results() == whole
+    assert not whole[0][0][0].ok
+    assert all(_pair_query(s, Q, R, "enumeration") == want
+               for s, want in zip(queries[:2], whole[1]))
+    assert [j for j, *_ in whole[1][2:]] == [oracle_torus_box_prob(s, Q, R) for s in queries[2:]]
 
 
 # tie-heavy scans: over five witnesses per distinct excess
@@ -1228,14 +1240,16 @@ def test_unshifted_scan_at_23_squared():
 ], ids=["fixed", "random", "random-dim3"])
 def test_unshifted_query_budget_counts_class_terms(spec, work, monkeypatch):
     # 2 dim n weights for a fixed generator, dim n (n - 1) for a random one,
-    # charged before any weight column is built
+    # and dim n for a marginal alone, charged before any weight column is built
     Q, R = AnchoredBox((F(1, 3),) * spec.dim), AnchoredBox((F(2, 5),) * spec.dim)
     want = _pair_query(spec, Q, R)
     assert _pair_query(spec, Q, R, budget=work) == want
-    for call in (lambda: _pair_query(spec, Q, R, budget=work - 1),
-                 lambda: pair_marginal_prob(spec, Q, 1, budget=work - 1)):
-        with pytest.raises(mod.BudgetExceededError, match=f"class sum too large: {work} terms"):
-            call()
+    with pytest.raises(mod.BudgetExceededError, match=f"class sum too large: {work} terms"):
+        _pair_query(spec, Q, R, budget=work - 1)
+    marginal = spec.dim * spec.n
+    assert pair_marginal_prob(spec, R, 1, budget=marginal) == want[2]
+    with pytest.raises(mod.BudgetExceededError, match=f"class sum too large: {marginal} terms"):
+        pair_marginal_prob(spec, Q, 1, budget=marginal - 1)
 
     def unbuilt(*args):
         raise AssertionError("a weight column was built")
@@ -1750,6 +1764,26 @@ def test_marginal_side_must_be_zero_or_one(side):
         pair_marginal_prob(lhs_spec(3, 2), AnchoredBox((F(1, 3), F(1, 2))), side)
 
 
+@pytest.mark.parametrize("side", [True, False, 1.0, 0.0], ids=["True", "False", "1.0", "0.0"])
+def test_marginal_side_must_be_an_integer(side):
+    # a bool or a float is not read as side 1 or 0; numpy integers are
+    spec, box = SchemeSpec(RSJ, 5, 2, shift="none"), AnchoredBox((F(1, 3), F(1, 2)))
+    with pytest.raises(TypeError, match="integer"):
+        pair_marginal_prob(spec, box, side)
+    assert pair_marginal_prob(spec, box, np.int64(1)) == pair_marginal_prob(spec, box, 1)
+
+
+@pytest.mark.parametrize("m", [True, 5.0, 2.5], ids=["True", "5.0", "2.5"])
+def test_grid_resolution_must_be_an_integer(m):
+    # nuod_scan(spec, True) once reported a grid "k/True for 0 <= k < True"
+    spec = full_rsj(5, 2)
+    for call in (lambda: nuod_scan(spec, m), lambda: scan_csv(spec, m)):
+        with pytest.raises(TypeError, match="integer"):
+            call()
+    report = nuod_scan(spec, np.int64(5))
+    assert report == nuod_scan(spec, 5) and type(report.grid["resolution"]) is int
+
+
 def test_torus_budget_is_charged_before_the_generators():
     # a random generator builds no generator array: at n = 1000003 its
     # dim (n - 1) terms are refused one below the budget having allocated
@@ -1838,6 +1872,56 @@ def test_query_routes_agree(case):
     else:
         with pytest.raises(UnsupportedSchemeError):
             _pair_query(spec, Q, R, "closed_form")
+
+
+# every route that sums index-pair classes, with its calls of (_class_terms,
+# _class_sum, _pair_counts): one kernel sums every class route.  A random
+# generator on the torus sums each coordinate alone; a fixed generator
+# without a shift is the sum U sum V - U.V formula, and every marginal a
+# formula, with no class sum; a certificate that holds expands nothing.  A
+# fixed generator under a grid shift still reads its one _pair_counts factor
+TORUS_FIXED = SchemeSpec(RSJ, 5, 2, generator=(1, 3), shift="continuous_torus", jitter=False)
+TORUS_RANDOM = SchemeSpec(RSJ, 5, 2, shift="continuous_torus", jitter=False)
+NONE_RANDOM = SchemeSpec(RSJ, 5, 2, shift="none")
+NONE_FIXED = SchemeSpec(RSJ, 5, 2, generator=(1, 2), shift="none", jitter=False)
+GRID_FIXED = SchemeSpec(RSJ, 5, 2, generator=(1, 2))
+ROUTE_Q, ROUTE_R = AnchoredBox((F(1, 3), F(2, 5))), AnchoredBox((F(3, 5), F(1, 10)))
+ROUTES = [
+    ("torus-fixed-query", lambda: pair_box_prob(TORUS_FIXED, ROUTE_Q, ROUTE_R), (0, 1, 0)),
+    ("torus-random-query", lambda: pair_box_prob(TORUS_RANDOM, ROUTE_Q, ROUTE_R), (0, 2, 0)),
+    ("torus-marginal", lambda: pair_marginal_prob(TORUS_FIXED, ROUTE_Q, 1), (0, 0, 0)),
+    ("none-random-query", lambda: pair_box_prob(NONE_RANDOM, ROUTE_Q, ROUTE_R), (1, 1, 0)),
+    ("none-random-marginal", lambda: pair_marginal_prob(NONE_RANDOM, ROUTE_Q, 0), (1, 0, 0)),
+    ("none-fixed-query", lambda: pair_box_prob(NONE_FIXED, ROUTE_Q, ROUTE_R), (1, 0, 0)),
+    ("none-fixed-marginal", lambda: pair_marginal_prob(NONE_FIXED, ROUTE_R, 1), (1, 0, 0)),
+    ("lag-scan", lambda: nuod_scan(GRID_FIXED, 5), (1, 1, 0)),
+    ("none-random-scan", lambda: nuod_scan(NONE_RANDOM, 5), (1, 1, 0)),
+    ("none-fixed-pairs-csv", lambda: scan_csv(NONE_FIXED, 5), (1, 0, 0)),
+    ("factorized-pairs-csv", lambda: scan_csv(lhs_spec(3, 2), 4), (0, 1, 0)),
+    ("factorized-certificate", lambda: nuod_scan(lhs_spec(3, 2), 4), (0, 0, 0)),
+    ("grid-fixed-query", lambda: pair_box_prob(GRID_FIXED, ROUTE_Q, ROUTE_R), (0, 0, 1)),
+    ("grid-fixed-marginal", lambda: pair_marginal_prob(GRID_FIXED, ROUTE_Q, 0), (0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("call,calls", [case[1:] for case in ROUTES], ids=[case[0] for case in ROUTES])
+def test_each_route_reads_the_class_kernel(call, calls, monkeypatch):
+    want = call()
+    counts = dict.fromkeys(("_class_terms", "_class_sum", "_pair_counts"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _orig=getattr(mod, name), **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+    if not calls[2]:
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("the cell-pair law was built or contracted")
+
+        monkeypatch.setattr(mod, "_pair_counts", unbuilt)
+        monkeypatch.setattr(mod, "_contract", unbuilt)
+    assert call() == want
+    assert tuple(counts.values()) == calls
 
 
 # -- one law decision per spec ------------------------------------------------

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from negdep.rng import RngStream
+from negdep.rng import FRAC_BITS, RngStream
 from negdep.samplers import (
     MAX_N,
     PointSet,
     _draw_block,
     _draw_words,
+    _lattice_draws,
     _stream_blocks,
     generate,
     point_set_from_csv,
@@ -22,7 +23,6 @@ from negdep.samplers import (
     point_set_to_csv,
     point_set_to_json,
     rsj_cell_matrix,
-    rsj_rank1,
 )
 from negdep.schemes import SHIFTS, SchemeSpec, full_rsj, lhs_spec, patterson_spec, stratified_spec
 
@@ -37,6 +37,22 @@ def replicate(spec, rng, replications):
     for block in _stream_blocks(rng, replications, _draw_words(spec), spec.n * spec.dim):
         for stream in block:
             yield generate(spec, stream)
+
+
+def rsj_rank1(spec, rng):
+    """One lattice point set drawn from rng on its own: the per-stream oracle of the block drawer.
+
+    The scalar draws in the pinned order (_lattice_draws: generator, shift,
+    permutation), then the n * dim jitters in point order, coordinates
+    within a point; the cells are rsj_cell_matrix's rows in permuted order,
+    wrapped mod 1.
+    """
+    n, dim = spec.n, spec.dim
+    g, s, frac, perm = _lattice_draws(spec, rng)
+    jit = rng.bits53_array(n * dim).astype(np.int64).reshape(n, dim) if spec.jitter else 0
+    cells = rsj_cell_matrix(g, s, n)[perm, :]
+    nums = ((cells << FRAC_BITS) + np.array(frac, dtype=np.int64) + jit) % (n << FRAC_BITS)
+    return PointSet(nums, spec, rng.seed)
 
 
 def test_stratified_one_point_per_stratum():
@@ -167,13 +183,13 @@ def test_rank1_lattice_differences_regenerate():
 
 def test_rsj_grid_structure_jitter_off():
     spec = SchemeSpec("rsj_lattice", 5, 2, jitter=False)
-    ps = rsj_rank1(spec, RngStream(8))
+    ps = generate(spec, RngStream(8))
     assert np.all(ps.offsets() == 0)
 
 
 def test_rsj_diagonal_cosets_fixed_generator():
     spec = SchemeSpec("rsj_lattice", 5, 2, generator=(1, 1), jitter=False)
-    ps = rsj_rank1(spec, RngStream(9))
+    ps = generate(spec, RngStream(9))
     cells = ps.cells()
     offsets = {(c2 - c1) % 5 for c1, c2 in cells.tolist()}
     assert len(offsets) == 1  # one diagonal coset
@@ -181,7 +197,7 @@ def test_rsj_diagonal_cosets_fixed_generator():
 
 def test_rsj_continuous_shift_in_range():
     spec = SchemeSpec("rsj_lattice", 7, 3, shift="continuous_torus", jitter=False)
-    ps = rsj_rank1(spec, RngStream(10))
+    ps = generate(spec, RngStream(10))
     f = ps.floats()
     assert f.min() >= 0 and f.max() < 1
     # shared in-cell offset: all points carry the same 53-bit remainder
@@ -345,15 +361,19 @@ def _drawer_specs():
 @pytest.mark.parametrize("sized", [True, False], ids=["draw-words-windows", "one-word-windows"])
 def test_draw_block_equals_generate_per_substream(sized):
     # each block row run and each stream's counter and next word are those
-    # of generate on its own split; one-word windows send every draw past
+    # of a lattice stream drawn on its own split (rsj_rank1), and of
+    # generate on it for every kind; one-word windows send every draw past
     # the window's end
     root = RngStream(77)
     first, reps = 3, 6
     for spec in _drawer_specs():
         want = []
         for k in range(first, first + reps):
-            s = root.split(k)
-            want.append((generate(spec, s).nums, s.counter, s.u64()))
+            s, alone = root.split(k), root.split(k)
+            ps = generate(spec, s)
+            if spec.kind == "rsj_lattice":
+                assert ps == rsj_rank1(spec, alone) and alone.counter == s.counter, (spec, k)
+            want.append((ps.nums, s.counter, s.u64()))
         streams = list(root.split_block(first, reps, _draw_words(spec) if sized else 1))
         nums = _draw_block(spec, streams)
         n = spec.n

@@ -363,8 +363,6 @@ def test_fixed_generator_positive_covariance():
     )
     assert exact_cov == F(9, 2500)
 
-    from negdep.samplers import rsj_rank1
-
     reps = 20000
     root = RngStream(13)
     x = np.empty(reps)
@@ -373,7 +371,7 @@ def test_fixed_generator_positive_covariance():
     qt = np.array([0.6, 0.6])
     rt = np.array([0.8, 0.8])
     for k in range(reps):
-        pts = rsj_rank1(spec, root.split(k)).floats()
+        pts = generate(spec, root.split(k)).floats()
         in_q = bool((pts[0] >= qt).all())
         in_r = bool((pts[1] >= rt).all())
         x[k] = in_q and in_r
